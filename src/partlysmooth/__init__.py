@@ -68,6 +68,7 @@ from .regularizers import (
 )
 from .solver import (
     CanonicalParameters,
+    Quadratic,
     SolveOptions,
     SolveResult,
     forward_backward,
@@ -93,6 +94,7 @@ __all__ = [
     "MuRule",
     "Nuclear",
     "ProblemInstance",
+    "Quadratic",
     "Regularizer",
     "SignalSpec",
     "SolveOptions",

@@ -41,8 +41,8 @@ from .problems import (
     make_design,
     make_signal,
 )
-from .regularizers import RI_TOL, ZERO_TOL, Regularizer, same_model
-from .solver import SolveOptions, forward_backward
+from .regularizers import RI_TOL, ZERO_TOL, ModelDescriptor, Regularizer, same_model
+from .solver import Quadratic, SolveOptions, forward_backward
 
 SWEEP_KINDS = ("noise_levels", "sample_sizes", "mu_values")
 MU_RULE_KINDS = ("fixed", "proportional", "power")
@@ -163,36 +163,85 @@ class ExperimentResult:
 # trial engine
 
 
+@dataclass(frozen=True)
+class _Shared:
+    """What every trial of one sweep shares.
+
+    designs holds one design per sweep point, or the single design of a
+    fixed-design sweep, whose Gamma is then prepared once as quad.  A
+    process pool receives this once per worker, not with every task.
+    """
+
+    reg: Regularizer
+    designs: tuple
+    signal: SignalSpec
+    opts: SolveOptions
+    zero_tol: float
+    target: ModelDescriptor
+    margin: float
+    boundary: bool
+    quad: Optional[Quadratic] = None
+
+
 def _run_task(task):
-    """One Monte-Carlo trial; module-level so worker processes can import it."""
-    (reg, design, signal, sigma, mu, seed, opts, zero_tol, target, margin, boundary) = task
-    inst = generate_instance(design, signal, sigma, seed, reg)
-    theta = canonical_parameters(inst, lam=mu * inst.n)
-    res = forward_backward(theta, reg, opts)
-    desc = reg.descriptor(res.beta, zero_tol)
-    identified = bool(res.converged and same_model(desc, target))
+    """One Monte-Carlo trial, task = (shared, design index, sigma, mu, seed).
+
+    Module-level so worker processes can import it.
+    """
+    shared, point, sigma, mu, seed = task
+    reg = shared.reg
+    inst = generate_instance(shared.designs[point], shared.signal, sigma, seed, reg)
+    theta = canonical_parameters(inst, mu * inst.n, shared.quad)
+    res = forward_backward(theta, reg, shared.opts)
+    desc = reg.descriptor(res.beta, shared.zero_tol)
+    identified = bool(res.converged and same_model(desc, shared.target))
     record = TrialRecord(
         seed=seed,
         n=inst.n,
         sigma=sigma,
         mu=mu,
         identified=identified,
-        boundary_flag=boundary,
+        boundary_flag=shared.boundary,
         error_norm=float(np.linalg.norm(res.beta - inst.beta0)),
         eps_norm=float(np.linalg.norm(correlation_noise(inst))),
         identification_iter=res.identification_iter,
         converged=res.converged,
-        certificate_margin=margin,
+        certificate_margin=shared.margin,
     )
     return record, res.model_trace, desc
 
 
-def _run_tasks(tasks, jobs):
+_WORKER_SHARED = None  # set once in each pool worker by _init_worker
+
+
+def _init_worker(shared):
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
+
+
+def _run_worker_task(task):
+    return _run_task((_WORKER_SHARED, *task))
+
+
+def _run_trials(shared, points, trials, base_seed, jobs):
+    """Run `trials` trials at each point (design index, sigma, mu), in order.
+
+    Trial k of the whole run uses seed base_seed + 1 + k.  Serially, each
+    trial is one _run_task call; a pool gets `shared` once per worker and
+    tasks of (design index, sigma, mu, seed).
+    """
+    tasks = [
+        (point, sigma, mu, base_seed + 1 + k)
+        for k, (point, sigma, mu) in enumerate(p for p in points for _ in range(trials))
+    ]
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        return [_run_task((shared, *t)) for t in tasks]
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(shared,)
+    ) as pool:
+        chunk = max(1, len(tasks) // (4 * jobs))
+        return list(pool.map(_run_worker_task, tasks, chunksize=chunk))
 
 
 def _summarize(records_by_value):
@@ -221,18 +270,36 @@ def _summarize(records_by_value):
     return rows
 
 
+def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) -> _Shared:
+    margin, boundary = _certificate_fields(report)
+    return _Shared(
+        reg=config.regularizer,
+        designs=tuple(designs),
+        signal=SignalSpec.explicit(beta0),
+        opts=config.solve,
+        zero_tol=config.zero_tol,
+        target=config.regularizer.descriptor(beta0, config.zero_tol),
+        margin=margin,
+        boundary=boundary,
+        quad=quad,
+    )
+
+
 def _fixed_setup(config: ExperimentConfig):
-    """Draw the shared design and signal once from base_seed."""
+    """Draw the shared design and signal once from base_seed; prepare Gamma.
+
+    Returns (shared, stability report, n).
+    """
     rng = np.random.default_rng(config.base_seed)
     x = make_design(config.design, rng)
     beta0 = make_signal(config.signal, config.regularizer, rng)
     if x.shape[1] != beta0.shape[0]:
         raise ValueError("design and signal dimensions differ")
-    gamma = x.T @ x / x.shape[0]
+    quad = Quadratic(x.T @ x / x.shape[0])
     report = check_model_stability(
-        gamma, beta0, config.regularizer, config.zero_tol, config.ri_tol
+        quad.gamma, beta0, config.regularizer, config.zero_tol, config.ri_tol
     )
-    return x, beta0, report
+    return _make_shared(config, report, beta0, [DesignSpec.explicit(x)], quad), report, x.shape[0]
 
 
 def _certificate_fields(report):
@@ -260,25 +327,10 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate and error ratios across noise levels on a fixed design."""
     if config.sweep_kind != "noise_levels":
         raise ValueError("noise_stability_sweep needs sweep_kind='noise_levels'")
-    x, beta0, report = _fixed_setup(config)
+    shared, report, n = _fixed_setup(config)
     rule = _proportional_scale(config, report)
-    margin, boundary = _certificate_fields(report)
-    target = config.regularizer.descriptor(beta0, config.zero_tol)
-    design = DesignSpec.explicit(x)
-    signal = SignalSpec.explicit(beta0)
-
-    tasks = []
-    counter = 0
-    for sigma in config.sweep_values:
-        mu = rule.resolve(sigma, x.shape[0])
-        for _ in range(config.trials):
-            seed = config.base_seed + 1 + counter
-            counter += 1
-            tasks.append(
-                (config.regularizer, design, signal, sigma, mu, seed,
-                 config.solve, config.zero_tol, target, margin, boundary)
-            )
-    outs = _run_tasks(tasks, config.jobs)
+    points = [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
+    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
     records = [o[0] for o in outs]
     by_value = _group(records, config.sweep_values, config.trials)
     return ExperimentResult(
@@ -312,23 +364,10 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     report = check_model_stability(
         cov, beta0, config.regularizer, config.zero_tol, config.ri_tol
     )
-    margin, boundary = _certificate_fields(report)
-    target = config.regularizer.descriptor(beta0, config.zero_tol)
-    signal = SignalSpec.explicit(beta0)
-
-    tasks = []
-    counter = 0
-    for n in sizes:
-        mu = config.mu_rule.resolve(sigma, n)
-        design = DesignSpec.gaussian(cov, n)
-        for _ in range(config.trials):
-            seed = config.base_seed + 1 + counter
-            counter += 1
-            tasks.append(
-                (config.regularizer, design, signal, sigma, mu, seed,
-                 config.solve, config.zero_tol, target, margin, boundary)
-            )
-    outs = _run_tasks(tasks, config.jobs)
+    # every trial draws its own design, so each prepares its own Gamma
+    shared = _make_shared(config, report, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])
+    points = [(i, sigma, config.mu_rule.resolve(sigma, n)) for i, n in enumerate(sizes)]
+    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
     records = [o[0] for o in outs]
     by_value = _group(records, [float(s) for s in sizes], config.trials)
     return ExperimentResult(
@@ -346,39 +385,23 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     sigma = config.noise_sigma
     if sigma is None or sigma < 0:
         raise ValueError("sharpness_experiment needs noise_sigma >= 0")
-    x, beta0, report = _fixed_setup(config)
+    shared, report, _ = _fixed_setup(config)
     cert = report.certificate
     if cert.usable and cert.verdict.status == "interior":
         warnings.warn(
             "sharpness experiment on an instance whose certificate is strictly "
             "interior; recovery is expected there", stacklevel=2,
         )
-    margin, boundary = _certificate_fields(report)
-    target = config.regularizer.descriptor(beta0, config.zero_tol)
-    design = DesignSpec.explicit(x)
-    signal = SignalSpec.explicit(beta0)
 
     # deterministic noiseless check per mu: the solution should be off the
     # model of beta0 even with w = 0
     noiseless = {}
     for mu in config.sweep_values:
-        rec, _, _ = _run_task(
-            (config.regularizer, design, signal, 0.0, mu, config.base_seed,
-             config.solve, config.zero_tol, target, margin, boundary)
-        )
+        rec, _, _ = _run_task((shared, 0, 0.0, mu, config.base_seed))
         noiseless[mu] = rec.identified
 
-    tasks = []
-    counter = 0
-    for mu in config.sweep_values:
-        for _ in range(config.trials):
-            seed = config.base_seed + 1 + counter
-            counter += 1
-            tasks.append(
-                (config.regularizer, design, signal, sigma, mu, seed,
-                 config.solve, config.zero_tol, target, margin, boundary)
-            )
-    outs = _run_tasks(tasks, config.jobs)
+    points = [(0, sigma, mu) for mu in config.sweep_values]
+    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
     records = [o[0] for o in outs]
     by_value = _group(records, config.sweep_values, config.trials)
     return ExperimentResult(
@@ -395,25 +418,10 @@ def identification_profile(config: ExperimentConfig) -> ExperimentResult:
     if config.sweep_kind != "noise_levels":
         raise ValueError("identification_profile needs sweep_kind='noise_levels'")
     traced = replace(config, solve=replace(config.solve, trace_models=True))
-    x, beta0, report = _fixed_setup(traced)
+    shared, report, n = _fixed_setup(traced)
     rule = _proportional_scale(traced, report)
-    margin, boundary = _certificate_fields(report)
-    target = traced.regularizer.descriptor(beta0, traced.zero_tol)
-    design = DesignSpec.explicit(x)
-    signal = SignalSpec.explicit(beta0)
-
-    tasks = []
-    counter = 0
-    for sigma in traced.sweep_values:
-        mu = rule.resolve(sigma, x.shape[0])
-        for _ in range(traced.trials):
-            seed = traced.base_seed + 1 + counter
-            counter += 1
-            tasks.append(
-                (traced.regularizer, design, signal, sigma, mu, seed,
-                 traced.solve, traced.zero_tol, target, margin, boundary)
-            )
-    outs = _run_tasks(tasks, traced.jobs)
+    points = [(0, sigma, rule.resolve(sigma, n)) for sigma in traced.sweep_values]
+    outs = _run_trials(shared, points, traced.trials, traced.base_seed, traced.jobs)
     records = [o[0] for o in outs]
 
     iters = []
@@ -430,8 +438,12 @@ def identification_profile(config: ExperimentConfig) -> ExperimentResult:
             iters.append(k)
         # the retrospective definition makes every post-identification
         # descriptor equal the final one; verify, then compare to the target
-        assert all(same_model(d, final_desc) for d in trace[k:]), "trace inconsistency"
-        if same_model(final_desc, target):
+        if not all(same_model(d, final_desc) for d in trace[k:]):
+            raise RuntimeError(
+                f"trial seed {record.seed}: the model trace changes after "
+                f"identification iterate {k}"
+            )
+        if same_model(final_desc, shared.target):
             matches += 1
     profile = ProfileStats(
         identification_iters=iters,

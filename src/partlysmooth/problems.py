@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import check_covariance, _as_matrix, _as_vector
 from .regularizers import GroupL1L2, Nuclear, Regularizer
-from .solver import CanonicalParameters
+from .solver import CanonicalParameters, Quadratic
 
 DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
 
@@ -32,7 +32,8 @@ DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
 class DesignSpec:
     """How to produce the design matrix.
 
-    kind "explicit" carries the matrix itself; kind "gaussian_rows" draws n
+    kind "explicit" carries the matrix itself, as a read-only copy that
+    every instance drawn from the spec shares; kind "gaussian_rows" draws n
     rows from N(0, covariance).
     """
 
@@ -45,7 +46,9 @@ class DesignSpec:
         if self.kind == "explicit":
             if self.matrix is None:
                 raise ValueError("explicit design needs a matrix")
-            object.__setattr__(self, "matrix", _as_matrix(self.matrix, "design matrix"))
+            matrix = _as_matrix(self.matrix, "design matrix").copy()
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
         elif self.kind == "gaussian_rows":
             if self.covariance is None or self.n is None:
                 raise ValueError("gaussian_rows design needs covariance and n")
@@ -165,8 +168,9 @@ def _amplitudes(rng, size, amplitude_range):
 
 
 def make_design(spec: DesignSpec, rng) -> np.ndarray:
+    """The design matrix: an explicit spec's own read-only matrix, or n fresh rows."""
     if spec.kind == "explicit":
-        return spec.matrix.copy()
+        return spec.matrix
     # factor the covariance through its symmetric PSD square root; tiny
     # negative eigenvalues from roundoff are clipped
     vals, vecs = np.linalg.eigh(spec.covariance)
@@ -246,13 +250,24 @@ def generate_instance(
     return ProblemInstance(x=x, beta0=beta0, w=w, y=x @ beta0 + w, seed=int(seed))
 
 
-def canonical_parameters(instance: ProblemInstance, lam: float) -> CanonicalParameters:
-    """theta = (lambda/n, X^T y / n, X^T X / n)."""
+def canonical_parameters(
+    instance: ProblemInstance, lam: float, quad: Optional[Quadratic] = None
+) -> CanonicalParameters:
+    """theta = (lambda/n, X^T y / n, X^T X / n).
+
+    quad, when given, must be the Quadratic of this instance's X^T X / n,
+    for example the one a fixed-design sweep shares across its trials; X^T X
+    is then not recomputed.
+    """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     n = instance.n
     x = instance.x
-    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=x.T @ x / n)
+    if quad is None:
+        quad = Quadratic(x.T @ x / n)
+    elif quad.dim != instance.p:
+        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={instance.p}")
+    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=quad)
 
 
 def correlation_noise(instance: ProblemInstance) -> np.ndarray:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .linalg import RANK_TOL, Subspace, _as_matrix, _as_vector, project
 
@@ -52,6 +50,14 @@ class ModelDescriptor:
 
     def __str__(self):
         return f"{self.kind}:{self.data}"
+
+
+def check_prox_weight(gamma) -> float:
+    """Validate a prox weight: finite and >= 0."""
+    gamma = float(gamma)
+    if not np.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"prox weight must be finite and >= 0, got {gamma}")
+    return gamma
 
 
 def same_model(a: ModelDescriptor, b: ModelDescriptor) -> bool:
@@ -112,6 +118,19 @@ class Regularizer:
         """Full local geometry (descriptor, tangent subspace, model vector)."""
         raise NotImplementedError
 
+    def step(self, v, weight: float, zero_tol: float):
+        """The penalty's share of one solver iteration at v.
+
+        Returns (out, descriptor(out, zero_tol), value(out)) for
+        out = prox(v, weight).  An override may skip validating v and weight:
+        the solver checks weight once per solve, and after each step it
+        checks that J(out) is finite, which fails exactly when an entry of
+        out is not.  An override must return the same bits as this
+        composition.
+        """
+        out = self.prox(v, weight)
+        return out, self.descriptor(out, zero_tol), self.value(out)
+
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -132,12 +151,6 @@ class Regularizer:
             status = "boundary"
         return CertificateVerdict(status=status, margin=margin, tangent_residual=residual)
 
-    def _check_gamma(self, gamma: float) -> float:
-        gamma = float(gamma)
-        if not np.isfinite(gamma) or gamma < 0:
-            raise ValueError(f"prox weight must be finite and >= 0, got {gamma}")
-        return gamma
-
 
 class L1(Regularizer):
     """The l1 norm.  Model: support set, sign vector on the support."""
@@ -150,13 +163,19 @@ class L1(Regularizer):
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, name="beta")
-        gamma = self._check_gamma(gamma)
+        gamma = check_prox_weight(gamma)
         return np.sign(beta) * np.maximum(np.abs(beta) - gamma, 0.0)
 
     def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
         beta = _as_vector(beta, name="beta")
         support = np.flatnonzero(np.abs(beta) > zero_tol)
         return ModelDescriptor(self.kind, tuple(support.tolist()))
+
+    def step(self, v, weight: float, zero_tol: float):
+        out = np.sign(v) * np.maximum(np.abs(v) - weight, 0.0)
+        size = np.abs(out)
+        support = np.nonzero(size > zero_tol)[0]
+        return out, ModelDescriptor(self.kind, tuple(support.tolist())), float(size.sum())
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, name="beta")
@@ -209,7 +228,7 @@ class GroupL1L2(Regularizer):
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, self.p, "beta")
-        gamma = self._check_gamma(gamma)
+        gamma = check_prox_weight(gamma)
         out = np.zeros_like(beta)
         for g in self.groups:
             nrm = np.linalg.norm(beta[g])
@@ -275,7 +294,7 @@ class Nuclear(Regularizer):
         return float(np.linalg.svd(self._mat(beta), compute_uv=False).sum())
 
     def prox(self, beta, gamma: float) -> np.ndarray:
-        gamma = self._check_gamma(gamma)
+        gamma = check_prox_weight(gamma)
         u, s, vt = np.linalg.svd(self._mat(beta), full_matrices=False)
         return self._vec(u @ (np.maximum(s - gamma, 0.0)[:, None] * vt))
 
@@ -337,7 +356,7 @@ class AnalysisL1(Regularizer):
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, self.p, "beta")
-        gamma = self._check_gamma(gamma)
+        gamma = check_prox_weight(gamma)
         if gamma == 0.0 or self._lipschitz == 0.0:
             return beta.copy()
         d = self.operator
@@ -379,6 +398,8 @@ class AnalysisL1(Regularizer):
         z, cosupport = self._cosupport(beta, zero_tol)
         desc = ModelDescriptor(self.kind, tuple(cosupport.tolist()))
         if cosupport.size:
+            import scipy.linalg  # deferred: scipy dominates the package's import time
+
             basis = scipy.linalg.null_space(self.operator[:, cosupport].T)
             sub = Subspace(basis)
         else:
@@ -389,6 +410,8 @@ class AnalysisL1(Regularizer):
         return ModelGeometry(desc, sub, e, offset=offset)
 
     def _interior_margin(self, geometry, eta) -> float:
+        import scipy.optimize  # deferred, as in model()
+
         cosupport = np.asarray(geometry.descriptor.data, dtype=int)
         if cosupport.size == 0:
             return 1.0

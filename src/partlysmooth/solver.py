@@ -14,17 +14,23 @@ fixed step 0 < tau < 2 / ||Gamma||.  Along the way the solver tracks the
 active-model descriptor of every iterate, so the first iteration after
 which the model never changes again (the identification point) can be
 reported retrospectively.
+
+||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
+once, on first use, and every problem sharing Gamma can share it: the trials
+of a fixed-design sweep, the points of a path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
 from .linalg import check_symmetric, pseudoinverse, spectral_norm, _as_vector
-from .regularizers import Regularizer
+from .regularizers import Regularizer, check_prox_weight
 
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_FP_TOL = 1e-10
@@ -35,6 +41,32 @@ DEFAULT_STEP_FRACTION = 0.9
 IMAGE_TOL = 1e-8
 
 
+class Quadratic:
+    """A validated design covariance Gamma, prepared for repeated solves.
+
+    lip = ||Gamma|| bounds the step size and pinv = Gamma^+ gives the
+    objective's constant term.  Each is computed on first use and kept.
+    Gamma must not be modified once it is prepared.
+    """
+
+    def __init__(self, gamma):
+        self.gamma = check_symmetric(gamma, name="gamma")
+
+    @property
+    def dim(self) -> int:
+        return self.gamma.shape[0]
+
+    @cached_property
+    def lip(self) -> float:
+        # spectral_norm (an SVD) rather than a cheaper eigvalsh: the step,
+        # and with it every iterate and records.csv byte, depends on its bits
+        return spectral_norm(self.gamma)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return pseudoinverse(self.gamma)
+
+
 @dataclass(frozen=True)
 class CanonicalParameters:
     """Scale-free problem data theta = (mu, u, Gamma).
@@ -43,31 +75,47 @@ class CanonicalParameters:
     Gamma the (symmetric PSD) design covariance.  Solving requires mu > 0;
     u must lie in the image of Gamma (see image_residual), which holds by
     construction for u = X^T y / n with y in the row space of X.
+
+    gamma may be an array or a Quadratic shared with other problems; either
+    way theta.gamma is the array and theta.quad its Quadratic.
     """
 
     mu: float
     u: np.ndarray
-    gamma: np.ndarray
+    gamma: Union[np.ndarray, Quadratic]
+    quad: Quadratic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         if not np.isfinite(self.mu) or self.mu < 0:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         u = _as_vector(self.u, name="u")
-        gamma = check_symmetric(self.gamma, name="gamma")
-        if gamma.shape[0] != u.shape[0]:
+        quad = self.gamma if isinstance(self.gamma, Quadratic) else Quadratic(self.gamma)
+        if quad.dim != u.shape[0]:
             raise ValueError("u and gamma dimensions differ")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", quad.gamma)
+        object.__setattr__(self, "quad", quad)
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
+    @cached_property
+    def _pinv_u(self) -> np.ndarray:
+        return self.quad.pinv @ self.u
+
+    @cached_property
+    def _const(self) -> float:
+        return 0.5 * self._pinv_u @ self.u
+
+    def energy(self, j_value: float, beta: np.ndarray, gamma_beta: np.ndarray) -> float:
+        """E(beta) from J(beta) and Gamma beta, both already computed; mu > 0."""
+        return j_value + (0.5 * beta @ gamma_beta - beta @ self.u + self._const) / self.mu
+
     def image_residual(self) -> float:
         """|| Gamma Gamma^+ u - u ||, zero when u is in Im(Gamma)."""
-        pg = pseudoinverse(self.gamma)
-        return float(np.linalg.norm(self.gamma @ (pg @ self.u) - self.u))
+        return float(np.linalg.norm(self.gamma @ self._pinv_u - self.u))
 
 
 @dataclass(frozen=True)
@@ -121,9 +169,7 @@ def objective(theta: CanonicalParameters, reg: Regularizer, beta) -> float:
     if theta.mu <= 0:
         raise ValueError(f"objective needs mu > 0, got {theta.mu}")
     beta = _as_vector(beta, theta.dim, "beta")
-    pg_u = pseudoinverse(theta.gamma) @ theta.u
-    quad = 0.5 * beta @ (theta.gamma @ beta) - beta @ theta.u + 0.5 * pg_u @ theta.u
-    return reg.value(beta) + quad / theta.mu
+    return theta.energy(reg.value(beta), beta, theta.gamma @ beta)
 
 
 def forward_backward(
@@ -154,7 +200,7 @@ def forward_backward(
     """
     if theta.mu <= 0:
         raise ValueError(f"forward-backward needs mu > 0, got {theta.mu}")
-    lip = spectral_norm(theta.gamma)
+    lip = theta.quad.lip
     if opts.step is None:
         tau = DEFAULT_STEP_FRACTION * 2.0 / lip if lip > 0 else 1.0
     else:
@@ -169,15 +215,13 @@ def forward_backward(
     else:
         beta = _as_vector(beta_init, theta.dim, "beta_init").copy()
 
-    mu, u, gam = theta.mu, theta.u, theta.gamma
-    # constant part of the objective, computed once per solve
-    const = 0.5 * (pseudoinverse(gam) @ u) @ u
+    mu, u, gam, energy = theta.mu, theta.u, theta.gamma, theta.energy
+    weight = check_prox_weight(tau * mu)
 
-    def energy(b, gam_b):
-        return reg.value(b) + (0.5 * b @ gam_b - b @ u + const) / mu
-
+    # J and the descriptor of the initial point also validate its length
+    # against the penalty, once per solve
     gam_beta = gam @ beta
-    trace = [energy(beta, gam_beta)]
+    trace = [energy(reg.value(beta), beta, gam_beta)]
     desc = reg.descriptor(beta, opts.zero_tol)
     models = [desc] if opts.trace_models else None
     run_start = 0  # first iterate of the current descriptor run
@@ -186,15 +230,19 @@ def forward_backward(
     fp_residual = np.inf
     k = 0
     for k in range(1, opts.max_iter + 1):
-        beta_next = reg.prox(beta + tau * (u - gam_beta), tau * mu)
-        fp_residual = float(np.linalg.norm(beta_next - beta))
-        threshold = opts.fp_tol * max(1.0, float(np.linalg.norm(beta)))
-        desc_next = reg.descriptor(beta_next, opts.zero_tol)
+        beta_next, desc_next, j_next = reg.step(beta + tau * (u - gam_beta), weight, opts.zero_tol)
+        if not math.isfinite(j_next):
+            raise ValueError(f"forward-backward iterate {k} has non-finite entries")
+        # Euclidean norms as np.linalg.norm computes them (sqrt of a dot),
+        # without its per-call overhead
+        delta = beta_next - beta
+        fp_residual = math.sqrt(delta.dot(delta))
+        threshold = opts.fp_tol * max(1.0, math.sqrt(beta.dot(beta)))
         if desc_next != desc:
             run_start = k
             desc = desc_next
         gam_beta = gam @ beta_next
-        trace.append(energy(beta_next, gam_beta))
+        trace.append(energy(j_next, beta_next, gam_beta))
         if opts.trace_models:
             models.append(desc_next)
         beta = beta_next
@@ -224,7 +272,8 @@ def solve_path(
     """Solve a sequence of problems sharing (u, Gamma) with warm starts.
 
     The mu values must be positive and non-increasing (homotopy from loose
-    to tight penalty).  Each solve starts from the previous solution.
+    to tight penalty).  Each solve starts from the previous solution, and
+    all of them share the first problem's Quadratic.
     """
     thetas = list(thetas)
     if not thetas:
@@ -244,7 +293,7 @@ def solve_path(
     results = []
     warm = beta_init
     for t in thetas:
-        res = forward_backward(t, reg, opts, beta_init=warm)
+        res = forward_backward(replace(t, gamma=first.quad), reg, opts, beta_init=warm)
         results.append(res)
         warm = res.beta
     return results

@@ -1,5 +1,24 @@
 import sys
 
+import pytest
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts of the solver's spectral_norm and pseudoinverse calls."""
+    import partlysmooth.solver as solver
+
+    calls = {"spectral_norm": 0, "pseudoinverse": 0}
+    for name in calls:
+        real = getattr(solver, name)
+
+        def counted(a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(a)
+
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # acceptance criteria report their verdict lines here so they stay

@@ -8,14 +8,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import partlysmooth.experiments as exps
 from partlysmooth import (
     DesignSpec,
     ExperimentConfig,
     L1,
+    ModelDescriptor,
     MuRule,
     SignalSpec,
     SolveOptions,
+    canonical_parameters,
     consistency_sweep,
+    forward_backward,
+    generate_instance,
     find_certified_design,
     identification_profile,
     noise_stability_sweep,
@@ -300,6 +305,78 @@ class TestIdentificationProfile:
         cfg = identity_config(sweep_kind="mu_values", sweep_values=(0.1,))
         with pytest.raises(ValueError):
             identification_profile(cfg)
+
+
+def test_inconsistent_model_trace_is_an_error(monkeypatch):
+    real = exps.forward_backward
+
+    def corrupted(theta, reg, opts):
+        res = real(theta, reg, opts)
+        res.model_trace[-1] = ModelDescriptor("l1", (99,))
+        return res
+
+    monkeypatch.setattr(exps, "forward_backward", corrupted)
+    with pytest.raises(RuntimeError):
+        identification_profile(identity_config(trials=2))
+
+
+def random_design_config(**overrides):
+    rng = np.random.default_rng(5)
+    base = dict(
+        design=DesignSpec.explicit(rng.normal(size=(40, 6))),
+        signal=SignalSpec.explicit(np.array([1.5, 0.0, 0.0, -2.0, 0.0, 1.0])),
+        sweep_values=(1e-2, 1e-1),
+        trials=2,
+        base_seed=7,
+    )
+    base.update(overrides)
+    return identity_config(**base)
+
+
+FIXED_DESIGN_SWEEPS = [
+    (noise_stability_sweep, {}),
+    (identification_profile, {}),
+    (sharpness_experiment, dict(
+        design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
+        signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
+        sweep_kind="mu_values", sweep_values=(0.1, 0.01), noise_sigma=1e-2,
+    )),
+]
+
+
+@pytest.mark.parametrize("sweep, overrides", FIXED_DESIGN_SWEEPS)
+def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
+    cfg = random_design_config(**overrides)
+    results = []
+
+    def recording(theta, reg, opts):
+        results.append(forward_backward(theta, reg, opts))
+        return results[-1]
+
+    monkeypatch.setattr(exps, "forward_backward", recording)
+    res = sweep(cfg)
+    opts = replace(cfg.solve, trace_models=True) if sweep is identification_profile else cfg.solve
+    # the trials are the last solves (sharpness first runs noiseless checks)
+    trials = list(zip(res.records, results[-len(res.records):]))
+    for record, shared in trials[:1] + trials[-1:]:
+        inst = generate_instance(cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer)
+        theta = canonical_parameters(inst, record.mu * inst.n)
+        replay = forward_backward(theta, cfg.regularizer, opts)
+        assert np.array_equal(replay.beta, shared.beta)
+        assert replay.iterations == shared.iterations
+        assert replay.identification_iter == shared.identification_iter
+
+
+def test_gamma_prepared_once_per_fixed_design(svd_calls):
+    calls = svd_calls
+    for sweep, overrides in FIXED_DESIGN_SWEEPS:
+        calls.update(spectral_norm=0, pseudoinverse=0)
+        sweep(random_design_config(**overrides))
+        assert calls == {"spectral_norm": 1, "pseudoinverse": 1}, sweep.__name__
+    # fresh designs: every trial prepares its own Gamma
+    calls.update(spectral_norm=0, pseudoinverse=0)
+    res = consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
+    assert calls == {"spectral_norm": 6, "pseudoinverse": 6} and len(res.records) == 6
 
 
 def test_parallel_jobs_match_serial():

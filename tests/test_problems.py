@@ -51,6 +51,18 @@ def test_instance_consistency():
     assert canonical_parameters(wide, 1.0).image_residual() < 1e-10
 
 
+def test_canonical_parameters_reuse_a_prepared_gamma():
+    design = DesignSpec.gaussian(np.eye(5), 30)
+    inst = generate_instance(design, SignalSpec.sparse(5, 2), 0.3, 7, L1())
+    own = canonical_parameters(inst, 3.0)
+    shared = canonical_parameters(inst, 3.0, own.quad)
+    assert shared.quad is own.quad
+    assert np.array_equal(shared.u, own.u) and shared.mu == own.mu
+    other = generate_instance(DesignSpec.gaussian(np.eye(4), 30), SignalSpec.sparse(4, 2), 0.3, 7, L1())
+    with pytest.raises(ValueError):
+        canonical_parameters(other, 3.0, own.quad)
+
+
 def test_noiseless_instance():
     inst = generate_instance(DesignSpec.gaussian(np.eye(4), 10), SignalSpec.sparse(4, 1), 0.0, 5, L1())
     np.testing.assert_array_equal(inst.w, np.zeros(10))
@@ -79,11 +91,16 @@ def test_validation():
 
 
 class TestDesigns:
-    def test_explicit_returns_copy(self):
+    def test_explicit_is_read_only_copy(self):
+        # the spec copies its matrix once; every draw shares that copy, and
+        # writing to it is refused
         m = np.eye(3)
         spec = DesignSpec.explicit(m)
+        m[0, 0] = 99.0
         out = make_design(spec, np.random.default_rng(0))
-        out[0, 0] = 99.0
+        assert out is spec.matrix and out[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            out[0, 0] = 99.0
         assert spec.matrix[0, 0] == 1.0
 
     def test_explicit_needs_matrix(self):

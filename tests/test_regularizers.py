@@ -132,6 +132,21 @@ def test_prox_rejects_negative_gamma():
             reg.prox(np.zeros(dim_of(reg)), -0.1)
 
 
+def test_step_matches_prox_descriptor_value_bitwise():
+    rng = np.random.default_rng(14)
+    for reg in all_regularizers():
+        for trial in range(30):
+            v = random_point(reg, rng)
+            if trial % 3 == 0:
+                v[: v.size // 2] = 0.0  # exact zeros and whole inactive blocks
+            weight = 0.0 if trial == 1 else float(rng.uniform(0.05, 2.0))
+            out, desc, val = reg.step(v, weight, 1e-8)
+            ref = reg.prox(v, weight)
+            assert out.tobytes() == ref.tobytes(), reg.kind
+            assert desc == reg.descriptor(ref, 1e-8), reg.kind
+            assert val == reg.value(ref), reg.kind
+
+
 def test_prox_nonexpansive():
     rng = np.random.default_rng(13)
     for reg in all_regularizers():

@@ -9,6 +9,7 @@ from partlysmooth import (
     GroupL1L2,
     L1,
     Nuclear,
+    Quadratic,
     SolveOptions,
     dual_certificate_at_solution,
     forward_backward,
@@ -256,3 +257,53 @@ def test_objective_agrees_with_result():
     theta = random_problem(L1(), 5, rng)
     res = forward_backward(theta, L1())
     assert objective(theta, L1(), res.beta) == pytest.approx(res.objective, abs=1e-10)
+
+
+def test_shared_quadratic(svd_calls):
+    gamma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    quad = Quadratic(gamma)
+    thetas = [CanonicalParameters(mu, np.array([1.0, -0.5]), quad) for mu in (0.3, 0.1)]
+    for theta in thetas:
+        assert theta.quad is quad and theta.gamma is quad.gamma
+        forward_backward(theta, L1())
+    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 1}
+    # an array still works and prepares its own, with the same results
+    own = CanonicalParameters(0.1, np.array([1.0, -0.5]), gamma)
+    assert own.quad is not quad
+    a, b = forward_backward(own, L1()), forward_backward(thetas[1], L1())
+    assert np.array_equal(a.beta, b.beta) and np.array_equal(a.objective_trace, b.objective_trace)
+    with pytest.raises(ValueError):
+        CanonicalParameters(0.1, np.zeros(3), quad)
+    with pytest.raises(ValueError):
+        Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_solve_path_prepares_gamma_once(svd_calls):
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(12, 4))
+    gamma = x.T @ x / 12
+    u = gamma @ np.array([1.0, 0.0, -1.0, 0.0])
+    # separate arrays with equal entries still count as one Gamma
+    path = [CanonicalParameters(mu, u, gamma.copy()) for mu in (0.3, 0.2, 0.1)]
+    results = solve_path(path, L1())
+    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 1}
+    for theta, res in zip(path, results):
+        assert res.converged
+        assert objective(theta, L1(), res.beta) == pytest.approx(res.objective, abs=1e-10)
+
+
+def test_non_finite_iterate_raises():
+    # a finite u whose gradient step overflows: the first iterate is infinite
+    kinds = [
+        (L1(), 2),
+        (GroupL1L2([[0], [1]]), 2),
+        (Nuclear((2, 2)), 4),
+        (AnalysisL1(np.eye(2)), 2),
+    ]
+    for reg, p in kinds:
+        u = np.zeros(p)
+        u[0] = 1e308
+        theta = CanonicalParameters(0.1, u, np.eye(p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                forward_backward(theta, reg)
