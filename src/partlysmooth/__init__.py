@@ -72,6 +72,7 @@ from .solver import (
     SolveOptions,
     SolveResult,
     forward_backward,
+    forward_backward_batch,
     objective,
     solve_path,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "dual_certificate_at_solution",
     "find_certified_design",
     "forward_backward",
+    "forward_backward_batch",
     "generate_instance",
     "identification_profile",
     "linearized_precertificate",

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[common],
                        help="Monte-Carlo sweep driven by the config's experiment section")
     p.add_argument("--trials", type=int, default=None, help="override trials per sweep point")
-    p.add_argument("--jobs", type=int, default=None, help="parallel worker count")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: serial)")
     p.set_defaults(func=cmd_experiment)
     return parser
 

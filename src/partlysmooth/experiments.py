@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,7 +40,7 @@ from .problems import (
     make_signal,
 )
 from .regularizers import RI_TOL, ZERO_TOL, ModelDescriptor, Regularizer, same_model
-from .solver import Quadratic, SolveOptions, forward_backward
+from .solver import Quadratic, SolveOptions, forward_backward_batch
 
 SWEEP_KINDS = ("noise_levels", "sample_sizes", "mu_values")
 MU_RULE_KINDS = ("fixed", "proportional", "power")
@@ -183,32 +181,45 @@ class _Shared:
     quad: Optional[Quadratic] = None
 
 
-def _run_task(task):
-    """One Monte-Carlo trial, task = (shared, design index, sigma, mu, seed).
+def _draw(shared, point, sigma, mu, seed):
+    """Trial `seed`'s problem and what its record needs of the instance.
 
-    Module-level so worker processes can import it.
+    Returns (theta, (seed, n, beta0, ||X^T w / n||)); the instance itself,
+    with its design, is dropped here, so a batch holds no designs.
     """
-    shared, point, sigma, mu, seed = task
-    reg = shared.reg
-    inst = generate_instance(shared.designs[point], shared.signal, sigma, seed, reg)
+    inst = generate_instance(shared.designs[point], shared.signal, sigma, seed, shared.reg)
     theta = canonical_parameters(inst, mu * inst.n, shared.quad)
-    res = forward_backward(theta, reg, shared.opts)
-    desc = reg.descriptor(res.beta, shared.zero_tol)
-    identified = bool(res.converged and same_model(desc, shared.target))
-    record = TrialRecord(
-        seed=seed,
-        n=inst.n,
-        sigma=sigma,
-        mu=mu,
-        identified=identified,
-        boundary_flag=shared.boundary,
-        error_norm=float(np.linalg.norm(res.beta - inst.beta0)),
-        eps_norm=float(np.linalg.norm(correlation_noise(inst))),
-        identification_iter=res.identification_iter,
-        converged=res.converged,
-        certificate_margin=shared.margin,
-    )
-    return record, res.model_trace, desc
+    return theta, (seed, inst.n, inst.beta0, float(np.linalg.norm(correlation_noise(inst))))
+
+
+def _run_point(shared, point, sigma, mu, seeds):
+    """The trials of one sweep point (design index, sigma, mu), one per seed.
+
+    They are solved as one forward_backward_batch.  Returns one (record,
+    model trace, final descriptor) per seed.  Module-level so worker
+    processes can import it.
+    """
+    reg = shared.reg
+    thetas, facts = zip(*(_draw(shared, point, sigma, mu, seed) for seed in seeds))
+    results = forward_backward_batch(thetas, reg, shared.opts)
+    outs = []
+    for (seed, n, beta0, eps_norm), res in zip(facts, results):
+        desc = reg.descriptor(res.beta, shared.zero_tol)
+        record = TrialRecord(
+            seed=seed,
+            n=n,
+            sigma=sigma,
+            mu=mu,
+            identified=bool(res.converged and same_model(desc, shared.target)),
+            boundary_flag=shared.boundary,
+            error_norm=float(np.linalg.norm(res.beta - beta0)),
+            eps_norm=eps_norm,
+            identification_iter=res.identification_iter,
+            converged=res.converged,
+            certificate_margin=shared.margin,
+        )
+        outs.append((record, res.model_trace, desc))
+    return outs
 
 
 _WORKER_SHARED = None  # set once in each pool worker by _init_worker
@@ -219,29 +230,32 @@ def _init_worker(shared):
     _WORKER_SHARED = shared
 
 
-def _run_worker_task(task):
-    return _run_task((_WORKER_SHARED, *task))
+def _run_worker_point(task):
+    return _run_point(_WORKER_SHARED, *task)
 
 
 def _run_trials(shared, points, trials, base_seed, jobs):
     """Run `trials` trials at each point (design index, sigma, mu), in order.
 
-    Trial k of the whole run uses seed base_seed + 1 + k.  Serially, each
-    trial is one _run_task call; a pool gets `shared` once per worker and
-    tasks of (design index, sigma, mu, seed).
+    Trial k of the whole run uses seed base_seed + 1 + k.  The trials of
+    one point are one batch.  jobs=None or 1 runs serially; jobs > 1 hands
+    whole points to a process pool, which gets `shared` once per worker.
     """
-    tasks = [
-        (point, sigma, mu, base_seed + 1 + k)
-        for k, (point, sigma, mu) in enumerate(p for p in points for _ in range(trials))
-    ]
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task((shared, *t)) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(shared,)
-    ) as pool:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        return list(pool.map(_run_worker_task, tasks, chunksize=chunk))
+    tasks = []
+    for i, (point, sigma, mu) in enumerate(points):
+        first = base_seed + 1 + i * trials
+        tasks.append((point, sigma, mu, list(range(first, first + trials))))
+    if jobs is None or jobs <= 1 or len(tasks) <= 1:
+        batches = [_run_point(shared, *t) for t in tasks]
+    else:
+        # deferred: concurrent.futures.process adds tens of ms to every import
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(shared,)
+        ) as pool:
+            batches = list(pool.map(_run_worker_point, tasks))
+    return [out for batch in batches for out in batch]
 
 
 def _summarize(records_by_value):
@@ -397,7 +411,7 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     # model of beta0 even with w = 0
     noiseless = {}
     for mu in config.sweep_values:
-        rec, _, _ = _run_task((shared, 0, 0.0, mu, config.base_seed))
+        [(rec, _, _)] = _run_point(shared, 0, 0.0, mu, [config.base_seed])
         noiseless[mu] = rec.identified
 
     points = [(0, sigma, mu) for mu in config.sweep_values]

@@ -16,7 +16,7 @@ Gamma beta0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,13 +34,15 @@ class DesignSpec:
 
     kind "explicit" carries the matrix itself, as a read-only copy that
     every instance drawn from the spec shares; kind "gaussian_rows" draws n
-    rows from N(0, covariance).
+    rows from N(0, covariance) through root, the covariance's symmetric
+    square root, computed once here.
     """
 
     kind: str
     matrix: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
     n: Optional[int] = None
+    root: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "explicit":
@@ -57,6 +59,11 @@ class DesignSpec:
                 raise ValueError("n must be >= 1")
             object.__setattr__(self, "covariance", cov)
             object.__setattr__(self, "n", int(self.n))
+            # tiny negative eigenvalues from roundoff are clipped
+            vals, vecs = np.linalg.eigh(cov)
+            root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+            root.flags.writeable = False
+            object.__setattr__(self, "root", root)
         else:
             raise ValueError(f"unknown design kind {self.kind!r}")
 
@@ -171,12 +178,8 @@ def make_design(spec: DesignSpec, rng) -> np.ndarray:
     """The design matrix: an explicit spec's own read-only matrix, or n fresh rows."""
     if spec.kind == "explicit":
         return spec.matrix
-    # factor the covariance through its symmetric PSD square root; tiny
-    # negative eigenvalues from roundoff are clipped
-    vals, vecs = np.linalg.eigh(spec.covariance)
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     z = rng.standard_normal((spec.n, spec.covariance.shape[0]))
-    return z @ root.T
+    return z @ spec.root.T
 
 
 def make_signal(spec: SignalSpec, reg: Regularizer, rng) -> np.ndarray:

@@ -131,6 +131,37 @@ class Regularizer:
         out = self.prox(v, weight)
         return out, self.descriptor(out, zero_tol), self.value(out)
 
+    def step_batch(self, v, weights, zero_tol: float):
+        """step() on every row of v, row i with weight weights[i].
+
+        Returns (out, keys, values): the prox outputs as rows, their model
+        keys (see model_keys) and their values J.  This default loops over
+        the rows; an override must return the same bits row by row.
+        """
+        out = np.empty_like(v)
+        keys = np.empty(v.shape[0], dtype=object)
+        values = np.empty(v.shape[0])
+        for i, weight in enumerate(weights.tolist()):
+            out[i], keys[i], values[i] = self.step(v[i], weight, zero_tol)
+        return out, keys, values
+
+    def model_keys(self, beta, zero_tol: float):
+        """A model key for each row of beta, for the batched solver.
+
+        Keys are cheap stand-ins for descriptors: keys_a != keys_b, reduced
+        over any axis after the first, flags exactly the rows whose
+        descriptors differ, and key_descriptor turns a key back into a
+        descriptor.  This default's keys are the descriptors themselves.
+        """
+        keys = np.empty(beta.shape[0], dtype=object)
+        for i in range(beta.shape[0]):
+            keys[i] = self.descriptor(beta[i], zero_tol)
+        return keys
+
+    def key_descriptor(self, key) -> ModelDescriptor:
+        """The descriptor that a model key (see model_keys) stands for."""
+        return key
+
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -171,11 +202,18 @@ class L1(Regularizer):
         support = np.flatnonzero(np.abs(beta) > zero_tol)
         return ModelDescriptor(self.kind, tuple(support.tolist()))
 
-    def step(self, v, weight: float, zero_tol: float):
-        out = np.sign(v) * np.maximum(np.abs(v) - weight, 0.0)
-        size = np.abs(out)
-        support = np.nonzero(size > zero_tol)[0]
-        return out, ModelDescriptor(self.kind, tuple(support.tolist())), float(size.sum())
+    # batched keys are support masks: one vectorized comparison per
+    # iteration, and a descriptor only when the solver asks for one
+    def step_batch(self, v, weights, zero_tol: float):
+        # size is |out| bit for bit: it is +0, positive or NaN
+        size = np.maximum(np.abs(v) - weights[:, None], 0.0)
+        return np.sign(v) * size, size > zero_tol, size.sum(axis=1)
+
+    def model_keys(self, beta, zero_tol: float):
+        return np.abs(beta) > zero_tol
+
+    def key_descriptor(self, key) -> ModelDescriptor:
+        return ModelDescriptor(self.kind, tuple(np.flatnonzero(key).tolist()))
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, name="beta")

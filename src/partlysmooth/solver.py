@@ -18,11 +18,14 @@ reported retrospectively.
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
 once, on first use, and every problem sharing Gamma can share it: the trials
 of a fixed-design sweep, the points of a path.
+
+forward_backward_batch iterates many problems of one dimension at once, one
+row of a T x p array per problem, and gives each problem the bits it gets
+when solved alone; forward_backward is a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Union
@@ -197,70 +200,165 @@ def forward_backward(
         Converged means the relative fixed-point residual
         ||beta_{k+1} - beta_k|| <= fp_tol * max(1, ||beta_k||) was met
         within max_iter steps; otherwise the result is flagged, not raised.
+        This is forward_backward_batch on a batch of one.
     """
+    inits = None if beta_init is None else [beta_init]
+    return forward_backward_batch([theta], reg, opts, inits)[0]
+
+
+def _step_size(theta: CanonicalParameters, opts: SolveOptions) -> float:
     if theta.mu <= 0:
         raise ValueError(f"forward-backward needs mu > 0, got {theta.mu}")
     lip = theta.quad.lip
     if opts.step is None:
-        tau = DEFAULT_STEP_FRACTION * 2.0 / lip if lip > 0 else 1.0
-    else:
-        tau = float(opts.step)
-        if tau <= 0 or (lip > 0 and tau >= 2.0 / lip):
-            raise ValueError(
-                f"step {tau} outside the stable range (0, {2.0 / lip if lip > 0 else np.inf})"
-            )
+        return DEFAULT_STEP_FRACTION * 2.0 / lip if lip > 0 else 1.0
+    tau = float(opts.step)
+    if tau <= 0 or (lip > 0 and tau >= 2.0 / lip):
+        raise ValueError(
+            f"step {tau} outside the stable range (0, {2.0 / lip if lip > 0 else np.inf})"
+        )
+    return tau
 
+
+def _row_dots_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+# a[i].dot(b[i]) for every row, with its bits: both run one BLAS dot per
+# row, while (a * b).sum(1) and einsum sum in another order.  np.vecdot
+# (numpy >= 2) is the faster of the two.
+_row_dots = getattr(np, "vecdot", _row_dots_matmul)
+
+
+def forward_backward_batch(
+    thetas,
+    reg: Regularizer,
+    opts: SolveOptions = SolveOptions(),
+    beta_init=None,
+) -> list:
+    """forward_backward on several problems of one dimension at once.
+
+    The iterates form a T x p array, one row per problem, and a row leaves
+    the batch once it meets its stopping rule.  Every operation acts on one
+    row at a time (one gemv with the row's Gamma, one dot per row norm,
+    elementwise arithmetic, the penalty's step_batch), so each problem's
+    result has the same bits whatever else is in the batch.  The problems
+    may share one Quadratic, which is then broadcast over the rows, or each
+    bring their own.  beta_init, when given, holds one starting point per
+    problem.  Returns one SolveResult per problem, in order; a non-finite
+    iterate in any row raises ValueError.
+    """
+    thetas = list(thetas)
+    if not thetas:
+        return []
+    count, p = len(thetas), thetas[0].dim
+    if any(t.dim != p for t in thetas):
+        raise ValueError("batched problems must share one dimension")
+    taus = [_step_size(t, opts) for t in thetas]
+    weights = np.array([check_prox_weight(tau * t.mu) for tau, t in zip(taus, thetas)])
     if beta_init is None:
-        beta = np.zeros(theta.dim)
+        beta = np.zeros((count, p))
     else:
-        beta = _as_vector(beta_init, theta.dim, "beta_init").copy()
+        if len(beta_init) != count:
+            raise ValueError(f"{len(beta_init)} starting points for {count} problems")
+        beta = np.array([_as_vector(b, p, "beta_init") for b in beta_init])
 
-    mu, u, gam, energy = theta.mu, theta.u, theta.gamma, theta.energy
-    weight = check_prox_weight(tau * mu)
+    shared = all(t.quad is thetas[0].quad for t in thetas)
+    gam = thetas[0].gamma if shared else np.stack([t.gamma for t in thetas])
+    u = np.array([t.u for t in thetas])
+    tau = np.array(taus)[:, None]
+    mu = np.array([t.mu for t in thetas])
+    const = np.array([t._const for t in thetas])
+    rows = np.arange(count)  # the problem of each row still in the batch
 
-    # J and the descriptor of the initial point also validate its length
-    # against the penalty, once per solve
-    gam_beta = gam @ beta
-    trace = [energy(reg.value(beta), beta, gam_beta)]
-    desc = reg.descriptor(beta, opts.zero_tol)
-    models = [desc] if opts.trace_models else None
-    run_start = 0  # first iterate of the current descriptor run
+    def energy(j_value, b, gam_b):
+        # CanonicalParameters.energy row by row: 0.5 * b @ gb is (0.5 * b) @ gb
+        return j_value + (_row_dots(0.5 * b, gam_b) - _row_dots(b, u) + const) / mu
 
-    converged = False
-    fp_residual = np.inf
-    k = 0
+    gam_beta = np.matmul(gam, beta[..., None])[..., 0]
+    # objective traces: batch row i writes row slots[i]; a row's trace is
+    # copied out when it leaves, and its slot dropped at the next growth
+    objective = np.empty((count, min(opts.max_iter + 1, 64)))
+    slots = np.arange(count)
+    # J of each initial point also validates its length against the
+    # penalty, once per solve
+    objective[:, 0] = energy(np.array([reg.value(b) for b in beta]), beta, gam_beta)
+    keys = reg.model_keys(beta, opts.zero_tol)
+    run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
+    # per problem, (iterate, descriptor) at each model change
+    changes = [[(0, reg.key_descriptor(key))] for key in keys] if opts.trace_models else None
+
+    done = [None] * count  # (beta, iterations, converged, fp_residual, trace) per problem
     for k in range(1, opts.max_iter + 1):
-        beta_next, desc_next, j_next = reg.step(beta + tau * (u - gam_beta), weight, opts.zero_tol)
-        if not math.isfinite(j_next):
-            raise ValueError(f"forward-backward iterate {k} has non-finite entries")
-        # Euclidean norms as np.linalg.norm computes them (sqrt of a dot),
-        # without its per-call overhead
+        beta_next, keys_next, j_next = reg.step_batch(
+            beta + tau * (u - gam_beta), weights, opts.zero_tol
+        )
+        # count_nonzero is the cheapest test of a small boolean array
+        finite = np.isfinite(j_next)
+        if np.count_nonzero(finite) < finite.size:
+            raise ValueError(
+                f"forward-backward iterate {k} of problem {rows[~finite][0]} "
+                "has non-finite entries"
+            )
+        # Euclidean norms as np.linalg.norm computes them (sqrt of a dot)
         delta = beta_next - beta
-        fp_residual = math.sqrt(delta.dot(delta))
-        threshold = opts.fp_tol * max(1.0, math.sqrt(beta.dot(beta)))
-        if desc_next != desc:
-            run_start = k
-            desc = desc_next
-        gam_beta = gam @ beta_next
-        trace.append(energy(j_next, beta_next, gam_beta))
-        if opts.trace_models:
-            models.append(desc_next)
+        fp_residual = np.sqrt(_row_dots(delta, delta))
+        threshold = opts.fp_tol * np.maximum(1.0, np.sqrt(_row_dots(beta, beta)))
+        changed = keys_next != keys
+        if np.count_nonzero(changed):
+            if changed.ndim > 1:
+                changed = changed.any(axis=1)
+            run_start[rows[changed]] = k
+            if changes is not None:
+                for i in np.flatnonzero(changed):
+                    changes[rows[i]].append((k, reg.key_descriptor(keys_next[i])))
+        keys = keys_next
+        gam_beta = np.matmul(gam, beta_next[..., None])[..., 0]
+        if k == objective.shape[1]:
+            grown = np.empty((len(rows), min(2 * k, opts.max_iter + 1)))
+            grown[:, :k] = objective[slots, :k]
+            objective, slots = grown, np.arange(len(rows))
+        objective[slots, k] = energy(j_next, beta_next, gam_beta)
         beta = beta_next
-        if fp_residual <= threshold:
-            converged = True
-            break
+        stop = fp_residual <= threshold
+        if np.count_nonzero(stop):
+            for i in np.flatnonzero(stop):
+                trace = objective[slots[i], : k + 1].copy()
+                done[rows[i]] = (beta[i].copy(), k, True, float(fp_residual[i]), trace)
+            keep = ~stop
+            if not keep.any():
+                break
+            rows, slots, beta, keys = rows[keep], slots[keep], beta[keep], keys[keep]
+            gam_beta = gam_beta[keep]
+            u, tau, weights, mu, const = u[keep], tau[keep], weights[keep], mu[keep], const[keep]
+            fp_residual = fp_residual[keep]
+            if not shared:
+                gam = gam[keep]
+    else:  # max_iter steps taken: the rows still here did not converge
+        for i, row in enumerate(rows):
+            trace = objective[slots[i], : opts.max_iter + 1].copy()
+            done[row] = (beta[i].copy(), opts.max_iter, False, float(fp_residual[i]), trace)
 
-    return SolveResult(
-        beta=beta,
-        iterations=k,
-        converged=converged,
-        fp_residual=fp_residual,
-        objective=trace[-1],
-        objective_trace=np.asarray(trace),
-        step=tau,
-        identification_iter=run_start if converged else None,
-        model_trace=models,
-    )
+    results = []
+    for row, ((b, iters, converged, fp, trace), step) in enumerate(zip(done, taus)):
+        models = None
+        if changes is not None:
+            marks = changes[row] + [(iters + 1, None)]
+            models = [d for (start, d), (end, _) in zip(marks, marks[1:]) for _ in range(end - start)]
+        results.append(
+            SolveResult(
+                beta=b,
+                iterations=iters,
+                converged=converged,
+                fp_residual=fp,
+                objective=trace[-1],
+                objective_trace=trace,
+                step=step,
+                identification_iter=int(run_start[row]) if converged else None,
+                model_trace=models,
+            )
+        )
+    return results
 
 
 def solve_path(

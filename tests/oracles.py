@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks.  Slow but simple, so the expected values in the tests do not
-inherit the package's own bugs.
+prox checks, and a one-problem forward-backward loop.  Slow but simple, so
+the expected values in the tests do not inherit the package's own bugs.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.optimize
@@ -105,3 +106,52 @@ def prox_reference(value_fn, beta, gamma):
     )
     assert res.success or res.status == 1, res.message
     return res.x
+
+
+def forward_backward_scalar(theta, reg, opts, beta_init=None):
+    """Forward-backward on one problem, one vector iterate at a time.
+
+    The solver's loop before it was batched, kept as the reference the
+    batched engine must match bit for bit.  Returns the fields of a
+    SolveResult as a dict.
+    """
+    lip = theta.quad.lip
+    tau = 0.9 * 2.0 / lip if opts.step is None else float(opts.step)
+    beta = np.zeros(theta.dim) if beta_init is None else np.array(beta_init, dtype=float)
+    mu, u, gam, energy = theta.mu, theta.u, theta.gamma, theta.energy
+    weight = tau * mu
+    gam_beta = gam @ beta
+    trace = [energy(reg.value(beta), beta, gam_beta)]
+    desc = reg.descriptor(beta, opts.zero_tol)
+    models = [desc] if opts.trace_models else None
+    run_start = 0
+    converged = False
+    for k in range(1, opts.max_iter + 1):
+        beta_next, desc_next, j_next = reg.step(beta + tau * (u - gam_beta), weight, opts.zero_tol)
+        if not math.isfinite(j_next):
+            raise ValueError(f"iterate {k} has non-finite entries")
+        delta = beta_next - beta
+        fp_residual = math.sqrt(delta.dot(delta))
+        threshold = opts.fp_tol * max(1.0, math.sqrt(beta.dot(beta)))
+        if desc_next != desc:
+            run_start = k
+            desc = desc_next
+        gam_beta = gam @ beta_next
+        trace.append(energy(j_next, beta_next, gam_beta))
+        if opts.trace_models:
+            models.append(desc_next)
+        beta = beta_next
+        if fp_residual <= threshold:
+            converged = True
+            break
+    return dict(
+        beta=beta,
+        iterations=k,
+        converged=converged,
+        fp_residual=fp_residual,
+        objective=trace[-1],
+        objective_trace=np.asarray(trace),
+        step=tau,
+        identification_iter=run_start if converged else None,
+        model_trace=models,
+    )

@@ -33,6 +33,7 @@ from partlysmooth import (
     SignalSpec,
     find_certified_design,
     forward_backward,
+    forward_backward_batch,
     identification_profile,
     linearized_precertificate,
     make_signal,
@@ -77,16 +78,25 @@ def _audit_trace(trace, mu):
     return worst
 
 
-def _checked_fb(theta, reg, options=None):
-    if options is None:
-        result = forward_backward(theta, reg)
-    else:
-        result = forward_backward(theta, reg, options)
+def _audit(result, mu):
     DESCENT["solves"] += 1
-    DESCENT["worst"] = max(
-        DESCENT["worst"], _audit_trace(result.objective_trace, theta.mu)
-    )
+    DESCENT["worst"] = max(DESCENT["worst"], _audit_trace(result.objective_trace, mu))
+
+
+def _checked_fb(theta, reg):
+    result = forward_backward(theta, reg)
+    _audit(result, theta.mu)
     return result
+
+
+def _checked_batch(thetas, reg, options):
+    # the sweeps solve each sweep point as one batch: audit every solve in it
+    thetas = list(thetas)
+    results = forward_backward_batch(thetas, reg, options)
+    assert len(results) == len(thetas)
+    for theta, result in zip(thetas, results):
+        _audit(result, theta.mu)
+    return results
 
 
 def test_criterion_01_prox_optimality():
@@ -158,7 +168,7 @@ def test_criterion_03_solver_vs_enumeration():
 
 def test_criterion_04_noise_stability(monkeypatch):
     with _criterion(4, "certified design identifies the support at small noise"):
-        monkeypatch.setattr(exps, "forward_backward", _checked_fb)
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         start = time.monotonic()
         reg = L1()
         beta0 = make_signal(SignalSpec.sparse(20, 3), reg, np.random.default_rng(7))
@@ -192,7 +202,7 @@ def test_criterion_04_noise_stability(monkeypatch):
 
 def test_criterion_05_consistency_in_n(monkeypatch):
     with _criterion(5, "identification rate grows with n under mu = n^-1/4"):
-        monkeypatch.setattr(exps, "forward_backward", _checked_fb)
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         start = time.monotonic()
         config = ExperimentConfig(
             regularizer=L1(),
@@ -218,7 +228,7 @@ def test_criterion_05_consistency_in_n(monkeypatch):
 
 def test_criterion_06_sharpness_of_failure(monkeypatch):
     with _criterion(6, "uncertified construction never identifies the model"):
-        monkeypatch.setattr(exps, "forward_backward", _checked_fb)
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         gamma = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]])
         x = np.sqrt(3.0) * np.linalg.cholesky(gamma).T
         config = ExperimentConfig(
@@ -244,7 +254,7 @@ def test_criterion_06_sharpness_of_failure(monkeypatch):
 
 def test_criterion_07_finite_identification(monkeypatch):
     with _criterion(7, "solver locks onto the true model in finitely many steps"):
-        monkeypatch.setattr(exps, "forward_backward", _checked_fb)
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         base = SHARED.get("criterion4_config")
         assert base is not None, "criterion 4 must produce its certified design first"
         config = replace(base, sweep_values=(1e-3, 1e-4))
@@ -264,7 +274,7 @@ def test_criterion_08_descent_audit():
 
 def test_criterion_09_nuclear_end_to_end(monkeypatch):
     with _criterion(9, "rank-2 recovery through the nuclear-norm pipeline"):
-        monkeypatch.setattr(exps, "forward_backward", _checked_fb)
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         start = time.monotonic()
         reg = Nuclear((8, 8))
         beta0 = make_signal(SignalSpec.low_rank(2), reg, np.random.default_rng(13))

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +23,7 @@ from partlysmooth import (
     canonical_parameters,
     consistency_sweep,
     forward_backward,
+    forward_backward_batch,
     generate_instance,
     find_certified_design,
     identification_profile,
@@ -308,14 +312,14 @@ class TestIdentificationProfile:
 
 
 def test_inconsistent_model_trace_is_an_error(monkeypatch):
-    real = exps.forward_backward
+    real = exps.forward_backward_batch
 
-    def corrupted(theta, reg, opts):
-        res = real(theta, reg, opts)
-        res.model_trace[-1] = ModelDescriptor("l1", (99,))
-        return res
+    def corrupted(thetas, reg, opts):
+        results = real(thetas, reg, opts)
+        results[-1].model_trace[-1] = ModelDescriptor("l1", (99,))
+        return results
 
-    monkeypatch.setattr(exps, "forward_backward", corrupted)
+    monkeypatch.setattr(exps, "forward_backward_batch", corrupted)
     with pytest.raises(RuntimeError):
         identification_profile(identity_config(trials=2))
 
@@ -349,11 +353,11 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     cfg = random_design_config(**overrides)
     results = []
 
-    def recording(theta, reg, opts):
-        results.append(forward_backward(theta, reg, opts))
-        return results[-1]
+    def recording(thetas, reg, opts):
+        results.extend(forward_backward_batch(thetas, reg, opts))
+        return results[len(results) - len(thetas):]
 
-    monkeypatch.setattr(exps, "forward_backward", recording)
+    monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = sweep(cfg)
     opts = replace(cfg.solve, trace_models=True) if sweep is identification_profile else cfg.solve
     # the trials are the last solves (sharpness first runs noiseless checks)
@@ -384,6 +388,23 @@ def test_parallel_jobs_match_serial():
     serial = noise_stability_sweep(cfg)
     parallel = noise_stability_sweep(replace(cfg, jobs=2))
     assert serial.records == parallel.records
+
+
+def test_default_jobs_is_serial(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    res = noise_stability_sweep(identity_config(jobs=None))
+    assert res.records == noise_stability_sweep(identity_config()).records
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = "import sys, partlysmooth.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_find_certified_design():

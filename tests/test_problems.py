@@ -63,6 +63,40 @@ def test_canonical_parameters_reuse_a_prepared_gamma():
         canonical_parameters(other, 3.0, own.quad)
 
 
+def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
+    from partlysmooth import ExperimentConfig, MuRule, consistency_sweep
+
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    config = ExperimentConfig(
+        regularizer=L1(),
+        design=DesignSpec.gaussian(cov, 20),
+        signal=SignalSpec.sparse(3, 1),
+        sweep_kind="sample_sizes",
+        sweep_values=(30,),
+        mu_rule=MuRule("power"),
+        trials=12,
+        noise_sigma=0.5,
+        jobs=1,
+    )
+    real = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = consistency_sweep(config)
+    assert len(res.records) == 12 and len(calls) == 1
+    # the stored root draws the bits a fresh factorization would
+    spec = DesignSpec.gaussian(cov, 30)
+    vals, vecs = real(cov)
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    fresh = np.random.default_rng(9).standard_normal((30, 3)) @ root.T
+    assert make_design(spec, np.random.default_rng(9)).tobytes() == fresh.tobytes()
+    assert not spec.root.flags.writeable
+
+
 def test_noiseless_instance():
     inst = generate_instance(DesignSpec.gaussian(np.eye(4), 10), SignalSpec.sparse(4, 1), 0.0, 5, L1())
     np.testing.assert_array_equal(inst.w, np.zeros(10))

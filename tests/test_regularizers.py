@@ -147,6 +147,30 @@ def test_step_matches_prox_descriptor_value_bitwise():
             assert val == reg.value(ref), reg.kind
 
 
+def test_step_batch_matches_step_row_by_row():
+    rng = np.random.default_rng(15)
+    for reg in all_regularizers():
+        v = np.array([random_point(reg, rng) for _ in range(7)])
+        v[0] = 0.0  # an all-zero row
+        v[1, : v.shape[1] // 2] = 0.0
+        weights = rng.uniform(0.05, 2.0, 7)
+        weights[2] = 0.0
+        out, keys, values = reg.step_batch(v, weights, 1e-8)
+        start = reg.model_keys(v, 1e-8)
+        for i in range(7):
+            ref_out, ref_desc, ref_val = reg.step(v[i], float(weights[i]), 1e-8)
+            assert out[i].tobytes() == ref_out.tobytes(), reg.kind
+            assert values[i] == ref_val, reg.kind
+            assert reg.key_descriptor(keys[i]) == ref_desc, reg.kind
+            assert reg.key_descriptor(start[i]) == reg.descriptor(v[i], 1e-8), reg.kind
+        # keys differ exactly where the descriptors do
+        differ = keys != start
+        if differ.ndim > 1:
+            differ = differ.any(axis=1)
+        expect = [reg.key_descriptor(a) != reg.key_descriptor(b) for a, b in zip(keys, start)]
+        assert differ.tolist() == expect, reg.kind
+
+
 def test_prox_nonexpansive():
     rng = np.random.default_rng(13)
     for reg in all_regularizers():

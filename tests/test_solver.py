@@ -13,6 +13,7 @@ from partlysmooth import (
     SolveOptions,
     dual_certificate_at_solution,
     forward_backward,
+    forward_backward_batch,
     objective,
     same_model,
     solve_path,
@@ -307,3 +308,130 @@ def test_non_finite_iterate_raises():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 forward_backward(theta, reg)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine: the same bits as the one-problem reference loop
+
+PENALTIES = [
+    (L1(), 8),
+    (GroupL1L2([[0, 1, 2], [3, 4], [5, 6, 7]]), 8),
+    (Nuclear((3, 3)), 9),
+    (AnalysisL1(oracles.tv_operator(8)), 8),
+]
+PENALTY_IDS = [reg.kind for reg, _ in PENALTIES]
+
+
+def assert_same_bits(result, ref):
+    """Every SolveResult field equal, arrays bit for bit."""
+    ref = ref if isinstance(ref, dict) else vars(ref)
+    for name, want in ref.items():
+        got = getattr(result, name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
+        else:
+            assert got == want, name
+
+
+def mixed_batch(reg, p, rng, size):
+    """size problems: the first half share one Quadratic, the rest bring their own."""
+    quad = Quadratic(random_problem(reg, p, rng).gamma)
+    thetas = []
+    for i in range(size):
+        theta = random_problem(reg, p, rng)
+        if i < size // 2:
+            u = quad.gamma @ rng.normal(size=p)
+            theta = CanonicalParameters(float(10 ** rng.uniform(-2, -0.5)), u, quad)
+        thetas.append(theta)
+    return thetas
+
+
+@pytest.mark.parametrize("reg, p", PENALTIES, ids=PENALTY_IDS)
+def test_batch_matches_scalar_loop_shared_and_stacked_gamma(reg, p):
+    rng = np.random.default_rng(40)
+    thetas = mixed_batch(reg, p, rng, 6)
+    opts = SolveOptions()
+    # the shared half alone broadcasts one Gamma; the whole batch stacks them
+    for batch in (thetas[:3], thetas):
+        results = forward_backward_batch(batch, reg, opts)
+        assert len(results) == len(batch)
+        for theta, res in zip(batch, results):
+            assert res.converged
+            assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts))
+
+
+@pytest.mark.parametrize("reg, p", PENALTIES, ids=PENALTY_IDS)
+def test_batch_matches_scalar_loop_with_options(reg, p):
+    rng = np.random.default_rng(41)
+    thetas = mixed_batch(reg, p, rng, 5)
+    solved = forward_backward(thetas[0], reg).beta
+    # row 0 starts at its solution and leaves the batch after one step
+    starts = [solved] + [rng.normal(size=p) for _ in thetas[1:]]
+    # an explicit step must be stable for every problem in the batch
+    step = 0.5 / max(t.quad.lip for t in thetas)
+    cases = [
+        (SolveOptions(max_iter=6), None),
+        (SolveOptions(max_iter=6, trace_models=True), starts),
+        (SolveOptions(trace_models=True), starts),
+        (SolveOptions(max_iter=70), starts),  # past the trace buffer's first growth
+        (SolveOptions(step=step, max_iter=25, fp_tol=1e-6), starts),
+    ]
+    for opts, inits in cases:
+        results = forward_backward_batch(thetas, reg, opts, inits)
+        for i, (theta, res) in enumerate(zip(thetas, results)):
+            init = None if inits is None else inits[i]
+            assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts, init))
+        if inits is not None:
+            assert results[0].converged and results[0].iterations == 1
+    capped = forward_backward_batch(thetas, reg, SolveOptions(max_iter=6))
+    assert not any(r.converged for r in capped)
+    assert all(r.iterations == 6 and r.identification_iter is None for r in capped)
+
+
+def test_trial_alone_matches_trial_in_batch_of_40():
+    rng = np.random.default_rng(42)
+    reg = L1()
+    for thetas in (mixed_batch(reg, 10, rng, 40), mixed_batch(reg, 10, rng, 80)[:40]):
+        batch = forward_backward_batch(thetas, reg, SolveOptions(trace_models=True))
+        assert len({r.iterations for r in batch}) > 1  # rows leave at different steps
+        for i in (0, 13, 26, 39):
+            alone = forward_backward(thetas[i], reg, SolveOptions(trace_models=True))
+            assert_same_bits(batch[i], alone)
+
+
+def test_row_dots_have_the_bits_of_a_blas_dot():
+    from partlysmooth import solver
+
+    rng = np.random.default_rng(44)
+    # np.vecdot where numpy has it, the matmul form before numpy 2
+    for dots in (solver._row_dots, solver._row_dots_matmul):
+        for rows, p in ((1, 1), (3, 10), (40, 10), (7, 257)):
+            a, b = rng.normal(size=(rows, p)), rng.normal(size=(rows, p)) * 1e3
+            got = dots(a, b)
+            assert got.tolist() == [x.dot(y) for x, y in zip(a, b)]
+
+
+def test_batch_non_finite_row_raises():
+    rng = np.random.default_rng(43)
+    for reg, p in PENALTIES:
+        good = random_problem(reg, p, rng)
+        u = np.zeros(p)
+        u[0] = 1e308
+        bad = CanonicalParameters(0.1, u, np.eye(p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                forward_backward_batch([good, bad, good], reg)
+
+
+def test_batch_validation():
+    a = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
+    b = CanonicalParameters(0.1, np.array([1.0, 0.0, 0.5]), np.eye(3))
+    assert forward_backward_batch([], L1()) == []
+    with pytest.raises(ValueError):
+        forward_backward_batch([a, b], L1())  # dimensions differ
+    with pytest.raises(ValueError):
+        forward_backward_batch([a, a], L1(), beta_init=[[0.0, 0.0]])  # one start for two
+    with pytest.raises(ValueError):
+        forward_backward_batch([a], L1(), beta_init=[[0.0, 0.0, 0.0]])  # wrong length
+    with pytest.raises(ValueError):
+        forward_backward_batch([a, CanonicalParameters(0.0, a.u, np.eye(2))], L1())  # mu = 0
