@@ -40,7 +40,6 @@ from .linalg import (
     project,
     pseudoinverse,
     restricted_injectivity,
-    restricted_operator,
     spectral_norm,
     subspace_distance,
 )
@@ -73,8 +72,6 @@ from .solver import (
     SolveResult,
     forward_backward,
     forward_backward_batch,
-    objective,
-    solve_path,
 )
 
 __version__ = "0.1.0"
@@ -122,14 +119,11 @@ __all__ = [
     "make_design",
     "make_signal",
     "noise_stability_sweep",
-    "objective",
     "project",
     "pseudoinverse",
     "restricted_injectivity",
-    "restricted_operator",
     "same_model",
     "sharpness_experiment",
-    "solve_path",
     "spectral_norm",
     "subspace_distance",
     "write_plot_csv",

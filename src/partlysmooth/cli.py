@@ -9,9 +9,10 @@ Three subcommands, all driven by a single JSON config file:
 
 Exit codes for certify encode the verdict so scripts can branch on it:
 0 stable, 2 certified outside, 3 boundary or otherwise inconclusive,
-4 restricted injectivity failed, 1 configuration or IO error.  solve and
-experiment exit 0 on success and 1 on configuration or IO errors; a solve
-that hits max_iter still exits 0 with converged=false in the payload.
+4 restricted injectivity failed, 1 error.  solve and experiment exit 0 on
+success and 1 on errors; a solve that hits max_iter still exits 0 with
+converged=false in the payload.  An error (bad configuration, failed IO, or
+a computation that raised) prints one "error: ..." line to stderr.
 """
 
 from __future__ import annotations
@@ -288,10 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    # ConfigError is a ValueError; RuntimeError covers a solver or
+    # certificate computation that failed on valid input
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,7 +23,14 @@ from .problems import DesignSpec, SignalSpec, load_matrix_csv
 from .regularizers import RI_TOL, ZERO_TOL, Regularizer
 from .solver import SolveOptions
 
-EXPERIMENT_KINDS = ("noise_stability", "consistency", "sharpness", "identification_profile")
+# the one sweep key that each experiment kind's file carries
+_SWEEP_BY_KIND = {
+    "noise_stability": "noise_levels",
+    "consistency": "sample_sizes",
+    "sharpness": "mu_values",
+    "identification_profile": "noise_levels",
+}
+EXPERIMENT_KINDS = tuple(_SWEEP_BY_KIND)
 
 
 class ConfigError(ValueError):
@@ -199,14 +206,6 @@ def tolerances_from_config(cfg: dict) -> dict:
     }
 
 
-_SWEEP_BY_KIND = {
-    "noise_stability": "noise_levels",
-    "identification_profile": "noise_levels",
-    "consistency": "sample_sizes",
-    "sharpness": "mu_values",
-}
-
-
 def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
     exp = require_key(cfg, "experiment", "config")
@@ -219,31 +218,31 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     sweep = require_key(exp, "sweep", "experiment")
     if not isinstance(sweep, dict) or len(sweep) != 1:
         raise ConfigError("experiment sweep must be an object with exactly one key")
-    (sweep_kind, sweep_values), = sweep.items()
+    (key, sweep_values), = sweep.items()
     expected = _SWEEP_BY_KIND[kind]
-    if sweep_kind != expected:
-        raise ConfigError(f"experiment kind {kind!r} sweeps {expected!r}, got {sweep_kind!r}")
+    if key != expected:
+        raise ConfigError(f"experiment kind {kind!r} sweeps {expected!r}, got {key!r}")
     if not isinstance(sweep_values, list) or not sweep_values:
         raise ConfigError("sweep values must be a nonempty array")
 
-    tol = tolerances_from_config(cfg.get("tolerances", {}))
+    sigma = exp.get("noise_sigma")
     try:
+        tol = tolerances_from_config(cfg.get("tolerances", {}))
         config = ExperimentConfig(
             regularizer=regularizer_from_config(require_key(cfg, "regularizer", "config")),
             design=design_from_config(require_key(cfg, "design", "config"), base_dir),
             signal=signal_from_config(require_key(cfg, "signal", "config")),
-            sweep_kind=sweep_kind,
             sweep_values=tuple(sweep_values),
             mu_rule=mu_rule_from_config(require_key(exp, "mu_rule", "experiment")),
             trials=int(require_key(exp, "trials", "experiment")),
             base_seed=int(exp.get("base_seed", 0)),
-            noise_sigma=exp.get("noise_sigma"),
+            noise_sigma=None if sigma is None else float(sigma),
             solve=solve_options_from_config(cfg.get("solver", {})),
             jobs=int(exp["jobs"]) if "jobs" in exp else None,
             zero_tol=tol["zero_tol"],
             ri_tol=tol["ri_tol"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return kind, config
 
@@ -251,11 +250,11 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
 def experiment_to_config(kind: str, config: ExperimentConfig) -> dict:
     """Inverse of experiment_from_config, up to default filling."""
     sweep_values = list(config.sweep_values)
-    if config.sweep_kind == "sample_sizes":
+    if kind == "consistency":
         sweep_values = [int(v) for v in sweep_values]
     exp = {
         "kind": kind,
-        "sweep": {config.sweep_kind: sweep_values},
+        "sweep": {_SWEEP_BY_KIND[kind]: sweep_values},
         "mu_rule": mu_rule_to_config(config.mu_rule),
         "trials": config.trials,
         "base_seed": config.base_seed,

@@ -42,7 +42,6 @@ from .problems import (
 from .regularizers import RI_TOL, ZERO_TOL, ModelDescriptor, Regularizer, same_model
 from .solver import Quadratic, SolveOptions, forward_backward_batch
 
-SWEEP_KINDS = ("noise_levels", "sample_sizes", "mu_values")
 MU_RULE_KINDS = ("fixed", "proportional", "power")
 
 
@@ -86,12 +85,15 @@ class MuRule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a harness needs, minus the experiment kind itself."""
+    """Everything a harness needs, minus the experiment kind itself.
+
+    The harness fixes what sweep_values are: noise levels, sample sizes or
+    mu values.
+    """
 
     regularizer: Regularizer
     design: DesignSpec
     signal: SignalSpec
-    sweep_kind: str
     sweep_values: tuple
     mu_rule: MuRule
     trials: int
@@ -103,13 +105,13 @@ class ExperimentConfig:
     ri_tol: float = RI_TOL
 
     def __post_init__(self):
-        if self.sweep_kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
         values = tuple(float(v) for v in self.sweep_values)
         if not values:
             raise ValueError("sweep_values must be nonempty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         object.__setattr__(self, "sweep_values", values)
 
 
@@ -234,28 +236,40 @@ def _run_worker_point(task):
     return _run_point(_WORKER_SHARED, *task)
 
 
-def _run_trials(shared, points, trials, base_seed, jobs):
-    """Run `trials` trials at each point (design index, sigma, mu), in order.
+def _run_trials(shared, points, config):
+    """Run config.trials trials at each point (design index, sigma, mu).
 
     Trial k of the whole run uses seed base_seed + 1 + k.  The trials of
     one point are one batch.  jobs=None or 1 runs serially; jobs > 1 hands
     whole points to a process pool, which gets `shared` once per worker.
+    Returns one _run_point list per point, in order.
     """
+    trials, jobs = config.trials, config.jobs
     tasks = []
     for i, (point, sigma, mu) in enumerate(points):
-        first = base_seed + 1 + i * trials
+        first = config.base_seed + 1 + i * trials
         tasks.append((point, sigma, mu, list(range(first, first + trials))))
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        batches = [_run_point(shared, *t) for t in tasks]
-    else:
-        # deferred: concurrent.futures.process adds tens of ms to every import
-        from concurrent.futures import ProcessPoolExecutor
+        return [_run_point(shared, *t) for t in tasks]
+    # deferred: concurrent.futures.process adds tens of ms to every import
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(shared,)
-        ) as pool:
-            batches = list(pool.map(_run_worker_point, tasks))
-    return [out for batch in batches for out in batch]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(shared,)
+    ) as pool:
+        return list(pool.map(_run_worker_point, tasks))
+
+
+def _result(kind, values, batches, report, **extras):
+    """The ExperimentResult of a sweep: batches[i] holds the trials at values[i]."""
+    by_value = [(float(v), [out[0] for out in batch]) for v, batch in zip(values, batches)]
+    return ExperimentResult(
+        kind=kind,
+        records=[r for _, records in by_value for r in records],
+        summary=_summarize(by_value),
+        certificate=report.certificate,
+        **extras,
+    )
 
 
 def _summarize(records_by_value):
@@ -285,7 +299,11 @@ def _summarize(records_by_value):
 
 
 def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) -> _Shared:
-    margin, boundary = _certificate_fields(report)
+    cert = report.certificate
+    if cert.usable:
+        margin, boundary = cert.verdict.margin, cert.verdict.status == "boundary"
+    else:
+        margin, boundary = float("nan"), False
     return _Shared(
         reg=config.regularizer,
         designs=tuple(designs),
@@ -316,49 +334,34 @@ def _fixed_setup(config: ExperimentConfig):
     return _make_shared(config, report, beta0, [DesignSpec.explicit(x)], quad), report, x.shape[0]
 
 
-def _certificate_fields(report):
-    cert = report.certificate
-    if not cert.usable:
-        return float("nan"), False
-    return cert.verdict.margin, cert.verdict.status == "boundary"
+def _noise_setup(config: ExperimentConfig):
+    """A fixed design with one point per noise level, mu from the rule.
 
-
-def _proportional_scale(config, report):
-    """Fill in the default scale c = 2 / margin for proportional rules."""
+    A proportional rule without a scale gets the default c = 2 / margin.
+    Returns (shared, stability report, points).
+    """
+    shared, report, n = _fixed_setup(config)
     rule = config.mu_rule
-    if rule.kind != "proportional" or rule.scale is not None:
-        return rule
-    cert = report.certificate
-    if not cert.usable or cert.verdict.margin <= 0:
-        raise ValueError(
-            "default proportional mu rule needs a certified instance "
-            "(positive margin); set the scale explicitly"
-        )
-    return replace(rule, scale=2.0 / cert.verdict.margin)
+    if rule.kind == "proportional" and rule.scale is None:
+        cert = report.certificate
+        if not cert.usable or cert.verdict.margin <= 0:
+            raise ValueError(
+                "default proportional mu rule needs a certified instance "
+                "(positive margin); set the scale explicitly"
+            )
+        rule = replace(rule, scale=2.0 / cert.verdict.margin)
+    return shared, report, [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
 
 
 def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate and error ratios across noise levels on a fixed design."""
-    if config.sweep_kind != "noise_levels":
-        raise ValueError("noise_stability_sweep needs sweep_kind='noise_levels'")
-    shared, report, n = _fixed_setup(config)
-    rule = _proportional_scale(config, report)
-    points = [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
-    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
-    records = [o[0] for o in outs]
-    by_value = _group(records, config.sweep_values, config.trials)
-    return ExperimentResult(
-        kind="noise_stability",
-        records=records,
-        summary=_summarize(by_value),
-        certificate=report.certificate,
-    )
+    shared, report, points = _noise_setup(config)
+    batches = _run_trials(shared, points, config)
+    return _result("noise_stability", config.sweep_values, batches, report)
 
 
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate across sample sizes with fresh designs per trial."""
-    if config.sweep_kind != "sample_sizes":
-        raise ValueError("consistency_sweep needs sweep_kind='sample_sizes'")
     if config.design.kind != "gaussian_rows":
         raise ValueError("consistency_sweep needs a gaussian_rows design")
     if config.mu_rule.kind != "power":
@@ -381,21 +384,12 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     # every trial draws its own design, so each prepares its own Gamma
     shared = _make_shared(config, report, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])
     points = [(i, sigma, config.mu_rule.resolve(sigma, n)) for i, n in enumerate(sizes)]
-    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
-    records = [o[0] for o in outs]
-    by_value = _group(records, [float(s) for s in sizes], config.trials)
-    return ExperimentResult(
-        kind="consistency",
-        records=records,
-        summary=_summarize(by_value),
-        certificate=report.certificate,
-    )
+    batches = _run_trials(shared, points, config)
+    return _result("consistency", sizes, batches, report)
 
 
 def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Non-recovery across a mu grid on an instance certified outside."""
-    if config.sweep_kind != "mu_values":
-        raise ValueError("sharpness_experiment needs sweep_kind='mu_values'")
     sigma = config.noise_sigma
     if sigma is None or sigma < 0:
         raise ValueError("sharpness_experiment needs noise_sigma >= 0")
@@ -415,34 +409,23 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
         noiseless[mu] = rec.identified
 
     points = [(0, sigma, mu) for mu in config.sweep_values]
-    outs = _run_trials(shared, points, config.trials, config.base_seed, config.jobs)
-    records = [o[0] for o in outs]
-    by_value = _group(records, config.sweep_values, config.trials)
-    return ExperimentResult(
-        kind="sharpness",
-        records=records,
-        summary=_summarize(by_value),
-        certificate=report.certificate,
-        noiseless_identified=noiseless,
+    batches = _run_trials(shared, points, config)
+    return _result(
+        "sharpness", config.sweep_values, batches, report, noiseless_identified=noiseless
     )
 
 
 def identification_profile(config: ExperimentConfig) -> ExperimentResult:
     """Noise sweep with model traces; reports identification statistics."""
-    if config.sweep_kind != "noise_levels":
-        raise ValueError("identification_profile needs sweep_kind='noise_levels'")
     traced = replace(config, solve=replace(config.solve, trace_models=True))
-    shared, report, n = _fixed_setup(traced)
-    rule = _proportional_scale(traced, report)
-    points = [(0, sigma, rule.resolve(sigma, n)) for sigma in traced.sweep_values]
-    outs = _run_trials(shared, points, traced.trials, traced.base_seed, traced.jobs)
-    records = [o[0] for o in outs]
+    shared, report, points = _noise_setup(traced)
+    batches = _run_trials(shared, points, traced)
 
     iters = []
     matches = 0
     finite = 0
     converged_total = 0
-    for record, trace, final_desc in outs:
+    for record, trace, final_desc in (out for batch in batches for out in batch):
         if not record.converged:
             continue
         converged_total += 1
@@ -464,21 +447,9 @@ def identification_profile(config: ExperimentConfig) -> ExperimentResult:
         finite_fraction=finite / converged_total if converged_total else float("nan"),
         post_match_fraction=matches / converged_total if converged_total else float("nan"),
     )
-    by_value = _group(records, traced.sweep_values, traced.trials)
-    return ExperimentResult(
-        kind="identification_profile",
-        records=records,
-        summary=_summarize(by_value),
-        certificate=report.certificate,
-        profile=profile,
+    return _result(
+        "identification_profile", config.sweep_values, batches, report, profile=profile
     )
-
-
-def _group(records, values, trials):
-    out = []
-    for i, v in enumerate(values):
-        out.append((float(v), records[i * trials:(i + 1) * trials]))
-    return out
 
 
 def find_certified_design(reg, covariance, n, beta0, min_margin=0.0, base_seed=0, max_tries=100):

@@ -138,15 +138,6 @@ def project(v, subspace: Subspace) -> np.ndarray:
     return b @ (b.T @ v)
 
 
-def restricted_operator(gamma, subspace: Subspace) -> np.ndarray:
-    """P_T Gamma P_T as a full p x p matrix, for symmetric Gamma."""
-    gamma = check_symmetric(gamma, name="gamma")
-    if gamma.shape[0] != subspace.ambient_dim:
-        raise ValueError("operator and subspace ambient dimensions differ")
-    b = subspace.basis
-    return b @ (b.T @ gamma @ b) @ b.T
-
-
 def pseudoinverse(a, rank_tol=RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular value cutoff."""
     a = _as_matrix(a, "matrix")

@@ -118,31 +118,23 @@ class Regularizer:
         """Full local geometry (descriptor, tangent subspace, model vector)."""
         raise NotImplementedError
 
-    def step(self, v, weight: float, zero_tol: float):
-        """The penalty's share of one solver iteration at v.
-
-        Returns (out, descriptor(out, zero_tol), value(out)) for
-        out = prox(v, weight).  An override may skip validating v and weight:
-        the solver checks weight once per solve, and after each step it
-        checks that J(out) is finite, which fails exactly when an entry of
-        out is not.  An override must return the same bits as this
-        composition.
-        """
-        out = self.prox(v, weight)
-        return out, self.descriptor(out, zero_tol), self.value(out)
-
     def step_batch(self, v, weights, zero_tol: float):
-        """step() on every row of v, row i with weight weights[i].
+        """The penalty's share of one solver iteration, for every row of v.
 
-        Returns (out, keys, values): the prox outputs as rows, their model
-        keys (see model_keys) and their values J.  This default loops over
-        the rows; an override must return the same bits row by row.
+        Returns (out, keys, values): out[i] = prox(v[i], weights[i]), its
+        model key (see model_keys) and its value J(out[i]).  This default
+        loops over the rows, and its keys are the descriptors.  An override
+        may skip validating v and weights: the solver checks the weights
+        once per solve, and after each step it checks that J(out) is finite,
+        which fails exactly when an entry of out is not.  An override must
+        return the same bits row by row.
         """
         out = np.empty_like(v)
         keys = np.empty(v.shape[0], dtype=object)
         values = np.empty(v.shape[0])
         for i, weight in enumerate(weights.tolist()):
-            out[i], keys[i], values[i] = self.step(v[i], weight, zero_tol)
+            row = self.prox(v[i], weight)
+            out[i], keys[i], values[i] = row, self.descriptor(row, zero_tol), self.value(row)
         return out, keys, values
 
     def model_keys(self, beta, zero_tol: float):

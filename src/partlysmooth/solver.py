@@ -16,8 +16,8 @@ which the model never changes again (the identification point) can be
 reported retrospectively.
 
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
-once, on first use, and every problem sharing Gamma can share it: the trials
-of a fixed-design sweep, the points of a path.
+once, on first use, and every problem sharing Gamma can share it, such as
+the trials of a fixed-design sweep.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
@@ -26,7 +26,7 @@ when solved alone; forward_backward is a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -40,8 +40,6 @@ DEFAULT_FP_TOL = 1e-10
 DEFAULT_ZERO_TOL = 1e-8
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
-
-IMAGE_TOL = 1e-8
 
 
 class Quadratic:
@@ -76,8 +74,8 @@ class CanonicalParameters:
 
     mu >= 0 is the penalty weight per sample, u the response correlation and
     Gamma the (symmetric PSD) design covariance.  Solving requires mu > 0;
-    u must lie in the image of Gamma (see image_residual), which holds by
-    construction for u = X^T y / n with y in the row space of X.
+    u must lie in the image of Gamma for E to be nonnegative, which holds
+    for u = X^T y / n.
 
     gamma may be an array or a Quadratic shared with other problems; either
     way theta.gamma is the array and theta.quad its Quadratic.
@@ -105,20 +103,12 @@ class CanonicalParameters:
         return self.u.shape[0]
 
     @cached_property
-    def _pinv_u(self) -> np.ndarray:
-        return self.quad.pinv @ self.u
-
-    @cached_property
     def _const(self) -> float:
-        return 0.5 * self._pinv_u @ self.u
+        return 0.5 * (self.quad.pinv @ self.u) @ self.u
 
     def energy(self, j_value: float, beta: np.ndarray, gamma_beta: np.ndarray) -> float:
         """E(beta) from J(beta) and Gamma beta, both already computed; mu > 0."""
         return j_value + (0.5 * beta @ gamma_beta - beta @ self.u + self._const) / self.mu
-
-    def image_residual(self) -> float:
-        """|| Gamma Gamma^+ u - u ||, zero when u is in Im(Gamma)."""
-        return float(np.linalg.norm(self.gamma @ self._pinv_u - self.u))
 
 
 @dataclass(frozen=True)
@@ -165,14 +155,6 @@ class SolveResult:
     step: float
     identification_iter: Optional[int]
     model_trace: Optional[list] = None
-
-
-def objective(theta: CanonicalParameters, reg: Regularizer, beta) -> float:
-    """Penalized objective E(beta, theta); requires mu > 0."""
-    if theta.mu <= 0:
-        raise ValueError(f"objective needs mu > 0, got {theta.mu}")
-    beta = _as_vector(beta, theta.dim, "beta")
-    return theta.energy(reg.value(beta), beta, theta.gamma @ beta)
 
 
 def forward_backward(
@@ -358,40 +340,4 @@ def forward_backward_batch(
                 model_trace=models,
             )
         )
-    return results
-
-
-def solve_path(
-    thetas,
-    reg: Regularizer,
-    opts: SolveOptions = SolveOptions(),
-    beta_init=None,
-) -> list:
-    """Solve a sequence of problems sharing (u, Gamma) with warm starts.
-
-    The mu values must be positive and non-increasing (homotopy from loose
-    to tight penalty).  Each solve starts from the previous solution, and
-    all of them share the first problem's Quadratic.
-    """
-    thetas = list(thetas)
-    if not thetas:
-        return []
-    first = thetas[0]
-    for t in thetas:
-        if t.mu <= 0:
-            raise ValueError("every mu on the path must be > 0")
-        if t.u.shape != first.u.shape or not np.array_equal(t.u, first.u):
-            raise ValueError("path parameters must share u")
-        if not np.array_equal(t.gamma, first.gamma):
-            raise ValueError("path parameters must share gamma")
-    mus = [t.mu for t in thetas]
-    if any(b > a for a, b in zip(mus, mus[1:])):
-        raise ValueError(f"mu values must be non-increasing along the path, got {mus}")
-
-    results = []
-    warm = beta_init
-    for t in thetas:
-        res = forward_backward(replace(t, gamma=first.quad), reg, opts, beta_init=warm)
-        results.append(res)
-        warm = res.beta
     return results

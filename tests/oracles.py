@@ -127,7 +127,8 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
     run_start = 0
     converged = False
     for k in range(1, opts.max_iter + 1):
-        beta_next, desc_next, j_next = reg.step(beta + tau * (u - gam_beta), weight, opts.zero_tol)
+        beta_next = reg.prox(beta + tau * (u - gam_beta), weight)
+        desc_next, j_next = reg.descriptor(beta_next, opts.zero_tol), reg.value(beta_next)
         if not math.isfinite(j_next):
             raise ValueError(f"iterate {k} has non-finite entries")
         delta = beta_next - beta

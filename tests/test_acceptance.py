@@ -181,7 +181,6 @@ def test_criterion_04_noise_stability(monkeypatch):
             regularizer=reg,
             design=DesignSpec.explicit(x),
             signal=SignalSpec.explicit(beta0),
-            sweep_kind="noise_levels",
             sweep_values=(1e-1, 1e-2, 1e-3, 1e-4),
             mu_rule=MuRule("proportional"),
             trials=50,
@@ -208,7 +207,6 @@ def test_criterion_05_consistency_in_n(monkeypatch):
             regularizer=L1(),
             design=DesignSpec.gaussian(np.eye(10), 100),
             signal=SignalSpec.sparse(10, 3),
-            sweep_kind="sample_sizes",
             sweep_values=(100, 400, 1600),
             mu_rule=MuRule("power", exponent=0.25, scale=1.0),
             trials=200,
@@ -235,7 +233,6 @@ def test_criterion_06_sharpness_of_failure(monkeypatch):
             regularizer=L1(),
             design=DesignSpec.explicit(x),
             signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
-            sweep_kind="mu_values",
             sweep_values=(1e-1, 1e-2, 1e-3),
             mu_rule=MuRule("fixed", value=1.0),
             trials=50,
@@ -286,7 +283,6 @@ def test_criterion_09_nuclear_end_to_end(monkeypatch):
             regularizer=reg,
             design=DesignSpec.explicit(x),
             signal=SignalSpec.explicit(beta0),
-            sweep_kind="noise_levels",
             sweep_values=(1e-3,),
             mu_rule=MuRule("proportional"),
             trials=30,

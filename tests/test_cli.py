@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from partlysmooth import cli
 from partlysmooth import config as cfgmod
 from partlysmooth.cli import (
     EXIT_ERROR,
@@ -150,6 +151,10 @@ class TestExperimentConfig:
         kind, config = cfgmod.experiment_from_config(payload)
         dumped = cfgmod.experiment_to_config(kind, config)
         assert dumped["experiment"]["sweep"]["sample_sizes"] == [50, 200]
+
+    def test_noise_sigma_is_a_float(self):
+        _, config = cfgmod.experiment_from_config(experiment_payload(noise_sigma="0.1"))
+        assert config.noise_sigma == 0.1
 
     def test_validation(self):
         for mutate in (
@@ -423,3 +428,26 @@ def test_invalid_json(tmp_path, capsys):
     path.write_text("{oops")
     assert run(["solve", "--config", path]) == EXIT_ERROR
     assert "JSON" in capsys.readouterr().err
+
+
+def _solver_fails(*args, **kwargs):
+    raise RuntimeError("inner solver did not converge")
+
+
+@pytest.mark.parametrize("command, payload, argv", [
+    pytest.param("experiment", experiment_payload(jobs=None), [], id="jobs-null"),
+    pytest.param("experiment", experiment_payload(trials=None), [], id="trials-null"),
+    pytest.param("experiment", experiment_payload(base_seed=None), [], id="base_seed-null"),
+    pytest.param("experiment", experiment_payload(noise_sigma="loud"), [], id="noise_sigma-text"),
+    pytest.param("experiment", experiment_payload(jobs=0), [], id="jobs-0"),
+    pytest.param("experiment", experiment_payload(jobs=-1), [], id="jobs-negative"),
+    pytest.param("experiment", experiment_payload(), ["--jobs", "0"], id="jobs-flag-0"),
+    pytest.param("solve", solve_payload(), [], id="solver-runtime-error"),
+])
+def test_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch, command, payload, argv):
+    # only solve calls cli.forward_backward
+    monkeypatch.setattr(cli, "forward_backward", _solver_fails)
+    cfg = write_config(tmp_path, payload)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", *argv]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

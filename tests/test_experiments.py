@@ -43,7 +43,6 @@ def identity_config(**overrides):
         regularizer=L1(),
         design=DesignSpec.explicit(np.sqrt(6.0) * np.eye(6)),
         signal=SignalSpec.explicit(np.array([1.5, 0.0, 0.0, -2.0, 0.0, 0.0])),
-        sweep_kind="noise_levels",
         sweep_values=(0.0, 1e-3),
         mu_rule=MuRule("fixed", value=0.05),
         trials=5,
@@ -92,10 +91,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             identity_config(sweep_values=())
 
-    def test_unknown_sweep_kind(self):
-        with pytest.raises(ValueError):
-            identity_config(sweep_kind="temperatures")
-
 
 class TestNoiseStability:
     def test_identity_design_recovers(self):
@@ -125,11 +120,6 @@ class TestNoiseStability:
         res = noise_stability_sweep(identity_config(base_seed=40))
         seeds = [r.seed for r in res.records]
         assert seeds == list(range(41, 51))
-
-    def test_wrong_sweep_kind_rejected(self):
-        cfg = identity_config(sweep_kind="mu_values", sweep_values=(0.1,))
-        with pytest.raises(ValueError):
-            noise_stability_sweep(cfg)
 
     def test_default_proportional_scale_requires_certificate(self):
         # outside-certified instance: the 2/margin default has no meaning
@@ -198,7 +188,6 @@ class TestConsistency:
             regularizer=L1(),
             design=DesignSpec.gaussian(np.eye(6), 50),
             signal=SignalSpec.sparse(6, 2),
-            sweep_kind="sample_sizes",
             sweep_values=(50, 200),
             mu_rule=MuRule("power"),
             trials=25,
@@ -259,7 +248,6 @@ class TestSharpness:
             regularizer=L1(),
             design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
             signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
-            sweep_kind="mu_values",
             sweep_values=(1e-1, 1e-2),
             mu_rule=MuRule("fixed", value=1.0),
             trials=8,
@@ -305,11 +293,6 @@ class TestIdentificationProfile:
         recorded = [r.identification_iter for r in res.records]
         assert sorted(iters) == sorted(recorded)
 
-    def test_requires_noise_sweep(self):
-        cfg = identity_config(sweep_kind="mu_values", sweep_values=(0.1,))
-        with pytest.raises(ValueError):
-            identification_profile(cfg)
-
 
 def test_inconsistent_model_trace_is_an_error(monkeypatch):
     real = exps.forward_backward_batch
@@ -343,7 +326,7 @@ FIXED_DESIGN_SWEEPS = [
     (sharpness_experiment, dict(
         design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
         signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
-        sweep_kind="mu_values", sweep_values=(0.1, 0.01), noise_sigma=1e-2,
+        sweep_values=(0.1, 0.01), noise_sigma=1e-2,
     )),
 ]
 
@@ -467,7 +450,6 @@ def test_summary_json_extras(tmp_path):
         regularizer=L1(),
         design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
         signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
-        sweep_kind="mu_values",
         sweep_values=(1e-2,),
         mu_rule=MuRule("fixed", value=1.0),
         trials=2,

@@ -12,7 +12,6 @@ from partlysmooth import (
     project,
     pseudoinverse,
     restricted_injectivity,
-    restricted_operator,
     spectral_norm,
     subspace_distance,
 )
@@ -88,25 +87,6 @@ def test_project_example():
 def test_project_dimension_mismatch():
     with pytest.raises(ValueError):
         project([1.0, 0.0, 0.0], Subspace.full(2))
-
-
-def test_restricted_operator_matches_projector_formula():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        p = int(rng.integers(1, 10))
-        a = rng.normal(size=(p, p))
-        gamma = a @ a.T
-        s = Subspace.span(rng.normal(size=(p, int(rng.integers(1, p + 1)))))
-        proj = s.projector()
-        expected = proj @ gamma @ proj
-        got = restricted_operator(gamma, s)
-        np.testing.assert_allclose(got, expected, atol=1e-10)
-        np.testing.assert_allclose(got, got.T, atol=1e-10)
-
-
-def test_restricted_operator_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        restricted_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), Subspace.full(2))
 
 
 class TestPseudoinverse:

@@ -48,7 +48,8 @@ def test_instance_consistency():
     np.testing.assert_allclose(eps, correlation_noise(inst), atol=1e-12)
     # u lies in the image of Gamma by construction, even when n < p
     wide = generate_instance(DesignSpec.gaussian(np.eye(10), 4), SignalSpec.sparse(10, 2), 0.5, 3, L1())
-    assert canonical_parameters(wide, 1.0).image_residual() < 1e-10
+    theta = canonical_parameters(wide, 1.0)
+    assert np.linalg.norm(theta.gamma @ (theta.quad.pinv @ theta.u) - theta.u) < 1e-10
 
 
 def test_canonical_parameters_reuse_a_prepared_gamma():
@@ -71,7 +72,6 @@ def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
         regularizer=L1(),
         design=DesignSpec.gaussian(cov, 20),
         signal=SignalSpec.sparse(3, 1),
-        sweep_kind="sample_sizes",
         sweep_values=(30,),
         mu_rule=MuRule("power"),
         trials=12,

@@ -133,6 +133,7 @@ def test_prox_rejects_negative_gamma():
 
 
 def test_step_matches_prox_descriptor_value_bitwise():
+    # the penalty's solver step, step_batch, on one-row batches
     rng = np.random.default_rng(14)
     for reg in all_regularizers():
         for trial in range(30):
@@ -140,10 +141,10 @@ def test_step_matches_prox_descriptor_value_bitwise():
             if trial % 3 == 0:
                 v[: v.size // 2] = 0.0  # exact zeros and whole inactive blocks
             weight = 0.0 if trial == 1 else float(rng.uniform(0.05, 2.0))
-            out, desc, val = reg.step(v, weight, 1e-8)
+            [out], [key], [val] = reg.step_batch(v[None], np.array([weight]), 1e-8)
             ref = reg.prox(v, weight)
             assert out.tobytes() == ref.tobytes(), reg.kind
-            assert desc == reg.descriptor(ref, 1e-8), reg.kind
+            assert reg.key_descriptor(key) == reg.descriptor(ref, 1e-8), reg.kind
             assert val == reg.value(ref), reg.kind
 
 
@@ -158,10 +159,10 @@ def test_step_batch_matches_step_row_by_row():
         out, keys, values = reg.step_batch(v, weights, 1e-8)
         start = reg.model_keys(v, 1e-8)
         for i in range(7):
-            ref_out, ref_desc, ref_val = reg.step(v[i], float(weights[i]), 1e-8)
-            assert out[i].tobytes() == ref_out.tobytes(), reg.kind
-            assert values[i] == ref_val, reg.kind
-            assert reg.key_descriptor(keys[i]) == ref_desc, reg.kind
+            ref = reg.prox(v[i], float(weights[i]))
+            assert out[i].tobytes() == ref.tobytes(), reg.kind
+            assert values[i] == reg.value(ref), reg.kind
+            assert reg.key_descriptor(keys[i]) == reg.descriptor(ref, 1e-8), reg.kind
             assert reg.key_descriptor(start[i]) == reg.descriptor(v[i], 1e-8), reg.kind
         # keys differ exactly where the descriptors do
         differ = keys != start

@@ -1,4 +1,4 @@
-"""Forward-backward solver: convergence, descent, identification, paths."""
+"""Forward-backward solver: convergence, descent, identification."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,7 @@ from partlysmooth import (
     dual_certificate_at_solution,
     forward_backward,
     forward_backward_batch,
-    objective,
     same_model,
-    solve_path,
 )
 
 import oracles
@@ -35,18 +33,27 @@ def test_parameter_validation():
     assert theta.dim == 2
 
 
+def energy(theta, reg, beta):
+    beta = np.asarray(beta, dtype=float)
+    return theta.energy(reg.value(beta), beta, theta.gamma @ beta)
+
+
 def test_image_residual():
+    # || Gamma Gamma^+ u - u ||, zero exactly when u is in Im(Gamma)
+    def residual(theta):
+        return np.linalg.norm(theta.gamma @ (theta.quad.pinv @ theta.u) - theta.u)
+
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.diag([1.0, 0.0]))
-    assert theta.image_residual() == pytest.approx(0.0, abs=1e-12)
+    assert residual(theta) == pytest.approx(0.0, abs=1e-12)
     theta = CanonicalParameters(0.1, np.array([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert theta.image_residual() == pytest.approx(1.0)
+    assert residual(theta) == pytest.approx(1.0)
 
 
 def test_objective_example():
     theta = CanonicalParameters(1.0, np.array([1.0, 0.0]), np.eye(2))
-    assert objective(theta, L1(), [1.0, 0.0]) == pytest.approx(1.0)
+    assert energy(theta, L1(), [1.0, 0.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        objective(CanonicalParameters(0.0, np.array([1.0]), np.eye(1)), L1(), [0.0])
+        forward_backward(CanonicalParameters(0.0, np.array([1.0]), np.eye(1)), L1())
 
 
 def test_objective_nonnegative_when_consistent():
@@ -58,7 +65,7 @@ def test_objective_nonnegative_when_consistent():
         u = gamma @ rng.normal(size=p)  # guaranteed in the image
         theta = CanonicalParameters(float(rng.uniform(0.05, 1.0)), u, gamma)
         beta = rng.normal(size=p)
-        assert objective(theta, L1(), beta) >= -1e-10
+        assert energy(theta, L1(), beta) >= -1e-10
 
 
 def test_identity_design_lasso():
@@ -224,40 +231,11 @@ def test_trace_disabled_by_default():
     assert forward_backward(theta, L1()).model_trace is None
 
 
-def test_solve_path():
-    theta = lambda mu: CanonicalParameters(mu, np.array([1.0, 0.0]), np.eye(2))
-    results = solve_path([theta(0.5), theta(0.3), theta(0.1)], L1(), SolveOptions(step=1.0))
-    np.testing.assert_allclose(results[0].beta, [0.5, 0.0], atol=1e-11)
-    np.testing.assert_allclose(results[1].beta, [0.7, 0.0], atol=1e-11)
-    np.testing.assert_allclose(results[2].beta, [0.9, 0.0], atol=1e-11)
-    # warm starts: with the unit step each continuation solve needs one
-    # productive iteration plus the stopping check
-    assert results[1].iterations == 2
-    assert results[2].iterations == 2
-
-
-def test_solve_path_validation():
-    t1 = CanonicalParameters(0.5, np.array([1.0, 0.0]), np.eye(2))
-    t2 = CanonicalParameters(0.7, np.array([1.0, 0.0]), np.eye(2))
-    with pytest.raises(ValueError):
-        solve_path([t1, t2], L1())  # increasing mu
-    t3 = CanonicalParameters(0.3, np.array([0.0, 1.0]), np.eye(2))
-    with pytest.raises(ValueError):
-        solve_path([t1, t3], L1())  # different u
-    t4 = CanonicalParameters(0.3, np.array([1.0, 0.0]), 2 * np.eye(2))
-    with pytest.raises(ValueError):
-        solve_path([t1, t4], L1())  # different gamma
-    t5 = CanonicalParameters(0.0, np.array([1.0, 0.0]), np.eye(2))
-    with pytest.raises(ValueError):
-        solve_path([t1, t5], L1())  # mu hits zero
-    assert solve_path([], L1()) == []
-
-
 def test_objective_agrees_with_result():
     rng = np.random.default_rng(36)
     theta = random_problem(L1(), 5, rng)
     res = forward_backward(theta, L1())
-    assert objective(theta, L1(), res.beta) == pytest.approx(res.objective, abs=1e-10)
+    assert energy(theta, L1(), res.beta) == pytest.approx(res.objective, abs=1e-10)
 
 
 def test_shared_quadratic(svd_calls):
@@ -277,20 +255,6 @@ def test_shared_quadratic(svd_calls):
         CanonicalParameters(0.1, np.zeros(3), quad)
     with pytest.raises(ValueError):
         Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_solve_path_prepares_gamma_once(svd_calls):
-    rng = np.random.default_rng(37)
-    x = rng.normal(size=(12, 4))
-    gamma = x.T @ x / 12
-    u = gamma @ np.array([1.0, 0.0, -1.0, 0.0])
-    # separate arrays with equal entries still count as one Gamma
-    path = [CanonicalParameters(mu, u, gamma.copy()) for mu in (0.3, 0.2, 0.1)]
-    results = solve_path(path, L1())
-    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 1}
-    for theta, res in zip(path, results):
-        assert res.converged
-        assert objective(theta, L1(), res.beta) == pytest.approx(res.objective, abs=1e-10)
 
 
 def test_non_finite_iterate_raises():
