@@ -127,12 +127,17 @@ def dual_certificate_at_solution(
     ri_tol: float = RI_TOL,
 ) -> CertificateVerdict:
     """Classify eta = (u - Gamma beta)/mu at the model of beta itself."""
+    return _dual_certificate(theta, beta, reg, zero_tol, ri_tol)[0]
+
+
+def _dual_certificate(theta, beta, reg, zero_tol, ri_tol):
+    """(verdict, geometry at beta) of dual_certificate_at_solution."""
     if theta.mu <= 0:
         raise ValueError(f"dual certificate needs mu > 0, got {theta.mu}")
     beta = np.asarray(beta, dtype=float)
     eta = (theta.u - theta.gamma @ beta) / theta.mu
     geometry = reg.model(beta, zero_tol)
-    return reg.ri_membership(geometry, eta, ri_tol)
+    return reg.ri_membership(geometry, eta, ri_tol), geometry
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,7 @@ def certify_uniqueness(
     Sufficient condition: the dual certificate at beta is strictly interior
     and Gamma is injective on the tangent space at beta.
     """
-    verdict = dual_certificate_at_solution(theta, beta, reg, zero_tol, ri_tol)
-    geometry = reg.model(np.asarray(beta, dtype=float), zero_tol)
+    verdict, geometry = _dual_certificate(theta, beta, reg, zero_tol, ri_tol)
     injectivity = restricted_injectivity(theta.gamma, geometry.subspace, injectivity_tol)
     return UniquenessReport(
         unique=verdict.status == "interior" and injectivity.holds,

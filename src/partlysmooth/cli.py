@@ -26,7 +26,6 @@ import numpy as np
 
 from . import config as cfgmod
 from .certificate import certify_uniqueness, check_model_stability
-from .config import ConfigError
 from .experiments import (
     consistency_sweep,
     identification_profile,
@@ -36,7 +35,6 @@ from .experiments import (
     write_records_csv,
     write_summary_json,
 )
-from .problems import ProblemInstance, canonical_parameters, generate_instance, make_signal
 from .solver import forward_backward
 
 EXIT_OK = 0
@@ -46,42 +44,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INJECTIVITY = 4
 
 
-def _vector_from(cfg, key, base_dir, context):
-    if f"{key}_csv" in cfg or key in cfg:
-        m = cfgmod.matrix_from_config(cfg, key, base_dir, context)
-        v = np.asarray(m, dtype=float).squeeze()
-        if v.ndim == 0:
-            v = v.reshape(1)
-        if v.ndim != 1:
-            raise ConfigError(f"{context}: {key} must be a vector")
-        return v
-    raise ConfigError(f"{context} is missing {key!r}")
-
-
-def _resolve_beta0(cfg, reg, base_dir, seed_override):
-    if "beta0" in cfg or "beta0_csv" in cfg:
-        return _vector_from(cfg, "beta0", base_dir, "config")
-    if "signal" in cfg:
-        seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
-        spec = cfgmod.signal_from_config(cfg["signal"])
-        return make_signal(spec, reg, np.random.default_rng(seed))
-    raise ConfigError("config needs 'beta0' (inline or CSV) or a 'signal' section")
-
-
-def _resolve_gamma(cfg, base_dir):
-    if "gamma" in cfg or "gamma_csv" in cfg:
-        g = cfgmod.matrix_from_config(cfg, "gamma", base_dir, "config")
-        return g
-    if "design" in cfg:
-        spec = cfgmod.design_from_config(cfg["design"], base_dir)
-        if spec.kind == "explicit":
-            x = spec.matrix
-            return x.T @ x / x.shape[0]
-        # population operator: rows are drawn from this covariance
-        return spec.covariance
-    raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
-
-
 def _write_json(payload, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -89,18 +51,9 @@ def _write_json(payload, path):
 
 
 def cmd_certify(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    reg = cfgmod.regularizer_from_config(cfgmod.require_key(cfg, "regularizer", "config"))
-    tol = cfgmod.tolerances_from_config(cfg.get("tolerances", {}))
-    gamma = _resolve_gamma(cfg, base_dir)
-    beta0 = _resolve_beta0(cfg, reg, base_dir, args.seed)
-
-    report = check_model_stability(
-        gamma, beta0, reg,
-        zero_tol=tol["zero_tol"], ri_tol=tol["ri_tol"],
-        injectivity_tol=tol["injectivity_tol"],
-    )
+    cfg, base_dir = cfgmod.load_config(args.config)
+    reg, gamma, beta0, tol = cfgmod.certify_from_config(cfg, base_dir, args.seed)
+    report = check_model_stability(gamma, beta0, reg, **tol)
     cert = report.certificate
     payload = {
         "stable": report.stable,
@@ -138,54 +91,12 @@ def cmd_certify(args) -> int:
     return EXIT_OUTSIDE
 
 
-def _resolve_instance(cfg, reg, base_dir, seed_override):
-    has_xy = any(k in cfg for k in ("x", "x_csv"))
-    if has_xy:
-        x = cfgmod.matrix_from_config(cfg, "x", base_dir, "config")
-        y = _vector_from(cfg, "y", base_dir, "config")
-        if y.shape[0] != x.shape[0]:
-            raise ConfigError(f"y has length {y.shape[0]} but x has {x.shape[0]} rows")
-        beta0 = None
-        if "beta0" in cfg or "beta0_csv" in cfg:
-            beta0 = _vector_from(cfg, "beta0", base_dir, "config")
-        zeros = np.zeros(x.shape[1]) if beta0 is None else beta0
-        return ProblemInstance(x=x, beta0=zeros, w=np.zeros(x.shape[0]), y=y, seed=-1), beta0
-    needed = [k for k in ("design", "signal", "noise_sigma") if k not in cfg]
-    if needed:
-        raise ConfigError(
-            "config needs either x/y data or design+signal+noise_sigma "
-            f"(missing {needed})"
-        )
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
-    inst = generate_instance(
-        cfgmod.design_from_config(cfg["design"], base_dir),
-        cfgmod.signal_from_config(cfg["signal"]),
-        float(cfg["noise_sigma"]),
-        seed,
-        reg,
-    )
-    return inst, inst.beta0
-
-
 def cmd_solve(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    reg = cfgmod.regularizer_from_config(cfgmod.require_key(cfg, "regularizer", "config"))
-    tol = cfgmod.tolerances_from_config(cfg.get("tolerances", {}))
-    opts = cfgmod.solve_options_from_config(cfg.get("solver", {}))
-    if "lambda" not in cfg:
-        raise ConfigError("config needs 'lambda' (penalty weight before the 1/n scaling)")
-    lam = float(cfg["lambda"])
-    inst, beta0 = _resolve_instance(cfg, reg, base_dir, args.seed)
-
-    theta = canonical_parameters(inst, lam)
+    cfg, base_dir = cfgmod.load_config(args.config)
+    reg, theta, opts, tol, beta0 = cfgmod.solve_from_config(cfg, base_dir, args.seed)
     result = forward_backward(theta, reg, opts)
-    uniq = certify_uniqueness(
-        theta, result.beta, reg,
-        zero_tol=tol["zero_tol"], ri_tol=tol["ri_tol"],
-        injectivity_tol=tol["injectivity_tol"],
-    )
-    desc = reg.descriptor(result.beta, tol["zero_tol"])
+    uniq = certify_uniqueness(theta, result.beta, reg, **tol)
+    desc = reg.descriptor(result.beta, opts.zero_tol)
 
     payload = {
         "beta": result.beta.tolist(),
@@ -227,9 +138,7 @@ _RUNNERS = {
 
 
 def cmd_experiment(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    kind, config = cfgmod.experiment_from_config(cfg, base_dir)
+    kind, config = cfgmod.experiment_from_config(*cfgmod.load_config(args.config))
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed

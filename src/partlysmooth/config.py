@@ -1,9 +1,11 @@
 """JSON config parsing for the command line tools.
 
-One JSON file describes a whole run.  Matrices may be written inline as
-nested arrays or referenced as CSV files through *_csv keys; CSV paths are
-resolved relative to the config file's directory.  See the README for the
-full schema and worked examples.
+One JSON file describes a whole run, and this module alone reads it:
+certify_from_config, solve_from_config and experiment_from_config turn a
+loaded file into what each command runs on.  Matrices may be written inline
+as nested arrays or referenced as CSV files through *_csv keys; CSV paths
+are resolved relative to the config file's directory.  See the README for
+the full schema and worked examples.
 
 Every *_from_config function raises ConfigError with a readable message on
 malformed input, and each spec type has a matching *_to_config so that a
@@ -13,13 +15,24 @@ parsed configuration can be serialized back to an equivalent file.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 
 from . import regularizers
 from .experiments import ExperimentConfig, MuRule
-from .problems import DesignSpec, SignalSpec, load_matrix_csv
+from .linalg import INJECTIVITY_TOL
+from .problems import (
+    DEFAULT_AMPLITUDE_RANGE,
+    DesignSpec,
+    ProblemInstance,
+    SignalSpec,
+    canonical_parameters,
+    generate_instance,
+    load_matrix_csv,
+    make_signal,
+)
 from .regularizers import RI_TOL, ZERO_TOL, Regularizer
 from .solver import SolveOptions
 
@@ -37,7 +50,8 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration file."""
 
 
-def load_config(path) -> dict:
+def load_config(path) -> tuple:
+    """(the parsed file, the directory its CSV paths are relative to)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -47,13 +61,51 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return cfg
+    return cfg, os.path.dirname(os.path.abspath(path))
 
 
 def require_key(cfg: dict, key: str, context: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     if key not in cfg:
         raise ConfigError(f"{context} is missing required key {key!r}")
     return cfg[key]
+
+
+def _only_keys(cfg, known, context):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+
+
+def number(value, name: str, *, integer=False, nonnegative=False, optional=False):
+    """The file value of key `name` as a finite float, or an int if integer.
+
+    Anything else (null, non-numeric text, a boolean, NaN, +-inf, a fraction
+    for an integer, a negative if nonnegative) raises ConfigError naming the
+    key and the value, except null for an optional key, which means unset.
+    """
+    if optional and value is None:
+        return None
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()) or (nonnegative and x < 0):
+        want = ("an integer" if integer else "a finite number") + (" >= 0" if nonnegative else "")
+        raise ConfigError(f"{name} must be {want}, got {json.dumps(value, default=str)}")
+    # a JSON integer stays exact beyond float precision
+    return (value if isinstance(value, int) else int(x)) if integer else x
+
+
+def _spec(make, context, *args, **kwargs):
+    """make(*args, **kwargs), with the spec's own ValueError as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def matrix_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.ndarray:
@@ -68,31 +120,37 @@ def matrix_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.n
             raise ConfigError(f"{context}: {key} is not a numeric array: {exc}") from exc
     try:
         return load_matrix_csv(os.path.join(base_dir, csv_path))
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: cannot load {csv_path!r}: {exc}") from exc
 
 
+def _vector_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.ndarray:
+    v = np.atleast_1d(matrix_from_config(cfg, key, base_dir, context).squeeze())
+    if v.ndim != 1:
+        raise ConfigError(f"{context}: {key} must be a vector")
+    return v
+
+
 def regularizer_from_config(cfg: dict) -> Regularizer:
+    # from_config indexes into the file's own values (groups, shapes)
     try:
         return regularizers.from_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"regularizer: {exc}") from exc
 
 
 def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
     kind = require_key(cfg, "kind", "design")
-    try:
-        if kind == "explicit":
-            return DesignSpec.explicit(matrix_from_config(cfg, "matrix", base_dir, "design"))
-        if kind == "gaussian_rows":
-            n = require_key(cfg, "n", "gaussian_rows design")
-            if "identity_dim" in cfg:
-                cov = np.eye(int(cfg["identity_dim"]))
-            else:
-                cov = matrix_from_config(cfg, "covariance", base_dir, "gaussian_rows design")
-            return DesignSpec.gaussian(cov, int(n))
-    except ValueError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+    if kind == "explicit":
+        matrix = matrix_from_config(cfg, "matrix", base_dir, "design")
+        return _spec(DesignSpec.explicit, "design", matrix)
+    if kind == "gaussian_rows":
+        n = number(require_key(cfg, "n", "gaussian_rows design"), "design.n", integer=True)
+        if "identity_dim" in cfg:
+            cov = np.eye(number(cfg["identity_dim"], "design.identity_dim", integer=True))
+        else:
+            cov = matrix_from_config(cfg, "covariance", base_dir, "gaussian_rows design")
+        return _spec(DesignSpec.gaussian, "design", cov, n)
     raise ConfigError(f"unknown design kind {kind!r}")
 
 
@@ -102,31 +160,28 @@ def design_to_config(spec: DesignSpec) -> dict:
     return {"kind": "gaussian_rows", "covariance": spec.covariance.tolist(), "n": spec.n}
 
 
+# the integer keys of each random signal kind
+_SIGNAL_KEYS = {
+    "sparse": ("p", "support_size"),
+    "group_sparse": ("active_groups",),
+    "low_rank": ("rank",),
+    "piecewise_constant": ("p", "segments"),
+}
+
+
 def signal_from_config(cfg: dict) -> SignalSpec:
     kind = require_key(cfg, "kind", "signal")
-    amp = tuple(cfg.get("amplitude_range", (1.0, 2.0)))
-    try:
-        if kind == "explicit":
-            return SignalSpec.explicit(np.asarray(require_key(cfg, "beta0", "signal"), dtype=float))
-        if kind == "sparse":
-            return SignalSpec.sparse(
-                int(require_key(cfg, "p", "sparse signal")),
-                int(require_key(cfg, "support_size", "sparse signal")),
-                amp,
-            )
-        if kind == "group_sparse":
-            return SignalSpec.group_sparse(int(require_key(cfg, "active_groups", "group signal")), amp)
-        if kind == "low_rank":
-            return SignalSpec.low_rank(int(require_key(cfg, "rank", "low_rank signal")), amp)
-        if kind == "piecewise_constant":
-            return SignalSpec.piecewise_constant(
-                int(require_key(cfg, "p", "piecewise signal")),
-                int(require_key(cfg, "segments", "piecewise signal")),
-                amp,
-            )
-    except ValueError as exc:
-        raise ConfigError(f"signal: {exc}") from exc
-    raise ConfigError(f"unknown signal kind {kind!r}")
+    if kind == "explicit":
+        return _spec(SignalSpec.explicit, "signal", require_key(cfg, "beta0", "signal"))
+    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
+        raise ConfigError(f"unknown signal kind {kind!r}")
+    amp = np.atleast_1d(cfg.get("amplitude_range", DEFAULT_AMPLITUDE_RANGE))
+    amp = tuple(number(a, "signal.amplitude_range") for a in amp)
+    counts = {
+        key: number(require_key(cfg, key, f"{kind} signal"), f"signal.{key}", integer=True)
+        for key in _SIGNAL_KEYS[kind]
+    }
+    return _spec(SignalSpec, "signal", kind=kind, amplitude_range=amp, **counts)
 
 
 def signal_to_config(spec: SignalSpec) -> dict:
@@ -135,55 +190,34 @@ def signal_to_config(spec: SignalSpec) -> dict:
         out["beta0"] = spec.beta0.tolist()
         return out
     out["amplitude_range"] = list(spec.amplitude_range)
-    if spec.kind == "sparse":
-        out.update(p=spec.p, support_size=spec.support_size)
-    elif spec.kind == "group_sparse":
-        out.update(active_groups=spec.active_groups)
-    elif spec.kind == "low_rank":
-        out.update(rank=spec.rank)
-    elif spec.kind == "piecewise_constant":
-        out.update(p=spec.p, segments=spec.segments)
+    out.update({key: getattr(spec, key) for key in _SIGNAL_KEYS[spec.kind]})
     return out
 
 
-def solve_options_from_config(cfg: dict) -> SolveOptions:
-    known = {"step", "max_iter", "fp_tol", "zero_tol", "trace_models"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown solver options: {sorted(unknown)}")
-    try:
-        return SolveOptions(
-            step=cfg.get("step"),
-            max_iter=int(cfg.get("max_iter", 100_000)),
-            fp_tol=float(cfg.get("fp_tol", 1e-10)),
-            zero_tol=float(cfg.get("zero_tol", ZERO_TOL)),
-            trace_models=bool(cfg.get("trace_models", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver options: {exc}") from exc
+def solve_options_from_config(cfg: dict, zero_tol: float = ZERO_TOL) -> SolveOptions:
+    """The solver section; zero_tol comes from the tolerances section."""
+    _only_keys(cfg, ("step", "max_iter", "fp_tol"), "solver")
+    return _spec(
+        SolveOptions,
+        "solver",
+        step=number(cfg.get("step"), "solver.step", optional=True),
+        max_iter=number(
+            cfg.get("max_iter", SolveOptions.max_iter), "solver.max_iter", integer=True
+        ),
+        fp_tol=number(cfg.get("fp_tol", SolveOptions.fp_tol), "solver.fp_tol"),
+        zero_tol=zero_tol,
+    )
 
 
 def solve_options_to_config(opts: SolveOptions) -> dict:
-    return {
-        "step": opts.step,
-        "max_iter": opts.max_iter,
-        "fp_tol": opts.fp_tol,
-        "zero_tol": opts.zero_tol,
-        "trace_models": opts.trace_models,
-    }
+    return {"step": opts.step, "max_iter": opts.max_iter, "fp_tol": opts.fp_tol}
 
 
 def mu_rule_from_config(cfg: dict) -> MuRule:
     kind = require_key(cfg, "kind", "mu rule")
-    try:
-        return MuRule(
-            kind=kind,
-            value=cfg.get("value"),
-            scale=cfg.get("scale"),
-            exponent=cfg.get("exponent"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mu rule: {exc}") from exc
+    keys = ("value", "scale", "exponent")
+    values = [number(cfg.get(k), f"mu_rule.{k}", optional=True) for k in keys]
+    return _spec(MuRule, "mu rule", kind, *values)
 
 
 def mu_rule_to_config(rule: MuRule) -> dict:
@@ -194,23 +228,86 @@ def mu_rule_to_config(rule: MuRule) -> dict:
     return out
 
 
+_TOLERANCES = {"zero_tol": ZERO_TOL, "ri_tol": RI_TOL, "injectivity_tol": INJECTIVITY_TOL}
+
+
 def tolerances_from_config(cfg: dict) -> dict:
-    known = {"zero_tol", "ri_tol", "injectivity_tol"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    """The tolerances section, defaults filled: keyword arguments of the certificates."""
+    _only_keys(cfg, _TOLERANCES, "tolerances")
     return {
-        "zero_tol": float(cfg.get("zero_tol", ZERO_TOL)),
-        "ri_tol": float(cfg.get("ri_tol", RI_TOL)),
-        "injectivity_tol": float(cfg.get("injectivity_tol", 1e-8)),
+        key: number(cfg.get(key, default), f"tolerances.{key}", nonnegative=True)
+        for key, default in _TOLERANCES.items()
     }
+
+
+def _seed(cfg, seed):
+    return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
+
+
+def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
+    """(regularizer, gamma, beta0, tolerances) of a certify file; seed overrides the file's."""
+    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"))
+    tol = tolerances_from_config(cfg.get("tolerances", {}))
+    if "gamma" in cfg or "gamma_csv" in cfg:
+        gamma = matrix_from_config(cfg, "gamma", base_dir, "config")
+    elif "design" in cfg:
+        spec = design_from_config(cfg["design"], base_dir)
+        x = spec.matrix
+        # explicit designs give X^T X / n; gaussian rows, the population covariance
+        gamma = spec.covariance if x is None else x.T @ x / x.shape[0]
+    else:
+        raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
+    if "beta0" in cfg or "beta0_csv" in cfg:
+        beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
+    elif "signal" in cfg:
+        spec = signal_from_config(cfg["signal"])
+        beta0 = make_signal(spec, reg, np.random.default_rng(_seed(cfg, seed)))
+    else:
+        raise ConfigError("config needs 'beta0' (inline or CSV) or a 'signal' section")
+    return reg, gamma, beta0, tol
+
+
+def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
+    """(regularizer, theta, options, tolerances, beta0) of a solve file.
+
+    theta holds the canonical parameters at the file's lambda; beta0 is None
+    for x/y data without one.  seed overrides the file's.
+    """
+    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"))
+    tol = tolerances_from_config(cfg.get("tolerances", {}))
+    opts = solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"])
+    lam = number(require_key(cfg, "lambda", "config"), "lambda")
+    if "x" in cfg or "x_csv" in cfg:
+        x = matrix_from_config(cfg, "x", base_dir, "config")
+        y = _vector_from_config(cfg, "y", base_dir, "config")
+        if y.shape[0] != x.shape[0]:
+            raise ConfigError(f"y has length {y.shape[0]} but x has {x.shape[0]} rows")
+        beta0 = None
+        if "beta0" in cfg or "beta0_csv" in cfg:
+            beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
+        zeros = np.zeros(x.shape[1]) if beta0 is None else beta0
+        inst = ProblemInstance(x=x, beta0=zeros, w=np.zeros(x.shape[0]), y=y, seed=-1)
+    else:
+        needed = [k for k in ("design", "signal", "noise_sigma") if k not in cfg]
+        if needed:
+            raise ConfigError(
+                "config needs either x/y data or design+signal+noise_sigma "
+                f"(missing {needed})"
+            )
+        inst = generate_instance(
+            design_from_config(cfg["design"], base_dir),
+            signal_from_config(cfg["signal"]),
+            number(cfg["noise_sigma"], "noise_sigma"),
+            _seed(cfg, seed),
+            reg,
+        )
+        beta0 = inst.beta0
+    return reg, canonical_parameters(inst, lam), opts, tol, beta0
 
 
 def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
     exp = require_key(cfg, "experiment", "config")
-    if not isinstance(exp, dict):
-        raise ConfigError("'experiment' must be an object")
     kind = require_key(exp, "kind", "experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
@@ -225,26 +322,24 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     if not isinstance(sweep_values, list) or not sweep_values:
         raise ConfigError("sweep values must be a nonempty array")
 
-    sigma = exp.get("noise_sigma")
-    try:
-        tol = tolerances_from_config(cfg.get("tolerances", {}))
-        config = ExperimentConfig(
-            regularizer=regularizer_from_config(require_key(cfg, "regularizer", "config")),
-            design=design_from_config(require_key(cfg, "design", "config"), base_dir),
-            signal=signal_from_config(require_key(cfg, "signal", "config")),
-            sweep_values=tuple(sweep_values),
-            mu_rule=mu_rule_from_config(require_key(exp, "mu_rule", "experiment")),
-            trials=int(require_key(exp, "trials", "experiment")),
-            base_seed=int(exp.get("base_seed", 0)),
-            noise_sigma=None if sigma is None else float(sigma),
-            solve=solve_options_from_config(cfg.get("solver", {})),
-            jobs=int(exp["jobs"]) if "jobs" in exp else None,
-            zero_tol=tol["zero_tol"],
-            ri_tol=tol["ri_tol"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return kind, config
+    tol_cfg = cfg.get("tolerances", {})
+    # injectivity_tol applies to certify and solve only
+    _only_keys(tol_cfg, ("zero_tol", "ri_tol"), "experiment tolerances")
+    tol = tolerances_from_config(tol_cfg)
+    args = dict(
+        regularizer=regularizer_from_config(require_key(cfg, "regularizer", "config")),
+        design=design_from_config(require_key(cfg, "design", "config"), base_dir),
+        signal=signal_from_config(require_key(cfg, "signal", "config")),
+        sweep_values=tuple(number(v, f"experiment.sweep.{key}") for v in sweep_values),
+        mu_rule=mu_rule_from_config(require_key(exp, "mu_rule", "experiment")),
+        trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
+        base_seed=number(exp.get("base_seed", 0), "experiment.base_seed", integer=True),
+        noise_sigma=number(exp.get("noise_sigma"), "experiment.noise_sigma", optional=True),
+        solve=solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"]),
+        jobs=number(exp["jobs"], "experiment.jobs", integer=True) if "jobs" in exp else None,
+        ri_tol=tol["ri_tol"],
+    )
+    return kind, _spec(ExperimentConfig, "experiment", **args)
 
 
 def experiment_to_config(kind: str, config: ExperimentConfig) -> dict:
@@ -268,6 +363,6 @@ def experiment_to_config(kind: str, config: ExperimentConfig) -> dict:
         "design": design_to_config(config.design),
         "signal": signal_to_config(config.signal),
         "solver": solve_options_to_config(config.solve),
-        "tolerances": {"zero_tol": config.zero_tol, "ri_tol": config.ri_tol},
+        "tolerances": {"zero_tol": config.solve.zero_tol, "ri_tol": config.ri_tol},
         "experiment": exp,
     }

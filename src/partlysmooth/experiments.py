@@ -39,7 +39,7 @@ from .problems import (
     make_design,
     make_signal,
 )
-from .regularizers import RI_TOL, ZERO_TOL, ModelDescriptor, Regularizer, same_model
+from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
 from .solver import Quadratic, SolveOptions, forward_backward_batch
 
 MU_RULE_KINDS = ("fixed", "proportional", "power")
@@ -88,7 +88,8 @@ class ExperimentConfig:
     """Everything a harness needs, minus the experiment kind itself.
 
     The harness fixes what sweep_values are: noise levels, sample sizes or
-    mu values.
+    mu values.  solve.zero_tol reads every model: in the solver, the
+    target, each trial's final descriptor and the certificate.
     """
 
     regularizer: Regularizer
@@ -101,7 +102,6 @@ class ExperimentConfig:
     noise_sigma: Optional[float] = None
     solve: SolveOptions = SolveOptions()
     jobs: Optional[int] = None
-    zero_tol: float = ZERO_TOL
     ri_tol: float = RI_TOL
 
     def __post_init__(self):
@@ -176,7 +176,6 @@ class _Shared:
     designs: tuple
     signal: SignalSpec
     opts: SolveOptions
-    zero_tol: float
     target: ModelDescriptor
     margin: float
     boundary: bool
@@ -206,7 +205,7 @@ def _run_point(shared, point, sigma, mu, seeds):
     results = forward_backward_batch(thetas, reg, shared.opts)
     outs = []
     for (seed, n, beta0, eps_norm), res in zip(facts, results):
-        desc = reg.descriptor(res.beta, shared.zero_tol)
+        desc = reg.descriptor(res.beta, shared.opts.zero_tol)
         record = TrialRecord(
             seed=seed,
             n=n,
@@ -309,8 +308,7 @@ def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) ->
         designs=tuple(designs),
         signal=SignalSpec.explicit(beta0),
         opts=config.solve,
-        zero_tol=config.zero_tol,
-        target=config.regularizer.descriptor(beta0, config.zero_tol),
+        target=config.regularizer.descriptor(beta0, config.solve.zero_tol),
         margin=margin,
         boundary=boundary,
         quad=quad,
@@ -329,7 +327,7 @@ def _fixed_setup(config: ExperimentConfig):
         raise ValueError("design and signal dimensions differ")
     quad = Quadratic(x.T @ x / x.shape[0])
     report = check_model_stability(
-        quad.gamma, beta0, config.regularizer, config.zero_tol, config.ri_tol
+        quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
     return _make_shared(config, report, beta0, [DesignSpec.explicit(x)], quad), report, x.shape[0]
 
@@ -379,7 +377,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     # population certificate: the stability condition is checked on the
     # covariance the rows are drawn from
     report = check_model_stability(
-        cov, beta0, config.regularizer, config.zero_tol, config.ri_tol
+        cov, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
     # every trial draws its own design, so each prepares its own Gamma
     shared = _make_shared(config, report, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])

@@ -487,14 +487,6 @@ class AnalysisL1(Regularizer):
         }
 
 
-_KINDS = {
-    "l1": L1,
-    "group_l1l2": GroupL1L2,
-    "nuclear": Nuclear,
-    "analysis_l1": AnalysisL1,
-}
-
-
 def from_config(cfg: dict) -> Regularizer:
     """Build a regularizer from its config dictionary (see to_config)."""
     if not isinstance(cfg, dict) or "kind" not in cfg:

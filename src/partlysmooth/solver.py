@@ -33,11 +33,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import check_symmetric, pseudoinverse, spectral_norm, _as_vector
-from .regularizers import Regularizer, check_prox_weight
+from .regularizers import ZERO_TOL, Regularizer, check_prox_weight
 
-DEFAULT_MAX_ITER = 100_000
-DEFAULT_FP_TOL = 1e-10
-DEFAULT_ZERO_TOL = 1e-8
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
 
@@ -116,21 +113,24 @@ class SolveOptions:
     """Knobs for forward_backward.
 
     step=None picks tau = 0.9 * (2 / ||Gamma||).  An explicit step must
-    satisfy 0 < tau < 2 / ||Gamma|| or the solve is refused.  trace_models
+    satisfy 0 < tau < 2 / ||Gamma|| or the solve is refused.  zero_tol is
+    the threshold the iterates' models are read with.  trace_models
     additionally stores the per-iterate descriptor sequence on the result.
     """
 
     step: Optional[float] = None
-    max_iter: int = DEFAULT_MAX_ITER
-    fp_tol: float = DEFAULT_FP_TOL
-    zero_tol: float = DEFAULT_ZERO_TOL
+    max_iter: int = 100_000
+    fp_tol: float = 1e-10
+    zero_tol: float = ZERO_TOL
     trace_models: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be > 0")
+        if not (np.isfinite(self.fp_tol) and self.fp_tol > 0):
+            raise ValueError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
+        if not (np.isfinite(self.zero_tol) and self.zero_tol >= 0):
+            raise ValueError(f"zero_tol must be finite and >= 0, got {self.zero_tol}")
 
 
 @dataclass

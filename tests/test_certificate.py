@@ -176,12 +176,23 @@ def test_dual_certificate_needs_positive_mu():
         dual_certificate_at_solution(theta, np.array([0.5]), L1())
 
 
+class _CountingL1(L1):
+    models = 0
+
+    def model(self, *args):
+        self.models += 1
+        return super().model(*args)
+
+
 def test_uniqueness_certificate():
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    rep = certify_uniqueness(theta, np.array([0.9, 0.0]), L1())
+    reg = _CountingL1()
+    rep = certify_uniqueness(theta, np.array([0.9, 0.0]), reg)
     assert rep.unique
     assert rep.verdict.status == "interior"
     assert rep.injectivity.holds
+    # one model geometry serves both the dual certificate and injectivity
+    assert reg.models == 1
 
 
 def test_uniqueness_fails_on_duplicated_columns():

@@ -133,11 +133,16 @@ def experiment_payload(**exp_overrides):
 
 class TestExperimentConfig:
     def test_round_trip(self):
-        kind, config = cfgmod.experiment_from_config(experiment_payload())
+        payload = experiment_payload()
+        payload["tolerances"] = {"zero_tol": 1e-9}
+        kind, config = cfgmod.experiment_from_config(payload)
         assert kind == "noise_stability"
         assert config.trials == 3 and config.base_seed == 7
         assert config.sweep_values == (0.0, 1e-3)
+        assert config.solve.zero_tol == 1e-9
         dumped = cfgmod.experiment_to_config(kind, config)
+        assert dumped["tolerances"]["zero_tol"] == 1e-9
+        assert set(dumped["solver"]) == {"step", "max_iter", "fp_tol"}
         kind2, config2 = cfgmod.experiment_from_config(dumped)
         assert kind2 == kind
         assert cfgmod.experiment_to_config(kind2, config2) == dumped
@@ -295,6 +300,17 @@ def solve_payload():
     }
 
 
+def generated_solve_payload():
+    return {
+        "regularizer": {"kind": "l1"},
+        "design": {"kind": "explicit",
+                   "matrix": (np.sqrt(6.0) * np.eye(6)).tolist()},
+        "signal": {"kind": "explicit", "beta0": [1.5, 0, 0, -2.0, 0, 0]},
+        "noise_sigma": 0.0,
+        "lambda": 0.3,
+    }
+
+
 class TestSolve:
     def test_identity_lasso(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_payload())
@@ -325,14 +341,7 @@ class TestSolve:
         assert "error_norm" not in sol
 
     def test_generated_instance(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "regularizer": {"kind": "l1"},
-            "design": {"kind": "explicit",
-                       "matrix": (np.sqrt(6.0) * np.eye(6)).tolist()},
-            "signal": {"kind": "explicit", "beta0": [1.5, 0, 0, -2.0, 0, 0]},
-            "noise_sigma": 0.0,
-            "lambda": 0.3,
-        })
+        cfg = write_config(tmp_path, generated_solve_payload())
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
         sol = json.loads((tmp_path / "o" / "solution.json").read_text())
         # noiseless identity design: each active entry shrinks by exactly mu
@@ -411,6 +420,19 @@ class TestExperiment:
         run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
         assert capsys.readouterr().out == ""
 
+    def test_one_zero_tol_for_solver_and_models(self, tmp_path):
+        # the solver tracks models with the same threshold the final
+        # descriptor is read with, so the trace check after identification holds
+        payload = experiment_payload(
+            kind="identification_profile", sweep={"noise_levels": [0.5]},
+            mu_rule={"kind": "fixed", "value": 0.03}, trials=10, base_seed=3,
+        )
+        payload["design"] = {"kind": "gaussian_rows", "identity_dim": 10, "n": 50}
+        payload["signal"] = {"kind": "sparse", "p": 10, "support_size": 3}
+        payload["tolerances"] = {"zero_tol": 0.05}
+        cfg = write_config(tmp_path, payload)
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+
     def test_bad_kind_exits_1(self, tmp_path, capsys):
         payload = experiment_payload(kind="annealing")
         cfg = write_config(tmp_path, payload)
@@ -434,20 +456,66 @@ def _solver_fails(*args, **kwargs):
     raise RuntimeError("inner solver did not converge")
 
 
-@pytest.mark.parametrize("command, payload, argv", [
-    pytest.param("experiment", experiment_payload(jobs=None), [], id="jobs-null"),
-    pytest.param("experiment", experiment_payload(trials=None), [], id="trials-null"),
-    pytest.param("experiment", experiment_payload(base_seed=None), [], id="base_seed-null"),
-    pytest.param("experiment", experiment_payload(noise_sigma="loud"), [], id="noise_sigma-text"),
-    pytest.param("experiment", experiment_payload(jobs=0), [], id="jobs-0"),
-    pytest.param("experiment", experiment_payload(jobs=-1), [], id="jobs-negative"),
-    pytest.param("experiment", experiment_payload(), ["--jobs", "0"], id="jobs-flag-0"),
-    pytest.param("solve", solve_payload(), [], id="solver-runtime-error"),
+def with_key(payload, path, value):
+    """payload with the key at the dotted path set to value."""
+    *outer, key = path.split(".")
+    inner = payload
+    for name in outer:
+        inner = inner.setdefault(name, {})
+    inner[key] = value
+    return payload
+
+
+def certify_payload():
+    return {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(), "beta0": [1.0, 0.0]}
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, payload, argv, names", [
+    pytest.param("experiment", experiment_payload(jobs=None), [], "jobs", id="jobs-null"),
+    pytest.param("experiment", experiment_payload(trials=None), [], "trials", id="trials-null"),
+    pytest.param("experiment", experiment_payload(base_seed=None), [], "base_seed",
+                 id="base_seed-null"),
+    pytest.param("experiment", experiment_payload(noise_sigma="loud"), [], "noise_sigma",
+                 id="noise_sigma-text"),
+    pytest.param("experiment", experiment_payload(jobs=0), [], "jobs", id="jobs-0"),
+    pytest.param("experiment", experiment_payload(jobs=-1), [], "jobs", id="jobs-negative"),
+    pytest.param("experiment", experiment_payload(), ["--jobs", "0"], "jobs", id="jobs-flag-0"),
+    pytest.param("solve", solve_payload(), [], "inner solver", id="solver-runtime-error"),
+    pytest.param("solve", with_key(solve_payload(), "solver.max_iter", None), [],
+                 "solver.max_iter", id="solve-max_iter-null"),
+    pytest.param("solve", with_key(solve_payload(), "tolerances.ri_tol", None), [],
+                 "tolerances.ri_tol", id="solve-ri_tol-null"),
+    pytest.param("certify", with_key(certify_payload(), "tolerances.ri_tol", None), [],
+                 "tolerances.ri_tol", id="certify-ri_tol-null"),
+    pytest.param("solve", with_key(solve_payload(), "lambda", None), [], "lambda",
+                 id="lambda-null"),
+    pytest.param("solve", with_key(generated_solve_payload(), "noise_sigma", None), [],
+                 "noise_sigma", id="solve-noise_sigma-null"),
+    pytest.param("solve", with_key(generated_solve_payload(), "seed", "three"), [], "seed",
+                 id="seed-text"),
+    pytest.param("solve", with_key(solve_payload(), "tolerances.zero_tol", -1), [],
+                 "tolerances.zero_tol", id="zero_tol-negative"),
+    pytest.param("solve", with_key(solve_payload(), "solver.fp_tol", NAN), [],
+                 "solver.fp_tol", id="fp_tol-nan"),
+    pytest.param("solve", with_key(solve_payload(), "tolerances.ri_tol", NAN), [],
+                 "tolerances.ri_tol", id="ri_tol-nan"),
+    pytest.param("solve", with_key(solve_payload(), "solver.zero_tol", 1e-8), [], "zero_tol",
+                 id="solver-zero_tol-removed"),
+    pytest.param("solve", with_key(solve_payload(), "solver.trace_models", True), [],
+                 "trace_models", id="solver-trace_models-removed"),
+    pytest.param("experiment", with_key(experiment_payload(), "tolerances.injectivity_tol", 1e-8),
+                 [], "injectivity_tol", id="experiment-injectivity_tol"),
 ])
-def test_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch, command, payload, argv):
+def test_error_exits_1_without_traceback(
+    tmp_path, capsys, monkeypatch, command, payload, argv, names
+):
     # only solve calls cli.forward_backward
     monkeypatch.setattr(cli, "forward_backward", _solver_fails)
     cfg = write_config(tmp_path, payload)
     assert run([command, "--config", cfg, "--out", tmp_path / "o", *argv]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert names in err.splitlines()[0]

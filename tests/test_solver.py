@@ -124,8 +124,13 @@ def test_mu_zero_rejected():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveOptions(fp_tol=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolveOptions(fp_tol=bad)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolveOptions(zero_tol=bad)
+    SolveOptions(zero_tol=0.0)
 
 
 def test_max_iter_exhaustion_is_flagged():
