@@ -11,12 +11,9 @@ all of this empirically.
 
 from .certificate import (
     Certificate,
-    StabilityReport,
     UniquenessReport,
     certify_uniqueness,
     check_model_stability,
-    dual_certificate_at_solution,
-    linearized_precertificate,
 )
 from .experiments import (
     ExperimentConfig,
@@ -41,7 +38,6 @@ from .linalg import (
     pseudoinverse,
     restricted_injectivity,
     spectral_norm,
-    subspace_distance,
 )
 from .problems import (
     DesignSpec,
@@ -97,7 +93,6 @@ __all__ = [
     "SignalSpec",
     "SolveOptions",
     "SolveResult",
-    "StabilityReport",
     "Subspace",
     "TrialRecord",
     "UniquenessReport",
@@ -108,13 +103,11 @@ __all__ = [
     "check_symmetric",
     "consistency_sweep",
     "correlation_noise",
-    "dual_certificate_at_solution",
     "find_certified_design",
     "forward_backward",
     "forward_backward_batch",
     "generate_instance",
     "identification_profile",
-    "linearized_precertificate",
     "load_matrix_csv",
     "make_design",
     "make_signal",
@@ -125,7 +118,6 @@ __all__ = [
     "same_model",
     "sharpness_experiment",
     "spectral_norm",
-    "subspace_distance",
     "write_plot_csv",
     "write_records_csv",
     "write_summary_json",

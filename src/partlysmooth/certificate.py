@@ -19,6 +19,7 @@ is the unique minimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,9 @@ class Certificate:
     """Pre-certificate vector plus everything needed to interpret it.
 
     eta and verdict are None when restricted injectivity fails (the
-    pre-certificate is not defined there; usable is False).
+    pre-certificate is not defined there; usable is False).  stable needs a
+    usable, strictly interior certificate; a usable boundary verdict is
+    inconclusive (the linearized test cannot decide either way there).
     """
 
     eta: Optional[np.ndarray]
@@ -52,18 +55,25 @@ class Certificate:
         return self.injectivity.holds
 
     @property
+    def stable(self) -> bool:
+        return self.usable and self.verdict.status == "interior"
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.usable and self.verdict.status == "boundary"
+
+    @property
     def subspace_dim(self) -> int:
         return self.geometry.subspace.dim
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    inconclusive: bool
-    certificate: Certificate
+def _check_tolerances(**tolerances):
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def linearized_precertificate(
+def check_model_stability(
     gamma,
     beta0,
     reg: Regularizer,
@@ -71,12 +81,13 @@ def linearized_precertificate(
     ri_tol: float = RI_TOL,
     injectivity_tol: float = INJECTIVITY_TOL,
 ) -> Certificate:
-    """Compute the pre-certificate of (gamma, beta0) under the regularizer.
+    """The linearized pre-certificate of (gamma, beta0) under the regularizer.
 
     The restricted operator is inverted in basis coordinates: with B an
     orthonormal basis of T, (P_T Gamma P_T)^+ e = B (B^T Gamma B)^+ B^T e,
     so eta = Gamma B (B^T Gamma B)^+ (B^T e).
     """
+    _check_tolerances(zero_tol=zero_tol, ri_tol=ri_tol, injectivity_tol=injectivity_tol)
     gamma = check_symmetric(gamma, name="gamma")
     geometry = reg.model(beta0, zero_tol)
     if gamma.shape[0] != geometry.subspace.ambient_dim:
@@ -92,52 +103,6 @@ def linearized_precertificate(
         eta = np.zeros(gamma.shape[0])
     verdict = reg.ri_membership(geometry, eta, ri_tol)
     return Certificate(eta=eta, verdict=verdict, injectivity=injectivity, geometry=geometry)
-
-
-def check_model_stability(
-    gamma,
-    beta0,
-    reg: Regularizer,
-    zero_tol: float = ZERO_TOL,
-    ri_tol: float = RI_TOL,
-    injectivity_tol: float = INJECTIVITY_TOL,
-) -> StabilityReport:
-    """Decide stability of the active model of beta0 under gamma.
-
-    stable requires restricted injectivity plus a strict-interior verdict.
-    A boundary verdict sets inconclusive (the linearized test cannot decide
-    either way there).
-    """
-    cert = linearized_precertificate(gamma, beta0, reg, zero_tol, ri_tol, injectivity_tol)
-    if not cert.usable:
-        return StabilityReport(stable=False, inconclusive=False, certificate=cert)
-    status = cert.verdict.status
-    return StabilityReport(
-        stable=status == "interior",
-        inconclusive=status == "boundary",
-        certificate=cert,
-    )
-
-
-def dual_certificate_at_solution(
-    theta,
-    beta,
-    reg: Regularizer,
-    zero_tol: float = ZERO_TOL,
-    ri_tol: float = RI_TOL,
-) -> CertificateVerdict:
-    """Classify eta = (u - Gamma beta)/mu at the model of beta itself."""
-    return _dual_certificate(theta, beta, reg, zero_tol, ri_tol)[0]
-
-
-def _dual_certificate(theta, beta, reg, zero_tol, ri_tol):
-    """(verdict, geometry at beta) of dual_certificate_at_solution."""
-    if theta.mu <= 0:
-        raise ValueError(f"dual certificate needs mu > 0, got {theta.mu}")
-    beta = np.asarray(beta, dtype=float)
-    eta = (theta.u - theta.gamma @ beta) / theta.mu
-    geometry = reg.model(beta, zero_tol)
-    return reg.ri_membership(geometry, eta, ri_tol), geometry
 
 
 @dataclass(frozen=True)
@@ -157,10 +122,17 @@ def certify_uniqueness(
 ) -> UniquenessReport:
     """Check whether beta is the unique minimizer for theta.
 
-    Sufficient condition: the dual certificate at beta is strictly interior
+    verdict classifies eta = (u - Gamma beta)/mu at the model of beta itself.
+    Sufficient condition for uniqueness: that verdict is strictly interior
     and Gamma is injective on the tangent space at beta.
     """
-    verdict, geometry = _dual_certificate(theta, beta, reg, zero_tol, ri_tol)
+    _check_tolerances(zero_tol=zero_tol, ri_tol=ri_tol, injectivity_tol=injectivity_tol)
+    if theta.mu <= 0:
+        raise ValueError(f"dual certificate needs mu > 0, got {theta.mu}")
+    beta = np.asarray(beta, dtype=float)
+    eta = (theta.u - theta.gamma @ beta) / theta.mu
+    geometry = reg.model(beta, zero_tol)
+    verdict = reg.ri_membership(geometry, eta, ri_tol)
     injectivity = restricted_injectivity(theta.gamma, geometry.subspace, injectivity_tol)
     return UniquenessReport(
         unique=verdict.status == "interior" and injectivity.holds,

@@ -53,11 +53,10 @@ def _write_json(payload, path):
 def cmd_certify(args) -> int:
     cfg, base_dir = cfgmod.load_config(args.config)
     reg, gamma, beta0, tol = cfgmod.certify_from_config(cfg, base_dir, args.seed)
-    report = check_model_stability(gamma, beta0, reg, **tol)
-    cert = report.certificate
+    cert = check_model_stability(gamma, beta0, reg, **tol)
     payload = {
-        "stable": report.stable,
-        "inconclusive": report.inconclusive,
+        "stable": cert.stable,
+        "inconclusive": cert.inconclusive,
         "usable": cert.usable,
         "subspace_dim": cert.subspace_dim,
         "smallest_singular": cert.injectivity.smallest_singular,
@@ -84,9 +83,9 @@ def cmd_certify(args) -> int:
         print(f"{cert.verdict.status}: margin {cert.verdict.margin:.6g}, "
               f"tangent residual {cert.verdict.tangent_residual:.3e}, "
               f"model dim {cert.subspace_dim}")
-    if report.stable:
+    if cert.stable:
         return EXIT_OK
-    if report.inconclusive:
+    if cert.inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OUTSIDE
 

@@ -8,8 +8,9 @@ are resolved relative to the config file's directory.  See the README for
 the full schema and worked examples.
 
 Every *_from_config function raises ConfigError with a readable message on
-malformed input, and each spec type has a matching *_to_config so that a
-parsed configuration can be serialized back to an equivalent file.
+malformed input, including a key that no reader of its object uses, and
+each spec type has a matching *_to_config so that a parsed configuration
+can be serialized back to an equivalent file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 
 import numpy as np
 
-from . import regularizers
 from .experiments import ExperimentConfig, MuRule
 from .linalg import INJECTIVITY_TOL
 from .problems import (
@@ -33,7 +33,7 @@ from .problems import (
     load_matrix_csv,
     make_signal,
 )
-from .regularizers import RI_TOL, ZERO_TOL, Regularizer
+from .regularizers import L1, RI_TOL, ZERO_TOL, AnalysisL1, GroupL1L2, Nuclear, Regularizer
 from .solver import SolveOptions
 
 # the one sweep key that each experiment kind's file carries
@@ -131,10 +131,33 @@ def _vector_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.
     return v
 
 
-def regularizer_from_config(cfg: dict) -> Regularizer:
-    # from_config indexes into the file's own values (groups, shapes)
+# kind: (class, the keys besides "kind"); Regularizer.to_config writes them
+_REGULARIZERS = {
+    "l1": (L1, ()),
+    "group_l1l2": (GroupL1L2, ("groups",)),
+    "nuclear": (Nuclear, ("matrix_shape",)),
+    "analysis_l1": (AnalysisL1, ("operator", "operator_csv", "operator_shape")),
+}
+
+
+def regularizer_from_config(cfg: dict, base_dir: str = ".") -> Regularizer:
+    kind = require_key(cfg, "kind", "regularizer")
+    if not isinstance(kind, str) or kind not in _REGULARIZERS:
+        raise ConfigError(f"unknown regularizer kind {kind!r}")
+    make, keys = _REGULARIZERS[kind]
+    context = f"{kind} regularizer"
+    _only_keys(cfg, ("kind", *keys), context)
+    if kind == "analysis_l1":
+        args = [matrix_from_config(cfg, "operator", base_dir, context)]
+        if "operator_shape" in cfg and list(args[0].shape) != cfg["operator_shape"]:
+            raise ConfigError(
+                f"{context}: operator shape {args[0].shape} != declared {cfg['operator_shape']}"
+            )
+    else:
+        args = [require_key(cfg, key, context) for key in keys]
+    # the constructors index into the file's own values (groups, shapes)
     try:
-        return regularizers.from_config(cfg)
+        return make(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"regularizer: {exc}") from exc
 
@@ -142,11 +165,18 @@ def regularizer_from_config(cfg: dict) -> Regularizer:
 def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
     kind = require_key(cfg, "kind", "design")
     if kind == "explicit":
+        _only_keys(cfg, ("kind", "matrix", "matrix_csv"), "explicit design")
         matrix = matrix_from_config(cfg, "matrix", base_dir, "design")
         return _spec(DesignSpec.explicit, "design", matrix)
     if kind == "gaussian_rows":
+        _only_keys(
+            cfg, ("kind", "n", "identity_dim", "covariance", "covariance_csv"),
+            "gaussian_rows design",
+        )
         n = number(require_key(cfg, "n", "gaussian_rows design"), "design.n", integer=True)
         if "identity_dim" in cfg:
+            if "covariance" in cfg or "covariance_csv" in cfg:
+                raise ConfigError("gaussian_rows design: give identity_dim or covariance, not both")
             cov = np.eye(number(cfg["identity_dim"], "design.identity_dim", integer=True))
         else:
             cov = matrix_from_config(cfg, "covariance", base_dir, "gaussian_rows design")
@@ -172,9 +202,11 @@ _SIGNAL_KEYS = {
 def signal_from_config(cfg: dict) -> SignalSpec:
     kind = require_key(cfg, "kind", "signal")
     if kind == "explicit":
+        _only_keys(cfg, ("kind", "beta0"), "explicit signal")
         return _spec(SignalSpec.explicit, "signal", require_key(cfg, "beta0", "signal"))
     if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
         raise ConfigError(f"unknown signal kind {kind!r}")
+    _only_keys(cfg, ("kind", "amplitude_range", *_SIGNAL_KEYS[kind]), f"{kind} signal")
     amp = np.atleast_1d(cfg.get("amplitude_range", DEFAULT_AMPLITUDE_RANGE))
     amp = tuple(number(a, "signal.amplitude_range") for a in amp)
     counts = {
@@ -216,6 +248,7 @@ def solve_options_to_config(opts: SolveOptions) -> dict:
 def mu_rule_from_config(cfg: dict) -> MuRule:
     kind = require_key(cfg, "kind", "mu rule")
     keys = ("value", "scale", "exponent")
+    _only_keys(cfg, ("kind", *keys), "mu_rule")
     values = [number(cfg.get(k), f"mu_rule.{k}", optional=True) for k in keys]
     return _spec(MuRule, "mu rule", kind, *values)
 
@@ -240,13 +273,26 @@ def tolerances_from_config(cfg: dict) -> dict:
     }
 
 
+# the top-level keys of each command's file
+_CERTIFY_KEYS = (
+    "regularizer", "tolerances", "gamma", "gamma_csv", "design", "beta0", "beta0_csv",
+    "signal", "seed",
+)
+_SOLVE_KEYS = (
+    "regularizer", "tolerances", "solver", "lambda", "x", "x_csv", "y", "y_csv", "beta0",
+    "beta0_csv", "design", "signal", "noise_sigma", "seed",
+)
+_EXPERIMENT_KEYS = ("regularizer", "design", "signal", "solver", "tolerances", "experiment")
+
+
 def _seed(cfg, seed):
     return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
 
 
 def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     """(regularizer, gamma, beta0, tolerances) of a certify file; seed overrides the file's."""
-    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"))
+    _only_keys(cfg, _CERTIFY_KEYS, "certify config")
+    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     if "gamma" in cfg or "gamma_csv" in cfg:
         gamma = matrix_from_config(cfg, "gamma", base_dir, "config")
@@ -273,7 +319,8 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     theta holds the canonical parameters at the file's lambda; beta0 is None
     for x/y data without one.  seed overrides the file's.
     """
-    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"))
+    _only_keys(cfg, _SOLVE_KEYS, "solve config")
+    reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     opts = solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"])
     lam = number(require_key(cfg, "lambda", "config"), "lambda")
@@ -307,7 +354,12 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
 
 def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
+    _only_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
     exp = require_key(cfg, "experiment", "config")
+    _only_keys(
+        exp, ("kind", "sweep", "mu_rule", "trials", "base_seed", "noise_sigma", "jobs"),
+        "experiment",
+    )
     kind = require_key(exp, "kind", "experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
@@ -327,7 +379,9 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     _only_keys(tol_cfg, ("zero_tol", "ri_tol"), "experiment tolerances")
     tol = tolerances_from_config(tol_cfg)
     args = dict(
-        regularizer=regularizer_from_config(require_key(cfg, "regularizer", "config")),
+        regularizer=regularizer_from_config(
+            require_key(cfg, "regularizer", "config"), base_dir
+        ),
         design=design_from_config(require_key(cfg, "design", "config"), base_dir),
         signal=signal_from_config(require_key(cfg, "signal", "config")),
         sweep_values=tuple(number(v, f"experiment.sweep.{key}") for v in sweep_values),

@@ -259,14 +259,14 @@ def _run_trials(shared, points, config):
         return list(pool.map(_run_worker_point, tasks))
 
 
-def _result(kind, values, batches, report, **extras):
+def _result(kind, values, batches, cert, **extras):
     """The ExperimentResult of a sweep: batches[i] holds the trials at values[i]."""
     by_value = [(float(v), [out[0] for out in batch]) for v, batch in zip(values, batches)]
     return ExperimentResult(
         kind=kind,
         records=[r for _, records in by_value for r in records],
         summary=_summarize(by_value),
-        certificate=report.certificate,
+        certificate=cert,
         **extras,
     )
 
@@ -297,12 +297,8 @@ def _summarize(records_by_value):
     return rows
 
 
-def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) -> _Shared:
-    cert = report.certificate
-    if cert.usable:
-        margin, boundary = cert.verdict.margin, cert.verdict.status == "boundary"
-    else:
-        margin, boundary = float("nan"), False
+def _make_shared(config: ExperimentConfig, cert, beta0, designs, quad=None) -> _Shared:
+    margin = cert.verdict.margin if cert.usable else float("nan")
     return _Shared(
         reg=config.regularizer,
         designs=tuple(designs),
@@ -310,7 +306,7 @@ def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) ->
         opts=config.solve,
         target=config.regularizer.descriptor(beta0, config.solve.zero_tol),
         margin=margin,
-        boundary=boundary,
+        boundary=cert.inconclusive,
         quad=quad,
     )
 
@@ -318,7 +314,7 @@ def _make_shared(config: ExperimentConfig, report, beta0, designs, quad=None) ->
 def _fixed_setup(config: ExperimentConfig):
     """Draw the shared design and signal once from base_seed; prepare Gamma.
 
-    Returns (shared, stability report, n).
+    Returns (shared, certificate, n).
     """
     rng = np.random.default_rng(config.base_seed)
     x = make_design(config.design, rng)
@@ -326,36 +322,35 @@ def _fixed_setup(config: ExperimentConfig):
     if x.shape[1] != beta0.shape[0]:
         raise ValueError("design and signal dimensions differ")
     quad = Quadratic(x.T @ x / x.shape[0])
-    report = check_model_stability(
+    cert = check_model_stability(
         quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    return _make_shared(config, report, beta0, [DesignSpec.explicit(x)], quad), report, x.shape[0]
+    return _make_shared(config, cert, beta0, [DesignSpec.explicit(x)], quad), cert, x.shape[0]
 
 
 def _noise_setup(config: ExperimentConfig):
     """A fixed design with one point per noise level, mu from the rule.
 
     A proportional rule without a scale gets the default c = 2 / margin.
-    Returns (shared, stability report, points).
+    Returns (shared, certificate, points).
     """
-    shared, report, n = _fixed_setup(config)
+    shared, cert, n = _fixed_setup(config)
     rule = config.mu_rule
     if rule.kind == "proportional" and rule.scale is None:
-        cert = report.certificate
         if not cert.usable or cert.verdict.margin <= 0:
             raise ValueError(
                 "default proportional mu rule needs a certified instance "
                 "(positive margin); set the scale explicitly"
             )
         rule = replace(rule, scale=2.0 / cert.verdict.margin)
-    return shared, report, [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
+    return shared, cert, [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
 
 
 def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate and error ratios across noise levels on a fixed design."""
-    shared, report, points = _noise_setup(config)
+    shared, cert, points = _noise_setup(config)
     batches = _run_trials(shared, points, config)
-    return _result("noise_stability", config.sweep_values, batches, report)
+    return _result("noise_stability", config.sweep_values, batches, cert)
 
 
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -376,14 +371,14 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     cov = config.design.covariance
     # population certificate: the stability condition is checked on the
     # covariance the rows are drawn from
-    report = check_model_stability(
+    cert = check_model_stability(
         cov, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
     # every trial draws its own design, so each prepares its own Gamma
-    shared = _make_shared(config, report, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])
+    shared = _make_shared(config, cert, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])
     points = [(i, sigma, config.mu_rule.resolve(sigma, n)) for i, n in enumerate(sizes)]
     batches = _run_trials(shared, points, config)
-    return _result("consistency", sizes, batches, report)
+    return _result("consistency", sizes, batches, cert)
 
 
 def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -391,9 +386,8 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     sigma = config.noise_sigma
     if sigma is None or sigma < 0:
         raise ValueError("sharpness_experiment needs noise_sigma >= 0")
-    shared, report, _ = _fixed_setup(config)
-    cert = report.certificate
-    if cert.usable and cert.verdict.status == "interior":
+    shared, cert, _ = _fixed_setup(config)
+    if cert.stable:
         warnings.warn(
             "sharpness experiment on an instance whose certificate is strictly "
             "interior; recovery is expected there", stacklevel=2,
@@ -409,14 +403,14 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     points = [(0, sigma, mu) for mu in config.sweep_values]
     batches = _run_trials(shared, points, config)
     return _result(
-        "sharpness", config.sweep_values, batches, report, noiseless_identified=noiseless
+        "sharpness", config.sweep_values, batches, cert, noiseless_identified=noiseless
     )
 
 
 def identification_profile(config: ExperimentConfig) -> ExperimentResult:
     """Noise sweep with model traces; reports identification statistics."""
     traced = replace(config, solve=replace(config.solve, trace_models=True))
-    shared, report, points = _noise_setup(traced)
+    shared, cert, points = _noise_setup(traced)
     batches = _run_trials(shared, points, traced)
 
     iters = []
@@ -446,14 +440,14 @@ def identification_profile(config: ExperimentConfig) -> ExperimentResult:
         post_match_fraction=matches / converged_total if converged_total else float("nan"),
     )
     return _result(
-        "identification_profile", config.sweep_values, batches, report, profile=profile
+        "identification_profile", config.sweep_values, batches, cert, profile=profile
     )
 
 
 def find_certified_design(reg, covariance, n, beta0, min_margin=0.0, base_seed=0, max_tries=100):
     """Search design seeds until the empirical covariance certifies beta0.
 
-    Returns (x, stability_report, seed).  Raises if no draw within
+    Returns (x, certificate, seed).  Raises if no draw within
     max_tries produces a stable certificate with margin >= min_margin.
     """
     spec = DesignSpec.gaussian(covariance, n)
@@ -461,9 +455,9 @@ def find_certified_design(reg, covariance, n, beta0, min_margin=0.0, base_seed=0
     for k in range(max_tries):
         seed = base_seed + k
         x = make_design(spec, np.random.default_rng(seed))
-        report = check_model_stability(x.T @ x / n, beta0, reg)
-        if report.stable and report.certificate.verdict.margin >= min_margin:
-            return x, report, seed
+        cert = check_model_stability(x.T @ x / n, beta0, reg)
+        if cert.stable and cert.verdict.margin >= min_margin:
+            return x, cert, seed
     raise RuntimeError(
         f"no certified design with margin >= {min_margin} in {max_tries} draws"
     )

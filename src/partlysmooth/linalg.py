@@ -96,14 +96,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, as a full p x p matrix."""
-        return self.basis @ self.basis.T
-
-    @classmethod
-    def trivial(cls, p: int) -> "Subspace":
-        return cls(np.zeros((p, 0)))
-
     @classmethod
     def full(cls, p: int) -> "Subspace":
         return cls(np.eye(p))
@@ -119,16 +111,6 @@ class Subspace:
         b = np.zeros((p, idx.size))
         b[idx, np.arange(idx.size)] = 1.0
         return cls(b)
-
-    @classmethod
-    def span(cls, columns, rank_tol=RANK_TOL) -> "Subspace":
-        """Orthonormalize the column span of an arbitrary p x k array."""
-        a = _as_matrix(columns, "columns")
-        if a.shape[1] == 0:
-            return cls.trivial(a.shape[0])
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        r = int(np.sum(s > rank_tol * (s[0] if s.size else 1.0)))
-        return cls(u[:, :r])
 
 
 def project(v, subspace: Subspace) -> np.ndarray:
@@ -176,14 +158,3 @@ def spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def subspace_distance(t1: Subspace, t2: Subspace) -> float:
-    """Operator-norm distance between the orthogonal projectors.
-
-    Equals the sine of the largest principal angle when the subspaces have
-    equal dimension, and 1.0 whenever the dimensions differ.
-    """
-    if t1.ambient_dim != t2.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    return spectral_norm(t1.projector() - t2.projector())

@@ -67,10 +67,6 @@ class DesignSpec:
         else:
             raise ValueError(f"unknown design kind {self.kind!r}")
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[1] if self.kind == "explicit" else self.covariance.shape[0]
-
     @classmethod
     def explicit(cls, matrix) -> "DesignSpec":
         return cls(kind="explicit", matrix=matrix)

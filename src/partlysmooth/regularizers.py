@@ -485,30 +485,3 @@ class AnalysisL1(Regularizer):
             "operator_shape": list(self.operator.shape),
             "operator": self.operator.tolist(),
         }
-
-
-def from_config(cfg: dict) -> Regularizer:
-    """Build a regularizer from its config dictionary (see to_config)."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError("regularizer config must be a dict with a 'kind' key")
-    kind = cfg["kind"]
-    if kind == "l1":
-        return L1()
-    if kind == "group_l1l2":
-        if "groups" not in cfg:
-            raise ValueError("group_l1l2 config needs 'groups'")
-        return GroupL1L2(cfg["groups"])
-    if kind == "nuclear":
-        if "matrix_shape" not in cfg:
-            raise ValueError("nuclear config needs 'matrix_shape'")
-        return Nuclear(cfg["matrix_shape"])
-    if kind == "analysis_l1":
-        if "operator" not in cfg:
-            raise ValueError("analysis_l1 config needs 'operator'")
-        op = np.asarray(cfg["operator"], dtype=float)
-        if "operator_shape" in cfg:
-            expect = tuple(cfg["operator_shape"])
-            if op.shape != expect:
-                raise ValueError(f"operator shape {op.shape} != declared {expect}")
-        return AnalysisL1(op)
-    raise ValueError(f"unknown regularizer kind {kind!r}")

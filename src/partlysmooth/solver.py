@@ -103,10 +103,6 @@ class CanonicalParameters:
     def _const(self) -> float:
         return 0.5 * (self.quad.pinv @ self.u) @ self.u
 
-    def energy(self, j_value: float, beta: np.ndarray, gamma_beta: np.ndarray) -> float:
-        """E(beta) from J(beta) and Gamma beta, both already computed; mu > 0."""
-        return j_value + (0.5 * beta @ gamma_beta - beta @ self.u + self._const) / self.mu
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -254,7 +250,7 @@ def forward_backward_batch(
     rows = np.arange(count)  # the problem of each row still in the batch
 
     def energy(j_value, b, gam_b):
-        # CanonicalParameters.energy row by row: 0.5 * b @ gb is (0.5 * b) @ gb
+        # E row by row, from J and Gamma b: 0.5 * b @ gb is (0.5 * b) @ gb
         return j_value + (_row_dots(0.5 * b, gam_b) - _row_dots(b, u) + const) / mu
 
     gam_beta = np.matmul(gam, beta[..., None])[..., 0]

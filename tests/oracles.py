@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, and a one-problem forward-backward loop.  Slow but simple, so
+prox checks, a one-problem forward-backward loop, and the subspace helpers
+(span, projector, distance) that only the tests need.  Slow but simple, so
 the expected values in the tests do not inherit the package's own bugs.
 """
 
@@ -11,6 +12,39 @@ import math
 
 import numpy as np
 import scipy.optimize
+
+from partlysmooth import Subspace
+
+
+def trivial(p):
+    """The zero subspace of R^p."""
+    return Subspace(np.zeros((p, 0)))
+
+
+def span(columns, rank_tol=1e-10):
+    """Orthonormalize the column span of an arbitrary p x k array."""
+    a = np.asarray(columns, dtype=float)
+    if a.shape[1] == 0:
+        return trivial(a.shape[0])
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    r = int(np.sum(s > rank_tol * (s[0] if s.size else 1.0)))
+    return Subspace(u[:, :r])
+
+
+def projector(subspace):
+    """Orthogonal projector onto the subspace, as a full p x p matrix."""
+    return subspace.basis @ subspace.basis.T
+
+
+def subspace_distance(t1, t2):
+    """Operator-norm distance between the orthogonal projectors.
+
+    Equals the sine of the largest principal angle when the subspaces have
+    equal dimension, and 1.0 whenever the dimensions differ.
+    """
+    if t1.ambient_dim != t2.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    return float(np.linalg.norm(projector(t1) - projector(t2), 2))
 
 
 def tv_operator(p):
@@ -108,6 +142,14 @@ def prox_reference(value_fn, beta, gamma):
     return res.x
 
 
+def energy(theta, j_value, beta, gamma_beta):
+    """E(beta) from J(beta) and Gamma beta, both already computed; mu > 0.
+
+    The expression the batched solver evaluates row by row, term for term.
+    """
+    return j_value + (0.5 * beta @ gamma_beta - beta @ theta.u + theta._const) / theta.mu
+
+
 def forward_backward_scalar(theta, reg, opts, beta_init=None):
     """Forward-backward on one problem, one vector iterate at a time.
 
@@ -118,10 +160,10 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
     lip = theta.quad.lip
     tau = 0.9 * 2.0 / lip if opts.step is None else float(opts.step)
     beta = np.zeros(theta.dim) if beta_init is None else np.array(beta_init, dtype=float)
-    mu, u, gam, energy = theta.mu, theta.u, theta.gamma, theta.energy
+    mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu
     gam_beta = gam @ beta
-    trace = [energy(reg.value(beta), beta, gam_beta)]
+    trace = [energy(theta, reg.value(beta), beta, gam_beta)]
     desc = reg.descriptor(beta, opts.zero_tol)
     models = [desc] if opts.trace_models else None
     run_start = 0
@@ -138,7 +180,7 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
             run_start = k
             desc = desc_next
         gam_beta = gam @ beta_next
-        trace.append(energy(j_next, beta_next, gam_beta))
+        trace.append(energy(theta, j_next, beta_next, gam_beta))
         if opts.trace_models:
             models.append(desc_next)
         beta = beta_next

@@ -31,20 +31,19 @@ from partlysmooth import (
     MuRule,
     Nuclear,
     SignalSpec,
+    check_model_stability,
     find_certified_design,
     forward_backward,
     forward_backward_batch,
     identification_profile,
-    linearized_precertificate,
     make_signal,
     noise_stability_sweep,
     consistency_sweep,
     sharpness_experiment,
-    subspace_distance,
 )
 from partlysmooth.solver import CanonicalParameters
 
-from oracles import lasso_minimizers, tv_operator
+from oracles import lasso_minimizers, subspace_distance, tv_operator
 
 RESULTS = []
 
@@ -128,18 +127,18 @@ def test_criterion_02_certificate_hand_examples():
     with _criterion(2, "pre-certificate matches hand-computed examples to 1e-10"):
         reg = L1()
 
-        cert = linearized_precertificate(np.eye(3), np.array([1.0, -2.0, 0.0]), reg)
+        cert = check_model_stability(np.eye(3), np.array([1.0, -2.0, 0.0]), reg)
         assert np.max(np.abs(cert.eta - [1.0, -1.0, 0.0])) <= 1e-10
         assert abs(cert.verdict.margin - 1.0) <= 1e-10
         assert cert.verdict.status == "interior"
 
         gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = linearized_precertificate(gamma, np.array([2.0, 0.0]), reg)
+        cert = check_model_stability(gamma, np.array([2.0, 0.0]), reg)
         assert np.max(np.abs(cert.eta - [1.0, 0.5])) <= 1e-10
         assert abs(cert.verdict.margin - 0.5) <= 1e-10
 
         gamma = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]])
-        cert = linearized_precertificate(gamma, np.array([1.0, 1.0, 0.0]), reg)
+        cert = check_model_stability(gamma, np.array([1.0, 1.0, 0.0]), reg)
         assert np.max(np.abs(cert.eta - [1.0, 1.0, 1.2])) <= 1e-10
         assert abs(cert.verdict.margin - (-0.2)) <= 1e-10
         assert cert.verdict.status == "outside"
@@ -172,11 +171,11 @@ def test_criterion_04_noise_stability(monkeypatch):
         start = time.monotonic()
         reg = L1()
         beta0 = make_signal(SignalSpec.sparse(20, 3), reg, np.random.default_rng(7))
-        x, report, _ = find_certified_design(
+        x, cert, _ = find_certified_design(
             reg, np.eye(20), 200, beta0, min_margin=0.1, base_seed=0
         )
-        assert report.stable
-        assert report.certificate.verdict.margin > 0.1
+        assert cert.stable
+        assert cert.verdict.margin > 0.1
         config = ExperimentConfig(
             regularizer=reg,
             design=DesignSpec.explicit(x),
@@ -275,10 +274,10 @@ def test_criterion_09_nuclear_end_to_end(monkeypatch):
         start = time.monotonic()
         reg = Nuclear((8, 8))
         beta0 = make_signal(SignalSpec.low_rank(2), reg, np.random.default_rng(13))
-        x, report, _ = find_certified_design(
+        x, cert, _ = find_certified_design(
             reg, np.eye(64), 220, beta0, min_margin=0.3, base_seed=0
         )
-        assert report.stable
+        assert cert.stable
         config = ExperimentConfig(
             regularizer=reg,
             design=DesignSpec.explicit(x),

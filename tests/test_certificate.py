@@ -11,8 +11,6 @@ from partlysmooth import (
     Nuclear,
     certify_uniqueness,
     check_model_stability,
-    dual_certificate_at_solution,
-    linearized_precertificate,
     project,
 )
 
@@ -23,53 +21,51 @@ G3_BOUNDARY = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
 
 
 def test_identity_design():
-    cert = linearized_precertificate(np.eye(3), [1.0, -2.0, 0.0], L1())
+    cert = check_model_stability(np.eye(3), [1.0, -2.0, 0.0], L1())
     assert cert.usable
     np.testing.assert_allclose(cert.eta, [1.0, -1.0, 0.0], atol=1e-10)
     assert cert.verdict.status == "interior"
     assert cert.verdict.margin == pytest.approx(1.0, abs=1e-10)
     assert cert.verdict.tangent_residual == pytest.approx(0.0, abs=1e-10)
     assert cert.subspace_dim == 2
+    assert cert.stable and not cert.inconclusive
 
 
 def test_correlated_design_interior():
     gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
-    cert = linearized_precertificate(gamma, [2.0, 0.0], L1())
+    cert = check_model_stability(gamma, [2.0, 0.0], L1())
     np.testing.assert_allclose(cert.eta, [1.0, 0.5], atol=1e-10)
     assert cert.verdict.margin == pytest.approx(0.5, abs=1e-10)
     assert cert.verdict.status == "interior"
 
 
 def test_correlated_design_outside():
-    cert = linearized_precertificate(G3, [1.0, 1.0, 0.0], L1())
+    cert = check_model_stability(G3, [1.0, 1.0, 0.0], L1())
     np.testing.assert_allclose(cert.eta, [1.0, 1.0, 1.2], atol=1e-10)
     assert cert.verdict.status == "outside"
     assert cert.verdict.margin == pytest.approx(-0.2, abs=1e-10)
-    report = check_model_stability(G3, [1.0, 1.0, 0.0], L1())
-    assert not report.stable and not report.inconclusive
+    assert not cert.stable and not cert.inconclusive
 
 
 def test_boundary_is_inconclusive():
-    cert = linearized_precertificate(G3_BOUNDARY, [1.0, 1.0, 0.0], L1())
+    cert = check_model_stability(G3_BOUNDARY, [1.0, 1.0, 0.0], L1())
     np.testing.assert_allclose(cert.eta, [1.0, 1.0, 1.0], atol=1e-10)
     assert cert.verdict.status == "boundary"
     assert cert.verdict.margin == pytest.approx(0.0, abs=1e-10)
-    report = check_model_stability(G3_BOUNDARY, [1.0, 1.0, 0.0], L1())
-    assert not report.stable and report.inconclusive
+    assert not cert.stable and cert.inconclusive
 
 
 def test_injectivity_failure_is_flagged():
     # duplicated predictor: Gamma has rank one but the support needs rank two
-    cert = linearized_precertificate(np.ones((2, 2)), [1.0, -1.0], L1())
+    cert = check_model_stability(np.ones((2, 2)), [1.0, -1.0], L1())
     assert not cert.usable
     assert cert.eta is None and cert.verdict is None
     assert cert.injectivity.smallest_singular < 1e-8
-    report = check_model_stability(np.ones((2, 2)), [1.0, -1.0], L1())
-    assert not report.stable and not report.inconclusive
+    assert not cert.stable and not cert.inconclusive
 
 
 def test_zero_signal_is_trivially_stable():
-    cert = linearized_precertificate(np.eye(4), np.zeros(4), L1())
+    cert = check_model_stability(np.eye(4), np.zeros(4), L1())
     assert cert.usable and cert.subspace_dim == 0
     np.testing.assert_allclose(cert.eta, np.zeros(4))
     assert cert.verdict.status == "interior"
@@ -77,7 +73,23 @@ def test_zero_signal_is_trivially_stable():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        linearized_precertificate(np.eye(3), [1.0, 0.0], L1())
+        check_model_stability(np.eye(3), [1.0, 0.0], L1())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", ["zero_tol", "ri_tol", "injectivity_tol"])
+@pytest.mark.parametrize("check", [
+    lambda **tol: check_model_stability(np.eye(2), [1.5, 0.0], L1(), **tol),
+    lambda **tol: certify_uniqueness(
+        CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2)), [0.9, 0.0], L1(), **tol
+    ),
+], ids=["stability", "uniqueness"])
+def test_tolerances_are_validated(check, name, value):
+    # a NaN ri_tol would read every margin as boundary, a NaN injectivity_tol
+    # every subspace as non-injective, and a negative zero_tol every entry as
+    # active
+    with pytest.raises(ValueError, match=name):
+        check(**{name: value})
 
 
 def certified_cases(rng):
@@ -114,7 +126,7 @@ def test_tangent_equation_holds():
     rng = np.random.default_rng(20)
     for _ in range(10):
         for reg, gamma, beta in certified_cases(rng):
-            cert = linearized_precertificate(gamma, beta, reg)
+            cert = check_model_stability(gamma, beta, reg)
             assert cert.usable
             geo = cert.geometry
             np.testing.assert_allclose(
@@ -125,7 +137,7 @@ def test_tangent_equation_holds():
 def test_eta_in_image_of_gamma():
     rng = np.random.default_rng(21)
     for reg, gamma, beta in certified_cases(rng):
-        cert = linearized_precertificate(gamma, beta, reg)
+        cert = check_model_stability(gamma, beta, reg)
         coef, *_ = np.linalg.lstsq(gamma, cert.eta, rcond=None)
         np.testing.assert_allclose(gamma @ coef, cert.eta, atol=1e-8)
 
@@ -135,15 +147,15 @@ def test_scale_invariance():
     # Gamma by c > 0 cancels between the two factors
     rng = np.random.default_rng(22)
     for reg, gamma, beta in certified_cases(rng):
-        a = linearized_precertificate(gamma, beta, reg)
-        b = linearized_precertificate(3.7 * gamma, beta, reg)
+        a = check_model_stability(gamma, beta, reg)
+        b = check_model_stability(3.7 * gamma, beta, reg)
         np.testing.assert_allclose(a.eta, b.eta, atol=1e-9)
 
 
 def test_singular_but_injective_gamma():
     # rank-deficient design whose kernel avoids the tangent space
     gamma = np.diag([1.0, 1.0, 0.0])
-    cert = linearized_precertificate(gamma, [2.0, 0.0, 0.0], L1())
+    cert = check_model_stability(gamma, [2.0, 0.0, 0.0], L1())
     assert cert.usable
     np.testing.assert_allclose(cert.eta, [1.0, 0.0, 0.0], atol=1e-12)
     assert cert.verdict.status == "interior"
@@ -157,7 +169,7 @@ def test_dual_certificate_at_minimizer():
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
     # closed-form lasso solution for identity gamma
     beta = np.array([0.9, 0.0])
-    v = dual_certificate_at_solution(theta, beta, L1())
+    v = certify_uniqueness(theta, beta, L1()).verdict
     assert v.status == "interior"
     assert v.margin == pytest.approx(1.0, abs=1e-12)
     assert v.tangent_residual == pytest.approx(0.0, abs=1e-12)
@@ -165,7 +177,7 @@ def test_dual_certificate_at_minimizer():
 
 def test_dual_certificate_rejects_non_minimizer():
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    v = dual_certificate_at_solution(theta, np.array([1.0, 0.0]), L1())
+    v = certify_uniqueness(theta, np.array([1.0, 0.0]), L1()).verdict
     assert v.status == "outside"
     assert v.tangent_residual == pytest.approx(1.0, abs=1e-12)
 
@@ -173,7 +185,7 @@ def test_dual_certificate_rejects_non_minimizer():
 def test_dual_certificate_needs_positive_mu():
     theta = CanonicalParameters(0.0, np.array([1.0]), np.eye(1))
     with pytest.raises(ValueError):
-        dual_certificate_at_solution(theta, np.array([0.5]), L1())
+        certify_uniqueness(theta, np.array([0.5]), L1())
 
 
 class _CountingL1(L1):

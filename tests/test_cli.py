@@ -17,6 +17,8 @@ from partlysmooth.cli import (
 )
 from partlysmooth.config import ConfigError
 
+import oracles
+
 G3 = [[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]]
 G3_BOUNDARY = [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]]
 
@@ -273,6 +275,20 @@ class TestCertify:
         payload = json.loads((tmp_path / "o" / "certificate.json").read_text())
         assert payload["margin"] == pytest.approx(1.0)
 
+    def test_analysis_operator_from_csv(self, tmp_path):
+        np.savetxt(tmp_path / "d.csv", oracles.tv_operator(6), delimiter=",")
+        cfg = write_config(tmp_path, {
+            "regularizer": {"kind": "analysis_l1", "operator_csv": "d.csv"},
+            "gamma": np.eye(6).tolist(),
+            "beta0": [1.0, 1.0, 1.0, 3.0, 3.0, 3.0],
+        })
+        code = run(["certify", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        # the one jump sits between coordinates 2 and 3: the other four
+        # differences are the cosupport
+        assert payload["descriptor"] == {"kind": "analysis_l1", "data": [0, 1, 3, 4]}
+
     def test_beta0_from_signal(self, tmp_path):
         cfg = write_config(tmp_path, {
             "regularizer": {"kind": "l1"},
@@ -508,6 +524,34 @@ NAN = float("nan")
                  "trace_models", id="solver-trace_models-removed"),
     pytest.param("experiment", with_key(experiment_payload(), "tolerances.injectivity_tol", 1e-8),
                  [], "injectivity_tol", id="experiment-injectivity_tol"),
+    pytest.param("certify", with_key(certify_payload(), "lamda", 3), [], "lamda",
+                 id="certify-unknown-key"),
+    pytest.param("certify", with_key(certify_payload(), "solver", {"max_iter": None, "bogus": 1}),
+                 [], "solver", id="certify-solver-section"),
+    pytest.param("solve", with_key(solve_payload(), "lamda", 3), [], "lamda",
+                 id="solve-unknown-key"),
+    pytest.param("solve", with_key(solve_payload(), "experiment", {"kind": "consistency"}), [],
+                 "experiment", id="solve-experiment-section"),
+    pytest.param("experiment", with_key(experiment_payload(), "lambda", 0.2), [], "lambda",
+                 id="experiment-unknown-key"),
+    pytest.param("experiment", experiment_payload(seed=5), [], "seed",
+                 id="experiment-seed"),
+    pytest.param("experiment", experiment_payload(job=4), [], "job", id="experiment-job"),
+    pytest.param("experiment", with_key(experiment_payload(), "experiment.mu_rule.exp", 0.3),
+                 [], "exp", id="mu_rule-unknown-key"),
+    pytest.param("experiment", with_key(experiment_payload(), "design.n", 6), [], "n",
+                 id="explicit-design-unknown-key"),
+    pytest.param("experiment", with_key(experiment_payload(), "signal.p", 6), [], "p",
+                 id="explicit-signal-unknown-key"),
+    pytest.param("certify", with_key(certify_payload(), "regularizer.groups", [[0], [1]]), [],
+                 "groups", id="regularizer-unknown-key"),
+    pytest.param("certify", {"regularizer": {"kind": "l1"}, "beta0": [1.0, 0.0],
+                             "design": {"kind": "gaussian_rows", "n": 5, "identity_dim": 2,
+                                        "covariance": np.eye(2).tolist()}},
+                 [], "identity_dim", id="identity_dim-and-covariance"),
+    pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
+                             "signal": {"kind": "sparse", "p": 2, "support_size": 1, "rank": 1}},
+                 [], "rank", id="random-signal-unknown-key"),
 ])
 def test_error_exits_1_without_traceback(
     tmp_path, capsys, monkeypatch, command, payload, argv, names

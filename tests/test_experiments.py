@@ -392,9 +392,9 @@ def test_import_leaves_the_process_pool_unloaded():
 
 def test_find_certified_design():
     beta0 = np.array([1.5, -1.2, 0.0, 0.0, 0.0, 0.0])
-    x, report, seed = find_certified_design(L1(), np.eye(6), 60, beta0, min_margin=0.2)
-    assert report.stable
-    assert report.certificate.verdict.margin >= 0.2
+    x, cert, seed = find_certified_design(L1(), np.eye(6), 60, beta0, min_margin=0.2)
+    assert cert.stable
+    assert cert.verdict.margin >= 0.2
     assert x.shape == (60, 6)
     # impossible screening budget raises
     with pytest.raises(RuntimeError):

@@ -149,7 +149,7 @@ class TestDesigns:
         with pytest.raises(ValueError):
             DesignSpec.gaussian(np.eye(2), 0)
         spec = DesignSpec.gaussian(np.eye(2), 10)
-        assert spec.p == 2
+        assert spec.covariance.shape == (2, 2)
 
     def test_gaussian_covariance_shaping(self):
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])

@@ -1,0 +1,48 @@
+"""The README's examples run and say what they print."""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from partlysmooth.cli import EXIT_OK, EXIT_OUTSIDE, main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def test_quick_tour(capsys):
+    # the first python block follows "## Library quick tour"
+    [tour] = [b for b in blocks("python") if "check_model_stability" in b]
+    namespace = {}
+    exec(tour, namespace)
+    capsys.readouterr()
+    # each `print(expr)  # value: ...` line states the value of expr
+    stated = re.findall(r"^print\((.+?)\)\s+#\s*([^:\n]+)", tour, flags=re.M)
+    assert len(stated) == 3
+    for expr, comment in stated:
+        want = ast.literal_eval(comment.strip())
+        got = eval(expr, namespace)
+        assert got == (pytest.approx(want) if isinstance(want, float) else want), expr
+
+
+def test_json_examples(tmp_path):
+    # certify, solve, experiment, in the order the README gives them
+    examples = [json.loads(b) for b in blocks("json")]
+    commands = ["experiment" if "experiment" in cfg else "solve" if "lambda" in cfg
+                else "certify" for cfg in examples]
+    assert commands == ["certify", "solve", "experiment"]
+    codes = []
+    for i, (command, cfg) in enumerate(zip(commands, examples)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        extra = ["--trials", "5"] if command == "experiment" else []
+        codes.append(main([command, "--config", str(path), "--out", str(tmp_path / f"o{i}"),
+                           "--quiet", *extra]))
+    # the certify example is the outside-certified design of the quick tour
+    assert codes == [EXIT_OUTSIDE, EXIT_OK, EXIT_OK]

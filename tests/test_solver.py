@@ -11,7 +11,7 @@ from partlysmooth import (
     Nuclear,
     Quadratic,
     SolveOptions,
-    dual_certificate_at_solution,
+    certify_uniqueness,
     forward_backward,
     forward_backward_batch,
     same_model,
@@ -35,7 +35,7 @@ def test_parameter_validation():
 
 def energy(theta, reg, beta):
     beta = np.asarray(beta, dtype=float)
-    return theta.energy(reg.value(beta), beta, theta.gamma @ beta)
+    return oracles.energy(theta, reg.value(beta), beta, theta.gamma @ beta)
 
 
 def test_image_residual():
@@ -189,7 +189,7 @@ def test_solution_satisfies_dual_certificate():
             theta = random_problem(reg, p, rng)
             res = forward_backward(theta, reg)
             assert res.converged
-            v = dual_certificate_at_solution(theta, res.beta, reg, ri_tol=1e-5)
+            v = certify_uniqueness(theta, res.beta, reg, ri_tol=1e-5).verdict
             assert v.status in ("interior", "boundary"), (reg.kind, v)
             assert v.tangent_residual <= 1e-5
 
