@@ -44,6 +44,8 @@ _SWEEP_BY_KIND = {
     "identification_profile": "noise_levels",
 }
 EXPERIMENT_KINDS = tuple(_SWEEP_BY_KIND)
+# sharpness sweeps mu itself, so its file has no mu_rule
+_READS_MU_RULE = tuple(k for k in EXPERIMENT_KINDS if k != "sharpness")
 
 
 class ConfigError(ValueError):
@@ -285,6 +287,21 @@ _SOLVE_KEYS = (
 _EXPERIMENT_KEYS = ("regularizer", "design", "signal", "solver", "tolerances", "experiment")
 
 
+def _gives(cfg, keys, others) -> bool:
+    """Whether cfg takes its data from keys rather than from the alternative, others.
+
+    A file giving keys from both sources raises ConfigError naming one of each.
+    """
+    given = [k for k in keys if k in cfg]
+    also = [k for k in others if k in cfg]
+    if given and also:
+        raise ConfigError(
+            f"config gives both {given[0]!r} and {also[0]!r}: they are alternative "
+            "sources, give one"
+        )
+    return bool(given)
+
+
 def _seed(cfg, seed):
     return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
 
@@ -294,7 +311,7 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     _only_keys(cfg, _CERTIFY_KEYS, "certify config")
     reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
-    if "gamma" in cfg or "gamma_csv" in cfg:
+    if _gives(cfg, ("gamma", "gamma_csv"), ("design",)):
         gamma = matrix_from_config(cfg, "gamma", base_dir, "config")
     elif "design" in cfg:
         spec = design_from_config(cfg["design"], base_dir)
@@ -303,7 +320,7 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
         gamma = spec.covariance if x is None else x.T @ x / x.shape[0]
     else:
         raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
-    if "beta0" in cfg or "beta0_csv" in cfg:
+    if _gives(cfg, ("beta0", "beta0_csv"), ("signal",)):
         beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
     elif "signal" in cfg:
         spec = signal_from_config(cfg["signal"])
@@ -324,7 +341,9 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     opts = solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"])
     lam = number(require_key(cfg, "lambda", "config"), "lambda")
-    if "x" in cfg or "x_csv" in cfg:
+    # a generated instance brings its own beta0
+    _gives(cfg, ("beta0", "beta0_csv"), ("signal",))
+    if _gives(cfg, ("x", "x_csv", "y", "y_csv"), ("design", "signal", "noise_sigma")):
         x = matrix_from_config(cfg, "x", base_dir, "config")
         y = _vector_from_config(cfg, "y", base_dir, "config")
         if y.shape[0] != x.shape[0]:
@@ -356,13 +375,14 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
     _only_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
     exp = require_key(cfg, "experiment", "config")
-    _only_keys(
-        exp, ("kind", "sweep", "mu_rule", "trials", "base_seed", "noise_sigma", "jobs"),
-        "experiment",
-    )
     kind = require_key(exp, "kind", "experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
+    reads_mu_rule = kind in _READS_MU_RULE
+    keys = ["kind", "sweep", "trials", "base_seed", "noise_sigma", "jobs"]
+    if reads_mu_rule:
+        keys.append("mu_rule")
+    _only_keys(exp, keys, f"{kind} experiment")
 
     sweep = require_key(exp, "sweep", "experiment")
     if not isinstance(sweep, dict) or len(sweep) != 1:
@@ -385,8 +405,11 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         design=design_from_config(require_key(cfg, "design", "config"), base_dir),
         signal=signal_from_config(require_key(cfg, "signal", "config")),
         sweep_values=tuple(number(v, f"experiment.sweep.{key}") for v in sweep_values),
-        mu_rule=mu_rule_from_config(require_key(exp, "mu_rule", "experiment")),
         trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
+        mu_rule=(
+            mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))
+            if reads_mu_rule else None
+        ),
         base_seed=number(exp.get("base_seed", 0), "experiment.base_seed", integer=True),
         noise_sigma=number(exp.get("noise_sigma"), "experiment.noise_sigma", optional=True),
         solve=solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"]),
@@ -404,10 +427,11 @@ def experiment_to_config(kind: str, config: ExperimentConfig) -> dict:
     exp = {
         "kind": kind,
         "sweep": {_SWEEP_BY_KIND[kind]: sweep_values},
-        "mu_rule": mu_rule_to_config(config.mu_rule),
         "trials": config.trials,
         "base_seed": config.base_seed,
     }
+    if config.mu_rule is not None and kind in _READS_MU_RULE:
+        exp["mu_rule"] = mu_rule_to_config(config.mu_rule)
     if config.noise_sigma is not None:
         exp["noise_sigma"] = config.noise_sigma
     if config.jobs is not None:

@@ -88,16 +88,18 @@ class ExperimentConfig:
     """Everything a harness needs, minus the experiment kind itself.
 
     The harness fixes what sweep_values are: noise levels, sample sizes or
-    mu values.  solve.zero_tol reads every model: in the solver, the
-    target, each trial's final descriptor and the certificate.
+    mu values.  mu_rule is required by every harness but sharpness, whose
+    mu values are the sweep itself.  solve.zero_tol reads every model: in
+    the solver, the target, each trial's final descriptor and the
+    certificate.
     """
 
     regularizer: Regularizer
     design: DesignSpec
     signal: SignalSpec
     sweep_values: tuple
-    mu_rule: MuRule
     trials: int
+    mu_rule: Optional[MuRule] = None
     base_seed: int = 0
     noise_sigma: Optional[float] = None
     solve: SolveOptions = SolveOptions()
@@ -193,34 +195,44 @@ def _draw(shared, point, sigma, mu, seed):
     return theta, (seed, inst.n, inst.beta0, float(np.linalg.norm(correlation_noise(inst))))
 
 
-def _run_point(shared, point, sigma, mu, seeds):
-    """The trials of one sweep point (design index, sigma, mu), one per seed.
+def _run_batch(shared, tasks):
+    """The trials of several sweep points, solved as one forward_backward_batch.
 
-    They are solved as one forward_backward_batch.  Returns one (record,
-    model trace, final descriptor) per seed.  Module-level so worker
-    processes can import it.
+    A task is (design index, sigma, mu, seeds), one trial per seed.  Returns
+    one list of (record, model trace, final descriptor) per task, in order.
+    Every row of a batch gets the bits it gets alone, so how the tasks are
+    grouped changes no result.  Module-level so worker processes can import
+    it.
     """
-    reg = shared.reg
-    thetas, facts = zip(*(_draw(shared, point, sigma, mu, seed) for seed in seeds))
-    results = forward_backward_batch(thetas, reg, shared.opts)
-    outs = []
-    for (seed, n, beta0, eps_norm), res in zip(facts, results):
-        desc = reg.descriptor(res.beta, shared.opts.zero_tol)
-        record = TrialRecord(
-            seed=seed,
-            n=n,
-            sigma=sigma,
-            mu=mu,
-            identified=bool(res.converged and same_model(desc, shared.target)),
-            boundary_flag=shared.boundary,
-            error_norm=float(np.linalg.norm(res.beta - beta0)),
-            eps_norm=eps_norm,
-            identification_iter=res.identification_iter,
-            converged=res.converged,
-            certificate_margin=shared.margin,
-        )
-        outs.append((record, res.model_trace, desc))
-    return outs
+    thetas, facts = zip(*(
+        _draw(shared, point, sigma, mu, seed)
+        for point, sigma, mu, seeds in tasks for seed in seeds
+    ))
+    solved = zip(facts, forward_backward_batch(thetas, shared.reg, shared.opts))
+    return [
+        [_outcome(shared, sigma, mu, *next(solved)) for _ in seeds]
+        for _, sigma, mu, seeds in tasks
+    ]
+
+
+def _outcome(shared, sigma, mu, facts, res):
+    """(record, model trace, final descriptor) of one solved trial."""
+    seed, n, beta0, eps_norm = facts
+    desc = shared.reg.descriptor(res.beta, shared.opts.zero_tol)
+    record = TrialRecord(
+        seed=seed,
+        n=n,
+        sigma=sigma,
+        mu=mu,
+        identified=bool(res.converged and same_model(desc, shared.target)),
+        boundary_flag=shared.boundary,
+        error_norm=float(np.linalg.norm(res.beta - beta0)),
+        eps_norm=eps_norm,
+        identification_iter=res.identification_iter,
+        converged=res.converged,
+        certificate_margin=shared.margin,
+    )
+    return record, res.model_trace, desc
 
 
 _WORKER_SHARED = None  # set once in each pool worker by _init_worker
@@ -232,16 +244,19 @@ def _init_worker(shared):
 
 
 def _run_worker_point(task):
-    return _run_point(_WORKER_SHARED, *task)
+    [outs] = _run_batch(_WORKER_SHARED, [task])
+    return outs
 
 
 def _run_trials(shared, points, config):
     """Run config.trials trials at each point (design index, sigma, mu).
 
-    Trial k of the whole run uses seed base_seed + 1 + k.  The trials of
-    one point are one batch.  jobs=None or 1 runs serially; jobs > 1 hands
-    whole points to a process pool, which gets `shared` once per worker.
-    Returns one _run_point list per point, in order.
+    Trial k of the whole run uses seed base_seed + 1 + k.  jobs=None or 1
+    runs serially: a fixed design (shared.quad set) solves all its points
+    as one batch, whose rows cost O(p) each; fresh designs solve one batch
+    per point, since each of their rows carries its own p x p Gamma.
+    jobs > 1 hands whole points to a process pool, which gets `shared` once
+    per worker.  Returns one list of _run_batch outputs per point, in order.
     """
     trials, jobs = config.trials, config.jobs
     tasks = []
@@ -249,7 +264,9 @@ def _run_trials(shared, points, config):
         first = config.base_seed + 1 + i * trials
         tasks.append((point, sigma, mu, list(range(first, first + trials))))
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        return [_run_point(shared, *t) for t in tasks]
+        if shared.quad is not None:
+            return _run_batch(shared, tasks)
+        return [outs for task in tasks for outs in _run_batch(shared, [task])]
     # deferred: concurrent.futures.process adds tens of ms to every import
     from concurrent.futures import ProcessPoolExecutor
 
@@ -334,8 +351,10 @@ def _noise_setup(config: ExperimentConfig):
     A proportional rule without a scale gets the default c = 2 / margin.
     Returns (shared, certificate, points).
     """
-    shared, cert, n = _fixed_setup(config)
     rule = config.mu_rule
+    if rule is None:
+        raise ValueError("a noise sweep needs a mu_rule")
+    shared, cert, n = _fixed_setup(config)
     if rule.kind == "proportional" and rule.scale is None:
         if not cert.usable or cert.verdict.margin <= 0:
             raise ValueError(
@@ -357,7 +376,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate across sample sizes with fresh designs per trial."""
     if config.design.kind != "gaussian_rows":
         raise ValueError("consistency_sweep needs a gaussian_rows design")
-    if config.mu_rule.kind != "power":
+    if config.mu_rule is None or config.mu_rule.kind != "power":
         raise ValueError("consistency_sweep needs a power mu rule")
     sizes = [int(v) for v in config.sweep_values]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -395,10 +414,11 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # deterministic noiseless check per mu: the solution should be off the
     # model of beta0 even with w = 0
-    noiseless = {}
-    for mu in config.sweep_values:
-        [(rec, _, _)] = _run_point(shared, 0, 0.0, mu, [config.base_seed])
-        noiseless[mu] = rec.identified
+    checks = [(0, 0.0, mu, [config.base_seed]) for mu in config.sweep_values]
+    noiseless = {
+        mu: rec.identified
+        for mu, [(rec, _, _)] in zip(config.sweep_values, _run_batch(shared, checks))
+    }
 
     points = [(0, sigma, mu) for mu in config.sweep_values]
     batches = _run_trials(shared, points, config)

@@ -17,7 +17,11 @@ reported retrospectively.
 
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
 once, on first use, and every problem sharing Gamma can share it, such as
-the trials of a fixed-design sweep.
+the trials of a fixed-design sweep.  The step needs ||Gamma|| before the
+first iteration; Gamma^+ only enters the objective's constant term, so a
+solve records J and the quadratic part of every iterate and its
+SolveResult adds the constant when the objective is first read.  A caller
+that never reads it, such as the Monte-Carlo sweeps, never computes Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
@@ -43,7 +47,8 @@ class Quadratic:
     """A validated design covariance Gamma, prepared for repeated solves.
 
     lip = ||Gamma|| bounds the step size and pinv = Gamma^+ gives the
-    objective's constant term.  Each is computed on first use and kept.
+    objective's constant term.  Each is computed on first use and kept:
+    lip by the first solve, pinv by the first objective read.
     Gamma must not be modified once it is prepared.
     """
 
@@ -135,22 +140,36 @@ class SolveResult:
 
     iterations counts prox steps actually taken.  objective_trace[k] is the
     objective value after k steps (index 0 is the initial point), so descent
-    can be audited a posteriori.  identification_iter is the first iterate
-    index from which the model descriptor stays equal to the final one
-    (0 when the initial point already carries the final model); it is None
-    for non-converged runs.  model_trace is populated only when
-    trace_models was set, aligned with objective_trace.
+    can be audited a posteriori; objective is its last entry.  Both are
+    evaluated on first read, which computes Gamma^+ if no read on the same
+    Quadratic has yet.  identification_iter is the first iterate index from
+    which the model descriptor stays equal to the final one (0 when the
+    initial point already carries the final model); it is None for
+    non-converged runs.  model_trace is populated only when trace_models
+    was set, aligned with objective_trace.
     """
 
     beta: np.ndarray
     iterations: int
     converged: bool
     fp_residual: float
-    objective: float
-    objective_trace: np.ndarray
     step: float
     identification_iter: Optional[int]
     model_trace: Optional[list] = None
+    # the problem solved, and per iterate J and the quadratic part
+    # 0.5 <Gamma b, b> - <b, u>: what objective_trace is evaluated from
+    _theta: Optional[CanonicalParameters] = field(default=None, repr=False, compare=False)
+    _terms: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def objective_trace(self) -> np.ndarray:
+        j, quadratic = self._terms
+        theta = self._theta
+        return j + (quadratic + theta._const) / theta.mu
+
+    @property
+    def objective(self) -> float:
+        return self.objective_trace[-1]
 
 
 def forward_backward(
@@ -245,22 +264,22 @@ def forward_backward_batch(
     gam = thetas[0].gamma if shared else np.stack([t.gamma for t in thetas])
     u = np.array([t.u for t in thetas])
     tau = np.array(taus)[:, None]
-    mu = np.array([t.mu for t in thetas])
-    const = np.array([t._const for t in thetas])
     rows = np.arange(count)  # the problem of each row still in the batch
 
-    def energy(j_value, b, gam_b):
-        # E row by row, from J and Gamma b: 0.5 * b @ gb is (0.5 * b) @ gb
-        return j_value + (_row_dots(0.5 * b, gam_b) - _row_dots(b, u) + const) / mu
+    def quadratic(b, gam_b):
+        # E's quadratic part row by row: 0.5 * b @ gb is (0.5 * b) @ gb
+        return _row_dots(0.5 * b, gam_b) - _row_dots(b, u)
 
     gam_beta = np.matmul(gam, beta[..., None])[..., 0]
-    # objective traces: batch row i writes row slots[i]; a row's trace is
+    # per iterate J and the quadratic part, from which SolveResult evaluates
+    # the objective: batch row i writes terms[slots[i]]; a row's terms are
     # copied out when it leaves, and its slot dropped at the next growth
-    objective = np.empty((count, min(opts.max_iter + 1, 64)))
+    terms = np.empty((count, 2, min(opts.max_iter + 1, 64)))
     slots = np.arange(count)
     # J of each initial point also validates its length against the
     # penalty, once per solve
-    objective[:, 0] = energy(np.array([reg.value(b) for b in beta]), beta, gam_beta)
+    terms[:, 0, 0] = [reg.value(b) for b in beta]
+    terms[:, 1, 0] = quadratic(beta, gam_beta)
     keys = reg.model_keys(beta, opts.zero_tol)
     run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
     # per problem, (iterate, descriptor) at each model change
@@ -292,33 +311,36 @@ def forward_backward_batch(
                     changes[rows[i]].append((k, reg.key_descriptor(keys_next[i])))
         keys = keys_next
         gam_beta = np.matmul(gam, beta_next[..., None])[..., 0]
-        if k == objective.shape[1]:
-            grown = np.empty((len(rows), min(2 * k, opts.max_iter + 1)))
-            grown[:, :k] = objective[slots, :k]
-            objective, slots = grown, np.arange(len(rows))
-        objective[slots, k] = energy(j_next, beta_next, gam_beta)
+        if k == terms.shape[2]:
+            grown = np.empty((len(rows), 2, min(2 * k, opts.max_iter + 1)))
+            grown[:, :, :k] = terms[slots, :, :k]
+            terms, slots = grown, np.arange(len(rows))
+        terms[slots, 0, k] = j_next
+        terms[slots, 1, k] = quadratic(beta_next, gam_beta)
         beta = beta_next
         stop = fp_residual <= threshold
         if np.count_nonzero(stop):
             for i in np.flatnonzero(stop):
-                trace = objective[slots[i], : k + 1].copy()
+                trace = terms[slots[i], :, : k + 1].copy()
                 done[rows[i]] = (beta[i].copy(), k, True, float(fp_residual[i]), trace)
             keep = ~stop
             if not keep.any():
                 break
             rows, slots, beta, keys = rows[keep], slots[keep], beta[keep], keys[keep]
             gam_beta = gam_beta[keep]
-            u, tau, weights, mu, const = u[keep], tau[keep], weights[keep], mu[keep], const[keep]
+            u, tau, weights = u[keep], tau[keep], weights[keep]
             fp_residual = fp_residual[keep]
             if not shared:
                 gam = gam[keep]
     else:  # max_iter steps taken: the rows still here did not converge
         for i, row in enumerate(rows):
-            trace = objective[slots[i], : opts.max_iter + 1].copy()
+            trace = terms[slots[i], :, : opts.max_iter + 1].copy()
             done[row] = (beta[i].copy(), opts.max_iter, False, float(fp_residual[i]), trace)
 
     results = []
-    for row, ((b, iters, converged, fp, trace), step) in enumerate(zip(done, taus)):
+    for row, ((b, iters, converged, fp, trace), step, theta) in enumerate(
+        zip(done, taus, thetas)
+    ):
         models = None
         if changes is not None:
             marks = changes[row] + [(iters + 1, None)]
@@ -329,11 +351,11 @@ def forward_backward_batch(
                 iterations=iters,
                 converged=converged,
                 fp_residual=fp,
-                objective=trace[-1],
-                objective_trace=trace,
                 step=step,
                 identification_iter=int(run_start[row]) if converged else None,
                 model_trace=models,
+                _theta=theta,
+                _terms=trace,
             )
         )
     return results

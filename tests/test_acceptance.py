@@ -89,7 +89,7 @@ def _checked_fb(theta, reg):
 
 
 def _checked_batch(thetas, reg, options):
-    # the sweeps solve each sweep point as one batch: audit every solve in it
+    # the sweeps solve their trials in batches: audit every solve of each
     thetas = list(thetas)
     results = forward_backward_batch(thetas, reg, options)
     assert len(results) == len(thetas)
@@ -233,7 +233,6 @@ def test_criterion_06_sharpness_of_failure(monkeypatch):
             design=DesignSpec.explicit(x),
             signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
             sweep_values=(1e-1, 1e-2, 1e-3),
-            mu_rule=MuRule("fixed", value=1.0),
             trials=50,
             noise_sigma=1e-4,
             base_seed=5,

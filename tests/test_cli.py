@@ -1,11 +1,12 @@
 """Config parsing and the command line front end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from partlysmooth import cli
+from partlysmooth import MuRule, cli
 from partlysmooth import config as cfgmod
 from partlysmooth.cli import (
     EXIT_ERROR,
@@ -162,6 +163,26 @@ class TestExperimentConfig:
     def test_noise_sigma_is_a_float(self):
         _, config = cfgmod.experiment_from_config(experiment_payload(noise_sigma="0.1"))
         assert config.noise_sigma == 0.1
+
+    def test_mu_rule_only_where_read(self):
+        # sharpness sweeps mu itself, so its file has no mu_rule (one is an
+        # error: see test_error_exits_1_without_traceback)
+        payload = without_key(experiment_payload(
+            kind="sharpness", sweep={"mu_values": [0.1]}, noise_sigma=1e-3), "experiment.mu_rule")
+        kind, config = cfgmod.experiment_from_config(payload)
+        assert kind == "sharpness" and config.mu_rule is None
+        dumped = cfgmod.experiment_to_config(kind, config)
+        assert "mu_rule" not in dumped["experiment"]
+        assert cfgmod.experiment_to_config(*cfgmod.experiment_from_config(dumped)) == dumped
+        # a library config may carry a rule sharpness does not read; its file has none
+        ruled = replace(config, mu_rule=MuRule("fixed", value=1.0))
+        assert cfgmod.experiment_to_config(kind, ruled) == dumped
+        # every other kind requires one
+        for kind, sweep in (("identification_profile", {"noise_levels": [0.1]}),
+                            ("consistency", {"sample_sizes": [50]})):
+            payload = without_key(experiment_payload(kind=kind, sweep=sweep), "experiment.mu_rule")
+            with pytest.raises(ConfigError, match="mu_rule"):
+                cfgmod.experiment_from_config(payload)
 
     def test_validation(self):
         for mutate in (
@@ -420,8 +441,11 @@ class TestExperiment:
         cfg = write_config(tmp_path, experiment_payload())
         run(["experiment", "--config", cfg, "--out", tmp_path / "a", "--quiet"])
         run(["experiment", "--config", cfg, "--out", tmp_path / "b", "--quiet"])
+        # serial runs solve the whole sweep as one batch, a pool one per point
+        run(["experiment", "--config", cfg, "--out", tmp_path / "c", "--quiet", "--jobs", "2"])
         a = (tmp_path / "a" / "records.csv").read_bytes()
         assert a == (tmp_path / "b" / "records.csv").read_bytes()
+        assert a == (tmp_path / "c" / "records.csv").read_bytes()
 
     def test_overrides(self, tmp_path):
         cfg = write_config(tmp_path, experiment_payload())
@@ -448,6 +472,20 @@ class TestExperiment:
         payload["tolerances"] = {"zero_tol": 0.05}
         cfg = write_config(tmp_path, payload)
         assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+
+    def test_sharpness_without_mu_rule(self, tmp_path):
+        payload = without_key(experiment_payload(
+            kind="sharpness", sweep={"mu_values": [0.1, 0.3]}, noise_sigma=1e-3),
+            "experiment.mu_rule")
+        # an outside-certified design, so the sweep raises no warning
+        payload["design"]["matrix"] = (np.sqrt(3.0) * np.linalg.cholesky(G3).T).tolist()
+        payload["signal"]["beta0"] = [1.0, 1.0, 0.0]
+        cfg = write_config(tmp_path, payload)
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["noiseless_identified"] == {
+            "0.10000000000000001": False, "0.29999999999999999": False,
+        }
 
     def test_bad_kind_exits_1(self, tmp_path, capsys):
         payload = experiment_payload(kind="annealing")
@@ -479,6 +517,16 @@ def with_key(payload, path, value):
     for name in outer:
         inner = inner.setdefault(name, {})
     inner[key] = value
+    return payload
+
+
+def without_key(payload, path):
+    """payload without the key at the dotted path."""
+    *outer, key = path.split(".")
+    inner = payload
+    for name in outer:
+        inner = inner[name]
+    del inner[key]
     return payload
 
 
@@ -552,6 +600,21 @@ NAN = float("nan")
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1, "rank": 1}},
                  [], "rank", id="random-signal-unknown-key"),
+    # two alternative sources of one input: neither is silently dropped
+    pytest.param("certify", with_key(certify_payload(), "signal", {"kind": "sparse", "bogus": 1}),
+                 [], ("'beta0'", "'signal'"), id="certify-beta0-and-signal"),
+    pytest.param("certify", with_key(certify_payload(), "design",
+                                     {"kind": "gaussian_rows", "identity_dim": 5, "n": 10}),
+                 [], ("'gamma'", "'design'"), id="certify-gamma-and-design"),
+    pytest.param("solve", {**solve_payload(), **{k: generated_solve_payload()[k]
+                                                 for k in ("design", "noise_sigma")}},
+                 [], ("'x'", "'design'"), id="solve-x-and-design"),
+    pytest.param("solve", with_key(generated_solve_payload(), "beta0", [1.0] * 6), [],
+                 ("'beta0'", "'signal'"), id="solve-beta0-and-signal"),
+    pytest.param("experiment", experiment_payload(kind="sharpness", sweep={"mu_values": [0.1]}),
+                 [], "mu_rule", id="sharpness-mu_rule"),
+    pytest.param("experiment", without_key(experiment_payload(), "experiment.mu_rule"), [],
+                 "mu_rule", id="noise_stability-no-mu_rule"),
 ])
 def test_error_exits_1_without_traceback(
     tmp_path, capsys, monkeypatch, command, payload, argv, names
@@ -562,4 +625,5 @@ def test_error_exits_1_without_traceback(
     assert run([command, "--config", cfg, "--out", tmp_path / "o", *argv]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert names in err.splitlines()[0]
+    for name in names if isinstance(names, tuple) else (names,):
+        assert name in err.splitlines()[0]

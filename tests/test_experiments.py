@@ -249,7 +249,6 @@ class TestSharpness:
             design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
             signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
             sweep_values=(1e-1, 1e-2),
-            mu_rule=MuRule("fixed", value=1.0),
             trials=8,
             noise_sigma=1e-4,
             base_seed=1,
@@ -326,7 +325,7 @@ FIXED_DESIGN_SWEEPS = [
     (sharpness_experiment, dict(
         design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
         signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
-        sweep_values=(0.1, 0.01), noise_sigma=1e-2,
+        sweep_values=(0.1, 0.01), noise_sigma=1e-2, mu_rule=None,
     )),
 ]
 
@@ -354,16 +353,46 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
         assert replay.identification_iter == shared.identification_iter
 
 
+def test_runners_that_read_mu_rule_need_one():
+    for sweep, cfg in ((noise_stability_sweep, identity_config(mu_rule=None)),
+                       (identification_profile, identity_config(mu_rule=None)),
+                       (consistency_sweep, TestConsistency().base(mu_rule=None))):
+        with pytest.raises(ValueError, match="mu.rule"):
+            sweep(cfg)
+
+
 def test_gamma_prepared_once_per_fixed_design(svd_calls):
+    # the sweeps never read an objective, so none of them computes Gamma^+
     calls = svd_calls
     for sweep, overrides in FIXED_DESIGN_SWEEPS:
         calls.update(spectral_norm=0, pseudoinverse=0)
         sweep(random_design_config(**overrides))
-        assert calls == {"spectral_norm": 1, "pseudoinverse": 1}, sweep.__name__
+        assert calls == {"spectral_norm": 1, "pseudoinverse": 0}, sweep.__name__
     # fresh designs: every trial prepares its own Gamma
     calls.update(spectral_norm=0, pseudoinverse=0)
     res = consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
-    assert calls == {"spectral_norm": 6, "pseudoinverse": 6} and len(res.records) == 6
+    assert calls == {"spectral_norm": 6, "pseudoinverse": 0} and len(res.records) == 6
+
+
+def test_one_batch_per_fixed_design_sweep(monkeypatch):
+    batches = []
+
+    def counted(thetas, reg, opts):
+        batches.append(len(thetas))
+        return forward_backward_batch(thetas, reg, opts)
+
+    monkeypatch.setattr(exps, "forward_backward_batch", counted)
+    # 2 sweep points x 2 trials each: one batch of all four trials
+    for sweep, overrides in FIXED_DESIGN_SWEEPS:
+        batches.clear()
+        sweep(random_design_config(**overrides))
+        # sharpness first solves its noiseless check per mu as one batch
+        want = [2, 4] if sweep is sharpness_experiment else [4]
+        assert batches == want, sweep.__name__
+    # fresh designs: one batch per sample size
+    batches.clear()
+    consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
+    assert batches == [3, 3]
 
 
 def test_parallel_jobs_match_serial():
@@ -451,7 +480,6 @@ def test_summary_json_extras(tmp_path):
         design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
         signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
         sweep_values=(1e-2,),
-        mu_rule=MuRule("fixed", value=1.0),
         trials=2,
         noise_sigma=1e-4,
         jobs=1,

@@ -247,9 +247,14 @@ def test_shared_quadratic(svd_calls):
     gamma = np.array([[2.0, 0.5], [0.5, 1.0]])
     quad = Quadratic(gamma)
     thetas = [CanonicalParameters(mu, np.array([1.0, -0.5]), quad) for mu in (0.3, 0.1)]
+    results = []
     for theta in thetas:
         assert theta.quad is quad and theta.gamma is quad.gamma
-        forward_backward(theta, L1())
+        results.append(forward_backward(theta, L1()))
+    # Gamma^+ only enters the objective, which nothing has read yet
+    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 0}
+    for res in results:
+        assert res.objective == res.objective_trace[-1]
     assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 1}
     # an array still works and prepares its own, with the same results
     own = CanonicalParameters(0.1, np.array([1.0, -0.5]), gamma)
@@ -291,10 +296,16 @@ PENALTIES = [
 PENALTY_IDS = [reg.kind for reg, _ in PENALTIES]
 
 
+RESULT_FIELDS = (
+    "beta", "iterations", "converged", "fp_residual", "objective", "objective_trace", "step",
+    "identification_iter", "model_trace",
+)
+
+
 def assert_same_bits(result, ref):
-    """Every SolveResult field equal, arrays bit for bit."""
-    ref = ref if isinstance(ref, dict) else vars(ref)
-    for name, want in ref.items():
+    """Every public SolveResult field equal, arrays bit for bit."""
+    for name in RESULT_FIELDS:
+        want = ref[name] if isinstance(ref, dict) else getattr(ref, name)
         got = getattr(result, name)
         if isinstance(want, np.ndarray):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
