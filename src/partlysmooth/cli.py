@@ -95,7 +95,7 @@ def cmd_solve(args) -> int:
     reg, theta, opts, tol, beta0 = cfgmod.solve_from_config(cfg, base_dir, args.seed)
     result = forward_backward(theta, reg, opts)
     uniq = certify_uniqueness(theta, result.beta, reg, **tol)
-    desc = reg.descriptor(result.beta, opts.zero_tol)
+    desc = result.model
 
     payload = {
         "beta": result.beta.tolist(),

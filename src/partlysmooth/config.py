@@ -306,6 +306,12 @@ def _seed(cfg, seed):
     return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
 
 
+def _no_seed(cfg, draws):
+    """Refuse a file's seed when nothing is drawn: draws names what would be."""
+    if "seed" in cfg:
+        raise ConfigError(f"config key 'seed' is read only to draw {draws}; this file has none")
+
+
 def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     """(regularizer, gamma, beta0, tolerances) of a certify file; seed overrides the file's."""
     _only_keys(cfg, _CERTIFY_KEYS, "certify config")
@@ -321,6 +327,7 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     else:
         raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
     if _gives(cfg, ("beta0", "beta0_csv"), ("signal",)):
+        _no_seed(cfg, "a signal")
         beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
     elif "signal" in cfg:
         spec = signal_from_config(cfg["signal"])
@@ -344,6 +351,7 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     # a generated instance brings its own beta0
     _gives(cfg, ("beta0", "beta0_csv"), ("signal",))
     if _gives(cfg, ("x", "x_csv", "y", "y_csv"), ("design", "signal", "noise_sigma")):
+        _no_seed(cfg, "an instance from design, signal and noise_sigma")
         x = matrix_from_config(cfg, "x", base_dir, "config")
         y = _vector_from_config(cfg, "y", base_dir, "config")
         if y.shape[0] != x.shape[0]:
@@ -404,7 +412,10 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         ),
         design=design_from_config(require_key(cfg, "design", "config"), base_dir),
         signal=signal_from_config(require_key(cfg, "signal", "config")),
-        sweep_values=tuple(number(v, f"experiment.sweep.{key}") for v in sweep_values),
+        sweep_values=tuple(
+            number(v, f"experiment.sweep.{key}", integer=key == "sample_sizes")
+            for v in sweep_values
+        ),
         trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
         mu_rule=(
             mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))

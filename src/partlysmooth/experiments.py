@@ -11,8 +11,9 @@ Four harnesses, all built on the same trial engine:
 * sharpness_experiment: mu swept at a fixed small noise level on an instance
   whose certificate is strictly outside; recovery should essentially never
   happen, including in the noiseless limit.
-* identification_profile: noise sweep with per-iterate model traces; reports
-  when the solver's iterates lock onto their final model.
+* identification_profile: noise sweep that also reports when the solver's
+  iterates lock onto their final model, and how often that model is the
+  target's.
 
 Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
@@ -199,7 +200,7 @@ def _run_batch(shared, tasks):
     """The trials of several sweep points, solved as one forward_backward_batch.
 
     A task is (design index, sigma, mu, seeds), one trial per seed.  Returns
-    one list of (record, model trace, final descriptor) per task, in order.
+    one list of TrialRecords per task, in order.
     Every row of a batch gets the bits it gets alone, so how the tasks are
     grouped changes no result.  Module-level so worker processes can import
     it.
@@ -216,15 +217,14 @@ def _run_batch(shared, tasks):
 
 
 def _outcome(shared, sigma, mu, facts, res):
-    """(record, model trace, final descriptor) of one solved trial."""
+    """The TrialRecord of one solved trial."""
     seed, n, beta0, eps_norm = facts
-    desc = shared.reg.descriptor(res.beta, shared.opts.zero_tol)
-    record = TrialRecord(
+    return TrialRecord(
         seed=seed,
         n=n,
         sigma=sigma,
         mu=mu,
-        identified=bool(res.converged and same_model(desc, shared.target)),
+        identified=bool(res.converged and same_model(res.model, shared.target)),
         boundary_flag=shared.boundary,
         error_norm=float(np.linalg.norm(res.beta - beta0)),
         eps_norm=eps_norm,
@@ -232,7 +232,6 @@ def _outcome(shared, sigma, mu, facts, res):
         converged=res.converged,
         certificate_margin=shared.margin,
     )
-    return record, res.model_trace, desc
 
 
 _WORKER_SHARED = None  # set once in each pool worker by _init_worker
@@ -244,8 +243,8 @@ def _init_worker(shared):
 
 
 def _run_worker_point(task):
-    [outs] = _run_batch(_WORKER_SHARED, [task])
-    return outs
+    [records] = _run_batch(_WORKER_SHARED, [task])
+    return records
 
 
 def _run_trials(shared, points, config):
@@ -266,7 +265,7 @@ def _run_trials(shared, points, config):
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
         if shared.quad is not None:
             return _run_batch(shared, tasks)
-        return [outs for task in tasks for outs in _run_batch(shared, [task])]
+        return [records for task in tasks for records in _run_batch(shared, [task])]
     # deferred: concurrent.futures.process adds tens of ms to every import
     from concurrent.futures import ProcessPoolExecutor
 
@@ -277,8 +276,8 @@ def _run_trials(shared, points, config):
 
 
 def _result(kind, values, batches, cert, **extras):
-    """The ExperimentResult of a sweep: batches[i] holds the trials at values[i]."""
-    by_value = [(float(v), [out[0] for out in batch]) for v, batch in zip(values, batches)]
+    """The ExperimentResult of a sweep: batches[i] holds the records at values[i]."""
+    by_value = [(float(v), records) for v, records in zip(values, batches)]
     return ExperimentResult(
         kind=kind,
         records=[r for _, records in by_value for r in records],
@@ -378,6 +377,8 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("consistency_sweep needs a gaussian_rows design")
     if config.mu_rule is None or config.mu_rule.kind != "power":
         raise ValueError("consistency_sweep needs a power mu rule")
+    if not all(v.is_integer() for v in config.sweep_values):  # False for NaN, +-inf too
+        raise ValueError(f"sample sizes must be whole numbers, got {list(config.sweep_values)}")
     sizes = [int(v) for v in config.sweep_values]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sample sizes must be strictly increasing, got {sizes}")
@@ -417,7 +418,7 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     checks = [(0, 0.0, mu, [config.base_seed]) for mu in config.sweep_values]
     noiseless = {
         mu: rec.identified
-        for mu, [(rec, _, _)] in zip(config.sweep_values, _run_batch(shared, checks))
+        for mu, [rec] in zip(config.sweep_values, _run_batch(shared, checks))
     }
 
     points = [(0, sigma, mu) for mu in config.sweep_values]
@@ -428,36 +429,22 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def identification_profile(config: ExperimentConfig) -> ExperimentResult:
-    """Noise sweep with model traces; reports identification statistics."""
-    traced = replace(config, solve=replace(config.solve, trace_models=True))
-    shared, cert, points = _noise_setup(traced)
-    batches = _run_trials(shared, points, traced)
+    """Noise sweep plus identification statistics of its converged trials.
 
-    iters = []
-    matches = 0
-    finite = 0
-    converged_total = 0
-    for record, trace, final_desc in (out for batch in batches for out in batch):
-        if not record.converged:
-            continue
-        converged_total += 1
-        k = record.identification_iter
-        if k is not None and k < traced.solve.max_iter:
-            finite += 1
-            iters.append(k)
-        # the retrospective definition makes every post-identification
-        # descriptor equal the final one; verify, then compare to the target
-        if not all(same_model(d, final_desc) for d in trace[k:]):
-            raise RuntimeError(
-                f"trial seed {record.seed}: the model trace changes after "
-                f"identification iterate {k}"
-            )
-        if same_model(final_desc, shared.target):
-            matches += 1
+    A trial identifies finitely when its identification_iter is below
+    solve.max_iter, and matches when its record says identified.
+    """
+    shared, cert, points = _noise_setup(config)
+    batches = _run_trials(shared, points, config)
+    converged = [r for records in batches for r in records if r.converged]
+    iters = [r.identification_iter for r in converged]
+    finite = [k for k in iters if k < config.solve.max_iter]
+    matches = sum(r.identified for r in converged)
+    total = len(converged) or float("nan")  # nan fractions when none converged
     profile = ProfileStats(
-        identification_iters=iters,
-        finite_fraction=finite / converged_total if converged_total else float("nan"),
-        post_match_fraction=matches / converged_total if converged_total else float("nan"),
+        identification_iters=finite,
+        finite_fraction=len(finite) / total,
+        post_match_fraction=matches / total,
     )
     return _result(
         "identification_profile", config.sweep_values, batches, cert, profile=profile

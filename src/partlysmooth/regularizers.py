@@ -127,7 +127,9 @@ class Regularizer:
         may skip validating v and weights: the solver checks the weights
         once per solve, and after each step it checks that J(out) is finite,
         which fails exactly when an entry of out is not.  An override must
-        return the same bits row by row.
+        return the same bits row by row, and keys that stand for
+        descriptor(out[i], zero_tol): the solver checks the last key of each
+        solve against the descriptor of the point it returns.
         """
         out = np.empty_like(v)
         keys = np.empty(v.shape[0], dtype=object)

@@ -11,9 +11,9 @@ in the image of Gamma.
 
 Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) with a
 fixed step 0 < tau < 2 / ||Gamma||.  Along the way the solver tracks the
-active-model descriptor of every iterate, so the first iteration after
-which the model never changes again (the identification point) can be
-reported retrospectively.
+active model of every iterate, so the first iteration after which the
+model never changes again (the identification point) can be reported
+retrospectively, and it returns the model of the final iterate.
 
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
 once, on first use, and every problem sharing Gamma can share it, such as
@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import check_symmetric, pseudoinverse, spectral_norm, _as_vector
-from .regularizers import ZERO_TOL, Regularizer, check_prox_weight
+from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
 
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
@@ -115,15 +115,13 @@ class SolveOptions:
 
     step=None picks tau = 0.9 * (2 / ||Gamma||).  An explicit step must
     satisfy 0 < tau < 2 / ||Gamma|| or the solve is refused.  zero_tol is
-    the threshold the iterates' models are read with.  trace_models
-    additionally stores the per-iterate descriptor sequence on the result.
+    the threshold the iterates' models are read with.
     """
 
     step: Optional[float] = None
     max_iter: int = 100_000
     fp_tol: float = 1e-10
     zero_tol: float = ZERO_TOL
-    trace_models: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -145,8 +143,8 @@ class SolveResult:
     Quadratic has yet.  identification_iter is the first iterate index from
     which the model descriptor stays equal to the final one (0 when the
     initial point already carries the final model); it is None for
-    non-converged runs.  model_trace is populated only when trace_models
-    was set, aligned with objective_trace.
+    non-converged runs.  model is the descriptor of beta, read with the
+    solve's zero_tol.
     """
 
     beta: np.ndarray
@@ -155,7 +153,7 @@ class SolveResult:
     fp_residual: float
     step: float
     identification_iter: Optional[int]
-    model_trace: Optional[list] = None
+    model: ModelDescriptor
     # the problem solved, and per iterate J and the quadratic part
     # 0.5 <Gamma b, b> - <b, u>: what objective_trace is evaluated from
     _theta: Optional[CanonicalParameters] = field(default=None, repr=False, compare=False)
@@ -187,7 +185,7 @@ def forward_backward(
     reg : Regularizer
         The penalty J.
     opts : SolveOptions
-        Step size, stopping rule, model tracing.
+        Step size, stopping rule, zero threshold of the models.
     beta_init : array, optional
         Starting point (default: the zero vector).
 
@@ -243,7 +241,9 @@ def forward_backward_batch(
     may share one Quadratic, which is then broadcast over the rows, or each
     bring their own.  beta_init, when given, holds one starting point per
     problem.  Returns one SolveResult per problem, in order; a non-finite
-    iterate in any row raises ValueError.
+    iterate in any row raises ValueError.  A result's model is the
+    penalty's descriptor of its beta; a penalty whose step_batch keys stand
+    for another descriptor than that raises RuntimeError.
     """
     thetas = list(thetas)
     if not thetas:
@@ -282,10 +282,8 @@ def forward_backward_batch(
     terms[:, 1, 0] = quadratic(beta, gam_beta)
     keys = reg.model_keys(beta, opts.zero_tol)
     run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
-    # per problem, (iterate, descriptor) at each model change
-    changes = [[(0, reg.key_descriptor(key))] for key in keys] if opts.trace_models else None
 
-    done = [None] * count  # (beta, iterations, converged, fp_residual, trace) per problem
+    done = [None] * count  # (beta, model key, iterations, converged, fp_residual, terms)
     for k in range(1, opts.max_iter + 1):
         beta_next, keys_next, j_next = reg.step_batch(
             beta + tau * (u - gam_beta), weights, opts.zero_tol
@@ -306,9 +304,6 @@ def forward_backward_batch(
             if changed.ndim > 1:
                 changed = changed.any(axis=1)
             run_start[rows[changed]] = k
-            if changes is not None:
-                for i in np.flatnonzero(changed):
-                    changes[rows[i]].append((k, reg.key_descriptor(keys_next[i])))
         keys = keys_next
         gam_beta = np.matmul(gam, beta_next[..., None])[..., 0]
         if k == terms.shape[2]:
@@ -322,7 +317,7 @@ def forward_backward_batch(
         if np.count_nonzero(stop):
             for i in np.flatnonzero(stop):
                 trace = terms[slots[i], :, : k + 1].copy()
-                done[rows[i]] = (beta[i].copy(), k, True, float(fp_residual[i]), trace)
+                done[rows[i]] = (beta[i].copy(), keys[i], k, True, float(fp_residual[i]), trace)
             keep = ~stop
             if not keep.any():
                 break
@@ -332,19 +327,23 @@ def forward_backward_batch(
             fp_residual = fp_residual[keep]
             if not shared:
                 gam = gam[keep]
-    else:  # max_iter steps taken: the rows still here did not converge
+    else:  # k = max_iter steps taken: the rows still here did not converge
         for i, row in enumerate(rows):
-            trace = terms[slots[i], :, : opts.max_iter + 1].copy()
-            done[row] = (beta[i].copy(), opts.max_iter, False, float(fp_residual[i]), trace)
+            trace = terms[slots[i], :, : k + 1].copy()
+            done[row] = (beta[i].copy(), keys[i], k, False, float(fp_residual[i]), trace)
 
     results = []
-    for row, ((b, iters, converged, fp, trace), step, theta) in enumerate(
+    for row, ((b, key, iters, converged, fp, trace), step, theta) in enumerate(
         zip(done, taus, thetas)
     ):
-        models = None
-        if changes is not None:
-            marks = changes[row] + [(iters + 1, None)]
-            models = [d for (start, d), (end, _) in zip(marks, marks[1:]) for _ in range(end - start)]
+        # the model tracking above is only as good as the keys: check the
+        # last one against the returned beta's own descriptor
+        model, tracked = reg.descriptor(b, opts.zero_tol), reg.key_descriptor(key)
+        if model != tracked:
+            raise RuntimeError(
+                f"problem {row}: the final iterate's model {model} differs from "
+                f"the model {tracked} that the solver tracked"
+            )
         results.append(
             SolveResult(
                 beta=b,
@@ -353,7 +352,7 @@ def forward_backward_batch(
                 fp_residual=fp,
                 step=step,
                 identification_iter=int(run_start[row]) if converged else None,
-                model_trace=models,
+                model=model,
                 _theta=theta,
                 _terms=trace,
             )

@@ -155,7 +155,8 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
 
     The solver's loop before it was batched, kept as the reference the
     batched engine must match bit for bit.  Returns the fields of a
-    SolveResult as a dict.
+    SolveResult as a dict, plus "models", the descriptor of every iterate
+    (index 0 is the initial point), which the solver does not keep.
     """
     lip = theta.quad.lip
     tau = 0.9 * 2.0 / lip if opts.step is None else float(opts.step)
@@ -165,7 +166,7 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
     gam_beta = gam @ beta
     trace = [energy(theta, reg.value(beta), beta, gam_beta)]
     desc = reg.descriptor(beta, opts.zero_tol)
-    models = [desc] if opts.trace_models else None
+    models = [desc]
     run_start = 0
     converged = False
     for k in range(1, opts.max_iter + 1):
@@ -181,8 +182,7 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
             desc = desc_next
         gam_beta = gam @ beta_next
         trace.append(energy(theta, j_next, beta_next, gam_beta))
-        if opts.trace_models:
-            models.append(desc_next)
+        models.append(desc_next)
         beta = beta_next
         if fp_residual <= threshold:
             converged = True
@@ -196,5 +196,6 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
         objective_trace=np.asarray(trace),
         step=tau,
         identification_iter=run_start if converged else None,
-        model_trace=models,
+        model=desc,
+        models=models,
     )

@@ -584,6 +584,15 @@ NAN = float("nan")
                  id="experiment-unknown-key"),
     pytest.param("experiment", experiment_payload(seed=5), [], "seed",
                  id="experiment-seed"),
+    # a top-level seed is read only where the file draws something
+    pytest.param("certify", with_key(certify_payload(), "seed", 5), [], "seed",
+                 id="certify-seed-without-signal"),
+    pytest.param("solve", with_key(solve_payload(), "seed", 5), [], "seed",
+                 id="solve-seed-with-x-y"),
+    pytest.param("experiment", experiment_payload(
+        kind="consistency", sweep={"sample_sizes": [100.7, 400]}, noise_sigma=0.5,
+        mu_rule={"kind": "power"},
+    ), [], "experiment.sweep.sample_sizes", id="sample_sizes-fraction"),
     pytest.param("experiment", experiment_payload(job=4), [], "job", id="experiment-job"),
     pytest.param("experiment", with_key(experiment_payload(), "experiment.mu_rule.exp", 0.3),
                  [], "exp", id="mu_rule-unknown-key"),

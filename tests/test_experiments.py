@@ -13,10 +13,10 @@ import pytest
 
 import partlysmooth.experiments as exps
 from partlysmooth import (
+    CanonicalParameters,
     DesignSpec,
     ExperimentConfig,
     L1,
-    ModelDescriptor,
     MuRule,
     SignalSpec,
     SolveOptions,
@@ -236,6 +236,11 @@ class TestConsistency:
         with pytest.raises(ValueError):
             consistency_sweep(cfg)
 
+    def test_requires_whole_sample_sizes(self):
+        for sizes in ((100.7, 400), (50, math.nan), (50, math.inf)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                consistency_sweep(self.base(sweep_values=sizes))
+
     def test_requires_noise_sigma(self):
         cfg = self.base(noise_sigma=None)
         with pytest.raises(ValueError):
@@ -281,6 +286,23 @@ class TestSharpness:
 
 
 class TestIdentificationProfile:
+    def test_profile_is_the_noise_sweep_plus_stats(self):
+        # at max_iter=30 some trials stop short, and some converge off the target
+        cfg = random_design_config(
+            sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=30)
+        )
+        res = identification_profile(cfg)
+        assert res.records == noise_stability_sweep(cfg).records
+        converged = [r for r in res.records if r.converged]
+        assert 0 < len(converged) < len(res.records)
+        assert 0 < sum(r.identified for r in converged) < len(converged)
+        iters = [r.identification_iter for r in converged]
+        assert res.profile.identification_iters == iters
+        assert res.profile.finite_fraction == 1.0 and max(iters) < 30
+        assert res.profile.post_match_fraction == (
+            sum(r.identified for r in converged) / len(converged)
+        )
+
     def test_profile_on_certified_instance(self):
         cfg = identity_config(sweep_values=(1e-3, 1e-4), trials=6)
         res = identification_profile(cfg)
@@ -293,17 +315,36 @@ class TestIdentificationProfile:
         assert sorted(iters) == sorted(recorded)
 
 
-def test_inconsistent_model_trace_is_an_error(monkeypatch):
-    real = exps.forward_backward_batch
+class MisreportingL1(L1):
+    """An L1 whose step keys leave coordinate 0 out of every support."""
 
-    def corrupted(thetas, reg, opts):
-        results = real(thetas, reg, opts)
-        results[-1].model_trace[-1] = ModelDescriptor("l1", (99,))
-        return results
+    def step_batch(self, v, weights, zero_tol):
+        out, keys, values = super().step_batch(v, weights, zero_tol)
+        keys[:, 0] = False
+        return out, keys, values
 
-    monkeypatch.setattr(exps, "forward_backward_batch", corrupted)
-    with pytest.raises(RuntimeError):
-        identification_profile(identity_config(trials=2))
+
+def test_keys_that_disagree_with_the_descriptor_are_an_error():
+    # only the second problem's solution has coordinate 0 in its support
+    off, on = (CanonicalParameters(0.1, np.array(u), np.eye(2)) for u in ([0.0, 1.0], [1.0, 0.0]))
+    forward_backward_batch([off], MisreportingL1())
+    with pytest.raises(RuntimeError, match="problem 1"):
+        forward_backward_batch([off, on], MisreportingL1())
+
+
+@pytest.mark.parametrize("sweep, config", [
+    (noise_stability_sweep, lambda: identity_config(regularizer=MisreportingL1())),
+    (identification_profile, lambda: identity_config(regularizer=MisreportingL1())),
+    (sharpness_experiment, lambda: TestSharpness().outside_config(regularizer=MisreportingL1())),
+    (consistency_sweep, lambda: TestConsistency().base(
+        regularizer=MisreportingL1(),
+        signal=SignalSpec.explicit(np.array([1.5, 0.0, 0.0, 0.0, 0.0, -2.0])),
+        trials=2,
+    )),
+], ids=["noise_stability", "identification_profile", "sharpness", "consistency"])
+def test_every_runner_checks_the_final_model(sweep, config):
+    with pytest.raises(RuntimeError, match="tracked"):
+        sweep(config())
 
 
 def random_design_config(**overrides):
@@ -341,13 +382,12 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
 
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = sweep(cfg)
-    opts = replace(cfg.solve, trace_models=True) if sweep is identification_profile else cfg.solve
     # the trials are the last solves (sharpness first runs noiseless checks)
     trials = list(zip(res.records, results[-len(res.records):]))
     for record, shared in trials[:1] + trials[-1:]:
         inst = generate_instance(cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer)
         theta = canonical_parameters(inst, record.mu * inst.n)
-        replay = forward_backward(theta, cfg.regularizer, opts)
+        replay = forward_backward(theta, cfg.regularizer, cfg.solve)
         assert np.array_equal(replay.beta, shared.beta)
         assert replay.iterations == shared.iterations
         assert replay.identification_iter == shared.identification_iter

@@ -216,24 +216,20 @@ def test_matches_enumerated_lasso():
 
 
 def test_identification_iter_matches_trace():
+    # the reference loop's descriptor of every iterate
     rng = np.random.default_rng(35)
     for _ in range(10):
         theta = random_problem(L1(), 6, rng)
-        res = forward_backward(theta, L1(), SolveOptions(trace_models=True))
+        res = forward_backward(theta, L1())
         assert res.converged
-        trace = res.model_trace
+        trace = oracles.forward_backward_scalar(theta, L1(), SolveOptions())["models"]
         assert len(trace) == res.iterations + 1
         k = res.identification_iter
         assert 0 <= k <= res.iterations
-        final = trace[-1]
-        assert all(same_model(d, final) for d in trace[k:])
+        assert same_model(res.model, trace[-1])
+        assert all(same_model(d, res.model) for d in trace[k:])
         if k > 0:
-            assert not same_model(trace[k - 1], final)
-
-
-def test_trace_disabled_by_default():
-    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    assert forward_backward(theta, L1()).model_trace is None
+            assert not same_model(trace[k - 1], res.model)
 
 
 def test_objective_agrees_with_result():
@@ -298,7 +294,7 @@ PENALTY_IDS = [reg.kind for reg, _ in PENALTIES]
 
 RESULT_FIELDS = (
     "beta", "iterations", "converged", "fp_residual", "objective", "objective_trace", "step",
-    "identification_iter", "model_trace",
+    "identification_iter", "model",
 )
 
 
@@ -351,8 +347,8 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
     step = 0.5 / max(t.quad.lip for t in thetas)
     cases = [
         (SolveOptions(max_iter=6), None),
-        (SolveOptions(max_iter=6, trace_models=True), starts),
-        (SolveOptions(trace_models=True), starts),
+        (SolveOptions(max_iter=6), starts),
+        (SolveOptions(), starts),
         (SolveOptions(max_iter=70), starts),  # past the trace buffer's first growth
         (SolveOptions(step=step, max_iter=25, fp_tol=1e-6), starts),
     ]
@@ -372,10 +368,10 @@ def test_trial_alone_matches_trial_in_batch_of_40():
     rng = np.random.default_rng(42)
     reg = L1()
     for thetas in (mixed_batch(reg, 10, rng, 40), mixed_batch(reg, 10, rng, 80)[:40]):
-        batch = forward_backward_batch(thetas, reg, SolveOptions(trace_models=True))
+        batch = forward_backward_batch(thetas, reg)
         assert len({r.iterations for r in batch}) > 1  # rows leave at different steps
         for i in (0, 13, 26, 39):
-            alone = forward_backward(thetas[i], reg, SolveOptions(trace_models=True))
+            alone = forward_backward(thetas[i], reg)
             assert_same_bits(batch[i], alone)
 
 
