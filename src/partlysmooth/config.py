@@ -306,14 +306,22 @@ def _seed(cfg, seed):
     return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
 
 
-def _no_seed(cfg, draws):
-    """Refuse a file's seed when nothing is drawn: draws names what would be."""
+def _no_seed(cfg, seed, draws):
+    """Refuse a seed, the file's or the seed argument, when nothing is drawn.
+
+    draws names what a seed would draw.
+    """
     if "seed" in cfg:
         raise ConfigError(f"config key 'seed' is read only to draw {draws}; this file has none")
+    if seed is not None:
+        raise ConfigError(f"seed {seed} is read only to draw {draws}; this file has none")
 
 
 def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
-    """(regularizer, gamma, beta0, tolerances) of a certify file; seed overrides the file's."""
+    """(regularizer, gamma, beta0, tolerances) of a certify file.
+
+    seed overrides the file's, and like it is an error when no signal is drawn.
+    """
     _only_keys(cfg, _CERTIFY_KEYS, "certify config")
     reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
@@ -327,7 +335,7 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     else:
         raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
     if _gives(cfg, ("beta0", "beta0_csv"), ("signal",)):
-        _no_seed(cfg, "a signal")
+        _no_seed(cfg, seed, "a signal")
         beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
     elif "signal" in cfg:
         spec = signal_from_config(cfg["signal"])
@@ -341,7 +349,8 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     """(regularizer, theta, options, tolerances, beta0) of a solve file.
 
     theta holds the canonical parameters at the file's lambda; beta0 is None
-    for x/y data without one.  seed overrides the file's.
+    for x/y data without one.  seed overrides the file's, and like it is an
+    error when no instance is generated.
     """
     _only_keys(cfg, _SOLVE_KEYS, "solve config")
     reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
@@ -351,7 +360,7 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     # a generated instance brings its own beta0
     _gives(cfg, ("beta0", "beta0_csv"), ("signal",))
     if _gives(cfg, ("x", "x_csv", "y", "y_csv"), ("design", "signal", "noise_sigma")):
-        _no_seed(cfg, "an instance from design, signal and noise_sigma")
+        _no_seed(cfg, seed, "an instance from design, signal and noise_sigma")
         x = matrix_from_config(cfg, "x", base_dir, "config")
         y = _vector_from_config(cfg, "y", base_dir, "config")
         if y.shape[0] != x.shape[0]:

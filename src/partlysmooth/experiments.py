@@ -12,8 +12,8 @@ Four harnesses, all built on the same trial engine:
   whose certificate is strictly outside; recovery should essentially never
   happen, including in the noiseless limit.
 * identification_profile: noise sweep that also reports when the solver's
-  iterates lock onto their final model, and how often that model is the
-  target's.
+  iterates lock onto their final model, how often they do so at all, and
+  how often that model is the target's.
 
 Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
@@ -247,13 +247,37 @@ def _run_worker_point(task):
     return records
 
 
+# what a serial batch's stack of per-row Gammas may hold, in bytes
+GAMMA_STACK_BYTES = 8 << 20
+
+
+def _group_points(shared, tasks):
+    """Consecutive tasks in batches whose Gamma stack fits GAMMA_STACK_BYTES.
+
+    A row costs p^2 float64 of stack when it brings its own Gamma and none
+    when the sweep shares shared.quad, so a fixed-design sweep is one batch.
+    A task is never split: a point over the budget is a batch of its own.
+    """
+    p = shared.signal.beta0.shape[0]
+    row_bytes = 0 if shared.quad is not None else 8 * p * p
+    groups, size = [], 0
+    for task in tasks:
+        cost = row_bytes * len(task[3])
+        if groups and size + cost <= GAMMA_STACK_BYTES:
+            groups[-1].append(task)
+            size += cost
+        else:
+            groups.append([task])
+            size = cost
+    return groups
+
+
 def _run_trials(shared, points, config):
     """Run config.trials trials at each point (design index, sigma, mu).
 
     Trial k of the whole run uses seed base_seed + 1 + k.  jobs=None or 1
-    runs serially: a fixed design (shared.quad set) solves all its points
-    as one batch, whose rows cost O(p) each; fresh designs solve one batch
-    per point, since each of their rows carries its own p x p Gamma.
+    runs serially, as few batches as _group_points allows: the loop of a
+    batch runs as many steps as its slowest row, not the sum over points.
     jobs > 1 hands whole points to a process pool, which gets `shared` once
     per worker.  Returns one list of _run_batch outputs per point, in order.
     """
@@ -263,9 +287,10 @@ def _run_trials(shared, points, config):
         first = config.base_seed + 1 + i * trials
         tasks.append((point, sigma, mu, list(range(first, first + trials))))
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        if shared.quad is not None:
-            return _run_batch(shared, tasks)
-        return [records for task in tasks for records in _run_batch(shared, [task])]
+        return [
+            records for group in _group_points(shared, tasks)
+            for records in _run_batch(shared, group)
+        ]
     # deferred: concurrent.futures.process adds tens of ms to every import
     from concurrent.futures import ProcessPoolExecutor
 
@@ -341,7 +366,9 @@ def _fixed_setup(config: ExperimentConfig):
     cert = check_model_stability(
         quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    return _make_shared(config, cert, beta0, [DesignSpec.explicit(x)], quad), cert, x.shape[0]
+    # an explicit spec already holds x, read-only: no second copy of it
+    design = config.design if config.design.kind == "explicit" else DesignSpec.explicit(x)
+    return _make_shared(config, cert, beta0, [design], quad), cert, x.shape[0]
 
 
 def _noise_setup(config: ExperimentConfig):
@@ -429,22 +456,30 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def identification_profile(config: ExperimentConfig) -> ExperimentResult:
-    """Noise sweep plus identification statistics of its converged trials.
+    """Noise sweep plus identification statistics of its trials.
 
-    A trial identifies finitely when its identification_iter is below
-    solve.max_iter, and matches when its record says identified.
+    A trial identifies finitely when it converged with an
+    identification_iter below solve.max_iter; finite_fraction counts that
+    share of all trials, so a trial that does not converge counts against
+    it.  identification_iters lists those iterations, and
+    post_match_fraction is the share of converged trials whose record says
+    identified (nan when none converged).
     """
     shared, cert, points = _noise_setup(config)
     batches = _run_trials(shared, points, config)
-    converged = [r for records in batches for r in records if r.converged]
-    iters = [r.identification_iter for r in converged]
-    finite = [k for k in iters if k < config.solve.max_iter]
-    matches = sum(r.identified for r in converged)
-    total = len(converged) or float("nan")  # nan fractions when none converged
+    records = [r for records in batches for r in records]
+    converged = [r for r in records if r.converged]
+    finite = [
+        r.identification_iter for r in converged
+        if r.identification_iter < config.solve.max_iter
+    ]
     profile = ProfileStats(
         identification_iters=finite,
-        finite_fraction=len(finite) / total,
-        post_match_fraction=matches / total,
+        finite_fraction=len(finite) / len(records),
+        post_match_fraction=(
+            sum(r.identified for r in converged) / len(converged) if converged
+            else float("nan")
+        ),
     )
     return _result(
         "identification_profile", config.sweep_values, batches, cert, profile=profile

@@ -154,7 +154,16 @@ def restricted_injectivity(gamma, subspace: Subspace, tol=INJECTIVITY_TOL) -> In
 
 def spectral_norm(a) -> float:
     """Largest singular value (= largest |eigenvalue| for symmetric input)."""
-    a = _as_matrix(a, "matrix")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(spectral_norms(_as_matrix(a, "matrix")))
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """spectral_norm of every matrix of a (..., m, n) float64 stack, unvalidated.
+
+    One gufunc call runs one LAPACK SVD per matrix, the call
+    np.linalg.norm(a, 2) makes for a single matrix, so a matrix's norm has
+    the same bits alone or in any stack.
+    """
+    if stack.shape[-1] == 0 or stack.shape[-2] == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False).max(-1)

@@ -15,11 +15,14 @@ active model of every iterate, so the first iteration after which the
 model never changes again (the identification point) can be reported
 retrospectively, and it returns the model of the final iterate.
 
-||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic computes them
-once, on first use, and every problem sharing Gamma can share it, such as
+||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic keeps each
+once it is computed, and every problem sharing Gamma can share it, such as
 the trials of a fixed-design sweep.  The step needs ||Gamma|| before the
-first iteration; Gamma^+ only enters the objective's constant term, so a
-solve records J and the quadratic part of every iterate and its
+first iteration: a batch computes it for every Quadratic that has none yet
+in one stacked SVD call over the batch's own stack of Gammas (the same bits
+as spectral_norm, one matrix at a time), and a shared Quadratic computes it
+on its first solve.  Gamma^+ only enters the objective's constant term, so
+a solve records J and the quadratic part of every iterate and its
 SolveResult adds the constant when the objective is first read.  A caller
 that never reads it, such as the Monte-Carlo sweeps, never computes Gamma^+.
 
@@ -36,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import check_symmetric, pseudoinverse, spectral_norm, _as_vector
+from .linalg import check_symmetric, pseudoinverse, spectral_norm, spectral_norms, _as_vector
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
 
 # relative step as a fraction of the stability limit 2/||Gamma||
@@ -48,22 +51,26 @@ class Quadratic:
 
     lip = ||Gamma|| bounds the step size and pinv = Gamma^+ gives the
     objective's constant term.  Each is computed on first use and kept:
-    lip by the first solve, pinv by the first objective read.
+    lip by the first solve (by a batch, for all its Quadratics at once),
+    pinv by the first objective read.
     Gamma must not be modified once it is prepared.
     """
 
     def __init__(self, gamma):
         self.gamma = check_symmetric(gamma, name="gamma")
+        self._lip = None
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    @cached_property
+    @property
     def lip(self) -> float:
         # spectral_norm (an SVD) rather than a cheaper eigvalsh: the step,
         # and with it every iterate and records.csv byte, depends on its bits
-        return spectral_norm(self.gamma)
+        if self._lip is None:
+            self._lip = spectral_norm(self.gamma)
+        return self._lip
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -239,11 +246,12 @@ def forward_backward_batch(
     elementwise arithmetic, the penalty's step_batch), so each problem's
     result has the same bits whatever else is in the batch.  The problems
     may share one Quadratic, which is then broadcast over the rows, or each
-    bring their own.  beta_init, when given, holds one starting point per
-    problem.  Returns one SolveResult per problem, in order; a non-finite
-    iterate in any row raises ValueError.  A result's model is the
-    penalty's descriptor of its beta; a penalty whose step_batch keys stand
-    for another descriptor than that raises RuntimeError.
+    bring their own, stacked as a T x p x p array whose norms not yet known
+    are computed in one call.  beta_init, when given, holds one starting
+    point per problem.  Returns one SolveResult per problem, in order; a
+    non-finite iterate in any row raises ValueError.  A result's model is
+    the penalty's descriptor of its beta; a penalty whose step_batch keys
+    stand for another descriptor than that raises RuntimeError.
     """
     thetas = list(thetas)
     if not thetas:
@@ -251,6 +259,16 @@ def forward_backward_batch(
     count, p = len(thetas), thetas[0].dim
     if any(t.dim != p for t in thetas):
         raise ValueError("batched problems must share one dimension")
+    quads = [t.quad for t in thetas]
+    shared = all(q is quads[0] for q in quads)
+    if shared:
+        gam = quads[0].gamma
+    else:
+        gam = np.stack([q.gamma for q in quads])
+        if any(q._lip is None for q in quads):
+            # one stacked SVD call; a norm already known gets the same bits again
+            for q, norm in zip(quads, spectral_norms(gam)):
+                q._lip = float(norm)
     taus = [_step_size(t, opts) for t in thetas]
     weights = np.array([check_prox_weight(tau * t.mu) for tau, t in zip(taus, thetas)])
     if beta_init is None:
@@ -260,8 +278,6 @@ def forward_backward_batch(
             raise ValueError(f"{len(beta_init)} starting points for {count} problems")
         beta = np.array([_as_vector(b, p, "beta_init") for b in beta_init])
 
-    shared = all(t.quad is thetas[0].quad for t in thetas)
-    gam = thetas[0].gamma if shared else np.stack([t.gamma for t in thetas])
     u = np.array([t.u for t in thetas])
     tau = np.array(taus)[:, None]
     rows = np.arange(count)  # the problem of each row still in the batch

@@ -589,6 +589,10 @@ NAN = float("nan")
                  id="certify-seed-without-signal"),
     pytest.param("solve", with_key(solve_payload(), "seed", 5), [], "seed",
                  id="solve-seed-with-x-y"),
+    pytest.param("certify", certify_payload(), ["--seed", "9"], "seed",
+                 id="certify-seed-flag-without-signal"),
+    pytest.param("solve", solve_payload(), ["--seed", "9"], "seed",
+                 id="solve-seed-flag-with-x-y"),
     pytest.param("experiment", experiment_payload(
         kind="consistency", sweep={"sample_sizes": [100.7, 400]}, noise_sigma=0.5,
         mu_rule={"kind": "power"},

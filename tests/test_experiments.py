@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,8 +298,9 @@ class TestIdentificationProfile:
         assert 0 < len(converged) < len(res.records)
         assert 0 < sum(r.identified for r in converged) < len(converged)
         iters = [r.identification_iter for r in converged]
-        assert res.profile.identification_iters == iters
-        assert res.profile.finite_fraction == 1.0 and max(iters) < 30
+        assert res.profile.identification_iters == iters and max(iters) < 30
+        # the trials that stop short count against the fraction
+        assert res.profile.finite_fraction == len(converged) / len(res.records)
         assert res.profile.post_match_fraction == (
             sum(r.identified for r in converged) / len(converged)
         )
@@ -313,6 +315,23 @@ class TestIdentificationProfile:
         assert len(iters) == 12
         recorded = [r.identification_iter for r in res.records]
         assert sorted(iters) == sorted(recorded)
+
+    def test_trials_that_stop_short_count_against_finite_fraction(self):
+        # the active coordinates contract by 0.1 per step, the others
+        # oscillate at 0.8: only the smallest noise level, whose trials
+        # keep the true support, converges within 12 steps
+        cfg = identity_config(
+            design=DesignSpec.explicit(np.sqrt(6.0) * np.diag(np.sqrt([0.5, 0.5, 1, 1, 1, 1]))),
+            signal=SignalSpec.explicit(np.array([1.5, -2.0, 0.0, 0.0, 0.0, 0.0])),
+            sweep_values=(1e-2, 0.3, 1.0), trials=10, solve=SolveOptions(max_iter=12),
+        )
+        res = identification_profile(cfg)
+        assert [r.converged for r in res.records] == [True] * 10 + [False] * 20
+        assert res.profile.finite_fraction == pytest.approx(1 / 3)
+        assert res.profile.post_match_fraction == 1.0
+        # given the steps, every trial converges and the fraction is 1
+        res = identification_profile(replace(cfg, solve=SolveOptions()))
+        assert res.profile.finite_fraction == 1.0
 
 
 class MisreportingL1(L1):
@@ -405,13 +424,17 @@ def test_gamma_prepared_once_per_fixed_design(svd_calls):
     # the sweeps never read an objective, so none of them computes Gamma^+
     calls = svd_calls
     for sweep, overrides in FIXED_DESIGN_SWEEPS:
-        calls.update(spectral_norm=0, pseudoinverse=0)
+        calls.update(spectral_norm=0, spectral_norms=0, pseudoinverse=0)
         sweep(random_design_config(**overrides))
-        assert calls == {"spectral_norm": 1, "pseudoinverse": 0}, sweep.__name__
-    # fresh designs: every trial prepares its own Gamma
-    calls.update(spectral_norm=0, pseudoinverse=0)
+        assert calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 0}, (
+            sweep.__name__
+        )
+    # fresh designs: every trial has its own Gamma, and the batch computes
+    # all their norms in one stacked call
+    calls.update(spectral_norm=0, spectral_norms=0, pseudoinverse=0)
     res = consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
-    assert calls == {"spectral_norm": 6, "pseudoinverse": 0} and len(res.records) == 6
+    assert calls == {"spectral_norm": 0, "spectral_norms": 1, "pseudoinverse": 0}
+    assert len(res.records) == 6
 
 
 def test_one_batch_per_fixed_design_sweep(monkeypatch):
@@ -429,10 +452,47 @@ def test_one_batch_per_fixed_design_sweep(monkeypatch):
         # sharpness first solves its noiseless check per mu as one batch
         want = [2, 4] if sweep is sharpness_experiment else [4]
         assert batches == want, sweep.__name__
-    # fresh designs: one batch per sample size
+    # fresh designs at p=6: the Gamma stack of the whole sweep fits one batch
     batches.clear()
     consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
-    assert batches == [3, 3]
+    assert batches == [6]
+
+
+def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
+    batches = []
+
+    def counted(thetas, reg, opts):
+        batches.append(len(thetas))
+        return forward_backward_batch(thetas, reg, opts)
+
+    monkeypatch.setattr(exps, "forward_backward_batch", counted)
+    cfg = TestConsistency().base(trials=3, sweep_values=(40, 80, 160))
+    want = consistency_sweep(cfg).records
+    point = 3 * 6 * 6 * 8  # bytes of one sample size's Gamma stack
+    for budget, sizes in ((9 * point, [9]), (2 * point, [6, 3]), (point - 1, [3, 3, 3])):
+        monkeypatch.setattr(exps, "GAMMA_STACK_BYTES", budget)
+        batches.clear()
+        assert consistency_sweep(cfg).records == want
+        assert batches == sizes, budget
+
+
+def test_gamma_budget_at_p10_and_p200():
+    def grouping(p, trials, points, quad=None):
+        shared = SimpleNamespace(signal=SignalSpec.explicit(np.zeros(p)), quad=quad)
+        tasks = [(i, 1.0, 0.1, list(range(trials))) for i in range(points)]
+        return [len(group) for group in exps._group_points(shared, tasks)]
+
+    # p=10, 40 trials per point: 32 KB per point, one batch
+    assert grouping(10, 40, 3) == [3]
+    # p=200, 40 trials per point: 12.8 MB per point, one batch each
+    assert grouping(200, 40, 3) == [1, 1, 1]
+    # a shared Gamma costs nothing per row
+    assert grouping(200, 40, 3, quad=object()) == [3]
+
+
+def test_consistency_jobs_match_serial():
+    cfg = TestConsistency().base(trials=3, sweep_values=(40, 80, 160))
+    assert consistency_sweep(replace(cfg, jobs=2)).records == consistency_sweep(cfg).records
 
 
 def test_parallel_jobs_match_serial():

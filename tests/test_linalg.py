@@ -14,6 +14,7 @@ from partlysmooth import (
     restricted_injectivity,
     spectral_norm,
 )
+from partlysmooth.linalg import spectral_norms
 
 from oracles import projector, span, subspace_distance, trivial
 
@@ -150,6 +151,19 @@ def test_spectral_norm():
         a = rng.normal(size=(p, p))
         sym = a + a.T
         assert spectral_norm(sym) == pytest.approx(np.abs(np.linalg.eigvalsh(sym)).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10, 50, 200])
+def test_stacked_norms_are_spectral_norm_bits(p):
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=(4, p + 5, p))
+    stack = np.matmul(x.transpose(0, 2, 1), x) / (p + 5)
+    norms = spectral_norms(stack)
+    assert norms.shape == (4,)
+    for a, norm in zip(stack, norms):
+        assert norm == spectral_norm(a)  # bit for bit, not approximately
+    assert spectral_norms(stack[:1])[0] == norms[0]
+    assert spectral_norms(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSubspaceDistance:

@@ -248,10 +248,10 @@ def test_shared_quadratic(svd_calls):
         assert theta.quad is quad and theta.gamma is quad.gamma
         results.append(forward_backward(theta, L1()))
     # Gamma^+ only enters the objective, which nothing has read yet
-    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 0}
+    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 0}
     for res in results:
         assert res.objective == res.objective_trace[-1]
-    assert svd_calls == {"spectral_norm": 1, "pseudoinverse": 1}
+    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 1}
     # an array still works and prepares its own, with the same results
     own = CanonicalParameters(0.1, np.array([1.0, -0.5]), gamma)
     assert own.quad is not quad
@@ -261,6 +261,22 @@ def test_shared_quadratic(svd_calls):
         CanonicalParameters(0.1, np.zeros(3), quad)
     with pytest.raises(ValueError):
         Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_batch_norms_in_one_stacked_call(svd_calls):
+    rng = np.random.default_rng(8)
+    gammas = [a @ a.T / 5 for a in rng.normal(size=(5, 4, 5))]
+    quads = [Quadratic(g) for g in gammas]
+    known = quads[1].lip
+    thetas = [CanonicalParameters(0.2, rng.normal(size=4), q) for q in quads + quads[:2]]
+    results = forward_backward_batch(thetas, L1())
+    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 1, "pseudoinverse": 0}
+    assert quads[1].lip == known
+    for q, g in zip(quads, gammas):
+        assert q.lip == np.linalg.norm(g, 2)  # the bits of spectral_norm
+    for theta, res in zip(thetas, results):
+        alone = forward_backward(CanonicalParameters(theta.mu, theta.u, theta.gamma), L1())
+        assert res.step == alone.step and np.array_equal(res.beta, alone.beta)
 
 
 def test_non_finite_iterate_raises():
