@@ -22,7 +22,6 @@ from .experiments import (
     TrialRecord,
     consistency_sweep,
     find_certified_design,
-    identification_profile,
     noise_stability_sweep,
     sharpness_experiment,
     write_plot_csv,
@@ -107,7 +106,6 @@ __all__ = [
     "forward_backward",
     "forward_backward_batch",
     "generate_instance",
-    "identification_profile",
     "load_matrix_csv",
     "make_design",
     "make_signal",

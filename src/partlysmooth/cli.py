@@ -4,8 +4,8 @@ Three subcommands, all driven by a single JSON config file:
 
 * certify     stability certificate for (Gamma, beta0) under a regularizer
 * solve       one forward-backward solve plus a posteriori optimality checks
-* experiment  Monte-Carlo sweeps (noise stability, consistency, sharpness,
-              identification profile) with CSV/JSON outputs
+* experiment  Monte-Carlo sweeps (noise stability with its identification
+              profile, consistency, sharpness) with CSV/JSON outputs
 
 Exit codes for certify encode the verdict so scripts can branch on it:
 0 stable, 2 certified outside, 3 boundary or otherwise inconclusive,
@@ -28,7 +28,6 @@ from . import config as cfgmod
 from .certificate import certify_uniqueness, check_model_stability
 from .experiments import (
     consistency_sweep,
-    identification_profile,
     noise_stability_sweep,
     sharpness_experiment,
     write_plot_csv,
@@ -132,7 +131,6 @@ _RUNNERS = {
     "noise_stability": noise_stability_sweep,
     "consistency": consistency_sweep,
     "sharpness": sharpness_experiment,
-    "identification_profile": identification_profile,
 }
 
 

@@ -8,9 +8,7 @@ are resolved relative to the config file's directory.  See the README for
 the full schema and worked examples.
 
 Every *_from_config function raises ConfigError with a readable message on
-malformed input, including a key that no reader of its object uses, and
-each spec type has a matching *_to_config so that a parsed configuration
-can be serialized back to an equivalent file.
+malformed input, including a key that no reader of its object uses.
 """
 
 from __future__ import annotations
@@ -36,16 +34,14 @@ from .problems import (
 from .regularizers import L1, RI_TOL, ZERO_TOL, AnalysisL1, GroupL1L2, Nuclear, Regularizer
 from .solver import SolveOptions
 
-# the one sweep key that each experiment kind's file carries
-_SWEEP_BY_KIND = {
-    "noise_stability": "noise_levels",
-    "consistency": "sample_sizes",
-    "sharpness": "mu_values",
-    "identification_profile": "noise_levels",
+# kind: (the one sweep key its file carries, the experiment keys only it reads);
+# sharpness sweeps mu itself, and a noise sweep takes sigma from its sweep
+_EXPERIMENTS = {
+    "noise_stability": ("noise_levels", ("mu_rule",)),
+    "consistency": ("sample_sizes", ("mu_rule", "noise_sigma")),
+    "sharpness": ("mu_values", ("noise_sigma",)),
 }
-EXPERIMENT_KINDS = tuple(_SWEEP_BY_KIND)
-# sharpness sweeps mu itself, so its file has no mu_rule
-_READS_MU_RULE = tuple(k for k in EXPERIMENT_KINDS if k != "sharpness")
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 class ConfigError(ValueError):
@@ -133,7 +129,7 @@ def _vector_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.
     return v
 
 
-# kind: (class, the keys besides "kind"); Regularizer.to_config writes them
+# kind: (class, the keys besides "kind")
 _REGULARIZERS = {
     "l1": (L1, ()),
     "group_l1l2": (GroupL1L2, ("groups",)),
@@ -186,12 +182,6 @@ def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
     raise ConfigError(f"unknown design kind {kind!r}")
 
 
-def design_to_config(spec: DesignSpec) -> dict:
-    if spec.kind == "explicit":
-        return {"kind": "explicit", "matrix": spec.matrix.tolist()}
-    return {"kind": "gaussian_rows", "covariance": spec.covariance.tolist(), "n": spec.n}
-
-
 # the integer keys of each random signal kind
 _SIGNAL_KEYS = {
     "sparse": ("p", "support_size"),
@@ -218,16 +208,6 @@ def signal_from_config(cfg: dict) -> SignalSpec:
     return _spec(SignalSpec, "signal", kind=kind, amplitude_range=amp, **counts)
 
 
-def signal_to_config(spec: SignalSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind == "explicit":
-        out["beta0"] = spec.beta0.tolist()
-        return out
-    out["amplitude_range"] = list(spec.amplitude_range)
-    out.update({key: getattr(spec, key) for key in _SIGNAL_KEYS[spec.kind]})
-    return out
-
-
 def solve_options_from_config(cfg: dict, zero_tol: float = ZERO_TOL) -> SolveOptions:
     """The solver section; zero_tol comes from the tolerances section."""
     _only_keys(cfg, ("step", "max_iter", "fp_tol"), "solver")
@@ -243,24 +223,12 @@ def solve_options_from_config(cfg: dict, zero_tol: float = ZERO_TOL) -> SolveOpt
     )
 
 
-def solve_options_to_config(opts: SolveOptions) -> dict:
-    return {"step": opts.step, "max_iter": opts.max_iter, "fp_tol": opts.fp_tol}
-
-
 def mu_rule_from_config(cfg: dict) -> MuRule:
     kind = require_key(cfg, "kind", "mu rule")
     keys = ("value", "scale", "exponent")
     _only_keys(cfg, ("kind", *keys), "mu_rule")
     values = [number(cfg.get(k), f"mu_rule.{k}", optional=True) for k in keys]
     return _spec(MuRule, "mu rule", kind, *values)
-
-
-def mu_rule_to_config(rule: MuRule) -> dict:
-    out = {"kind": rule.kind}
-    for key in ("value", "scale", "exponent"):
-        if getattr(rule, key) is not None:
-            out[key] = getattr(rule, key)
-    return out
 
 
 _TOLERANCES = {"zero_tol": ZERO_TOL, "ri_tol": RI_TOL, "injectivity_tol": INJECTIVITY_TOL}
@@ -303,7 +271,9 @@ def _gives(cfg, keys, others) -> bool:
 
 
 def _seed(cfg, seed):
-    return number(cfg.get("seed", 0), "seed", integer=True) if seed is None else seed
+    """The seed argument, else the file's seed, else 0."""
+    value = cfg.get("seed", 0) if seed is None else seed
+    return number(value, "seed", integer=True, nonnegative=True)
 
 
 def _no_seed(cfg, seed, draws):
@@ -395,17 +365,13 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     kind = require_key(exp, "kind", "experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
-    reads_mu_rule = kind in _READS_MU_RULE
-    keys = ["kind", "sweep", "trials", "base_seed", "noise_sigma", "jobs"]
-    if reads_mu_rule:
-        keys.append("mu_rule")
-    _only_keys(exp, keys, f"{kind} experiment")
+    expected, reads = _EXPERIMENTS[kind]
+    _only_keys(exp, ("kind", "sweep", "trials", "base_seed", "jobs", *reads), f"{kind} experiment")
 
     sweep = require_key(exp, "sweep", "experiment")
     if not isinstance(sweep, dict) or len(sweep) != 1:
         raise ConfigError("experiment sweep must be an object with exactly one key")
     (key, sweep_values), = sweep.items()
-    expected = _SWEEP_BY_KIND[kind]
     if key != expected:
         raise ConfigError(f"experiment kind {kind!r} sweeps {expected!r}, got {key!r}")
     if not isinstance(sweep_values, list) or not sweep_values:
@@ -428,9 +394,11 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
         mu_rule=(
             mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))
-            if reads_mu_rule else None
+            if "mu_rule" in reads else None
         ),
-        base_seed=number(exp.get("base_seed", 0), "experiment.base_seed", integer=True),
+        base_seed=number(
+            exp.get("base_seed", 0), "experiment.base_seed", integer=True, nonnegative=True
+        ),
         noise_sigma=number(exp.get("noise_sigma"), "experiment.noise_sigma", optional=True),
         solve=solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"]),
         jobs=number(exp["jobs"], "experiment.jobs", integer=True) if "jobs" in exp else None,
@@ -438,29 +406,3 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     )
     return kind, _spec(ExperimentConfig, "experiment", **args)
 
-
-def experiment_to_config(kind: str, config: ExperimentConfig) -> dict:
-    """Inverse of experiment_from_config, up to default filling."""
-    sweep_values = list(config.sweep_values)
-    if kind == "consistency":
-        sweep_values = [int(v) for v in sweep_values]
-    exp = {
-        "kind": kind,
-        "sweep": {_SWEEP_BY_KIND[kind]: sweep_values},
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-    }
-    if config.mu_rule is not None and kind in _READS_MU_RULE:
-        exp["mu_rule"] = mu_rule_to_config(config.mu_rule)
-    if config.noise_sigma is not None:
-        exp["noise_sigma"] = config.noise_sigma
-    if config.jobs is not None:
-        exp["jobs"] = config.jobs
-    return {
-        "regularizer": config.regularizer.to_config(),
-        "design": design_to_config(config.design),
-        "signal": signal_to_config(config.signal),
-        "solver": solve_options_to_config(config.solve),
-        "tolerances": {"zero_tol": config.solve.zero_tol, "ri_tol": config.ri_tol},
-        "experiment": exp,
-    }

@@ -1,19 +1,17 @@
 """Monte-Carlo experiments for model recovery.
 
-Four harnesses, all built on the same trial engine:
+Three harnesses, all built on the same trial engine:
 
 * noise_stability_sweep: fixed design, noise level swept; measures how often
   the solver recovers the exact active model of beta0 when the certificate
-  says it should.
+  says it should, and profiles when the iterates lock onto their final
+  model and how often that model is the target's.
 * consistency_sweep: sample size swept with fresh Gaussian designs per trial
   and mu_n = c * n^(-exponent), 0 < exponent < 1/2; measures recovery rate
   as n grows.
 * sharpness_experiment: mu swept at a fixed small noise level on an instance
   whose certificate is strictly outside; recovery should essentially never
   happen, including in the noiseless limit.
-* identification_profile: noise sweep that also reports when the solver's
-  iterates lock onto their final model, how often they do so at all, and
-  how often that model is the target's.
 
 Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
@@ -43,7 +41,8 @@ from .problems import (
 from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
 from .solver import Quadratic, SolveOptions, forward_backward_batch
 
-MU_RULE_KINDS = ("fixed", "proportional", "power")
+# kind: the fields the rule reads
+MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,8 @@ class MuRule:
 
     fixed: mu = value.  proportional: mu = scale * sigma (scale defaults to
     2 / certificate margin).  power: mu = scale * n^(-exponent) with
-    0 < exponent < 1/2 (defaults: scale 1, exponent 1/4).
+    0 < exponent < 1/2 (defaults: scale 1, exponent 1/4).  A field the kind
+    does not read is an error, as is a scale <= 0.
     """
 
     kind: str
@@ -61,8 +61,13 @@ class MuRule:
     exponent: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in MU_RULE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in MU_RULE_KINDS:
             raise ValueError(f"unknown mu rule kind {self.kind!r}")
+        for name in ("value", "scale", "exponent"):
+            if getattr(self, name) is not None and name not in MU_RULE_KINDS[self.kind]:
+                raise ValueError(f"a {self.kind} mu rule does not read {name}")
+        if self.scale is not None and not self.scale > 0:
+            raise ValueError(f"mu rule scale must be > 0, got {self.scale}")
         if self.kind == "fixed" and (self.value is None or self.value <= 0):
             raise ValueError("fixed mu rule needs value > 0")
         if self.kind == "power":
@@ -115,6 +120,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         object.__setattr__(self, "sweep_values", values)
 
 
@@ -392,10 +399,27 @@ def _noise_setup(config: ExperimentConfig):
 
 
 def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
-    """Recovery rate and error ratios across noise levels on a fixed design."""
+    """Recovery rate and error ratios across noise levels on a fixed design.
+
+    The result's profile covers all trials.  A trial identifies finitely when
+    it converged with an identification_iter below solve.max_iter;
+    identification_iters lists those iterations and finite_fraction is
+    their share.  post_match_fraction is the share whose record says
+    identified.  A trial that does not converge counts against both.
+    """
     shared, cert, points = _noise_setup(config)
     batches = _run_trials(shared, points, config)
-    return _result("noise_stability", config.sweep_values, batches, cert)
+    records = [r for records in batches for r in records]
+    finite = [
+        r.identification_iter for r in records
+        if r.converged and r.identification_iter < config.solve.max_iter
+    ]
+    profile = ProfileStats(
+        identification_iters=finite,
+        finite_fraction=len(finite) / len(records),
+        post_match_fraction=sum(r.identified for r in records) / len(records),
+    )
+    return _result("noise_stability", config.sweep_values, batches, cert, profile=profile)
 
 
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -452,37 +476,6 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     batches = _run_trials(shared, points, config)
     return _result(
         "sharpness", config.sweep_values, batches, cert, noiseless_identified=noiseless
-    )
-
-
-def identification_profile(config: ExperimentConfig) -> ExperimentResult:
-    """Noise sweep plus identification statistics of its trials.
-
-    A trial identifies finitely when it converged with an
-    identification_iter below solve.max_iter; finite_fraction counts that
-    share of all trials, so a trial that does not converge counts against
-    it.  identification_iters lists those iterations, and
-    post_match_fraction is the share of converged trials whose record says
-    identified (nan when none converged).
-    """
-    shared, cert, points = _noise_setup(config)
-    batches = _run_trials(shared, points, config)
-    records = [r for records in batches for r in records]
-    converged = [r for r in records if r.converged]
-    finite = [
-        r.identification_iter for r in converged
-        if r.identification_iter < config.solve.max_iter
-    ]
-    profile = ProfileStats(
-        identification_iters=finite,
-        finite_fraction=len(finite) / len(records),
-        post_match_fraction=(
-            sum(r.identified for r in converged) / len(converged) if converged
-            else float("nan")
-        ),
-    )
-    return _result(
-        "identification_profile", config.sweep_values, batches, cert, profile=profile
     )
 
 

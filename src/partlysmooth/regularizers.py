@@ -159,9 +159,6 @@ class Regularizer:
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
     # -- shared logic ------------------------------------------------------
     def ri_membership(self, geometry: ModelGeometry, eta, tol: float = RI_TOL) -> CertificateVerdict:
         """Classify eta against the subdifferential at the given geometry."""
@@ -223,9 +220,6 @@ class L1(Regularizer):
         off[list(geometry.descriptor.data)] = False
         worst = float(np.abs(eta[off]).max()) if off.any() else 0.0
         return 1.0 - worst
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind}
 
 
 class GroupL1L2(Regularizer):
@@ -294,9 +288,6 @@ class GroupL1L2(Regularizer):
                 worst = max(worst, float(np.linalg.norm(eta[g])))
         return 1.0 - worst
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "groups": [g.tolist() for g in self.groups]}
-
 
 class Nuclear(Regularizer):
     """Nuclear norm of a square matrix, vectorized column-major.
@@ -357,9 +348,6 @@ class Nuclear(Regularizer):
         normal = h - self._mat(project(eta, geometry.subspace))
         worst = float(np.linalg.norm(normal, 2)) if normal.size else 0.0
         return 1.0 - worst
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "matrix_shape": list(self.shape)}
 
 
 class AnalysisL1(Regularizer):
@@ -480,10 +468,3 @@ class AnalysisL1(Regularizer):
         if not res.success:
             raise RuntimeError(f"interior-margin LP failed: {res.message}")
         return 1.0 - float(res.x[-1])
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "operator_shape": list(self.operator.shape),
-            "operator": self.operator.tolist(),
-        }

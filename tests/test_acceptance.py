@@ -35,7 +35,6 @@ from partlysmooth import (
     find_certified_design,
     forward_backward,
     forward_backward_batch,
-    identification_profile,
     make_signal,
     noise_stability_sweep,
     consistency_sweep,
@@ -253,7 +252,7 @@ def test_criterion_07_finite_identification(monkeypatch):
         base = SHARED.get("criterion4_config")
         assert base is not None, "criterion 4 must produce its certified design first"
         config = replace(base, sweep_values=(1e-3, 1e-4))
-        res = identification_profile(config)
+        res = noise_stability_sweep(config)
         assert res.profile.finite_fraction >= 0.95
         assert res.profile.post_match_fraction == 1.0
 

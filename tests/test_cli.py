@@ -1,7 +1,6 @@
 """Config parsing and the command line front end."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +133,14 @@ def experiment_payload(**exp_overrides):
     }
 
 
+def sharpness_payload(**exp_overrides):
+    """A sharpness file: mu is the sweep, so it has noise_sigma and no mu_rule."""
+    payload = without_key(experiment_payload(
+        kind="sharpness", sweep={"mu_values": [0.1]}, noise_sigma=1e-3), "experiment.mu_rule")
+    payload["experiment"].update(exp_overrides)
+    return payload
+
+
 class TestExperimentConfig:
     def test_round_trip(self):
         payload = experiment_payload()
@@ -143,42 +150,21 @@ class TestExperimentConfig:
         assert config.trials == 3 and config.base_seed == 7
         assert config.sweep_values == (0.0, 1e-3)
         assert config.solve.zero_tol == 1e-9
-        dumped = cfgmod.experiment_to_config(kind, config)
-        assert dumped["tolerances"]["zero_tol"] == 1e-9
-        assert set(dumped["solver"]) == {"step", "max_iter", "fp_tol"}
-        kind2, config2 = cfgmod.experiment_from_config(dumped)
-        assert kind2 == kind
-        assert cfgmod.experiment_to_config(kind2, config2) == dumped
-
-    def test_sample_sizes_serialize_as_ints(self):
-        payload = experiment_payload(
-            kind="consistency", sweep={"sample_sizes": [50, 200]}, noise_sigma=0.5,
-            mu_rule={"kind": "power"},
-        )
-        payload["design"] = {"kind": "gaussian_rows", "identity_dim": 6, "n": 50}
-        kind, config = cfgmod.experiment_from_config(payload)
-        dumped = cfgmod.experiment_to_config(kind, config)
-        assert dumped["experiment"]["sweep"]["sample_sizes"] == [50, 200]
+        assert config.mu_rule == MuRule("fixed", value=0.05)
+        # a noise sweep takes sigma from its sweep, so its file has none
+        assert config.noise_sigma is None
 
     def test_noise_sigma_is_a_float(self):
-        _, config = cfgmod.experiment_from_config(experiment_payload(noise_sigma="0.1"))
+        _, config = cfgmod.experiment_from_config(sharpness_payload(noise_sigma="0.1"))
         assert config.noise_sigma == 0.1
 
     def test_mu_rule_only_where_read(self):
         # sharpness sweeps mu itself, so its file has no mu_rule (one is an
         # error: see test_error_exits_1_without_traceback)
-        payload = without_key(experiment_payload(
-            kind="sharpness", sweep={"mu_values": [0.1]}, noise_sigma=1e-3), "experiment.mu_rule")
-        kind, config = cfgmod.experiment_from_config(payload)
+        kind, config = cfgmod.experiment_from_config(sharpness_payload())
         assert kind == "sharpness" and config.mu_rule is None
-        dumped = cfgmod.experiment_to_config(kind, config)
-        assert "mu_rule" not in dumped["experiment"]
-        assert cfgmod.experiment_to_config(*cfgmod.experiment_from_config(dumped)) == dumped
-        # a library config may carry a rule sharpness does not read; its file has none
-        ruled = replace(config, mu_rule=MuRule("fixed", value=1.0))
-        assert cfgmod.experiment_to_config(kind, ruled) == dumped
         # every other kind requires one
-        for kind, sweep in (("identification_profile", {"noise_levels": [0.1]}),
+        for kind, sweep in (("noise_stability", {"noise_levels": [0.1]}),
                             ("consistency", {"sample_sizes": [50]})):
             payload = without_key(experiment_payload(kind=kind, sweep=sweep), "experiment.mu_rule")
             with pytest.raises(ConfigError, match="mu_rule"):
@@ -437,6 +423,15 @@ class TestExperiment:
         assert summary["kind"] == "noise_stability"
         assert [row["identification_rate"] for row in summary["rows"]] == [1.0, 1.0]
 
+    def test_noise_sweep_summary_carries_profile(self, tmp_path):
+        cfg = write_config(tmp_path, experiment_payload())
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        profile = summary["profile"]
+        assert profile["finite_fraction"] == profile["post_match_fraction"] == 1.0
+        # one iteration per trial: 2 noise levels x 3 trials
+        assert len(profile["identification_iters"]) == 6
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, experiment_payload())
         run(["experiment", "--config", cfg, "--out", tmp_path / "a", "--quiet"])
@@ -464,8 +459,8 @@ class TestExperiment:
         # the solver tracks models with the same threshold the final
         # descriptor is read with, so the trace check after identification holds
         payload = experiment_payload(
-            kind="identification_profile", sweep={"noise_levels": [0.5]},
-            mu_rule={"kind": "fixed", "value": 0.03}, trials=10, base_seed=3,
+            sweep={"noise_levels": [0.5]}, mu_rule={"kind": "fixed", "value": 0.03}, trials=10,
+            base_seed=3,
         )
         payload["design"] = {"kind": "gaussian_rows", "identity_dim": 10, "n": 50}
         payload["signal"] = {"kind": "sparse", "p": 10, "support_size": 3}
@@ -474,9 +469,7 @@ class TestExperiment:
         assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
 
     def test_sharpness_without_mu_rule(self, tmp_path):
-        payload = without_key(experiment_payload(
-            kind="sharpness", sweep={"mu_values": [0.1, 0.3]}, noise_sigma=1e-3),
-            "experiment.mu_rule")
+        payload = sharpness_payload(sweep={"mu_values": [0.1, 0.3]})
         # an outside-certified design, so the sweep raises no warning
         payload["design"]["matrix"] = (np.sqrt(3.0) * np.linalg.cholesky(G3).T).tolist()
         payload["signal"]["beta0"] = [1.0, 1.0, 0.0]
@@ -542,7 +535,7 @@ NAN = float("nan")
     pytest.param("experiment", experiment_payload(trials=None), [], "trials", id="trials-null"),
     pytest.param("experiment", experiment_payload(base_seed=None), [], "base_seed",
                  id="base_seed-null"),
-    pytest.param("experiment", experiment_payload(noise_sigma="loud"), [], "noise_sigma",
+    pytest.param("experiment", sharpness_payload(noise_sigma="loud"), [], "noise_sigma",
                  id="noise_sigma-text"),
     pytest.param("experiment", experiment_payload(jobs=0), [], "jobs", id="jobs-0"),
     pytest.param("experiment", experiment_payload(jobs=-1), [], "jobs", id="jobs-negative"),
@@ -628,6 +621,24 @@ NAN = float("nan")
                  [], "mu_rule", id="sharpness-mu_rule"),
     pytest.param("experiment", without_key(experiment_payload(), "experiment.mu_rule"), [],
                  "mu_rule", id="noise_stability-no-mu_rule"),
+    # a noise sweep takes sigma from its sweep; every noise sweep writes the profile
+    pytest.param("experiment", experiment_payload(noise_sigma=0.1), [], "noise_sigma",
+                 id="noise_stability-noise_sigma"),
+    pytest.param("experiment", experiment_payload(kind="identification_profile"), [],
+                 "identification_profile", id="identification_profile-kind"),
+    # a mu rule field that its kind does not read, and a scale <= 0
+    pytest.param("experiment", with_key(experiment_payload(), "experiment.mu_rule.scale", 3),
+                 [], "scale", id="fixed-mu_rule-scale"),
+    pytest.param("experiment", experiment_payload(mu_rule={"kind": "proportional", "scale": -0.6}),
+                 [], "scale", id="proportional-mu_rule-negative-scale"),
+    # seeds are non-negative integers, and the error names the key
+    pytest.param("experiment", experiment_payload(base_seed=-2), [], "experiment.base_seed",
+                 id="base_seed-negative"),
+    pytest.param("experiment", experiment_payload(), ["--seed", "-2"], "base_seed",
+                 id="experiment-seed-flag-negative"),
+    pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
+                             "signal": {"kind": "sparse", "p": 2, "support_size": 1}, "seed": -1},
+                 [], "seed", id="certify-seed-negative"),
 ])
 def test_error_exits_1_without_traceback(
     tmp_path, capsys, monkeypatch, command, payload, argv, names

@@ -27,7 +27,6 @@ from partlysmooth import (
     forward_backward_batch,
     generate_instance,
     find_certified_design,
-    identification_profile,
     noise_stability_sweep,
     sharpness_experiment,
     write_plot_csv,
@@ -77,6 +76,21 @@ class TestMuRule:
         for bad in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(ValueError):
                 MuRule("power", exponent=bad)
+
+    def test_fields_the_kind_does_not_read(self):
+        for kind, fields in (("fixed", dict(value=0.1, scale=3.0)),
+                             ("fixed", dict(value=0.1, exponent=0.25)),
+                             ("proportional", dict(exponent=0.25)),
+                             ("proportional", dict(value=0.1)),
+                             ("power", dict(value=0.1))):
+            with pytest.raises(ValueError, match="does not read"):
+                MuRule(kind, **fields)
+
+    def test_scale_must_be_positive(self):
+        for kind in ("proportional", "power"):
+            for bad in (0.0, -0.6):
+                with pytest.raises(ValueError, match="scale"):
+                    MuRule(kind, scale=bad)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -292,23 +306,22 @@ class TestIdentificationProfile:
         cfg = random_design_config(
             sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=30)
         )
-        res = identification_profile(cfg)
-        assert res.records == noise_stability_sweep(cfg).records
+        res = noise_stability_sweep(cfg)
         converged = [r for r in res.records if r.converged]
         assert 0 < len(converged) < len(res.records)
         assert 0 < sum(r.identified for r in converged) < len(converged)
         iters = [r.identification_iter for r in converged]
         assert res.profile.identification_iters == iters and max(iters) < 30
-        # the trials that stop short count against the fraction
+        # the trials that stop short count against both fractions
         assert res.profile.finite_fraction == len(converged) / len(res.records)
         assert res.profile.post_match_fraction == (
-            sum(r.identified for r in converged) / len(converged)
+            sum(r.identified for r in converged) / len(res.records)
         )
 
     def test_profile_on_certified_instance(self):
         cfg = identity_config(sweep_values=(1e-3, 1e-4), trials=6)
-        res = identification_profile(cfg)
-        assert res.kind == "identification_profile"
+        res = noise_stability_sweep(cfg)
+        assert res.kind == "noise_stability"
         assert res.profile.finite_fraction == 1.0
         assert res.profile.post_match_fraction == 1.0
         iters = res.profile.identification_iters
@@ -325,12 +338,12 @@ class TestIdentificationProfile:
             signal=SignalSpec.explicit(np.array([1.5, -2.0, 0.0, 0.0, 0.0, 0.0])),
             sweep_values=(1e-2, 0.3, 1.0), trials=10, solve=SolveOptions(max_iter=12),
         )
-        res = identification_profile(cfg)
+        res = noise_stability_sweep(cfg)
         assert [r.converged for r in res.records] == [True] * 10 + [False] * 20
         assert res.profile.finite_fraction == pytest.approx(1 / 3)
-        assert res.profile.post_match_fraction == 1.0
+        assert res.profile.post_match_fraction == pytest.approx(1 / 3)
         # given the steps, every trial converges and the fraction is 1
-        res = identification_profile(replace(cfg, solve=SolveOptions()))
+        res = noise_stability_sweep(replace(cfg, solve=SolveOptions()))
         assert res.profile.finite_fraction == 1.0
 
 
@@ -353,14 +366,13 @@ def test_keys_that_disagree_with_the_descriptor_are_an_error():
 
 @pytest.mark.parametrize("sweep, config", [
     (noise_stability_sweep, lambda: identity_config(regularizer=MisreportingL1())),
-    (identification_profile, lambda: identity_config(regularizer=MisreportingL1())),
     (sharpness_experiment, lambda: TestSharpness().outside_config(regularizer=MisreportingL1())),
     (consistency_sweep, lambda: TestConsistency().base(
         regularizer=MisreportingL1(),
         signal=SignalSpec.explicit(np.array([1.5, 0.0, 0.0, 0.0, 0.0, -2.0])),
         trials=2,
     )),
-], ids=["noise_stability", "identification_profile", "sharpness", "consistency"])
+], ids=["noise_stability", "sharpness", "consistency"])
 def test_every_runner_checks_the_final_model(sweep, config):
     with pytest.raises(RuntimeError, match="tracked"):
         sweep(config())
@@ -381,7 +393,6 @@ def random_design_config(**overrides):
 
 FIXED_DESIGN_SWEEPS = [
     (noise_stability_sweep, {}),
-    (identification_profile, {}),
     (sharpness_experiment, dict(
         design=DesignSpec.explicit(np.sqrt(3.0) * np.linalg.cholesky(G3).T),
         signal=SignalSpec.explicit(np.array([1.0, 1.0, 0.0])),
@@ -414,7 +425,6 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
 
 def test_runners_that_read_mu_rule_need_one():
     for sweep, cfg in ((noise_stability_sweep, identity_config(mu_rule=None)),
-                       (identification_profile, identity_config(mu_rule=None)),
                        (consistency_sweep, TestConsistency().base(mu_rule=None))):
         with pytest.raises(ValueError, match="mu.rule"):
             sweep(cfg)
@@ -589,8 +599,9 @@ def test_summary_json_extras(tmp_path):
     write_summary_json(res, path)
     payload = json.loads(path.read_text())
     assert payload["noiseless_identified"] == {"0.01": False}
+    assert "profile" not in payload
 
-    prof = identification_profile(identity_config(trials=2))
+    prof = noise_stability_sweep(identity_config(trials=2))
     write_summary_json(prof, path)
     payload = json.loads(path.read_text())
     assert payload["profile"]["finite_fraction"] == 1.0

