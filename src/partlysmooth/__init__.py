@@ -43,7 +43,6 @@ from .problems import (
     ProblemInstance,
     SignalSpec,
     canonical_parameters,
-    correlation_noise,
     generate_instance,
     load_matrix_csv,
     make_design,
@@ -101,7 +100,6 @@ __all__ = [
     "check_model_stability",
     "check_symmetric",
     "consistency_sweep",
-    "correlation_noise",
     "find_certified_design",
     "forward_backward",
     "forward_backward_batch",

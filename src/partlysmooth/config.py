@@ -358,6 +358,24 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     return reg, canonical_parameters(inst, lam), opts, tol, beta0
 
 
+def _check_sweep(key, values, mu_rule):
+    """Refuse a sweep value out of its key's range, naming the key.
+
+    A noise level is >= 0, and > 0 under a proportional mu rule (mu = 0
+    otherwise); mu values are > 0 and sample sizes >= 1.
+    """
+    proportional = mu_rule is not None and mu_rule.kind == "proportional"
+    if key == "sample_sizes":
+        bad, want = [v for v in values if v < 1], ">= 1"
+    elif key == "mu_values" or proportional:
+        bad, want = [v for v in values if not v > 0], "> 0"
+    else:
+        bad, want = [v for v in values if v < 0], ">= 0"
+    if bad:
+        rule = " under a proportional mu rule" if proportional else ""
+        raise ConfigError(f"experiment.sweep.{key} must be {want}{rule}, got {bad[0]}")
+
+
 def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
     _only_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
@@ -377,6 +395,15 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     if not isinstance(sweep_values, list) or not sweep_values:
         raise ConfigError("sweep values must be a nonempty array")
 
+    sweep_values = tuple(
+        number(v, f"experiment.sweep.{key}", integer=key == "sample_sizes") for v in sweep_values
+    )
+    mu_rule = (
+        mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))
+        if "mu_rule" in reads else None
+    )
+    _check_sweep(key, sweep_values, mu_rule)
+
     tol_cfg = cfg.get("tolerances", {})
     # injectivity_tol applies to certify and solve only
     _only_keys(tol_cfg, ("zero_tol", "ri_tol"), "experiment tolerances")
@@ -387,15 +414,9 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         ),
         design=design_from_config(require_key(cfg, "design", "config"), base_dir),
         signal=signal_from_config(require_key(cfg, "signal", "config")),
-        sweep_values=tuple(
-            number(v, f"experiment.sweep.{key}", integer=key == "sample_sizes")
-            for v in sweep_values
-        ),
+        sweep_values=sweep_values,
         trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
-        mu_rule=(
-            mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))
-            if "mu_rule" in reads else None
-        ),
+        mu_rule=mu_rule,
         base_seed=number(
             exp.get("base_seed", 0), "experiment.base_seed", integer=True, nonnegative=True
         ),

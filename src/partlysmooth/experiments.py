@@ -16,12 +16,19 @@ Three harnesses, all built on the same trial engine:
 Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
+
+A batch draws each sweep point's trials with one draw_trials call (one
+generator per trial, products as stacks, checks once per stack), solves
+every trial of the batch in one forward_backward_batch, and computes all
+the error norms in one call; both are looked up in this module, so tests
+can wrap them.  records.csv and plot.csv are written one line of _fmt fields
+per row, in the bytes csv.writer would write.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -29,17 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .certificate import Certificate, check_model_stability
-from .problems import (
-    DesignSpec,
-    SignalSpec,
-    canonical_parameters,
-    correlation_noise,
-    generate_instance,
-    make_design,
-    make_signal,
-)
+from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
-from .solver import Quadratic, SolveOptions, forward_backward_batch
+from .solver import Quadratic, SolveOptions, _row_dots, forward_backward_batch
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
@@ -192,40 +191,38 @@ class _Shared:
     quad: Optional[Quadratic] = None
 
 
-def _draw(shared, point, sigma, mu, seed):
-    """Trial `seed`'s problem and what its record needs of the instance.
-
-    Returns (theta, (seed, n, beta0, ||X^T w / n||)); the instance itself,
-    with its design, is dropped here, so a batch holds no designs.
-    """
-    inst = generate_instance(shared.designs[point], shared.signal, sigma, seed, shared.reg)
-    theta = canonical_parameters(inst, mu * inst.n, shared.quad)
-    return theta, (seed, inst.n, inst.beta0, float(np.linalg.norm(correlation_noise(inst))))
-
-
 def _run_batch(shared, tasks):
     """The trials of several sweep points, solved as one forward_backward_batch.
 
-    A task is (design index, sigma, mu, seeds), one trial per seed.  Returns
-    one list of TrialRecords per task, in order.
-    Every row of a batch gets the bits it gets alone, so how the tasks are
-    grouped changes no result.  Module-level so worker processes can import
-    it.
+    A task is (design index, sigma, mu, seeds), one trial per seed, and
+    draw_trials draws each task's problems; the designs are dropped there,
+    so a batch holds none.  Returns one list of TrialRecords per task, in
+    order.  Every row of a batch gets the bits it gets alone, so how the
+    tasks are grouped changes no result.  Module-level so worker processes
+    can import it.
     """
-    thetas, facts = zip(*(
-        _draw(shared, point, sigma, mu, seed)
-        for point, sigma, mu, seeds in tasks for seed in seeds
-    ))
-    solved = zip(facts, forward_backward_batch(thetas, shared.reg, shared.opts))
+    beta0 = shared.signal.beta0
+    draws = [
+        draw_trials(shared.designs[point], beta0, sigma, mu, seeds, shared.quad)
+        for point, sigma, mu, seeds in tasks
+    ]
+    solved = forward_backward_batch(
+        [theta for draw in draws for theta in draw.thetas], shared.reg, shared.opts
+    )
+    # ||beta - beta0|| of every trial, as np.linalg.norm computes it
+    errors = np.array([res.beta for res in solved]) - beta0
+    outcomes = iter(zip(solved, np.sqrt(_row_dots(errors, errors)).tolist()))
     return [
-        [_outcome(shared, sigma, mu, *next(solved)) for _ in seeds]
-        for _, sigma, mu, seeds in tasks
+        [
+            _outcome(shared, sigma, mu, seed, draw.n, eps_norm, *next(outcomes))
+            for seed, eps_norm in zip(seeds, draw.eps_norms.tolist())
+        ]
+        for (_, sigma, mu, seeds), draw in zip(tasks, draws)
     ]
 
 
-def _outcome(shared, sigma, mu, facts, res):
+def _outcome(shared, sigma, mu, seed, n, eps_norm, res, error_norm):
     """The TrialRecord of one solved trial."""
-    seed, n, beta0, eps_norm = facts
     return TrialRecord(
         seed=seed,
         n=n,
@@ -233,7 +230,7 @@ def _outcome(shared, sigma, mu, facts, res):
         mu=mu,
         identified=bool(res.converged and same_model(res.model, shared.target)),
         boundary_flag=shared.boundary,
-        error_norm=float(np.linalg.norm(res.beta - beta0)),
+        error_norm=error_norm,
         eps_norm=eps_norm,
         identification_iter=res.identification_iter,
         converged=res.converged,
@@ -502,14 +499,29 @@ def find_certified_design(reg, covariance, n, beta0, min_margin=0.0, base_seed=0
 # serialization
 
 
+def _format_for(kind):
+    """How _fmt writes a value of type kind."""
+    if kind is type(None):
+        return lambda x: ""
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda x: "true" if x else "false"
+    if issubclass(kind, (int, np.integer)):
+        return str if kind is int else lambda x: str(int(x))
+    return lambda x: format(float(x), ".17g")
+
+
+# the formatters of the types records and summaries hold, looked up per value
+_FORMATS = {
+    kind: _format_for(kind)
+    for kind in (type(None), bool, int, float, np.bool_, np.int64, np.float64)
+}
+
+
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    """A field of records.csv or plot.csv: "" for None, true/false, integers
+    as such, anything else as a float at 17 significant digits."""
+    fmt = _FORMATS.get(type(x))
+    return (fmt or _format_for(type(x)))(x)
 
 
 RECORD_COLUMNS = (
@@ -524,13 +536,23 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _write_table(path, columns, rows):
+    """A header line, then one line of _fmt fields per row.
+
+    The bytes csv.writer writes for these lines: no column name and no
+    field _fmt makes holds a delimiter, quote or line break, so none is
+    quoted.
+    """
+    fields = operator.attrgetter(*columns)
+    lines = [",".join(columns)]
+    lines += [",".join([_fmt(x) for x in fields(row)]) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_records_csv(records, path):
     """One row per trial, floats at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
+    _write_table(path, RECORD_COLUMNS, records)
 
 
 def write_summary_json(result: ExperimentResult, path):
@@ -569,8 +591,4 @@ def write_summary_json(result: ExperimentResult, path):
 
 def write_plot_csv(result: ExperimentResult, path):
     """Long-format summary table, one row per sweep point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in result.summary:
-            writer.writerow([_fmt(getattr(row, c)) for c in SUMMARY_COLUMNS])
+    _write_table(path, SUMMARY_COLUMNS, result.summary)

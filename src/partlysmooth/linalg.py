@@ -20,32 +20,37 @@ RANK_TOL = 1e-10
 INJECTIVITY_TOL = 1e-8
 
 
-def _as_matrix(a, name="matrix"):
+def _as_matrix(a, name="matrix", stacked=False):
+    # stacked: a stack of matrices, one more leading axis, checked at once
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {a.shape}")
+    if a.ndim != 2 + stacked:
+        raise ValueError(f"{name} must be {2 + stacked}-d, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
 
-def _as_vector(v, dim=None, name="vector"):
+def _as_vector(v, dim=None, name="vector", stacked=False):
+    # stacked: a stack of vectors, one per row, checked at once
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {dim}")
+    if v.ndim != 1 + stacked:
+        raise ValueError(f"{name} must be {1 + stacked}-d, got shape {v.shape}")
+    if dim is not None and v.shape[-1] != dim:
+        raise ValueError(f"{name} has length {v.shape[-1]}, expected {dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v
 
 
-def check_symmetric(a, tol=SYM_TOL, name="operator"):
-    """Validate symmetry of a square matrix and return it as float64."""
-    a = _as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+def check_symmetric(a, tol=SYM_TOL, name="operator", stacked=False):
+    """Validate symmetry of a square matrix and return it as float64.
+
+    stacked=True checks a T x p x p stack of them at once.
+    """
+    a = _as_matrix(a, name, stacked)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.T)) > tol:
+    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > tol:
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
     return a
 

@@ -12,6 +12,12 @@ The canonical parameters of (instance, lambda) are
 
 and the effective noise seen by the solver is eps = X^T w / n = u -
 Gamma beta0.
+
+generate_instance and canonical_parameters build one trial at a time.
+draw_trials builds the trials of one sweep point, as the Monte-Carlo sweeps
+do: one generator per trial, in the same draw order, with every product
+computed as a stacked call whose slices are the one-trial calls and every
+check made once per stack, so each trial gets the one-trial bits.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ import numpy as np
 
 from .linalg import check_covariance, _as_matrix, _as_vector
 from .regularizers import GroupL1L2, Nuclear, Regularizer
-from .solver import CanonicalParameters, Quadratic
+from .solver import CanonicalParameters, Quadratic, _row_dots
 
 DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
+
+# what draw_trials holds of an explicit design's T x n noise at once, in bytes
+NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -228,6 +237,26 @@ def _segment_sizes(p, k, rng):
     return np.diff(edges)
 
 
+def _check_sigma(noise_sigma):
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+
+
+def _check_lambda(lam):
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+
+
+def _check_columns(p, beta0):
+    if p != beta0.shape[0]:
+        raise ValueError(f"design has p={p} columns but the signal has length {beta0.shape[0]}")
+
+
+def _check_quad(quad, p):
+    if quad.dim != p:
+        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={p}")
+
+
 def generate_instance(
     design: DesignSpec,
     signal: SignalSpec,
@@ -236,15 +265,11 @@ def generate_instance(
     reg: Regularizer,
 ) -> ProblemInstance:
     """Draw a full instance from one seed (design, then signal, then noise)."""
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     x = make_design(design, rng)
     beta0 = make_signal(signal, reg, rng)
-    if x.shape[1] != beta0.shape[0]:
-        raise ValueError(
-            f"design has p={x.shape[1]} columns but the signal has length {beta0.shape[0]}"
-        )
+    _check_columns(x.shape[1], beta0)
     w = noise_sigma * rng.standard_normal(x.shape[0])
     return ProblemInstance(x=x, beta0=beta0, w=w, y=x @ beta0 + w, seed=int(seed))
 
@@ -258,20 +283,97 @@ def canonical_parameters(
     for example the one a fixed-design sweep shares across its trials; X^T X
     is then not recomputed.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     n = instance.n
     x = instance.x
     if quad is None:
         quad = Quadratic(x.T @ x / n)
-    elif quad.dim != instance.p:
-        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={instance.p}")
+    else:
+        _check_quad(quad, instance.p)
     return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=quad)
 
 
-def correlation_noise(instance: ProblemInstance) -> np.ndarray:
-    """eps = X^T w / n, the noise term entering the canonical parameters."""
-    return instance.x.T @ instance.w / instance.n
+@dataclass(frozen=True)
+class TrialDraws:
+    """The trials of one sweep point, as draw_trials returns them.
+
+    thetas[k] is trial k's problem, n the sample size they share and
+    eps_norms[k] = ||X^T w / n|| of trial k's design and noise.
+    """
+
+    thetas: list
+    n: int
+    eps_norms: np.ndarray
+
+
+def draw_trials(
+    design: DesignSpec,
+    beta0,
+    noise_sigma: float,
+    mu: float,
+    seeds,
+    quad: Optional[Quadratic] = None,
+) -> TrialDraws:
+    """The problems of one sweep point, one trial per seed, computed as stacks.
+
+    Trial k draws from its own default_rng(seeds[k]) in generate_instance's
+    order (design, then noise; the explicit signal beta0 draws nothing), at
+    lambda = mu * n, so its theta and ||X^T w / n|| have the bits of
+
+        inst = generate_instance(design, SignalSpec.explicit(beta0), noise_sigma, seed, reg)
+        canonical_parameters(inst, mu * inst.n, quad)
+
+    Each product is one stacked call whose slices are the 2-d calls made
+    there.  An explicit design computes X beta0 once, and X^T y and X^T w of
+    every trial as stacked gemvs; with no quad given, its trials share one
+    Quadratic of X^T X / n.  A gaussian_rows design is reduced one trial at
+    a time into T x p x p and T x p stacks, so one design is held at a time.
+    The stacks are checked once, with the checks and messages of
+    generate_instance, canonical_parameters and the per-object constructors.
+    """
+    _check_sigma(noise_sigma)
+    beta0 = _as_vector(beta0, name="beta0")
+    explicit = design.kind == "explicit"
+    n, p = design.matrix.shape if explicit else (design.n, design.covariance.shape[0])
+    _check_columns(p, beta0)
+    lam = mu * n
+    _check_lambda(lam)
+    if quad is not None:
+        _check_quad(quad, p)
+    count = len(seeds)
+    gamma = quad
+    u, eps = np.empty((count, p)), np.empty((count, p))
+    if explicit:
+        x = design.matrix
+        x_beta0 = x @ beta0
+        # the T x n noise stack in blocks of NOISE_BLOCK_BYTES
+        block = max(1, NOISE_BLOCK_BYTES // (8 * n))
+        for lo in range(0, count, block):
+            chunk = seeds[lo:lo + block]
+            w = np.empty((len(chunk), n))
+            for k, seed in enumerate(chunk):
+                np.random.default_rng(seed).standard_normal(out=w[k])
+            w *= noise_sigma
+            u[lo:lo + block] = np.matmul(x.T, (x_beta0 + w)[..., None])[..., 0]
+            eps[lo:lo + block] = np.matmul(x.T, w[..., None])[..., 0]
+        if quad is None:
+            gamma = Quadratic(x.T @ x / n)
+    else:
+        gram = np.empty((count, p, p))
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            x = make_design(design, rng)
+            w = noise_sigma * rng.standard_normal(n)
+            np.matmul(x.T, x, out=gram[k])
+            np.matmul(x.T, x @ beta0 + w, out=u[k])
+            np.matmul(x.T, w, out=eps[k])
+        if quad is None:
+            gram /= n
+            gamma = gram
+    u /= n
+    eps /= n
+    thetas = CanonicalParameters.stack(lam / n, u, gamma)
+    return TrialDraws(thetas=thetas, n=n, eps_norms=np.sqrt(_row_dots(eps, eps)))
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -127,9 +127,10 @@ class Regularizer:
         may skip validating v and weights: the solver checks the weights
         once per solve, and after each step it checks that J(out) is finite,
         which fails exactly when an entry of out is not.  An override must
-        return the same bits row by row, and keys that stand for
-        descriptor(out[i], zero_tol): the solver checks the last key of each
-        solve against the descriptor of the point it returns.
+        return the same bits row by row, in arrays that do not share memory
+        with v (the solver builds its next forward point in v), and keys
+        that stand for descriptor(out[i], zero_tol): the solver checks the
+        last key of each solve against model_keys of the point it returns.
         """
         out = np.empty_like(v)
         keys = np.empty(v.shape[0], dtype=object)
@@ -186,7 +187,7 @@ class L1(Regularizer):
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, name="beta")
         gamma = check_prox_weight(gamma)
-        return np.sign(beta) * np.maximum(np.abs(beta) - gamma, 0.0)
+        return np.copysign(np.maximum(np.abs(beta) - gamma, 0.0), beta)
 
     def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
         beta = _as_vector(beta, name="beta")
@@ -198,7 +199,7 @@ class L1(Regularizer):
     def step_batch(self, v, weights, zero_tol: float):
         # size is |out| bit for bit: it is +0, positive or NaN
         size = np.maximum(np.abs(v) - weights[:, None], 0.0)
-        return np.sign(v) * size, size > zero_tol, size.sum(axis=1)
+        return np.copysign(size, v), size > zero_tol, size.sum(axis=1)
 
     def model_keys(self, beta, zero_tol: float):
         return np.abs(beta) > zero_tol

@@ -60,6 +60,17 @@ class Quadratic:
         self.gamma = check_symmetric(gamma, name="gamma")
         self._lip = None
 
+    @classmethod
+    def stack(cls, gammas) -> list:
+        """One Quadratic per matrix of a T x p x p stack, validated once as a stack."""
+        gammas = check_symmetric(gammas, name="gamma", stacked=True)
+        quads = []
+        for gamma in gammas:
+            quad = cls.__new__(cls)
+            quad.gamma, quad._lip = gamma, None
+            quads.append(quad)
+        return quads
+
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
@@ -75,6 +86,13 @@ class Quadratic:
     @cached_property
     def pinv(self) -> np.ndarray:
         return pseudoinverse(self.gamma)
+
+
+def _check_mu(mu) -> float:
+    mu = float(mu)
+    if not np.isfinite(mu) or mu < 0:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    return mu
 
 
 @dataclass(frozen=True)
@@ -96,16 +114,39 @@ class CanonicalParameters:
     quad: Quadratic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        if not np.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        mu = _check_mu(self.mu)
         u = _as_vector(self.u, name="u")
         quad = self.gamma if isinstance(self.gamma, Quadratic) else Quadratic(self.gamma)
         if quad.dim != u.shape[0]:
             raise ValueError("u and gamma dimensions differ")
+        self._set(mu, u, quad)
+
+    def _set(self, mu, u, quad):
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "gamma", quad.gamma)
         object.__setattr__(self, "quad", quad)
+
+    @classmethod
+    def stack(cls, mu, u, gamma) -> list:
+        """One problem per row of the T x p stack u, all with weight mu.
+
+        gamma is one Quadratic that every problem shares, or a T x p x p
+        stack.  mu, u and gamma are validated once, with the checks and
+        messages of the one-problem constructor; the problems hold views of
+        the stacks.
+        """
+        mu = _check_mu(mu)
+        u = _as_vector(u, name="u", stacked=True)
+        quads = [gamma] * len(u) if isinstance(gamma, Quadratic) else Quadratic.stack(gamma)
+        if len(quads) != len(u) or (quads and quads[0].dim != u.shape[1]):
+            raise ValueError("u and gamma dimensions differ")
+        thetas = []
+        for row, quad in zip(u, quads):
+            theta = cls.__new__(cls)
+            theta._set(mu, row, quad)
+            thetas.append(theta)
+        return thetas
 
     @property
     def dim(self) -> int:
@@ -222,6 +263,24 @@ def _step_size(theta: CanonicalParameters, opts: SolveOptions) -> float:
     return tau
 
 
+def _step_sizes(thetas, mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
+    """_step_size of every problem, from arrays of their mu and ||Gamma||.
+
+    The same bits; the first problem that _step_size refuses raises its error.
+    """
+    positive = lip > 0
+    if opts.step is None:
+        tau = np.divide(DEFAULT_STEP_FRACTION * 2.0, lip, out=np.ones_like(lip), where=positive)
+        bad = mu <= 0
+    else:
+        tau = np.full_like(lip, float(opts.step))
+        limit = np.divide(2.0, lip, out=np.full_like(lip, np.inf), where=positive)
+        bad = (mu <= 0) | (tau <= 0) | (positive & (tau >= limit))
+    if np.count_nonzero(bad):
+        _step_size(thetas[np.flatnonzero(bad)[0]], opts)
+    return tau
+
+
 def _row_dots_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
@@ -251,7 +310,8 @@ def forward_backward_batch(
     point per problem.  Returns one SolveResult per problem, in order; a
     non-finite iterate in any row raises ValueError.  A result's model is
     the penalty's descriptor of its beta; a penalty whose step_batch keys
-    stand for another descriptor than that raises RuntimeError.
+    stand for another descriptor than its model_keys of that beta raises
+    RuntimeError.
     """
     thetas = list(thetas)
     if not thetas:
@@ -260,17 +320,27 @@ def forward_backward_batch(
     if any(t.dim != p for t in thetas):
         raise ValueError("batched problems must share one dimension")
     quads = [t.quad for t in thetas]
+    mu = np.array([t.mu for t in thetas])
     shared = all(q is quads[0] for q in quads)
     if shared:
         gam = quads[0].gamma
+        lip = np.full(count, quads[0].lip)
     else:
         gam = np.stack([q.gamma for q in quads])
         if any(q._lip is None for q in quads):
             # one stacked SVD call; a norm already known gets the same bits again
             for q, norm in zip(quads, spectral_norms(gam)):
                 q._lip = float(norm)
-    taus = [_step_size(t, opts) for t in thetas]
-    weights = np.array([check_prox_weight(tau * t.mu) for tau, t in zip(taus, thetas)])
+        lip = np.array([q._lip for q in quads])
+    # overflow to inf, as the per-problem float arithmetic does, with no
+    # warning: the checks below refuse it
+    with np.errstate(over="ignore"):
+        tau = _step_sizes(thetas, mu, lip, opts)
+        weights = tau * mu
+    refused = ~(np.isfinite(weights) & (weights >= 0))
+    if np.count_nonzero(refused):
+        check_prox_weight(weights[refused][0])
+    taus = tau.tolist()
     if beta_init is None:
         beta = np.zeros((count, p))
     else:
@@ -279,7 +349,7 @@ def forward_backward_batch(
         beta = np.array([_as_vector(b, p, "beta_init") for b in beta_init])
 
     u = np.array([t.u for t in thetas])
-    tau = np.array(taus)[:, None]
+    tau = tau[:, None]
     rows = np.arange(count)  # the problem of each row still in the batch
 
     def quadratic(b, gam_b):
@@ -292,18 +362,25 @@ def forward_backward_batch(
     # copied out when it leaves, and its slot dropped at the next growth
     terms = np.empty((count, 2, min(opts.max_iter + 1, 64)))
     slots = np.arange(count)
-    # J of each initial point also validates its length against the
-    # penalty, once per solve
-    terms[:, 0, 0] = [reg.value(b) for b in beta]
+    # J of the initial points also validates their length against the
+    # penalty, once per solve; a zero start needs it once
+    terms[:, 0, 0] = (
+        reg.value(beta[0]) if beta_init is None else [reg.value(b) for b in beta]
+    )
     terms[:, 1, 0] = quadratic(beta, gam_beta)
     keys = reg.model_keys(beta, opts.zero_tol)
     run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
 
-    done = [None] * count  # (beta, model key, iterations, converged, fp_residual, terms)
+    # each problem's returned beta and the model key the loop tracked for it
+    final = np.empty((count, p))
+    final_keys = np.empty_like(keys)
+    done = [None] * count  # (iterations, converged, fp_residual, terms)
+    forward = np.empty((count, p))  # the forward point, rebuilt in place each step
     for k in range(1, opts.max_iter + 1):
-        beta_next, keys_next, j_next = reg.step_batch(
-            beta + tau * (u - gam_beta), weights, opts.zero_tol
-        )
+        np.subtract(u, gam_beta, out=forward)
+        forward *= tau
+        forward += beta
+        beta_next, keys_next, j_next = reg.step_batch(forward, weights, opts.zero_tol)
         # count_nonzero is the cheapest test of a small boolean array
         finite = np.isfinite(j_next)
         if np.count_nonzero(finite) < finite.size:
@@ -331,9 +408,11 @@ def forward_backward_batch(
         beta = beta_next
         stop = fp_residual <= threshold
         if np.count_nonzero(stop):
+            leaving = rows[stop]
+            final[leaving], final_keys[leaving] = beta[stop], keys[stop]
             for i in np.flatnonzero(stop):
                 trace = terms[slots[i], :, : k + 1].copy()
-                done[rows[i]] = (beta[i].copy(), keys[i], k, True, float(fp_residual[i]), trace)
+                done[rows[i]] = (k, True, float(fp_residual[i]), trace)
             keep = ~stop
             if not keep.any():
                 break
@@ -341,36 +420,41 @@ def forward_backward_batch(
             gam_beta = gam_beta[keep]
             u, tau, weights = u[keep], tau[keep], weights[keep]
             fp_residual = fp_residual[keep]
+            forward = forward[: len(rows)]
             if not shared:
                 gam = gam[keep]
     else:  # k = max_iter steps taken: the rows still here did not converge
+        final[rows], final_keys[rows] = beta, keys
         for i, row in enumerate(rows):
             trace = terms[slots[i], :, : k + 1].copy()
-            done[row] = (beta[i].copy(), keys[i], k, False, float(fp_residual[i]), trace)
+            done[row] = (k, False, float(fp_residual[i]), trace)
 
-    results = []
-    for row, ((b, key, iters, converged, fp, trace), step, theta) in enumerate(
-        zip(done, taus, thetas)
-    ):
-        # the model tracking above is only as good as the keys: check the
-        # last one against the returned beta's own descriptor
-        model, tracked = reg.descriptor(b, opts.zero_tol), reg.key_descriptor(key)
-        if model != tracked:
-            raise RuntimeError(
-                f"problem {row}: the final iterate's model {model} differs from "
-                f"the model {tracked} that the solver tracked"
-            )
-        results.append(
-            SolveResult(
-                beta=b,
-                iterations=iters,
-                converged=converged,
-                fp_residual=fp,
-                step=step,
-                identification_iter=int(run_start[row]) if converged else None,
-                model=model,
-                _theta=theta,
-                _terms=trace,
-            )
+    # the model tracking above is only as good as the keys: check the last
+    # one of every problem against the keys of the beta it returns
+    returned = reg.model_keys(final, opts.zero_tol)
+    differ = returned != final_keys
+    if differ.ndim > 1:
+        differ = differ.reshape(count, -1).any(axis=1)
+    if np.count_nonzero(differ):
+        row = int(np.flatnonzero(differ)[0])
+        raise RuntimeError(
+            f"problem {row}: the final iterate's model {reg.key_descriptor(returned[row])} "
+            f"differs from the model {reg.key_descriptor(final_keys[row])} that the solver "
+            "tracked"
         )
-    return results
+    return [
+        SolveResult(
+            beta=b,
+            iterations=iters,
+            converged=converged,
+            fp_residual=fp,
+            step=step,
+            identification_iter=int(first) if converged else None,
+            model=reg.key_descriptor(key),
+            _theta=theta,
+            _terms=trace,
+        )
+        for b, key, (iters, converged, fp, trace), step, first, theta in zip(
+            final, returned, done, taus, run_start, thetas
+        )
+    ]

@@ -142,6 +142,14 @@ def prox_reference(value_fn, beta, gamma):
     return res.x
 
 
+def correlation_noise(instance):
+    """eps = X^T w / n, the noise term entering the canonical parameters.
+
+    The per-trial computation that draw_trials stacks, kept as its reference.
+    """
+    return instance.x.T @ instance.w / instance.n
+
+
 def energy(theta, j_value, beta, gamma_beta):
     """E(beta) from J(beta) and Gamma beta, both already computed; mu > 0.
 

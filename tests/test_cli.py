@@ -631,6 +631,24 @@ NAN = float("nan")
                  [], "scale", id="fixed-mu_rule-scale"),
     pytest.param("experiment", experiment_payload(mu_rule={"kind": "proportional", "scale": -0.6}),
                  [], "scale", id="proportional-mu_rule-negative-scale"),
+    # a sweep value out of range is refused in the file, naming its key
+    pytest.param("experiment", experiment_payload(sweep={"noise_levels": [-0.1]}), [],
+                 "experiment.sweep.noise_levels", id="noise_levels-negative"),
+    pytest.param("experiment", experiment_payload(
+        sweep={"noise_levels": [-0.1]}, mu_rule={"kind": "proportional", "scale": 2.0}), [],
+                 "experiment.sweep.noise_levels", id="noise_levels-negative-proportional"),
+    pytest.param("experiment", experiment_payload(
+        sweep={"noise_levels": [1e-3, 0.0]}, mu_rule={"kind": "proportional", "scale": 2.0}), [],
+                 "experiment.sweep.noise_levels", id="noise_levels-zero-proportional"),
+    pytest.param("experiment", sharpness_payload(sweep={"mu_values": [-0.5]}), [],
+                 "experiment.sweep.mu_values", id="mu_values-negative"),
+    pytest.param("experiment", sharpness_payload(sweep={"mu_values": [0.1, 0.0]}), [],
+                 "experiment.sweep.mu_values", id="mu_values-zero"),
+    pytest.param("experiment", with_key(experiment_payload(
+        kind="consistency", sweep={"sample_sizes": [0, 400]}, noise_sigma=0.5,
+        mu_rule={"kind": "power"},
+    ), "design", {"kind": "gaussian_rows", "identity_dim": 6, "n": 10}), [],
+                 "experiment.sweep.sample_sizes", id="sample_sizes-zero"),
     # seeds are non-negative integers, and the error names the key
     pytest.param("experiment", experiment_payload(base_seed=-2), [], "experiment.base_seed",
                  id="base_seed-negative"),

@@ -413,8 +413,8 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = sweep(cfg)
     # the trials are the last solves (sharpness first runs noiseless checks)
-    trials = list(zip(res.records, results[-len(res.records):]))
-    for record, shared in trials[:1] + trials[-1:]:
+    assert len(res.records) == 4
+    for record, shared in zip(res.records, results[-len(res.records):]):
         inst = generate_instance(cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer)
         theta = canonical_parameters(inst, record.mu * inst.n)
         replay = forward_backward(theta, cfg.regularizer, cfg.solve)
@@ -568,6 +568,36 @@ def test_records_csv_round_trip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["identification_iter"] == ""
     assert rows[0]["converged"] == "false"
+
+
+def reference_fmt(x) -> str:
+    """_fmt as one isinstance chain: the reference for its per-type table."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def test_writers_have_the_bytes_of_csv_writer(tmp_path):
+    values = [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.5e-7, 2 ** 70,
+              -(2 ** 63), 0, True, False, np.float64(0.1), np.float64(-math.inf),
+              np.int64(-7), np.int32(3), np.bool_(True), np.bool_(False), 1 / 3]
+    # every value in every column, so each column sees each type
+    rows = [SimpleNamespace(**{c: values[(i + j) % len(values)]
+                               for j, c in enumerate(RECORD_COLUMNS)})
+            for i in range(len(values))]
+    path = tmp_path / "records.csv"
+    write_records_csv(rows, path)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        for r in rows:
+            writer.writerow([reference_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert [exps._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
 def test_summary_json(tmp_path):

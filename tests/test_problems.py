@@ -11,13 +11,15 @@ from partlysmooth import (
     Nuclear,
     SignalSpec,
     canonical_parameters,
-    correlation_noise,
     generate_instance,
     load_matrix_csv,
     make_design,
     make_signal,
     spectral_norm,
 )
+from partlysmooth import problems
+from partlysmooth.problems import draw_trials
+from partlysmooth.solver import Quadratic
 
 import oracles
 
@@ -45,7 +47,7 @@ def test_instance_consistency():
     assert theta.mu == pytest.approx(0.1)
     # eps = u - Gamma beta0 is exactly the correlated noise
     eps = theta.u - theta.gamma @ inst.beta0
-    np.testing.assert_allclose(eps, correlation_noise(inst), atol=1e-12)
+    np.testing.assert_allclose(eps, oracles.correlation_noise(inst), atol=1e-12)
     # u lies in the image of Gamma by construction, even when n < p
     wide = generate_instance(DesignSpec.gaussian(np.eye(10), 4), SignalSpec.sparse(10, 2), 0.5, 3, L1())
     theta = canonical_parameters(wide, 1.0)
@@ -122,6 +124,83 @@ def test_validation():
         canonical_parameters(inst, lam=-1.0)
     with pytest.raises(ValueError):
         generate_instance(DesignSpec.gaussian(np.eye(3), 5), SignalSpec.explicit(np.ones(4)), 0.1, 0, L1())
+
+
+# the per-task draw of the sweeps against generate_instance + canonical_parameters
+
+BETA0 = np.array([1.5, 0.0, -2.0, 0.0, 0.7])
+COV = np.array([[1.0, 0.3, 0.0, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0, 0.0], [0.0, 0.2, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 0.4], [0.1, 0.0, 0.0, 0.4, 1.0]])
+DRAW_DESIGNS = {
+    "explicit": DesignSpec.explicit(np.random.default_rng(8).normal(size=(37, 5))),
+    "gaussian_rows": DesignSpec.gaussian(COV, 23),
+}
+
+
+def reference_trial(design, sigma, mu, seed, quad=None):
+    """(theta, ||X^T w / n||) of one trial, drawn and computed one object at a time."""
+    inst = generate_instance(design, SignalSpec.explicit(BETA0), sigma, seed, L1())
+    theta = canonical_parameters(inst, mu * inst.n, quad)
+    return inst.n, theta, float(np.linalg.norm(oracles.correlation_noise(inst)))
+
+
+@pytest.mark.parametrize("kind", DRAW_DESIGNS)
+@pytest.mark.parametrize("count", [1, 40])
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
+    design = DRAW_DESIGNS[kind]
+    seeds = list(range(101, 101 + count))
+    draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
+    assert len(draws.thetas) == len(draws.eps_norms) == count
+    for seed, theta, eps_norm in zip(seeds, draws.thetas, draws.eps_norms.tolist()):
+        n, want, want_eps = reference_trial(design, sigma, 0.3, seed)
+        assert draws.n == n
+        assert theta.mu == want.mu
+        assert theta.u.tobytes() == want.u.tobytes()
+        assert theta.gamma.tobytes() == want.gamma.tobytes()
+        assert eps_norm == want_eps
+    # an explicit design's trials share one Gamma, a fresh design's each have one
+    quads = {id(t.quad) for t in draws.thetas}
+    assert len(quads) == (1 if kind == "explicit" else count)
+
+
+def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
+    design = DRAW_DESIGNS["explicit"]
+    x = design.matrix
+    quad = Quadratic(x.T @ x / x.shape[0])
+    # blocks of 3 rows: 40 trials in 13 full blocks and one of a single row
+    monkeypatch.setattr(problems, "NOISE_BLOCK_BYTES", 3 * 8 * x.shape[0])
+    seeds = list(range(7, 47))
+    draws = draw_trials(design, BETA0, 0.2, 0.05, seeds, quad)
+    for seed, theta, eps_norm in zip(seeds, draws.thetas, draws.eps_norms.tolist()):
+        _, want, want_eps = reference_trial(design, 0.2, 0.05, seed, quad)
+        assert theta.quad is quad
+        assert theta.u.tobytes() == want.u.tobytes() and eps_norm == want_eps
+
+
+def test_draw_trials_refuses_what_one_trial_refuses():
+    def message(fn, *args):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return str(info.value)
+
+    for design in DRAW_DESIGNS.values():
+        signal = SignalSpec.explicit(BETA0)
+        # sigma < 0
+        assert message(draw_trials, design, BETA0, -0.1, 0.3, [4]) == message(
+            generate_instance, design, signal, -0.1, 4, L1())
+        # the design's p against the signal's length
+        short = SignalSpec.explicit(BETA0[:4])
+        assert message(draw_trials, design, BETA0[:4], 0.1, 0.3, [4]) == message(
+            generate_instance, design, short, 0.1, 4, L1())
+        # lambda = mu * n < 0
+        inst = generate_instance(design, signal, 0.1, 4, L1())
+        assert message(draw_trials, design, BETA0, 0.1, -0.5, [4]) == message(
+            canonical_parameters, inst, -0.5 * inst.n)
+        # a prepared Gamma of another dimension
+        other = Quadratic(np.eye(4))
+        assert message(draw_trials, design, BETA0, 0.1, 0.3, [4], other) == message(
+            canonical_parameters, inst, 0.3 * inst.n, other)
 
 
 class TestDesigns:

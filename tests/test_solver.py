@@ -33,6 +33,62 @@ def test_parameter_validation():
     assert theta.dim == 2
 
 
+def _message(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+def test_stacked_parameters_check_as_the_constructor_does():
+    gammas = np.stack([np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+    u = np.array([[1.0, 0.0], [0.5, -0.5]])
+    thetas = CanonicalParameters.stack(0.1, u, gammas)
+    for row, theta in enumerate(thetas):
+        one = CanonicalParameters(0.1, u[row], gammas[row])
+        assert theta.mu == one.mu and theta.dim == 2
+        assert np.array_equal(theta.u, one.u) and np.array_equal(theta.gamma, one.gamma)
+    shared = Quadratic(np.eye(2))
+    assert all(t.quad is shared for t in CanonicalParameters.stack(0.1, u, shared))
+    nan_u = u.copy()
+    nan_u[1, 0] = np.nan
+    asym = gammas.copy()
+    asym[1, 0, 1] = 0.7
+    inf_gamma = gammas.copy()
+    inf_gamma[0, 1, 1] = np.inf
+    for mu, us, gs in ((-0.1, u, gammas), (np.nan, u, gammas), (0.1, nan_u, gammas),
+                       (0.1, u, asym), (0.1, u, inf_gamma), (0.1, u, np.stack([np.eye(3)] * 2))):
+        row = 1 if gs is asym or us is nan_u else 0
+        assert _message(CanonicalParameters.stack, mu, us, gs) == _message(
+            CanonicalParameters, mu, us[row], gs[row]
+        )
+
+
+def test_batch_refuses_a_row_as_that_problem_alone():
+    rng = np.random.default_rng(45)
+    good = [random_problem(L1(), 4, rng) for _ in range(3)]
+    zero_mu = CanonicalParameters(0.0, good[1].u, good[1].gamma)
+    # mu = 0 in the middle of a batch, with shared and stacked Gammas
+    for batch in ([good[0], zero_mu, good[2]],
+                  [CanonicalParameters(t.mu, t.u, good[1].quad) for t in (good[0], zero_mu)]):
+        assert _message(forward_backward_batch, batch, L1()) == _message(
+            forward_backward, zero_mu, L1()
+        )
+    # an explicit step stable for every row but the one with the largest ||Gamma||
+    lips = [t.quad.lip for t in good]
+    worst = int(np.argmax(lips))
+    opts = SolveOptions(step=2.0 / lips[worst])
+    assert 2.0 / lips[worst] < min(2.0 / lip for i, lip in enumerate(lips) if i != worst)
+    assert _message(forward_backward_batch, good, L1(), opts) == _message(
+        forward_backward, good[worst], L1(), opts
+    )
+    # a prox weight tau * mu that overflows
+    huge = CanonicalParameters(1e308, good[2].u, 1e-3 * good[2].gamma)
+    assert "prox weight" in _message(forward_backward, huge, L1())
+    assert _message(forward_backward_batch, [good[0], huge], L1()) == _message(
+        forward_backward, huge, L1()
+    )
+
+
 def energy(theta, reg, beta):
     beta = np.asarray(beta, dtype=float)
     return oracles.energy(theta, reg.value(beta), beta, theta.gamma @ beta)
