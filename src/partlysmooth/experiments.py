@@ -38,7 +38,7 @@ import numpy as np
 from .certificate import Certificate, check_model_stability
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
-from .solver import Quadratic, SolveOptions, _row_dots, forward_backward_batch
+from .solver import Quadratic, SolveOptions, _check_integer, _row_dots, forward_backward_batch
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
@@ -115,6 +115,10 @@ class ExperimentConfig:
         values = tuple(float(v) for v in self.sweep_values)
         if not values:
             raise ValueError("sweep_values must be nonempty")
+        object.__setattr__(self, "trials", _check_integer(self.trials, "trials"))
+        object.__setattr__(self, "base_seed", _check_integer(self.base_seed, "base_seed"))
+        if self.jobs is not None:
+            object.__setattr__(self, "jobs", _check_integer(self.jobs, "jobs"))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs is not None and self.jobs < 1:

@@ -28,7 +28,14 @@ that never reads it, such as the Monte-Carlo sweeps, never computes Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
-when solved alone; forward_backward is a batch of one.
+when solved alone; forward_backward is a batch of one.  Each step's Gamma b
+products run as GEMMs of one fixed shape, GEMM_ROWS x p times p x p.  A
+plain GEMM over the T rows would not do: BLAS picks its kernel and blocking
+from the matrix shape, so a row's bits would depend on how many rows share
+the call.  With Gamma shared, the rows go in consecutive blocks of GEMM_ROWS,
+the last one padded with zero rows; with a stack of Gammas, each row sits
+alone at the head of its own zero block.  Either way the row's bits are
+those of that row alone in a zero block.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_wei
 
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
+
+# rows per GEMM block of the Gamma b products (module docstring).  Four is
+# measured on OpenBLAS 0.3.31: on its SkylakeX kernel 16-row blocks change a
+# row's bits with its position in the block at p >= 300, 8-row blocks make a
+# stacked p=200 product 3x slower, and 2-row blocks save half as much on a
+# shared one.
+GEMM_ROWS = 4
 
 
 class Quadratic:
@@ -86,6 +100,13 @@ class Quadratic:
     @cached_property
     def pinv(self) -> np.ndarray:
         return pseudoinverse(self.gamma)
+
+
+def _check_integer(value, name: str) -> int:
+    """value as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_mu(mu) -> float:
@@ -172,6 +193,7 @@ class SolveOptions:
     zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", _check_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (np.isfinite(self.fp_tol) and self.fp_tol > 0):
@@ -291,6 +313,44 @@ def _row_dots_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _row_dots = getattr(np, "vecdot", _row_dots_matmul)
 
 
+class _GammaProducts:
+    """Gamma b for every row b of a batch's iterates, in GEMMs of GEMM_ROWS rows.
+
+    gam is one p x p Gamma shared by the rows, whose blocks then hold
+    GEMM_ROWS consecutive rows (Gamma is symmetric, so row i of the blocks
+    times Gamma is Gamma b_i), or a T x p x p stack with one block per row,
+    the row at its head.  The blocks live across steps: a call rewrites only
+    the iterate rows, and keep() zeroes the rows it frees, so every row not
+    holding an iterate stays zero.
+    """
+
+    def __init__(self, gam: np.ndarray, count: int):
+        self.gam = gam
+        self.shared = gam.ndim == 2
+        p = gam.shape[-1]
+        if self.shared:
+            self._blocks = np.zeros((-(-count // GEMM_ROWS), GEMM_ROWS, p))
+            self._rows = self._blocks.reshape(-1, p)
+        else:
+            self._blocks = np.zeros((count, GEMM_ROWS, p))
+            self._rows = self._blocks[:, 0]
+
+    def __call__(self, beta: np.ndarray) -> np.ndarray:
+        count = len(beta)
+        self._rows[:count] = beta
+        if self.shared:
+            blocks = self._blocks[: -(-count // GEMM_ROWS)]
+            return np.matmul(blocks, self.gam).reshape(-1, beta.shape[1])[:count]
+        return np.matmul(self._blocks[:count], self.gam)[:, 0]
+
+    def keep(self, keep: np.ndarray):
+        """Drop the rows that leave the batch: keep is False there, True elsewhere."""
+        if self.shared:
+            self._rows[np.count_nonzero(keep) : len(keep)] = 0
+        else:
+            self.gam = self.gam[keep]
+
+
 def forward_backward_batch(
     thetas,
     reg: Regularizer,
@@ -300,10 +360,11 @@ def forward_backward_batch(
     """forward_backward on several problems of one dimension at once.
 
     The iterates form a T x p array, one row per problem, and a row leaves
-    the batch once it meets its stopping rule.  Every operation acts on one
-    row at a time (one gemv with the row's Gamma, one dot per row norm,
-    elementwise arithmetic, the penalty's step_batch), so each problem's
-    result has the same bits whatever else is in the batch.  The problems
+    the batch once it meets its stopping rule.  Every operation gives a row
+    the bits it gets alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module
+    docstring), one dot per row norm, elementwise arithmetic and the
+    penalty's step_batch.  So each problem's result has the same bits
+    whatever else is in the batch, and wherever its row sits.  The problems
     may share one Quadratic, which is then broadcast over the rows, or each
     bring their own, stacked as a T x p x p array whose norms not yet known
     are computed in one call.  beta_init, when given, holds one starting
@@ -356,7 +417,8 @@ def forward_backward_batch(
         # E's quadratic part row by row: 0.5 * b @ gb is (0.5 * b) @ gb
         return _row_dots(0.5 * b, gam_b) - _row_dots(b, u)
 
-    gam_beta = np.matmul(gam, beta[..., None])[..., 0]
+    gamma_products = _GammaProducts(gam, count)
+    gam_beta = gamma_products(beta)
     # per iterate J and the quadratic part, from which SolveResult evaluates
     # the objective: batch row i writes terms[slots[i]]; a row's terms are
     # copied out when it leaves, and its slot dropped at the next growth
@@ -398,7 +460,7 @@ def forward_backward_batch(
                 changed = changed.any(axis=1)
             run_start[rows[changed]] = k
         keys = keys_next
-        gam_beta = np.matmul(gam, beta_next[..., None])[..., 0]
+        gam_beta = gamma_products(beta_next)
         if k == terms.shape[2]:
             grown = np.empty((len(rows), 2, min(2 * k, opts.max_iter + 1)))
             grown[:, :, :k] = terms[slots, :, :k]
@@ -421,8 +483,7 @@ def forward_backward_batch(
             u, tau, weights = u[keep], tau[keep], weights[keep]
             fp_residual = fp_residual[keep]
             forward = forward[: len(rows)]
-            if not shared:
-                gam = gam[keep]
+            gamma_products.keep(keep)
     else:  # k = max_iter steps taken: the rows still here did not converge
         final[rows], final_keys[rows] = beta, keys
         for i, row in enumerate(rows):

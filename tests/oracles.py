@@ -158,6 +158,16 @@ def energy(theta, j_value, beta, gamma_beta):
     return j_value + (0.5 * beta @ gamma_beta - beta @ theta.u + theta._const) / theta.mu
 
 
+def gamma_product(gam, beta):
+    """Gamma beta as row 0 of block @ Gamma, beta alone in a zero 4 x p block.
+
+    The product the solver's GEMM blocks give every row (Gamma symmetric).
+    """
+    block = np.zeros((4, beta.shape[0]))
+    block[0] = beta
+    return (block @ gam)[0]
+
+
 def forward_backward_scalar(theta, reg, opts, beta_init=None):
     """Forward-backward on one problem, one vector iterate at a time.
 
@@ -171,7 +181,7 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
     beta = np.zeros(theta.dim) if beta_init is None else np.array(beta_init, dtype=float)
     mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu
-    gam_beta = gam @ beta
+    gam_beta = gamma_product(gam, beta)
     trace = [energy(theta, reg.value(beta), beta, gam_beta)]
     desc = reg.descriptor(beta, opts.zero_tol)
     models = [desc]
@@ -188,7 +198,7 @@ def forward_backward_scalar(theta, reg, opts, beta_init=None):
         if desc_next != desc:
             run_start = k
             desc = desc_next
-        gam_beta = gam @ beta_next
+        gam_beta = gamma_product(gam, beta_next)
         trace.append(energy(theta, j_next, beta_next, gam_beta))
         models.append(desc_next)
         beta = beta_next

@@ -102,6 +102,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             identity_config(trials=0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("trials", True), ("trials", 2.5), ("jobs", 1.5), ("jobs", True),
+        ("base_seed", True), ("base_seed", 1.5),
+    ])
+    def test_integer_fields(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            identity_config(**{field: bad})
+
+    def test_numpy_integers(self):
+        cfg = identity_config(trials=np.int32(2), jobs=np.int64(1), base_seed=np.uint8(4))
+        assert (cfg.trials, cfg.jobs, cfg.base_seed) == (2, 1, 4)
+        assert type(cfg.trials) is int
+
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
             identity_config(sweep_values=())
@@ -510,6 +523,26 @@ def test_parallel_jobs_match_serial():
     serial = noise_stability_sweep(cfg)
     parallel = noise_stability_sweep(replace(cfg, jobs=2))
     assert serial.records == parallel.records
+
+
+def test_lone_trials_match_their_rows_in_a_batch(tmp_path):
+    # trials=1: serially every point is one row of a single batch, with
+    # jobs=2 each point is solved alone; records.csv has the same bytes
+    rng = np.random.default_rng(5)
+    beta0 = np.zeros(12)
+    beta0[[1, 6]] = [1.5, -2.0]
+    noise = identity_config(
+        design=DesignSpec.explicit(rng.normal(size=(40, 12))), signal=SignalSpec.explicit(beta0),
+        sweep_values=(1e-3, 1e-2, 3e-2, 0.1, 0.3), trials=1,
+    )
+    fresh = TestConsistency().base(trials=1, sweep_values=(40, 80, 160, 320, 640))
+    for sweep, cfg in ((noise_stability_sweep, noise), (consistency_sweep, fresh)):
+        written = []
+        for jobs in (1, 2):
+            path = tmp_path / f"{sweep.__name__}-{jobs}.csv"
+            write_records_csv(sweep(replace(cfg, jobs=jobs)).records, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 def test_default_jobs_is_serial(monkeypatch):

@@ -180,6 +180,7 @@ def test_mu_zero_rejected():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
+    assert SolveOptions(max_iter=np.int64(5)).max_iter == 5
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             SolveOptions(fp_tol=bad)
@@ -187,6 +188,12 @@ def test_options_validation():
         with pytest.raises(ValueError):
             SolveOptions(zero_tol=bad)
     SolveOptions(zero_tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 3.0, np.True_])
+def test_max_iter_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolveOptions(max_iter=bad)
 
 
 def test_max_iter_exhaustion_is_flagged():
@@ -445,6 +452,33 @@ def test_trial_alone_matches_trial_in_batch_of_40():
         for i in (0, 13, 26, 39):
             alone = forward_backward(thetas[i], reg)
             assert_same_bits(batch[i], alone)
+
+
+@pytest.mark.parametrize("p", [1, 3, 10, 200, 300])  # 300: past a 256-wide K panel
+def test_gamma_products_have_the_bits_of_a_lone_row(p):
+    from partlysmooth import solver
+
+    rng = np.random.default_rng(47)
+    a = rng.normal(size=(3, p, p))
+    distinct = a + a.transpose(0, 2, 1)
+    for size in (1, 2, 3, 4, 5, 40):
+        # offset rows ahead of the others move them within their blocks
+        for offset in range(4):
+            count = offset + size
+            beta = rng.normal(size=(count, p))
+            stack = distinct[np.arange(count) % 3]
+            for gam, gams in ((distinct[0], [distinct[0]] * count), (stack, stack)):
+                products = solver._GammaProducts(gam, count)
+                rows = np.arange(count)
+                # every row, then the rows left once every other one leaves
+                for keep in (None, rows % 2 == 0):
+                    if keep is not None:
+                        products.keep(keep)
+                        rows = rows[keep]
+                    got = products(beta[rows])
+                    for row, i in enumerate(rows):
+                        want = oracles.gamma_product(gams[i], beta[i])
+                        assert got[row].tobytes() == want.tobytes(), (size, offset, i)
 
 
 def test_row_dots_have_the_bits_of_a_blas_dot():
