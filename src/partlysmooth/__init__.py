@@ -40,10 +40,7 @@ from .linalg import (
 )
 from .problems import (
     DesignSpec,
-    ProblemInstance,
     SignalSpec,
-    canonical_parameters,
-    generate_instance,
     load_matrix_csv,
     make_design,
     make_signal,
@@ -85,7 +82,6 @@ __all__ = [
     "ModelGeometry",
     "MuRule",
     "Nuclear",
-    "ProblemInstance",
     "Quadratic",
     "Regularizer",
     "SignalSpec",
@@ -94,7 +90,6 @@ __all__ = [
     "Subspace",
     "TrialRecord",
     "UniquenessReport",
-    "canonical_parameters",
     "certify_uniqueness",
     "check_covariance",
     "check_model_stability",
@@ -103,7 +98,6 @@ __all__ = [
     "find_certified_design",
     "forward_backward",
     "forward_backward_batch",
-    "generate_instance",
     "load_matrix_csv",
     "make_design",
     "make_signal",

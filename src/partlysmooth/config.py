@@ -24,15 +24,13 @@ from .linalg import INJECTIVITY_TOL
 from .problems import (
     DEFAULT_AMPLITUDE_RANGE,
     DesignSpec,
-    ProblemInstance,
     SignalSpec,
-    canonical_parameters,
-    generate_instance,
     load_matrix_csv,
+    make_design,
     make_signal,
 )
 from .regularizers import L1, RI_TOL, ZERO_TOL, AnalysisL1, GroupL1L2, Nuclear, Regularizer
-from .solver import SolveOptions
+from .solver import CanonicalParameters, SolveOptions
 
 # kind: (the one sweep key its file carries, the experiment keys only it reads);
 # sharpness sweeps mu itself, and a noise sweep takes sigma from its sweep
@@ -318,15 +316,17 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
 def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     """(regularizer, theta, options, tolerances, beta0) of a solve file.
 
-    theta holds the canonical parameters at the file's lambda; beta0 is None
-    for x/y data without one.  seed overrides the file's, and like it is an
-    error when no instance is generated.
+    theta = (lambda / n, X^T y / n, X^T X / n) at the file's lambda; beta0
+    is None for x/y data without one.  A generated instance draws its
+    design, then its signal, then its noise from one default_rng(seed).
+    seed overrides the file's, and like it is an error when no instance is
+    generated.
     """
     _only_keys(cfg, _SOLVE_KEYS, "solve config")
     reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     opts = solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"])
-    lam = number(require_key(cfg, "lambda", "config"), "lambda")
+    lam = number(require_key(cfg, "lambda", "config"), "lambda", nonnegative=True)
     # a generated instance brings its own beta0
     _gives(cfg, ("beta0", "beta0_csv"), ("signal",))
     if _gives(cfg, ("x", "x_csv", "y", "y_csv"), ("design", "signal", "noise_sigma")):
@@ -338,8 +338,6 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
         beta0 = None
         if "beta0" in cfg or "beta0_csv" in cfg:
             beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
-        zeros = np.zeros(x.shape[1]) if beta0 is None else beta0
-        inst = ProblemInstance(x=x, beta0=zeros, w=np.zeros(x.shape[0]), y=y, seed=-1)
     else:
         needed = [k for k in ("design", "signal", "noise_sigma") if k not in cfg]
         if needed:
@@ -347,15 +345,20 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
                 "config needs either x/y data or design+signal+noise_sigma "
                 f"(missing {needed})"
             )
-        inst = generate_instance(
-            design_from_config(cfg["design"], base_dir),
-            signal_from_config(cfg["signal"]),
-            number(cfg["noise_sigma"], "noise_sigma"),
-            _seed(cfg, seed),
-            reg,
-        )
-        beta0 = inst.beta0
-    return reg, canonical_parameters(inst, lam), opts, tol, beta0
+        design = design_from_config(cfg["design"], base_dir)
+        signal = signal_from_config(cfg["signal"])
+        sigma = number(cfg["noise_sigma"], "noise_sigma", nonnegative=True)
+        rng = np.random.default_rng(_seed(cfg, seed))
+        x = make_design(design, rng)
+        beta0 = make_signal(signal, reg, rng)
+        if x.shape[1] != beta0.shape[0]:
+            raise ConfigError(
+                f"design has p={x.shape[1]} columns but the signal has length {beta0.shape[0]}"
+            )
+        y = x @ beta0 + sigma * rng.standard_normal(x.shape[0])
+    n = x.shape[0]
+    theta = CanonicalParameters(mu=lam / n, u=x.T @ y / n, gamma=x.T @ x / n)
+    return reg, theta, opts, tol, beta0
 
 
 def _check_sweep(key, values, mu_rule):

@@ -36,9 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .certificate import Certificate, check_model_stability
+from .linalg import _check_integer
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
-from .solver import Quadratic, SolveOptions, _check_integer, _row_dots, forward_backward_batch
+from .solver import Quadratic, SolveOptions, _row_dots, forward_backward_batch
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}

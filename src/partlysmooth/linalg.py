@@ -42,6 +42,13 @@ def _as_vector(v, dim=None, name="vector", stacked=False):
     return v
 
 
+def _check_integer(value, name: str) -> int:
+    """value as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_symmetric(a, tol=SYM_TOL, name="operator", stacked=False):
     """Validate symmetry of a square matrix and return it as float64.
 

@@ -2,9 +2,9 @@
 
 An instance is y = X beta0 + w with a design X (explicit, or rows drawn
 i.i.d. from N(0, Sigma)), a structured ground truth beta0 and Gaussian
-noise w.  Generation is fully determined by a single integer seed through
-numpy's default PCG64 generator; draws happen in the fixed order
-design, signal, noise.
+noise w.  All randomness comes from numpy generators (PCG64): make_design
+and make_signal draw X and beta0 from the generator they are given, and a
+draw_trials trial draws its design, then its noise, from its own seed.
 
 The canonical parameters of (instance, lambda) are
 
@@ -13,11 +13,10 @@ The canonical parameters of (instance, lambda) are
 and the effective noise seen by the solver is eps = X^T w / n = u -
 Gamma beta0.
 
-generate_instance and canonical_parameters build one trial at a time.
-draw_trials builds the trials of one sweep point, as the Monte-Carlo sweeps
-do: one generator per trial, in the same draw order, with every product
-computed as a stacked call whose slices are the one-trial calls and every
-check made once per stack, so each trial gets the one-trial bits.
+draw_trials builds the problems of one sweep point, as the Monte-Carlo
+sweeps do: one generator per trial, every product computed as a stacked
+call whose slices are the one-trial products, and every check made once
+per stack, so each trial gets the bits it would get drawn alone.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .linalg import check_covariance, _as_matrix, _as_vector
+from .linalg import check_covariance, _as_matrix, _as_vector, _check_integer
 from .regularizers import GroupL1L2, Nuclear, Regularizer
 from .solver import CanonicalParameters, Quadratic, _row_dots
 
@@ -64,10 +63,11 @@ class DesignSpec:
             if self.covariance is None or self.n is None:
                 raise ValueError("gaussian_rows design needs covariance and n")
             cov = check_covariance(self.covariance)
-            if int(self.n) < 1:
+            n = _check_integer(self.n, "n")
+            if n < 1:
                 raise ValueError("n must be >= 1")
             object.__setattr__(self, "covariance", cov)
-            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "n", n)
             # tiny negative eigenvalues from roundoff are clipped
             vals, vecs = np.linalg.eigh(cov)
             root = vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -83,6 +83,10 @@ class DesignSpec:
     @classmethod
     def gaussian(cls, covariance, n: int) -> "DesignSpec":
         return cls(kind="gaussian_rows", covariance=covariance, n=n)
+
+
+# the SignalSpec fields that count something
+_COUNTS = ("p", "support_size", "active_groups", "rank", "segments")
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,9 @@ class SignalSpec:
         lo, hi = self.amplitude_range
         if not (0 < lo <= hi):
             raise ValueError(f"amplitude range must satisfy 0 < lo <= hi, got {self.amplitude_range}")
+        for name in _COUNTS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.kind == "explicit":
             if self.beta0 is None:
                 raise ValueError("explicit signal needs beta0")
@@ -155,23 +162,6 @@ class SignalSpec:
     @classmethod
     def piecewise_constant(cls, p: int, segments: int, amplitude_range=DEFAULT_AMPLITUDE_RANGE) -> "SignalSpec":
         return cls(kind="piecewise_constant", p=p, segments=segments, amplitude_range=amplitude_range)
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    x: np.ndarray
-    beta0: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
 
 
 def _amplitudes(rng, size, amplitude_range):
@@ -237,62 +227,6 @@ def _segment_sizes(p, k, rng):
     return np.diff(edges)
 
 
-def _check_sigma(noise_sigma):
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-
-
-def _check_lambda(lam):
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-
-
-def _check_columns(p, beta0):
-    if p != beta0.shape[0]:
-        raise ValueError(f"design has p={p} columns but the signal has length {beta0.shape[0]}")
-
-
-def _check_quad(quad, p):
-    if quad.dim != p:
-        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={p}")
-
-
-def generate_instance(
-    design: DesignSpec,
-    signal: SignalSpec,
-    noise_sigma: float,
-    seed: int,
-    reg: Regularizer,
-) -> ProblemInstance:
-    """Draw a full instance from one seed (design, then signal, then noise)."""
-    _check_sigma(noise_sigma)
-    rng = np.random.default_rng(seed)
-    x = make_design(design, rng)
-    beta0 = make_signal(signal, reg, rng)
-    _check_columns(x.shape[1], beta0)
-    w = noise_sigma * rng.standard_normal(x.shape[0])
-    return ProblemInstance(x=x, beta0=beta0, w=w, y=x @ beta0 + w, seed=int(seed))
-
-
-def canonical_parameters(
-    instance: ProblemInstance, lam: float, quad: Optional[Quadratic] = None
-) -> CanonicalParameters:
-    """theta = (lambda/n, X^T y / n, X^T X / n).
-
-    quad, when given, must be the Quadratic of this instance's X^T X / n,
-    for example the one a fixed-design sweep shares across its trials; X^T X
-    is then not recomputed.
-    """
-    _check_lambda(lam)
-    n = instance.n
-    x = instance.x
-    if quad is None:
-        quad = Quadratic(x.T @ x / n)
-    else:
-        _check_quad(quad, instance.p)
-    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=quad)
-
-
 @dataclass(frozen=True)
 class TrialDraws:
     """The trials of one sweep point, as draw_trials returns them.
@@ -316,30 +250,33 @@ def draw_trials(
 ) -> TrialDraws:
     """The problems of one sweep point, one trial per seed, computed as stacks.
 
-    Trial k draws from its own default_rng(seeds[k]) in generate_instance's
-    order (design, then noise; the explicit signal beta0 draws nothing), at
-    lambda = mu * n, so its theta and ||X^T w / n|| have the bits of
+    Trial k draws from its own default_rng(seeds[k]) the design, then the
+    noise w (the explicit signal beta0 draws nothing), and is the problem
+    y = X beta0 + w at lambda = mu * n: theta = (mu, X^T y / n, X^T X / n),
+    with ||X^T w / n|| alongside.  quad, when given, is the Quadratic of the
+    fixed design's X^T X / n, for example one a sweep shares across its
+    sweep points; X^T X is then not recomputed.
 
-        inst = generate_instance(design, SignalSpec.explicit(beta0), noise_sigma, seed, reg)
-        canonical_parameters(inst, mu * inst.n, quad)
-
-    Each product is one stacked call whose slices are the 2-d calls made
-    there.  An explicit design computes X beta0 once, and X^T y and X^T w of
-    every trial as stacked gemvs; with no quad given, its trials share one
-    Quadratic of X^T X / n.  A gaussian_rows design is reduced one trial at
-    a time into T x p x p and T x p stacks, so one design is held at a time.
-    The stacks are checked once, with the checks and messages of
-    generate_instance, canonical_parameters and the per-object constructors.
+    Each product is one stacked call whose slices are the 2-d calls of one
+    trial drawn alone, so each trial has those bits.  An explicit design
+    computes X beta0 once, and X^T y and X^T w of every trial as stacked
+    gemvs; with no quad given, its trials share one Quadratic of X^T X / n.
+    A gaussian_rows design is reduced one trial at a time into T x p x p and
+    T x p stacks, so one design is held at a time.  The stacks are checked
+    once, with the checks and messages of the per-object constructors.
     """
-    _check_sigma(noise_sigma)
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     beta0 = _as_vector(beta0, name="beta0")
     explicit = design.kind == "explicit"
     n, p = design.matrix.shape if explicit else (design.n, design.covariance.shape[0])
-    _check_columns(p, beta0)
+    if p != beta0.shape[0]:
+        raise ValueError(f"design has p={p} columns but the signal has length {beta0.shape[0]}")
     lam = mu * n
-    _check_lambda(lam)
-    if quad is not None:
-        _check_quad(quad, p)
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if quad is not None and quad.dim != p:
+        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={p}")
     count = len(seeds)
     gamma = quad
     u, eps = np.empty((count, p)), np.empty((count, p))

@@ -27,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import RANK_TOL, Subspace, _as_matrix, _as_vector, project
+from .linalg import RANK_TOL, Subspace, _as_matrix, _as_vector, _check_integer, project
 
 ZERO_TOL = 1e-8
 RI_TOL = 1e-6
@@ -229,7 +229,10 @@ class GroupL1L2(Regularizer):
     kind = "group_l1l2"
 
     def __init__(self, groups):
-        blocks = [np.asarray(sorted(g), dtype=int) for g in groups]
+        blocks = [
+            np.asarray(sorted(_check_integer(i, "groups index") for i in g), dtype=int)
+            for g in groups
+        ]
         if not blocks:
             raise ValueError("need at least one group")
         flat = np.concatenate(blocks) if blocks else np.array([], dtype=int)
@@ -301,7 +304,7 @@ class Nuclear(Regularizer):
     kind = "nuclear"
 
     def __init__(self, shape):
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(_check_integer(s, "matrix_shape entry") for s in shape)
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
             raise ValueError(f"need a square matrix shape, got {shape}")
         self.shape = shape

@@ -46,7 +46,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import check_symmetric, pseudoinverse, spectral_norm, spectral_norms, _as_vector
+from .linalg import (
+    check_symmetric, pseudoinverse, spectral_norm, spectral_norms, _as_vector, _check_integer,
+)
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
 
 # relative step as a fraction of the stability limit 2/||Gamma||
@@ -100,13 +102,6 @@ class Quadratic:
     @cached_property
     def pinv(self) -> np.ndarray:
         return pseudoinverse(self.gamma)
-
-
-def _check_integer(value, name: str) -> int:
-    """value as an int: a Python or numpy integer, but not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_mu(mu) -> float:
@@ -271,24 +266,12 @@ def forward_backward(
     return forward_backward_batch([theta], reg, opts, inits)[0]
 
 
-def _step_size(theta: CanonicalParameters, opts: SolveOptions) -> float:
-    if theta.mu <= 0:
-        raise ValueError(f"forward-backward needs mu > 0, got {theta.mu}")
-    lip = theta.quad.lip
-    if opts.step is None:
-        return DEFAULT_STEP_FRACTION * 2.0 / lip if lip > 0 else 1.0
-    tau = float(opts.step)
-    if tau <= 0 or (lip > 0 and tau >= 2.0 / lip):
-        raise ValueError(
-            f"step {tau} outside the stable range (0, {2.0 / lip if lip > 0 else np.inf})"
-        )
-    return tau
+def _step_sizes(mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
+    """The step of every problem, from arrays of their mu and ||Gamma||.
 
-
-def _step_sizes(thetas, mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    """_step_size of every problem, from arrays of their mu and ||Gamma||.
-
-    The same bits; the first problem that _step_size refuses raises its error.
+    The default is DEFAULT_STEP_FRACTION * 2 / ||Gamma|| (1 when Gamma = 0);
+    an explicit step must lie in (0, 2 / ||Gamma||).  The first problem
+    refused, for mu <= 0 or an unstable step, raises its error.
     """
     positive = lip > 0
     if opts.step is None:
@@ -299,7 +282,12 @@ def _step_sizes(thetas, mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> 
         limit = np.divide(2.0, lip, out=np.full_like(lip, np.inf), where=positive)
         bad = (mu <= 0) | (tau <= 0) | (positive & (tau >= limit))
     if np.count_nonzero(bad):
-        _step_size(thetas[np.flatnonzero(bad)[0]], opts)
+        i = np.flatnonzero(bad)[0]
+        if mu[i] <= 0:
+            raise ValueError(f"forward-backward needs mu > 0, got {float(mu[i])}")
+        raise ValueError(
+            f"step {float(tau[i])} outside the stable range (0, {float(limit[i])})"
+        )
     return tau
 
 
@@ -396,7 +384,7 @@ def forward_backward_batch(
     # overflow to inf, as the per-problem float arithmetic does, with no
     # warning: the checks below refuse it
     with np.errstate(over="ignore"):
-        tau = _step_sizes(thetas, mu, lip, opts)
+        tau = _step_sizes(mu, lip, opts)
         weights = tau * mu
     refused = ~(np.isfinite(weights) & (weights >= 0))
     if np.count_nonzero(refused):

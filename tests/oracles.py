@@ -2,18 +2,20 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, a one-problem forward-backward loop, and the subspace helpers
-(span, projector, distance) that only the tests need.  Slow but simple, so
-the expected values in the tests do not inherit the package's own bugs.
+prox checks, a one-problem forward-backward loop, a one-trial instance
+draw, and the subspace helpers (span, projector, distance) that only the
+tests need.  Slow but simple, so the expected values in the tests do not
+inherit the package's own bugs.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from partlysmooth import Subspace
+from partlysmooth import CanonicalParameters, Quadratic, Subspace, make_design, make_signal
 
 
 def trivial(p):
@@ -140,6 +142,44 @@ def prox_reference(value_fn, beta, gamma):
     )
     assert res.success or res.status == 1, res.message
     return res.x
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One trial y = X beta0 + w."""
+
+    x: np.ndarray
+    beta0: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+
+    @property
+    def n(self):
+        return self.x.shape[0]
+
+
+def generate_instance(design, signal, noise_sigma, seed, reg):
+    """One trial from default_rng(seed), drawn design, then signal, then noise.
+
+    The one-trial draw that draw_trials stacks and a generated solve file
+    makes, kept as their reference.
+    """
+    rng = np.random.default_rng(seed)
+    x = make_design(design, rng)
+    beta0 = make_signal(signal, reg, rng)
+    w = noise_sigma * rng.standard_normal(x.shape[0])
+    return Instance(x=x, beta0=beta0, w=w, y=x @ beta0 + w)
+
+
+def canonical_parameters(instance, lam, quad=None):
+    """theta = (lambda/n, X^T y / n, X^T X / n) of one trial.
+
+    quad, when given, stands for the instance's X^T X / n, which is then not
+    recomputed.
+    """
+    n, x = instance.n, instance.x
+    gamma = Quadratic(x.T @ x / n) if quad is None else quad
+    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=gamma)
 
 
 def correlation_noise(instance):

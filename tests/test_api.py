@@ -1,0 +1,75 @@
+"""The public API and the package's top-level names: none without a caller."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import partlysmooth
+
+ROOT = Path(__file__).resolve().parent.parent
+INIT = ROOT / "src" / "partlysmooth" / "__init__.py"
+PACKAGE = sorted(INIT.parent.glob("*.py"))
+# the non-test code that may use a package name
+CALLERS = [
+    path for path in PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+    if not path.name.startswith("test_")
+]
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def defined(tree):
+    """The top-level function, class and constant nodes of a module, by name."""
+    nodes = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    nodes[target.id] = node
+    return nodes
+
+
+def uses(node) -> Counter:
+    """How often each name is used within node.
+
+    Loaded names, attributes and string constants (the names given to
+    getattr or to a patch) count; the names an import binds do not.
+    """
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_all_is_sorted_and_lists_what_init_imports():
+    imported = {
+        alias.asname or alias.name
+        for node in parse(INIT).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert partlysmooth.__all__ == sorted(partlysmooth.__all__)
+    assert partlysmooth.__all__ == sorted(name for name in imported if not name.startswith("_"))
+
+
+def test_every_top_level_name_has_a_caller():
+    trees = {path: parse(path) for path in CALLERS}
+    total = sum((uses(tree) for tree in trees.values()), Counter())
+    # a name listed in __all__ is not thereby used
+    total.subtract(uses(defined(trees[INIT])["__all__"]))
+    unused = [
+        f"{path.name}: {name}"
+        for path in PACKAGE
+        for name, node in defined(trees[path]).items()
+        if not name.startswith("__") and total[name] - uses(node)[name] <= 0
+    ]
+    assert not unused, f"top-level names that no package or perfbench code uses: {unused}"

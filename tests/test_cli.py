@@ -606,6 +606,16 @@ NAN = float("nan")
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1, "rank": 1}},
                  [], "rank", id="random-signal-unknown-key"),
+    # a fractional or boolean index or size is refused, not truncated
+    pytest.param("certify", with_key(certify_payload(), "regularizer",
+                                     {"kind": "group_l1l2", "groups": [[0, 1.7]]}),
+                 [], "groups", id="groups-fraction"),
+    pytest.param("certify", with_key(certify_payload(), "regularizer",
+                                     {"kind": "nuclear", "matrix_shape": [2.5, 2.5]}),
+                 [], "matrix_shape", id="matrix_shape-fraction"),
+    pytest.param("certify", with_key(certify_payload(), "regularizer",
+                                     {"kind": "nuclear", "matrix_shape": [True, True]}),
+                 [], "matrix_shape", id="matrix_shape-bool"),
     # two alternative sources of one input: neither is silently dropped
     pytest.param("certify", with_key(certify_payload(), "signal", {"kind": "sparse", "bogus": 1}),
                  [], ("'beta0'", "'signal'"), id="certify-beta0-and-signal"),

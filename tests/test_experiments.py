@@ -21,11 +21,9 @@ from partlysmooth import (
     MuRule,
     SignalSpec,
     SolveOptions,
-    canonical_parameters,
     consistency_sweep,
     forward_backward,
     forward_backward_batch,
-    generate_instance,
     find_certified_design,
     noise_stability_sweep,
     sharpness_experiment,
@@ -34,6 +32,8 @@ from partlysmooth import (
     write_summary_json,
 )
 from partlysmooth.experiments import RECORD_COLUMNS, SUMMARY_COLUMNS
+
+import oracles
 
 G3 = np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]])
 
@@ -428,8 +428,10 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     # the trials are the last solves (sharpness first runs noiseless checks)
     assert len(res.records) == 4
     for record, shared in zip(res.records, results[-len(res.records):]):
-        inst = generate_instance(cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer)
-        theta = canonical_parameters(inst, record.mu * inst.n)
+        inst = oracles.generate_instance(
+            cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer
+        )
+        theta = oracles.canonical_parameters(inst, record.mu * inst.n)
         replay = forward_backward(theta, cfg.regularizer, cfg.solve)
         assert np.array_equal(replay.beta, shared.beta)
         assert replay.iterations == shared.iterations

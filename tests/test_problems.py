@@ -10,60 +10,81 @@ from partlysmooth import (
     L1,
     Nuclear,
     SignalSpec,
-    canonical_parameters,
-    generate_instance,
     load_matrix_csv,
     make_design,
     make_signal,
     spectral_norm,
 )
 from partlysmooth import problems
+from partlysmooth.config import ConfigError, solve_from_config
 from partlysmooth.problems import draw_trials
 from partlysmooth.solver import Quadratic
 
 import oracles
 
 
+def generated(p, n, support, sigma, seed, lam=3.0):
+    """A solve file generating a sparse l1 instance on n identity-covariance rows."""
+    return {
+        "regularizer": {"kind": "l1"},
+        "design": {"kind": "gaussian_rows", "identity_dim": p, "n": n},
+        "signal": {"kind": "sparse", "p": p, "support_size": support},
+        "noise_sigma": sigma,
+        "seed": seed,
+        "lambda": lam,
+    }
+
+
+def solved_theta(cfg, seed=None):
+    """(theta, beta0) that solve_from_config builds from the file."""
+    _, theta, _, _, beta0 = solve_from_config(cfg, seed=seed)
+    return theta, beta0
+
+
+def same_bits(a, b):
+    return a.mu == b.mu and all(
+        x.tobytes() == y.tobytes() for x, y in ((a.u, b.u), (a.gamma, b.gamma))
+    )
+
+
 def test_same_seed_reproduces_bitwise():
-    design = DesignSpec.gaussian(np.eye(6), 40)
-    signal = SignalSpec.sparse(6, 2)
-    a = generate_instance(design, signal, 0.1, 123, L1())
-    b = generate_instance(design, signal, 0.1, 123, L1())
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.beta0, b.beta0)
-    np.testing.assert_array_equal(a.w, b.w)
-    np.testing.assert_array_equal(a.y, b.y)
-    c = generate_instance(design, signal, 0.1, 124, L1())
-    assert not np.array_equal(a.x, c.x)
+    a, beta_a = solved_theta(generated(6, 40, 2, 0.1, 123))
+    b, beta_b = solved_theta(generated(6, 40, 2, 0.1, 123))
+    assert same_bits(a, b) and beta_a.tobytes() == beta_b.tobytes()
+    # the seed argument overrides the file's
+    c, _ = solved_theta(generated(6, 40, 2, 0.1, 0), seed=123)
+    assert same_bits(a, c)
+    d, _ = solved_theta(generated(6, 40, 2, 0.1, 124))
+    assert not np.array_equal(a.gamma, d.gamma)
 
 
 def test_instance_consistency():
-    design = DesignSpec.gaussian(np.eye(5), 30)
-    signal = SignalSpec.sparse(5, 2)
-    inst = generate_instance(design, signal, 0.3, 7, L1())
-    assert inst.n == 30 and inst.p == 5
-    np.testing.assert_allclose(inst.y, inst.x @ inst.beta0 + inst.w, atol=1e-14)
-    theta = canonical_parameters(inst, lam=3.0)
+    # design, then signal, then noise from one generator, as the oracle draws them
+    theta, beta0 = solved_theta(generated(5, 30, 2, 0.3, 7))
+    inst = oracles.generate_instance(
+        DesignSpec.gaussian(np.eye(5), 30), SignalSpec.sparse(5, 2), 0.3, 7, L1()
+    )
+    assert same_bits(theta, oracles.canonical_parameters(inst, 3.0))
+    assert beta0.tobytes() == inst.beta0.tobytes()
     assert theta.mu == pytest.approx(0.1)
     # eps = u - Gamma beta0 is exactly the correlated noise
-    eps = theta.u - theta.gamma @ inst.beta0
+    eps = theta.u - theta.gamma @ beta0
     np.testing.assert_allclose(eps, oracles.correlation_noise(inst), atol=1e-12)
     # u lies in the image of Gamma by construction, even when n < p
-    wide = generate_instance(DesignSpec.gaussian(np.eye(10), 4), SignalSpec.sparse(10, 2), 0.5, 3, L1())
-    theta = canonical_parameters(wide, 1.0)
-    assert np.linalg.norm(theta.gamma @ (theta.quad.pinv @ theta.u) - theta.u) < 1e-10
+    wide, _ = solved_theta(generated(10, 4, 2, 0.5, 3, lam=1.0))
+    assert np.linalg.norm(wide.gamma @ (wide.quad.pinv @ wide.u) - wide.u) < 1e-10
 
 
 def test_canonical_parameters_reuse_a_prepared_gamma():
-    design = DesignSpec.gaussian(np.eye(5), 30)
-    inst = generate_instance(design, SignalSpec.sparse(5, 2), 0.3, 7, L1())
-    own = canonical_parameters(inst, 3.0)
-    shared = canonical_parameters(inst, 3.0, own.quad)
-    assert shared.quad is own.quad
-    assert np.array_equal(shared.u, own.u) and shared.mu == own.mu
-    other = generate_instance(DesignSpec.gaussian(np.eye(4), 30), SignalSpec.sparse(4, 2), 0.3, 7, L1())
-    with pytest.raises(ValueError):
-        canonical_parameters(other, 3.0, own.quad)
+    design = DesignSpec.explicit(np.random.default_rng(8).normal(size=(30, 5)))
+    beta0 = np.array([1.0, 0.0, -2.0, 0.0, 0.5])
+    own = draw_trials(design, beta0, 0.3, 0.1, [7, 8])
+    quad = own.thetas[0].quad
+    shared = draw_trials(design, beta0, 0.3, 0.1, [7, 8], quad)
+    for mine, theirs in zip(own.thetas, shared.thetas):
+        assert theirs.quad is quad
+        assert theirs.u.tobytes() == mine.u.tobytes() and theirs.mu == mine.mu
+    assert shared.eps_norms.tobytes() == own.eps_norms.tobytes()
 
 
 def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
@@ -100,33 +121,38 @@ def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
 
 
 def test_noiseless_instance():
-    inst = generate_instance(DesignSpec.gaussian(np.eye(4), 10), SignalSpec.sparse(4, 1), 0.0, 5, L1())
-    np.testing.assert_array_equal(inst.w, np.zeros(10))
-    np.testing.assert_array_equal(inst.y, inst.x @ inst.beta0)
+    theta, beta0 = solved_theta(generated(4, 10, 1, 0.0, 5))
+    x = make_design(DesignSpec.gaussian(np.eye(4), 10), np.random.default_rng(5))
+    # y = X beta0 exactly, so u is X^T X beta0 / n
+    assert theta.u.tobytes() == (x.T @ (x @ beta0) / 10).tobytes()
 
 
 def test_canonical_parameters_example():
-    inst = generate_instance(
-        DesignSpec.explicit(np.diag([1.0, 2.0])), SignalSpec.explicit(np.array([1.0, 1.0])),
-        0.0, 0, L1(),
-    )
-    theta = canonical_parameters(inst, lam=0.5)
-    assert theta.mu == pytest.approx(0.25)
-    np.testing.assert_allclose(theta.u, [0.5, 2.0])
-    np.testing.assert_allclose(theta.gamma, np.diag([0.5, 2.0]))
+    x = np.diag([1.0, 2.0])
+    xy = {"regularizer": {"kind": "l1"}, "x": x.tolist(), "y": [1.0, 2.0], "lambda": 0.5}
+    drawn = {"regularizer": {"kind": "l1"}, "design": {"kind": "explicit", "matrix": x.tolist()},
+             "signal": {"kind": "explicit", "beta0": [1.0, 1.0]}, "noise_sigma": 0.0, "lambda": 0.5}
+    for cfg in (xy, drawn):
+        theta, _ = solved_theta(cfg)
+        assert theta.mu == pytest.approx(0.25)
+        np.testing.assert_allclose(theta.u, [0.5, 2.0])
+        np.testing.assert_allclose(theta.gamma, np.diag([0.5, 2.0]))
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        generate_instance(DesignSpec.gaussian(np.eye(3), 5), SignalSpec.sparse(3, 1), -0.1, 0, L1())
-    inst = generate_instance(DesignSpec.gaussian(np.eye(3), 5), SignalSpec.sparse(3, 1), 0.1, 0, L1())
-    with pytest.raises(ValueError):
-        canonical_parameters(inst, lam=-1.0)
-    with pytest.raises(ValueError):
-        generate_instance(DesignSpec.gaussian(np.eye(3), 5), SignalSpec.explicit(np.ones(4)), 0.1, 0, L1())
+    for key, bad in (("noise_sigma", -0.1), ("lambda", -1.0)):
+        cfg = generated(3, 5, 1, 0.1, 0)
+        cfg[key] = bad
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number >= 0, got {bad}"):
+            solve_from_config(cfg)
+    cfg = generated(3, 5, 1, 0.1, 0)
+    cfg["signal"] = {"kind": "explicit", "beta0": [1.0] * 4}
+    with pytest.raises(ConfigError) as info:
+        solve_from_config(cfg)
+    assert str(info.value) == "design has p=3 columns but the signal has length 4"
 
 
-# the per-task draw of the sweeps against generate_instance + canonical_parameters
+# the per-task draw of the sweeps against the one-trial reference
 
 BETA0 = np.array([1.5, 0.0, -2.0, 0.0, 0.7])
 COV = np.array([[1.0, 0.3, 0.0, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0, 0.0], [0.0, 0.2, 1.0, 0.0, 0.0],
@@ -139,8 +165,8 @@ DRAW_DESIGNS = {
 
 def reference_trial(design, sigma, mu, seed, quad=None):
     """(theta, ||X^T w / n||) of one trial, drawn and computed one object at a time."""
-    inst = generate_instance(design, SignalSpec.explicit(BETA0), sigma, seed, L1())
-    theta = canonical_parameters(inst, mu * inst.n, quad)
+    inst = oracles.generate_instance(design, SignalSpec.explicit(BETA0), sigma, seed, L1())
+    theta = oracles.canonical_parameters(inst, mu * inst.n, quad)
     return inst.n, theta, float(np.linalg.norm(oracles.correlation_noise(inst)))
 
 
@@ -179,28 +205,20 @@ def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
 
 
 def test_draw_trials_refuses_what_one_trial_refuses():
-    def message(fn, *args):
+    def message(*args):
         with pytest.raises(ValueError) as info:
-            fn(*args)
+            draw_trials(*args)
         return str(info.value)
 
     for design in DRAW_DESIGNS.values():
-        signal = SignalSpec.explicit(BETA0)
-        # sigma < 0
-        assert message(draw_trials, design, BETA0, -0.1, 0.3, [4]) == message(
-            generate_instance, design, signal, -0.1, 4, L1())
-        # the design's p against the signal's length
-        short = SignalSpec.explicit(BETA0[:4])
-        assert message(draw_trials, design, BETA0[:4], 0.1, 0.3, [4]) == message(
-            generate_instance, design, short, 0.1, 4, L1())
-        # lambda = mu * n < 0
-        inst = generate_instance(design, signal, 0.1, 4, L1())
-        assert message(draw_trials, design, BETA0, 0.1, -0.5, [4]) == message(
-            canonical_parameters, inst, -0.5 * inst.n)
-        # a prepared Gamma of another dimension
-        other = Quadratic(np.eye(4))
-        assert message(draw_trials, design, BETA0, 0.1, 0.3, [4], other) == message(
-            canonical_parameters, inst, 0.3 * inst.n, other)
+        n = design.matrix.shape[0] if design.kind == "explicit" else design.n
+        assert message(design, BETA0, -0.1, 0.3, [4]) == "noise_sigma must be >= 0, got -0.1"
+        assert message(design, BETA0[:4], 0.1, 0.3, [4]) == (
+            "design has p=5 columns but the signal has length 4")
+        # lambda = mu * n
+        assert message(design, BETA0, 0.1, -0.5, [4]) == f"lambda must be >= 0, got {-0.5 * n}"
+        assert message(design, BETA0, 0.1, 0.3, [4], Quadratic(np.eye(4))) == (
+            "prepared gamma has dimension 4, the design has p=5")
 
 
 class TestDesigns:
@@ -229,6 +247,13 @@ class TestDesigns:
             DesignSpec.gaussian(np.eye(2), 0)
         spec = DesignSpec.gaussian(np.eye(2), 10)
         assert spec.covariance.shape == (2, 2)
+
+    def test_gaussian_n_must_be_an_integer(self):
+        # a fraction or a bool is refused, not truncated
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                DesignSpec.gaussian(np.eye(3), n)
+        assert DesignSpec.gaussian(np.eye(3), np.int16(4)).n == 4
 
     def test_gaussian_covariance_shaping(self):
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])
@@ -270,6 +295,20 @@ class TestSignals:
             SignalSpec.sparse(5, 2, amplitude_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             SignalSpec.sparse(5, 2, amplitude_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda v: SignalSpec.sparse(10, v), "support_size"),
+        (lambda v: SignalSpec.sparse(v, 2), "p"),
+        (lambda v: SignalSpec.group_sparse(v), "active_groups"),
+        (lambda v: SignalSpec.low_rank(v), "rank"),
+        (lambda v: SignalSpec.piecewise_constant(10, v), "segments"),
+    ])
+    def test_counts_must_be_integers(self, make, count):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"{count} must be an integer"):
+                make(bad)
+        spec = make(np.int64(3))
+        assert getattr(spec, count) == 3 and type(getattr(spec, count)) is int
 
     def test_group_sparse(self):
         reg = GroupL1L2([[0, 1], [2, 3], [4, 5]])

@@ -16,19 +16,30 @@ def blocks(language):
     return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.M | re.S)
 
 
-def test_quick_tour(capsys):
-    # the first python block follows "## Library quick tour"
-    [tour] = [b for b in blocks("python") if "check_model_stability" in b]
+def run_block(word):
+    """Run the one python block containing word; check the values it states.
+
+    Each `print(expr)  # value: ...` line states the value of expr.  Returns
+    how many lines state one.
+    """
+    [block] = [b for b in blocks("python") if word in b]
     namespace = {}
-    exec(tour, namespace)
-    capsys.readouterr()
-    # each `print(expr)  # value: ...` line states the value of expr
-    stated = re.findall(r"^print\((.+?)\)\s+#\s*([^:\n]+)", tour, flags=re.M)
-    assert len(stated) == 3
+    exec(block, namespace)
+    stated = re.findall(r"^print\((.+?)\)\s+#\s*([^:\n]+)", block, flags=re.M)
     for expr, comment in stated:
         want = ast.literal_eval(comment.strip())
         got = eval(expr, namespace)
         assert got == (pytest.approx(want) if isinstance(want, float) else want), expr
+    return len(stated)
+
+
+def test_quick_tour():
+    # the first python block follows "## Library quick tour"
+    assert run_block("check_model_stability") == 3
+
+
+def test_replaying_one_trial():
+    assert run_block("draw_trials") == 1
 
 
 def test_json_examples(tmp_path):

@@ -375,6 +375,22 @@ def test_group_partition_validation():
         GroupL1L2([])
 
 
+def test_group_indices_must_be_integers():
+    # a fraction or a bool is refused, not truncated to an index
+    for groups in ([[0, 1.7], [2]], [[0, True], [2]]):
+        with pytest.raises(ValueError, match="groups index must be an integer"):
+            GroupL1L2(groups)
+    reg = GroupL1L2([np.arange(2), [np.int32(2)]])
+    assert [g.tolist() for g in reg.groups] == [[0, 1], [2]]
+
+
+def test_nuclear_shape_must_be_integers():
+    for shape in ((2.5, 2.5), (True, True)):
+        with pytest.raises(ValueError, match="matrix_shape entry must be an integer"):
+            Nuclear(shape)
+    assert Nuclear((np.int64(2), np.int8(2))).shape == (2, 2)
+
+
 def test_nuclear_shape_validation():
     with pytest.raises(ValueError):
         Nuclear((2, 3))

@@ -68,19 +68,24 @@ def test_batch_refuses_a_row_as_that_problem_alone():
     good = [random_problem(L1(), 4, rng) for _ in range(3)]
     zero_mu = CanonicalParameters(0.0, good[1].u, good[1].gamma)
     # mu = 0 in the middle of a batch, with shared and stacked Gammas
+    refused = "forward-backward needs mu > 0, got 0.0"
+    assert _message(forward_backward, zero_mu, L1()) == refused
     for batch in ([good[0], zero_mu, good[2]],
                   [CanonicalParameters(t.mu, t.u, good[1].quad) for t in (good[0], zero_mu)]):
-        assert _message(forward_backward_batch, batch, L1()) == _message(
-            forward_backward, zero_mu, L1()
-        )
+        assert _message(forward_backward_batch, batch, L1()) == refused
     # an explicit step stable for every row but the one with the largest ||Gamma||
     lips = [t.quad.lip for t in good]
     worst = int(np.argmax(lips))
-    opts = SolveOptions(step=2.0 / lips[worst])
-    assert 2.0 / lips[worst] < min(2.0 / lip for i, lip in enumerate(lips) if i != worst)
-    assert _message(forward_backward_batch, good, L1(), opts) == _message(
-        forward_backward, good[worst], L1(), opts
-    )
+    limit = 2.0 / lips[worst]
+    opts = SolveOptions(step=limit)
+    assert limit < min(2.0 / lip for i, lip in enumerate(lips) if i != worst)
+    refused = f"step {limit} outside the stable range (0, {limit})"
+    assert _message(forward_backward, good[worst], L1(), opts) == refused
+    assert _message(forward_backward_batch, good, L1(), opts) == refused
+    # with Gamma = 0 every positive step is stable
+    flat = CanonicalParameters(0.1, np.zeros(4), np.zeros((4, 4)))
+    assert _message(forward_backward, flat, L1(), SolveOptions(step=-1.0)) == (
+        "step -1.0 outside the stable range (0, inf)")
     # a prox weight tau * mu that overflows
     huge = CanonicalParameters(1e308, good[2].u, 1e-3 * good[2].gamma)
     assert "prox weight" in _message(forward_backward, huge, L1())
