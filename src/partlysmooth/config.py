@@ -127,6 +127,13 @@ def _vector_from_config(cfg: dict, key: str, base_dir: str, context: str) -> np.
     return v
 
 
+def _integers(value, name: str):
+    """The file's integer, or nested lists of them, each read by number()."""
+    if isinstance(value, list):
+        return [_integers(v, name) for v in value]
+    return number(value, name, integer=True)
+
+
 # kind: (class, the keys besides "kind")
 _REGULARIZERS = {
     "l1": (L1, ()),
@@ -150,8 +157,8 @@ def regularizer_from_config(cfg: dict, base_dir: str = ".") -> Regularizer:
                 f"{context}: operator shape {args[0].shape} != declared {cfg['operator_shape']}"
             )
     else:
-        args = [require_key(cfg, key, context) for key in keys]
-    # the constructors index into the file's own values (groups, shapes)
+        # the other kinds' keys hold integers: group indices, the matrix shape
+        args = [_integers(require_key(cfg, key, context), f"regularizer.{key}") for key in keys]
     try:
         return make(*args)
     except (TypeError, ValueError) as exc:

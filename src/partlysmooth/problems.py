@@ -147,22 +147,6 @@ class SignalSpec:
     def explicit(cls, beta0) -> "SignalSpec":
         return cls(kind="explicit", beta0=beta0)
 
-    @classmethod
-    def sparse(cls, p: int, support_size: int, amplitude_range=DEFAULT_AMPLITUDE_RANGE) -> "SignalSpec":
-        return cls(kind="sparse", p=p, support_size=support_size, amplitude_range=amplitude_range)
-
-    @classmethod
-    def group_sparse(cls, active_groups: int, amplitude_range=DEFAULT_AMPLITUDE_RANGE) -> "SignalSpec":
-        return cls(kind="group_sparse", active_groups=active_groups, amplitude_range=amplitude_range)
-
-    @classmethod
-    def low_rank(cls, rank: int, amplitude_range=DEFAULT_AMPLITUDE_RANGE) -> "SignalSpec":
-        return cls(kind="low_rank", rank=rank, amplitude_range=amplitude_range)
-
-    @classmethod
-    def piecewise_constant(cls, p: int, segments: int, amplitude_range=DEFAULT_AMPLITUDE_RANGE) -> "SignalSpec":
-        return cls(kind="piecewise_constant", p=p, segments=segments, amplitude_range=amplitude_range)
-
 
 def _amplitudes(rng, size, amplitude_range):
     lo, hi = amplitude_range

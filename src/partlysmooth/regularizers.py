@@ -118,30 +118,26 @@ class Regularizer:
         """Full local geometry (descriptor, tangent subspace, model vector)."""
         raise NotImplementedError
 
-    def step_batch(self, v, weights, zero_tol: float):
+    def step_batch(self, v, weights):
         """The penalty's share of one solver iteration, for every row of v.
 
-        Returns (out, keys, values): out[i] = prox(v[i], weights[i]), its
-        model key (see model_keys) and its value J(out[i]).  This default
-        loops over the rows, and its keys are the descriptors.  An override
-        may skip validating v and weights: the solver checks the weights
-        once per solve, and after each step it checks that J(out) is finite,
-        which fails exactly when an entry of out is not.  An override must
-        return the same bits row by row, in arrays that do not share memory
-        with v (the solver builds its next forward point in v), and keys
-        that stand for descriptor(out[i], zero_tol): the solver checks the
-        last key of each solve against model_keys of the point it returns.
+        Returns (out, values): out[i] = prox(v[i], weights[i]) and its value
+        J(out[i]).  This default loops over the rows.  An override may skip
+        validating v and weights: the solver checks the weights once per
+        solve, and after each step it checks that J(out) is finite, which
+        fails exactly when an entry of out is not.  An override must return
+        the same bits row by row, in arrays that do not share memory with v
+        (the solver builds its next forward point in v).
         """
         out = np.empty_like(v)
-        keys = np.empty(v.shape[0], dtype=object)
         values = np.empty(v.shape[0])
         for i, weight in enumerate(weights.tolist()):
             row = self.prox(v[i], weight)
-            out[i], keys[i], values[i] = row, self.descriptor(row, zero_tol), self.value(row)
-        return out, keys, values
+            out[i], values[i] = row, self.value(row)
+        return out, values
 
     def model_keys(self, beta, zero_tol: float):
-        """A model key for each row of beta, for the batched solver.
+        """A model key for each row of beta: how the batched solver reads models.
 
         Keys are cheap stand-ins for descriptors: keys_a != keys_b, reduced
         over any axis after the first, flags exactly the rows whose
@@ -194,13 +190,13 @@ class L1(Regularizer):
         support = np.flatnonzero(np.abs(beta) > zero_tol)
         return ModelDescriptor(self.kind, tuple(support.tolist()))
 
-    # batched keys are support masks: one vectorized comparison per
-    # iteration, and a descriptor only when the solver asks for one
-    def step_batch(self, v, weights, zero_tol: float):
+    def step_batch(self, v, weights):
         # size is |out| bit for bit: it is +0, positive or NaN
         size = np.maximum(np.abs(v) - weights[:, None], 0.0)
-        return np.copysign(size, v), size > zero_tol, size.sum(axis=1)
+        return np.copysign(size, v), size.sum(axis=1)
 
+    # batched keys are support masks: one vectorized comparison per
+    # iteration, and a descriptor only when the solver asks for one
     def model_keys(self, beta, zero_tol: float):
         return np.abs(beta) > zero_tol
 

@@ -9,22 +9,23 @@ With mu = lambda/n, u = X^T y / n and Gamma = X^T X / n this is
 J(beta) + ||X beta - y||^2 / (2 n mu), so E is nonnegative whenever u lies
 in the image of Gamma.
 
-Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) with a
-fixed step 0 < tau < 2 / ||Gamma||.  Along the way the solver tracks the
-active model of every iterate, so the first iteration after which the
-model never changes again (the identification point) can be reported
-retrospectively, and it returns the model of the final iterate.
+Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) from
+beta = 0, with a fixed step 0 < tau < 2 / ||Gamma||.  Along the way the
+solver tracks the active model of every iterate, so the first iteration
+after which the model never changes again (the identification point) can
+be reported retrospectively, and it returns the model of the final
+iterate.
 
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic keeps each
 once it is computed, and every problem sharing Gamma can share it, such as
 the trials of a fixed-design sweep.  The step needs ||Gamma|| before the
-first iteration: a batch computes it for every Quadratic that has none yet
-in one stacked SVD call over the batch's own stack of Gammas (the same bits
-as spectral_norm, one matrix at a time), and a shared Quadratic computes it
-on its first solve.  Gamma^+ only enters the objective's constant term, so
-a solve records J and the quadratic part of every iterate and its
-SolveResult adds the constant when the objective is first read.  A caller
-that never reads it, such as the Monte-Carlo sweeps, never computes Gamma^+.
+first iteration: a batch takes its problems' norms from Quadratic.norms,
+which computes those not yet known in one stacked SVD call, one SVD per
+distinct Quadratic, with the bits of one call per matrix.  Gamma^+ only
+enters the objective's constant term, so a solve records J and the
+quadratic part of every iterate and its SolveResult adds the constant when
+the objective is first read.  A caller that never reads it, such as the
+Monte-Carlo sweeps, never computes Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
@@ -47,7 +48,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import (
-    check_symmetric, pseudoinverse, spectral_norm, spectral_norms, _as_vector, _check_integer,
+    check_symmetric, pseudoinverse, spectral_norms, _as_vector, _check_integer,
 )
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
 
@@ -65,10 +66,9 @@ GEMM_ROWS = 4
 class Quadratic:
     """A validated design covariance Gamma, prepared for repeated solves.
 
-    lip = ||Gamma|| bounds the step size and pinv = Gamma^+ gives the
-    objective's constant term.  Each is computed on first use and kept:
-    lip by the first solve (by a batch, for all its Quadratics at once),
-    pinv by the first objective read.
+    ||Gamma|| bounds the step size and pinv = Gamma^+ gives the objective's
+    constant term.  Each is computed on first use and kept: the norm by the
+    first solve (see norms), pinv by the first objective read.
     Gamma must not be modified once it is prepared.
     """
 
@@ -91,13 +91,20 @@ class Quadratic:
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    @property
-    def lip(self) -> float:
-        # spectral_norm (an SVD) rather than a cheaper eigvalsh: the step,
-        # and with it every iterate and records.csv byte, depends on its bits
-        if self._lip is None:
-            self._lip = spectral_norm(self.gamma)
-        return self._lip
+    @staticmethod
+    def norms(quads) -> np.ndarray:
+        """||Gamma|| of every Quadratic in quads, in order.
+
+        The norms not yet known are computed in one spectral_norms call, one
+        SVD per distinct Quadratic, and kept.  An SVD rather than a cheaper
+        eigvalsh: the step, and with it every iterate and records.csv byte,
+        depends on its bits.
+        """
+        fresh = list({id(q): q for q in quads if q._lip is None}.values())
+        if fresh:
+            for q, norm in zip(fresh, spectral_norms(np.stack([q.gamma for q in fresh]))):
+                q._lip = float(norm)
+        return np.array([q._lip for q in quads])
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -202,12 +209,12 @@ class SolveResult:
     """Outcome of a forward-backward run.
 
     iterations counts prox steps actually taken.  objective_trace[k] is the
-    objective value after k steps (index 0 is the initial point), so descent
+    objective value after k steps (index 0 is the zero start), so descent
     can be audited a posteriori; objective is its last entry.  Both are
     evaluated on first read, which computes Gamma^+ if no read on the same
     Quadratic has yet.  identification_iter is the first iterate index from
     which the model descriptor stays equal to the final one (0 when the
-    initial point already carries the final model); it is None for
+    zero start already carries the final model); it is None for
     non-converged runs.  model is the descriptor of beta, read with the
     solve's zero_tol.
     """
@@ -239,9 +246,8 @@ def forward_backward(
     theta: CanonicalParameters,
     reg: Regularizer,
     opts: SolveOptions = SolveOptions(),
-    beta_init=None,
 ) -> SolveResult:
-    """Minimize E(., theta) by forward-backward splitting.
+    """Minimize E(., theta) by forward-backward splitting, from beta = 0.
 
     Parameters
     ----------
@@ -251,8 +257,6 @@ def forward_backward(
         The penalty J.
     opts : SolveOptions
         Step size, stopping rule, zero threshold of the models.
-    beta_init : array, optional
-        Starting point (default: the zero vector).
 
     Returns
     -------
@@ -262,8 +266,7 @@ def forward_backward(
         within max_iter steps; otherwise the result is flagged, not raised.
         This is forward_backward_batch on a batch of one.
     """
-    inits = None if beta_init is None else [beta_init]
-    return forward_backward_batch([theta], reg, opts, inits)[0]
+    return forward_backward_batch([theta], reg, opts)[0]
 
 
 def _step_sizes(mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
@@ -343,24 +346,21 @@ def forward_backward_batch(
     thetas,
     reg: Regularizer,
     opts: SolveOptions = SolveOptions(),
-    beta_init=None,
 ) -> list:
     """forward_backward on several problems of one dimension at once.
 
-    The iterates form a T x p array, one row per problem, and a row leaves
-    the batch once it meets its stopping rule.  Every operation gives a row
-    the bits it gets alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module
-    docstring), one dot per row norm, elementwise arithmetic and the
-    penalty's step_batch.  So each problem's result has the same bits
-    whatever else is in the batch, and wherever its row sits.  The problems
-    may share one Quadratic, which is then broadcast over the rows, or each
-    bring their own, stacked as a T x p x p array whose norms not yet known
-    are computed in one call.  beta_init, when given, holds one starting
-    point per problem.  Returns one SolveResult per problem, in order; a
-    non-finite iterate in any row raises ValueError.  A result's model is
-    the penalty's descriptor of its beta; a penalty whose step_batch keys
-    stand for another descriptor than its model_keys of that beta raises
-    RuntimeError.
+    The iterates form a T x p array, one row per problem, every row starting
+    at zero, and a row leaves the batch once it meets its stopping rule or
+    has taken max_iter steps.  Every operation gives a row the bits it gets
+    alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module docstring), one
+    dot per row norm, elementwise arithmetic and the penalty's step_batch
+    and model_keys.  So each problem's result has the same bits whatever
+    else is in the batch, and wherever its row sits.  The problems may share
+    one Quadratic, which is then broadcast over the rows, or each bring
+    their own, stacked as a T x p x p array.  The model of every iterate is
+    read as the penalty's model_keys, and a result's model is the
+    descriptor of the last one.  Returns one SolveResult per problem, in
+    order; a non-finite iterate in any row raises ValueError.
     """
     thetas = list(thetas)
     if not thetas:
@@ -370,17 +370,9 @@ def forward_backward_batch(
         raise ValueError("batched problems must share one dimension")
     quads = [t.quad for t in thetas]
     mu = np.array([t.mu for t in thetas])
+    lip = Quadratic.norms(quads)
     shared = all(q is quads[0] for q in quads)
-    if shared:
-        gam = quads[0].gamma
-        lip = np.full(count, quads[0].lip)
-    else:
-        gam = np.stack([q.gamma for q in quads])
-        if any(q._lip is None for q in quads):
-            # one stacked SVD call; a norm already known gets the same bits again
-            for q, norm in zip(quads, spectral_norms(gam)):
-                q._lip = float(norm)
-        lip = np.array([q._lip for q in quads])
+    gam = quads[0].gamma if shared else np.stack([q.gamma for q in quads])
     # overflow to inf, as the per-problem float arithmetic does, with no
     # warning: the checks below refuse it
     with np.errstate(over="ignore"):
@@ -390,12 +382,7 @@ def forward_backward_batch(
     if np.count_nonzero(refused):
         check_prox_weight(weights[refused][0])
     taus = tau.tolist()
-    if beta_init is None:
-        beta = np.zeros((count, p))
-    else:
-        if len(beta_init) != count:
-            raise ValueError(f"{len(beta_init)} starting points for {count} problems")
-        beta = np.array([_as_vector(b, p, "beta_init") for b in beta_init])
+    beta = np.zeros((count, p))
 
     u = np.array([t.u for t in thetas])
     tau = tau[:, None]
@@ -412,11 +399,8 @@ def forward_backward_batch(
     # copied out when it leaves, and its slot dropped at the next growth
     terms = np.empty((count, 2, min(opts.max_iter + 1, 64)))
     slots = np.arange(count)
-    # J of the initial points also validates their length against the
-    # penalty, once per solve; a zero start needs it once
-    terms[:, 0, 0] = (
-        reg.value(beta[0]) if beta_init is None else [reg.value(b) for b in beta]
-    )
+    # J of the zero start, which also validates its length against the penalty
+    terms[:, 0, 0] = reg.value(beta[0])
     terms[:, 1, 0] = quadratic(beta, gam_beta)
     keys = reg.model_keys(beta, opts.zero_tol)
     run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
@@ -430,7 +414,7 @@ def forward_backward_batch(
         np.subtract(u, gam_beta, out=forward)
         forward *= tau
         forward += beta
-        beta_next, keys_next, j_next = reg.step_batch(forward, weights, opts.zero_tol)
+        beta_next, j_next = reg.step_batch(forward, weights)
         # count_nonzero is the cheapest test of a small boolean array
         finite = np.isfinite(j_next)
         if np.count_nonzero(finite) < finite.size:
@@ -438,6 +422,7 @@ def forward_backward_batch(
                 f"forward-backward iterate {k} of problem {rows[~finite][0]} "
                 "has non-finite entries"
             )
+        keys_next = reg.model_keys(beta_next, opts.zero_tol)
         # Euclidean norms as np.linalg.norm computes them (sqrt of a dot)
         delta = beta_next - beta
         fp_residual = np.sqrt(_row_dots(delta, delta))
@@ -456,41 +441,24 @@ def forward_backward_batch(
         terms[slots, 0, k] = j_next
         terms[slots, 1, k] = quadratic(beta_next, gam_beta)
         beta = beta_next
-        stop = fp_residual <= threshold
+        converged = fp_residual <= threshold
+        # after max_iter steps every row leaves, converged or not
+        stop = converged | (k == opts.max_iter)
         if np.count_nonzero(stop):
             leaving = rows[stop]
             final[leaving], final_keys[leaving] = beta[stop], keys[stop]
             for i in np.flatnonzero(stop):
                 trace = terms[slots[i], :, : k + 1].copy()
-                done[rows[i]] = (k, True, float(fp_residual[i]), trace)
+                done[rows[i]] = (k, bool(converged[i]), float(fp_residual[i]), trace)
             keep = ~stop
             if not keep.any():
                 break
             rows, slots, beta, keys = rows[keep], slots[keep], beta[keep], keys[keep]
             gam_beta = gam_beta[keep]
             u, tau, weights = u[keep], tau[keep], weights[keep]
-            fp_residual = fp_residual[keep]
             forward = forward[: len(rows)]
             gamma_products.keep(keep)
-    else:  # k = max_iter steps taken: the rows still here did not converge
-        final[rows], final_keys[rows] = beta, keys
-        for i, row in enumerate(rows):
-            trace = terms[slots[i], :, : k + 1].copy()
-            done[row] = (k, False, float(fp_residual[i]), trace)
 
-    # the model tracking above is only as good as the keys: check the last
-    # one of every problem against the keys of the beta it returns
-    returned = reg.model_keys(final, opts.zero_tol)
-    differ = returned != final_keys
-    if differ.ndim > 1:
-        differ = differ.reshape(count, -1).any(axis=1)
-    if np.count_nonzero(differ):
-        row = int(np.flatnonzero(differ)[0])
-        raise RuntimeError(
-            f"problem {row}: the final iterate's model {reg.key_descriptor(returned[row])} "
-            f"differs from the model {reg.key_descriptor(final_keys[row])} that the solver "
-            "tracked"
-        )
     return [
         SolveResult(
             beta=b,
@@ -504,6 +472,6 @@ def forward_backward_batch(
             _terms=trace,
         )
         for b, key, (iters, converged, fp, trace), step, first, theta in zip(
-            final, returned, done, taus, run_start, thetas
+            final, final_keys, done, taus, run_start, thetas
         )
     ]

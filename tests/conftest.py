@@ -5,10 +5,10 @@ import pytest
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts of the solver's spectral_norm, spectral_norms and pseudoinverse calls."""
+    """Counts of the solver's spectral_norms and pseudoinverse calls."""
     import partlysmooth.solver as solver
 
-    calls = {"spectral_norm": 0, "spectral_norms": 0, "pseudoinverse": 0}
+    calls = {"spectral_norms": 0, "pseudoinverse": 0}
     for name in calls:
         real = getattr(solver, name)
 

@@ -208,17 +208,17 @@ def gamma_product(gam, beta):
     return (block @ gam)[0]
 
 
-def forward_backward_scalar(theta, reg, opts, beta_init=None):
-    """Forward-backward on one problem, one vector iterate at a time.
+def forward_backward_scalar(theta, reg, opts):
+    """Forward-backward on one problem from zero, one vector iterate at a time.
 
     The solver's loop before it was batched, kept as the reference the
     batched engine must match bit for bit.  Returns the fields of a
     SolveResult as a dict, plus "models", the descriptor of every iterate
-    (index 0 is the initial point), which the solver does not keep.
+    (index 0 is the zero start), which the solver does not keep.
     """
-    lip = theta.quad.lip
+    [lip] = Quadratic.norms([theta.quad])
     tau = 0.9 * 2.0 / lip if opts.step is None else float(opts.step)
-    beta = np.zeros(theta.dim) if beta_init is None else np.array(beta_init, dtype=float)
+    beta = np.zeros(theta.dim)
     mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu
     gam_beta = gamma_product(gam, beta)

@@ -169,7 +169,8 @@ def test_criterion_04_noise_stability(monkeypatch):
         monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         start = time.monotonic()
         reg = L1()
-        beta0 = make_signal(SignalSpec.sparse(20, 3), reg, np.random.default_rng(7))
+        signal = SignalSpec(kind="sparse", p=20, support_size=3)
+        beta0 = make_signal(signal, reg, np.random.default_rng(7))
         x, cert, _ = find_certified_design(
             reg, np.eye(20), 200, beta0, min_margin=0.1, base_seed=0
         )
@@ -204,7 +205,7 @@ def test_criterion_05_consistency_in_n(monkeypatch):
         config = ExperimentConfig(
             regularizer=L1(),
             design=DesignSpec.gaussian(np.eye(10), 100),
-            signal=SignalSpec.sparse(10, 3),
+            signal=SignalSpec(kind="sparse", p=10, support_size=3),
             sweep_values=(100, 400, 1600),
             mu_rule=MuRule("power", exponent=0.25, scale=1.0),
             trials=200,
@@ -271,7 +272,7 @@ def test_criterion_09_nuclear_end_to_end(monkeypatch):
         monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
         start = time.monotonic()
         reg = Nuclear((8, 8))
-        beta0 = make_signal(SignalSpec.low_rank(2), reg, np.random.default_rng(13))
+        beta0 = make_signal(SignalSpec(kind="low_rank", rank=2), reg, np.random.default_rng(13))
         x, cert, _ = find_certified_design(
             reg, np.eye(64), 220, beta0, min_margin=0.3, base_seed=0
         )

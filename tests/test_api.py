@@ -1,4 +1,4 @@
-"""The public API and the package's top-level names: none without a caller."""
+"""The public API, the package's top-level names and its methods: none without a caller."""
 
 import ast
 from collections import Counter
@@ -73,3 +73,24 @@ def test_every_top_level_name_has_a_caller():
         if not name.startswith("__") and total[name] - uses(node)[name] <= 0
     ]
     assert not unused, f"top-level names that no package or perfbench code uses: {unused}"
+
+
+def attributes(node) -> Counter:
+    """How often each name is read as an attribute within node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_method_has_a_caller():
+    # a method, property or constructor of a package class (dunders aside)
+    # is reached as an attribute somewhere outside its own body
+    trees = {path: parse(path) for path in CALLERS}
+    total = sum((attributes(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.name}: {cls.name}.{fn.name}"
+        for path in PACKAGE
+        for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and total[fn.name] - attributes(fn)[fn.name] <= 0
+    ]
+    assert not unused, f"methods that no package or perfbench code reaches: {unused}"

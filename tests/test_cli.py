@@ -92,6 +92,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfgmod.signal_from_config({"kind": "sparse", "p": 8})
 
+    def test_regularizer_integers_read_as_numbers(self):
+        # a whole float is the integer it names, as for design.n
+        reg = cfgmod.regularizer_from_config({"kind": "nuclear", "matrix_shape": [2.0, 2.0]})
+        assert reg.shape == (2, 2) and all(type(s) is int for s in reg.shape)
+        reg = cfgmod.regularizer_from_config({"kind": "group_l1l2", "groups": [[0, 1.0], [2e0]]})
+        assert [g.tolist() for g in reg.groups] == [[0, 1], [2]]
+        with pytest.raises(ConfigError, match="regularizer.groups must be an integer"):
+            cfgmod.regularizer_from_config({"kind": "group_l1l2", "groups": [[0], [True]]})
+
     def test_solver_options(self):
         opts = cfgmod.solve_options_from_config({"max_iter": 50, "step": 0.5})
         assert opts.max_iter == 50 and opts.step == 0.5

@@ -14,7 +14,6 @@ import pytest
 
 import partlysmooth.experiments as exps
 from partlysmooth import (
-    CanonicalParameters,
     DesignSpec,
     ExperimentConfig,
     L1,
@@ -215,7 +214,7 @@ class TestConsistency:
         base = dict(
             regularizer=L1(),
             design=DesignSpec.gaussian(np.eye(6), 50),
-            signal=SignalSpec.sparse(6, 2),
+            signal=SignalSpec(kind="sparse", p=6, support_size=2),
             sweep_values=(50, 200),
             mu_rule=MuRule("power"),
             trials=25,
@@ -360,37 +359,6 @@ class TestIdentificationProfile:
         assert res.profile.finite_fraction == 1.0
 
 
-class MisreportingL1(L1):
-    """An L1 whose step keys leave coordinate 0 out of every support."""
-
-    def step_batch(self, v, weights, zero_tol):
-        out, keys, values = super().step_batch(v, weights, zero_tol)
-        keys[:, 0] = False
-        return out, keys, values
-
-
-def test_keys_that_disagree_with_the_descriptor_are_an_error():
-    # only the second problem's solution has coordinate 0 in its support
-    off, on = (CanonicalParameters(0.1, np.array(u), np.eye(2)) for u in ([0.0, 1.0], [1.0, 0.0]))
-    forward_backward_batch([off], MisreportingL1())
-    with pytest.raises(RuntimeError, match="problem 1"):
-        forward_backward_batch([off, on], MisreportingL1())
-
-
-@pytest.mark.parametrize("sweep, config", [
-    (noise_stability_sweep, lambda: identity_config(regularizer=MisreportingL1())),
-    (sharpness_experiment, lambda: TestSharpness().outside_config(regularizer=MisreportingL1())),
-    (consistency_sweep, lambda: TestConsistency().base(
-        regularizer=MisreportingL1(),
-        signal=SignalSpec.explicit(np.array([1.5, 0.0, 0.0, 0.0, 0.0, -2.0])),
-        trials=2,
-    )),
-], ids=["noise_stability", "sharpness", "consistency"])
-def test_every_runner_checks_the_final_model(sweep, config):
-    with pytest.raises(RuntimeError, match="tracked"):
-        sweep(config())
-
-
 def random_design_config(**overrides):
     rng = np.random.default_rng(5)
     base = dict(
@@ -449,16 +417,14 @@ def test_gamma_prepared_once_per_fixed_design(svd_calls):
     # the sweeps never read an objective, so none of them computes Gamma^+
     calls = svd_calls
     for sweep, overrides in FIXED_DESIGN_SWEEPS:
-        calls.update(spectral_norm=0, spectral_norms=0, pseudoinverse=0)
+        calls.update(spectral_norms=0, pseudoinverse=0)
         sweep(random_design_config(**overrides))
-        assert calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 0}, (
-            sweep.__name__
-        )
+        assert calls == {"spectral_norms": 1, "pseudoinverse": 0}, sweep.__name__
     # fresh designs: every trial has its own Gamma, and the batch computes
     # all their norms in one stacked call
-    calls.update(spectral_norm=0, spectral_norms=0, pseudoinverse=0)
+    calls.update(spectral_norms=0, pseudoinverse=0)
     res = consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
-    assert calls == {"spectral_norm": 0, "spectral_norms": 1, "pseudoinverse": 0}
+    assert calls == {"spectral_norms": 1, "pseudoinverse": 0}
     assert len(res.records) == 6
 
 

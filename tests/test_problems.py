@@ -61,9 +61,8 @@ def test_same_seed_reproduces_bitwise():
 def test_instance_consistency():
     # design, then signal, then noise from one generator, as the oracle draws them
     theta, beta0 = solved_theta(generated(5, 30, 2, 0.3, 7))
-    inst = oracles.generate_instance(
-        DesignSpec.gaussian(np.eye(5), 30), SignalSpec.sparse(5, 2), 0.3, 7, L1()
-    )
+    signal = SignalSpec(kind="sparse", p=5, support_size=2)
+    inst = oracles.generate_instance(DesignSpec.gaussian(np.eye(5), 30), signal, 0.3, 7, L1())
     assert same_bits(theta, oracles.canonical_parameters(inst, 3.0))
     assert beta0.tobytes() == inst.beta0.tobytes()
     assert theta.mu == pytest.approx(0.1)
@@ -94,7 +93,7 @@ def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
     config = ExperimentConfig(
         regularizer=L1(),
         design=DesignSpec.gaussian(cov, 20),
-        signal=SignalSpec.sparse(3, 1),
+        signal=SignalSpec(kind="sparse", p=3, support_size=1),
         sweep_values=(30,),
         mu_rule=MuRule("power"),
         trials=12,
@@ -280,7 +279,7 @@ class TestSignals:
         rng = np.random.default_rng(2)
         seen_signs = set()
         for _ in range(20):
-            beta = make_signal(SignalSpec.sparse(10, 3), L1(), rng)
+            beta = make_signal(SignalSpec(kind="sparse", p=10, support_size=3), L1(), rng)
             sup = np.flatnonzero(beta)
             assert sup.size == 3
             mags = np.abs(beta[sup])
@@ -290,18 +289,18 @@ class TestSignals:
 
     def test_sparse_validation(self):
         with pytest.raises(ValueError):
-            SignalSpec.sparse(5, 6)
+            SignalSpec(kind="sparse", p=5, support_size=6)
         with pytest.raises(ValueError):
-            SignalSpec.sparse(5, 2, amplitude_range=(0.0, 1.0))
+            SignalSpec(kind="sparse", p=5, support_size=2, amplitude_range=(0.0, 1.0))
         with pytest.raises(ValueError):
-            SignalSpec.sparse(5, 2, amplitude_range=(2.0, 1.0))
+            SignalSpec(kind="sparse", p=5, support_size=2, amplitude_range=(2.0, 1.0))
 
     @pytest.mark.parametrize("make, count", [
-        (lambda v: SignalSpec.sparse(10, v), "support_size"),
-        (lambda v: SignalSpec.sparse(v, 2), "p"),
-        (lambda v: SignalSpec.group_sparse(v), "active_groups"),
-        (lambda v: SignalSpec.low_rank(v), "rank"),
-        (lambda v: SignalSpec.piecewise_constant(10, v), "segments"),
+        (lambda v: SignalSpec(kind="sparse", p=10, support_size=v), "support_size"),
+        (lambda v: SignalSpec(kind="sparse", p=v, support_size=2), "p"),
+        (lambda v: SignalSpec(kind="group_sparse", active_groups=v), "active_groups"),
+        (lambda v: SignalSpec(kind="low_rank", rank=v), "rank"),
+        (lambda v: SignalSpec(kind="piecewise_constant", p=10, segments=v), "segments"),
     ])
     def test_counts_must_be_integers(self, make, count):
         for bad in (2.5, True):
@@ -313,19 +312,20 @@ class TestSignals:
     def test_group_sparse(self):
         reg = GroupL1L2([[0, 1], [2, 3], [4, 5]])
         rng = np.random.default_rng(3)
-        beta = make_signal(SignalSpec.group_sparse(2), reg, rng)
+        beta = make_signal(SignalSpec(kind="group_sparse", active_groups=2), reg, rng)
         active = [i for i, g in enumerate(reg.groups) if np.linalg.norm(beta[g]) > 0]
         assert len(active) == 2
         for i in active:
             assert np.all(np.abs(beta[reg.groups[i]]) >= 1.0)
 
     def test_group_sparse_needs_group_regularizer(self):
+        signal = SignalSpec(kind="group_sparse", active_groups=1)
         with pytest.raises(ValueError):
-            make_signal(SignalSpec.group_sparse(1), L1(), np.random.default_rng(0))
+            make_signal(signal, L1(), np.random.default_rng(0))
 
     def test_low_rank(self):
         reg = Nuclear((5, 5))
-        beta = make_signal(SignalSpec.low_rank(2), reg, np.random.default_rng(4))
+        beta = make_signal(SignalSpec(kind="low_rank", rank=2), reg, np.random.default_rng(4))
         m = beta.reshape(5, 5, order="F")
         s = np.linalg.svd(m, compute_uv=False)
         assert np.sum(s > 1e-10) == 2
@@ -333,13 +333,13 @@ class TestSignals:
 
     def test_low_rank_needs_nuclear(self):
         with pytest.raises(ValueError):
-            make_signal(SignalSpec.low_rank(1), L1(), np.random.default_rng(0))
+            make_signal(SignalSpec(kind="low_rank", rank=1), L1(), np.random.default_rng(0))
 
     def test_piecewise_constant(self):
         reg = AnalysisL1(oracles.tv_operator(12))
         rng = np.random.default_rng(5)
         for _ in range(10):
-            beta = make_signal(SignalSpec.piecewise_constant(12, 4), reg, rng)
+            beta = make_signal(SignalSpec(kind="piecewise_constant", p=12, segments=4), reg, rng)
             jumps = np.diff(beta)
             breaks = np.flatnonzero(np.abs(jumps) > 1e-12)
             assert breaks.size == 3  # segments - 1 genuine breakpoints
@@ -347,9 +347,9 @@ class TestSignals:
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
-            SignalSpec.piecewise_constant(4, 5)
+            SignalSpec(kind="piecewise_constant", p=4, segments=5)
         with pytest.raises(ValueError):
-            SignalSpec.piecewise_constant(4, 0)
+            SignalSpec(kind="piecewise_constant", p=4, segments=0)
 
     def test_explicit_returns_copy(self):
         spec = SignalSpec.explicit(np.array([1.0, 2.0]))

@@ -131,7 +131,7 @@ def test_prox_rejects_negative_gamma():
 
 
 def test_step_matches_prox_descriptor_value_bitwise():
-    # the penalty's solver step, step_batch, on one-row batches
+    # the penalty's solver step, step_batch and model_keys, on one-row batches
     rng = np.random.default_rng(14)
     for reg in all_regularizers():
         for trial in range(30):
@@ -139,7 +139,8 @@ def test_step_matches_prox_descriptor_value_bitwise():
             if trial % 3 == 0:
                 v[: v.size // 2] = 0.0  # exact zeros and whole inactive blocks
             weight = 0.0 if trial == 1 else float(rng.uniform(0.05, 2.0))
-            [out], [key], [val] = reg.step_batch(v[None], np.array([weight]), 1e-8)
+            [out], [val] = reg.step_batch(v[None], np.array([weight]))
+            [key] = reg.model_keys(out[None], 1e-8)
             ref = reg.prox(v, weight)
             assert out.tobytes() == ref.tobytes(), reg.kind
             assert reg.key_descriptor(key) == reg.descriptor(ref, 1e-8), reg.kind
@@ -154,8 +155,8 @@ def test_step_batch_matches_step_row_by_row():
         v[1, : v.shape[1] // 2] = 0.0
         weights = rng.uniform(0.05, 2.0, 7)
         weights[2] = 0.0
-        out, keys, values = reg.step_batch(v, weights, 1e-8)
-        start = reg.model_keys(v, 1e-8)
+        out, values = reg.step_batch(v, weights)
+        keys, start = reg.model_keys(out, 1e-8), reg.model_keys(v, 1e-8)
         for i in range(7):
             ref = reg.prox(v[i], float(weights[i]))
             assert out[i].tobytes() == ref.tobytes(), reg.kind

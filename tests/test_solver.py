@@ -74,7 +74,7 @@ def test_batch_refuses_a_row_as_that_problem_alone():
                   [CanonicalParameters(t.mu, t.u, good[1].quad) for t in (good[0], zero_mu)]):
         assert _message(forward_backward_batch, batch, L1()) == refused
     # an explicit step stable for every row but the one with the largest ||Gamma||
-    lips = [t.quad.lip for t in good]
+    lips = Quadratic.norms([t.quad for t in good]).tolist()
     worst = int(np.argmax(lips))
     limit = 2.0 / lips[worst]
     opts = SolveOptions(step=limit)
@@ -147,14 +147,6 @@ def test_identity_design_lasso_default_step():
     assert res.step == pytest.approx(1.8)  # 0.9 * 2 / ||gamma||
     np.testing.assert_allclose(res.beta, [0.9, 0.0], atol=1e-9)
     assert res.converged
-
-
-def test_warm_start_at_solution():
-    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    res = forward_backward(theta, L1(), beta_init=[0.9, 0.0])
-    assert res.converged and res.iterations == 1
-    assert res.fp_residual == 0.0
-    assert res.identification_iter == 0
 
 
 def test_large_mu_gives_zero():
@@ -316,10 +308,10 @@ def test_shared_quadratic(svd_calls):
         assert theta.quad is quad and theta.gamma is quad.gamma
         results.append(forward_backward(theta, L1()))
     # Gamma^+ only enters the objective, which nothing has read yet
-    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 0}
+    assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 0}
     for res in results:
         assert res.objective == res.objective_trace[-1]
-    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 0, "pseudoinverse": 1}
+    assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 1}
     # an array still works and prepares its own, with the same results
     own = CanonicalParameters(0.1, np.array([1.0, -0.5]), gamma)
     assert own.quad is not quad
@@ -335,13 +327,15 @@ def test_batch_norms_in_one_stacked_call(svd_calls):
     rng = np.random.default_rng(8)
     gammas = [a @ a.T / 5 for a in rng.normal(size=(5, 4, 5))]
     quads = [Quadratic(g) for g in gammas]
-    known = quads[1].lip
+    [known] = Quadratic.norms(quads[1:2])
     thetas = [CanonicalParameters(0.2, rng.normal(size=4), q) for q in quads + quads[:2]]
     results = forward_backward_batch(thetas, L1())
-    assert svd_calls == {"spectral_norm": 1, "spectral_norms": 1, "pseudoinverse": 0}
-    assert quads[1].lip == known
-    for q, g in zip(quads, gammas):
-        assert q.lip == np.linalg.norm(g, 2)  # the bits of spectral_norm
+    # one call for the known norm, one for the other four: each once
+    assert svd_calls == {"spectral_norms": 2, "pseudoinverse": 0}
+    norms = Quadratic.norms(quads)
+    assert svd_calls == {"spectral_norms": 2, "pseudoinverse": 0}
+    assert norms[1] == known
+    assert norms.tolist() == [np.linalg.norm(g, 2) for g in gammas]  # one SVD each
     for theta, res in zip(thetas, results):
         alone = forward_backward(CanonicalParameters(theta.mu, theta.u, theta.gamma), L1())
         assert res.step == alone.step and np.array_equal(res.beta, alone.beta)
@@ -423,29 +417,33 @@ def test_batch_matches_scalar_loop_shared_and_stacked_gamma(reg, p):
 @pytest.mark.parametrize("reg, p", PENALTIES, ids=PENALTY_IDS)
 def test_batch_matches_scalar_loop_with_options(reg, p):
     rng = np.random.default_rng(41)
-    thetas = mixed_batch(reg, p, rng, 5)
-    solved = forward_backward(thetas[0], reg).beta
-    # row 0 starts at its solution and leaves the batch after one step
-    starts = [solved] + [rng.normal(size=p) for _ in thetas[1:]]
+    # row 0 has the solution 0 on Gamma = I: u = c (e_0 - e_1) lies within
+    # mu times the unit ball of each penalty's dual norm, so its iterates
+    # keep the zero start's model.  With an exact prox the first step lands
+    # on 0 and the row leaves the batch after it; the iterative analysis
+    # prox lands within 1e-8 of 0 and needs a second step.
+    u = np.zeros(p)
+    u[:2] = 0.3, -0.3
+    thetas = [CanonicalParameters(0.6, u, np.eye(p))] + mixed_batch(reg, p, rng, 5)
     # an explicit step must be stable for every problem in the batch
-    step = 0.5 / max(t.quad.lip for t in thetas)
+    step = 0.5 / Quadratic.norms([t.quad for t in thetas]).max()
     cases = [
-        (SolveOptions(max_iter=6), None),
-        (SolveOptions(max_iter=6), starts),
-        (SolveOptions(), starts),
-        (SolveOptions(max_iter=70), starts),  # past the trace buffer's first growth
-        (SolveOptions(step=step, max_iter=25, fp_tol=1e-6), starts),
+        SolveOptions(max_iter=6),
+        SolveOptions(),
+        SolveOptions(max_iter=70),  # past the trace buffer's first growth
+        SolveOptions(step=step, max_iter=25, fp_tol=1e-6),
     ]
-    for opts, inits in cases:
-        results = forward_backward_batch(thetas, reg, opts, inits)
-        for i, (theta, res) in enumerate(zip(thetas, results)):
-            init = None if inits is None else inits[i]
-            assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts, init))
-        if inits is not None:
-            assert results[0].converged and results[0].iterations == 1
-    capped = forward_backward_batch(thetas, reg, SolveOptions(max_iter=6))
-    assert not any(r.converged for r in capped)
-    assert all(r.iterations == 6 and r.identification_iter is None for r in capped)
+    for opts in cases:
+        results = forward_backward_batch(thetas, reg, opts)
+        for theta, res in zip(thetas, results):
+            assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts))
+        zero = results[0]
+        assert zero.converged and zero.identification_iter == 0
+        if reg.kind != "analysis_l1":
+            assert zero.iterations == 1 and not zero.beta.any()
+        if opts.max_iter == 6:  # the other rows are still in the batch when it ends
+            assert not any(r.converged for r in results[1:])
+            assert all(r.iterations == 6 and r.identification_iter is None for r in results[1:])
 
 
 def test_trial_alone_matches_trial_in_batch_of_40():
@@ -516,9 +514,5 @@ def test_batch_validation():
     assert forward_backward_batch([], L1()) == []
     with pytest.raises(ValueError):
         forward_backward_batch([a, b], L1())  # dimensions differ
-    with pytest.raises(ValueError):
-        forward_backward_batch([a, a], L1(), beta_init=[[0.0, 0.0]])  # one start for two
-    with pytest.raises(ValueError):
-        forward_backward_batch([a], L1(), beta_init=[[0.0, 0.0, 0.0]])  # wrong length
     with pytest.raises(ValueError):
         forward_backward_batch([a, CanonicalParameters(0.0, a.u, np.eye(2))], L1())  # mu = 0
