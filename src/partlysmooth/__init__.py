@@ -54,9 +54,9 @@ from .regularizers import (
     ModelGeometry,
     Nuclear,
     Regularizer,
-    same_model,
 )
 from .solver import (
+    BatchResult,
     CanonicalParameters,
     Quadratic,
     SolveOptions,
@@ -69,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisL1",
+    "BatchResult",
     "CanonicalParameters",
     "Certificate",
     "CertificateVerdict",
@@ -105,7 +106,6 @@ __all__ = [
     "project",
     "pseudoinverse",
     "restricted_injectivity",
-    "same_model",
     "sharpness_experiment",
     "spectral_norm",
     "write_plot_csv",

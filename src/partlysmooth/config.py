@@ -152,7 +152,8 @@ def regularizer_from_config(cfg: dict, base_dir: str = ".") -> Regularizer:
     _only_keys(cfg, ("kind", *keys), context)
     if kind == "analysis_l1":
         args = [matrix_from_config(cfg, "operator", base_dir, context)]
-        if "operator_shape" in cfg and list(args[0].shape) != cfg["operator_shape"]:
+        shape = _integers(cfg.get("operator_shape", []), "regularizer.operator_shape")
+        if "operator_shape" in cfg and list(args[0].shape) != shape:
             raise ConfigError(
                 f"{context}: operator shape {args[0].shape} != declared {cfg['operator_shape']}"
             )

@@ -18,11 +18,11 @@ design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
 
 A batch draws each sweep point's trials with one draw_trials call (one
-generator per trial, products as stacks, checks once per stack), solves
-every trial of the batch in one forward_backward_batch, and computes all
-the error norms in one call; both are looked up in this module, so tests
-can wrap them.  records.csv and plot.csv are written one line of _fmt fields
-per row, in the bytes csv.writer would write.
+generator per trial, products as stacks, checks once per stack), solves them
+in one forward_backward_batch (both looked up here, so tests can wrap them)
+and builds the records from the batch's arrays.  records.csv and plot.csv
+are written one line of _fmt fields per row, in the bytes csv.writer would
+write.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .certificate import Certificate, check_model_stability
 from .linalg import _check_integer
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
-from .regularizers import RI_TOL, ModelDescriptor, Regularizer, same_model
+from .regularizers import RI_TOL, Regularizer
 from .solver import Quadratic, SolveOptions, _row_dots, forward_backward_batch
 
 # kind: the fields the rule reads
@@ -96,8 +96,7 @@ class ExperimentConfig:
     The harness fixes what sweep_values are: noise levels, sample sizes or
     mu values.  mu_rule is required by every harness but sharpness, whose
     mu values are the sweep itself.  solve.zero_tol reads every model: in
-    the solver, the target, each trial's final descriptor and the
-    certificate.
+    the solver, beta0's model key and the certificate.
     """
 
     regularizer: Regularizer
@@ -182,15 +181,15 @@ class _Shared:
     """What every trial of one sweep shares.
 
     designs holds one design per sweep point, or the single design of a
-    fixed-design sweep, whose Gamma is then prepared once as quad.  A
-    process pool receives this once per worker, not with every task.
+    fixed-design sweep, whose Gamma is then prepared once as quad.  target
+    is beta0's model key.  A pool gets this once per worker, not per task.
     """
 
     reg: Regularizer
     designs: tuple
     signal: SignalSpec
     opts: SolveOptions
-    target: ModelDescriptor
+    target: object
     margin: float
     boundary: bool
     quad: Optional[Quadratic] = None
@@ -202,9 +201,10 @@ def _run_batch(shared, tasks):
     A task is (design index, sigma, mu, seeds), one trial per seed, and
     draw_trials draws each task's problems; the designs are dropped there,
     so a batch holds none.  Returns one list of TrialRecords per task, in
-    order.  Every row of a batch gets the bits it gets alone, so how the
-    tasks are grouped changes no result.  Module-level so worker processes
-    can import it.
+    order, built column by column from the batch's arrays: identified is
+    one comparison of the final model keys with beta0's.  Every row of a
+    batch gets the bits it gets alone, so how the tasks are grouped changes
+    no result.  Module-level so worker processes can import it.
     """
     beta0 = shared.signal.beta0
     draws = [
@@ -215,32 +215,22 @@ def _run_batch(shared, tasks):
         [theta for draw in draws for theta in draw.thetas], shared.reg, shared.opts
     )
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it
-    errors = np.array([res.beta for res in solved]) - beta0
-    outcomes = iter(zip(solved, np.sqrt(_row_dots(errors, errors)).tolist()))
+    errors = solved.beta - beta0
+    # keys differ where they differ in any entry, as the solver reads them
+    changed = (solved.keys != shared.target).reshape(len(solved), -1).any(axis=1)
+    rows = zip((solved.converged & ~changed).tolist(), np.sqrt(_row_dots(errors, errors)).tolist(),
+               solved.identification_iter.tolist(), solved.converged.tolist())
     return [
         [
-            _outcome(shared, sigma, mu, seed, draw.n, eps_norm, *next(outcomes))
-            for seed, eps_norm in zip(seeds, draw.eps_norms.tolist())
+            TrialRecord(seed=seed, n=draw.n, sigma=sigma, mu=mu, identified=identified,
+                        boundary_flag=shared.boundary, error_norm=error_norm, eps_norm=eps_norm,
+                        identification_iter=first if converged else None, converged=converged,
+                        certificate_margin=shared.margin)
+            for seed, eps_norm, (identified, error_norm, first, converged)
+            in zip(seeds, draw.eps_norms.tolist(), rows)
         ]
         for (_, sigma, mu, seeds), draw in zip(tasks, draws)
     ]
-
-
-def _outcome(shared, sigma, mu, seed, n, eps_norm, res, error_norm):
-    """The TrialRecord of one solved trial."""
-    return TrialRecord(
-        seed=seed,
-        n=n,
-        sigma=sigma,
-        mu=mu,
-        identified=bool(res.converged and same_model(res.model, shared.target)),
-        boundary_flag=shared.boundary,
-        error_norm=error_norm,
-        eps_norm=eps_norm,
-        identification_iter=res.identification_iter,
-        converged=res.converged,
-        certificate_margin=shared.margin,
-    )
 
 
 _WORKER_SHARED = None  # set once in each pool worker by _init_worker
@@ -354,7 +344,7 @@ def _make_shared(config: ExperimentConfig, cert, beta0, designs, quad=None) -> _
         designs=tuple(designs),
         signal=SignalSpec.explicit(beta0),
         opts=config.solve,
-        target=config.regularizer.descriptor(beta0, config.solve.zero_tol),
+        target=config.regularizer.model_keys(beta0[None], config.solve.zero_tol)[0],
         margin=margin,
         boundary=cert.inconclusive,
         quad=quad,

@@ -60,13 +60,6 @@ def check_prox_weight(gamma) -> float:
     return gamma
 
 
-def same_model(a: ModelDescriptor, b: ModelDescriptor) -> bool:
-    """Exact descriptor equality; mixing regularizer kinds is an error."""
-    if a.kind != b.kind:
-        raise ValueError(f"cannot compare models of kind {a.kind!r} and {b.kind!r}")
-    return a.data == b.data
-
-
 @dataclass(frozen=True)
 class ModelGeometry:
     """Local geometry of a regularizer at a point.

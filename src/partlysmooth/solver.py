@@ -11,10 +11,9 @@ in the image of Gamma.
 
 Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) from
 beta = 0, with a fixed step 0 < tau < 2 / ||Gamma||.  Along the way the
-solver tracks the active model of every iterate, so the first iteration
-after which the model never changes again (the identification point) can
-be reported retrospectively, and it returns the model of the final
-iterate.
+solver tracks the model key of every iterate, so the first iteration after
+which the model never changes again (the identification point) can be
+reported retrospectively, and it returns the key of the final iterate.
 
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic keeps each
 once it is computed, and every problem sharing Gamma can share it, such as
@@ -29,14 +28,14 @@ Monte-Carlo sweeps, never computes Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
-when solved alone; forward_backward is a batch of one.  Each step's Gamma b
-products run as GEMMs of one fixed shape, GEMM_ROWS x p times p x p.  A
-plain GEMM over the T rows would not do: BLAS picks its kernel and blocking
-from the matrix shape, so a row's bits would depend on how many rows share
-the call.  With Gamma shared, the rows go in consecutive blocks of GEMM_ROWS,
-the last one padded with zero rows; with a stack of Gammas, each row sits
-alone at the head of its own zero block.  Either way the row's bits are
-those of that row alone in a zero block.
+when solved alone, in one BatchResult; forward_backward is a batch of one.
+Each step's Gamma b products run as GEMMs of one fixed shape, GEMM_ROWS x p
+times p x p.  A plain GEMM over the T rows would not do: BLAS picks its
+kernel and blocking from the matrix shape, so a row's bits would depend on
+how many rows share the call.  With Gamma shared, the rows go in consecutive
+blocks of GEMM_ROWS, the last one padded with zero rows; with a stack of
+Gammas, each row sits alone at the head of its own zero block.  Either way
+the row's bits are those of that row alone in a zero block.
 """
 
 from __future__ import annotations
@@ -242,6 +241,40 @@ class SolveResult:
         return self.objective_trace[-1]
 
 
+@dataclass
+class BatchResult:
+    """Outcome of forward_backward_batch: row i of each array is problem i's.
+
+    The fields are SolveResult's, with keys the final betas' model_keys and
+    identification_iter an identification point only where converged.  [i]
+    is problem i's SolveResult, its model the key_descriptor of keys[i].
+    """
+
+    beta: np.ndarray
+    keys: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    fp_residual: np.ndarray
+    step: np.ndarray
+    identification_iter: np.ndarray
+    _reg: Regularizer = field(repr=False)
+    _thetas: list = field(repr=False)
+    _terms: list = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self._thetas)
+
+    def __getitem__(self, i) -> SolveResult:
+        converged = bool(self.converged[i])
+        return SolveResult(
+            beta=self.beta[i], iterations=int(self.iterations[i]), converged=converged,
+            fp_residual=float(self.fp_residual[i]), step=float(self.step[i]),
+            identification_iter=int(self.identification_iter[i]) if converged else None,
+            model=self._reg.key_descriptor(self.keys[i]),
+            _theta=self._thetas[i], _terms=self._terms[i],
+        )
+
+
 def forward_backward(
     theta: CanonicalParameters,
     reg: Regularizer,
@@ -346,7 +379,7 @@ def forward_backward_batch(
     thetas,
     reg: Regularizer,
     opts: SolveOptions = SolveOptions(),
-) -> list:
+) -> BatchResult:
     """forward_backward on several problems of one dimension at once.
 
     The iterates form a T x p array, one row per problem, every row starting
@@ -358,13 +391,13 @@ def forward_backward_batch(
     else is in the batch, and wherever its row sits.  The problems may share
     one Quadratic, which is then broadcast over the rows, or each bring
     their own, stacked as a T x p x p array.  The model of every iterate is
-    read as the penalty's model_keys, and a result's model is the
-    descriptor of the last one.  Returns one SolveResult per problem, in
-    order; a non-finite iterate in any row raises ValueError.
+    read as the penalty's model_keys.  Returns the BatchResult of the
+    problems, in order; an empty batch or a non-finite iterate in any row
+    raises ValueError.
     """
     thetas = list(thetas)
     if not thetas:
-        return []
+        raise ValueError("forward_backward_batch needs at least one problem")
     count, p = len(thetas), thetas[0].dim
     if any(t.dim != p for t in thetas):
         raise ValueError("batched problems must share one dimension")
@@ -381,11 +414,8 @@ def forward_backward_batch(
     refused = ~(np.isfinite(weights) & (weights >= 0))
     if np.count_nonzero(refused):
         check_prox_weight(weights[refused][0])
-    taus = tau.tolist()
     beta = np.zeros((count, p))
-
     u = np.array([t.u for t in thetas])
-    tau = tau[:, None]
     rows = np.arange(count)  # the problem of each row still in the batch
 
     def quadratic(b, gam_b):
@@ -403,12 +433,12 @@ def forward_backward_batch(
     terms[:, 0, 0] = reg.value(beta[0])
     terms[:, 1, 0] = quadratic(beta, gam_beta)
     keys = reg.model_keys(beta, opts.zero_tol)
-    run_start = np.zeros(count, dtype=int)  # first iterate of the current model run
-
-    # each problem's returned beta and the model key the loop tracked for it
-    final = np.empty((count, p))
-    final_keys = np.empty_like(keys)
-    done = [None] * count  # (iterations, converged, fp_residual, terms)
+    out = BatchResult(  # filled in as the rows leave
+        beta=np.empty((count, p)), keys=np.empty_like(keys), iterations=np.empty(count, int),
+        converged=np.empty(count, bool), fp_residual=np.empty(count), step=tau,
+        identification_iter=np.zeros(count, int), _reg=reg, _thetas=thetas, _terms=[None] * count,
+    )
+    tau = tau[:, None]
     forward = np.empty((count, p))  # the forward point, rebuilt in place each step
     for k in range(1, opts.max_iter + 1):
         np.subtract(u, gam_beta, out=forward)
@@ -431,7 +461,7 @@ def forward_backward_batch(
         if np.count_nonzero(changed):
             if changed.ndim > 1:
                 changed = changed.any(axis=1)
-            run_start[rows[changed]] = k
+            out.identification_iter[rows[changed]] = k
         keys = keys_next
         gam_beta = gamma_products(beta_next)
         if k == terms.shape[2]:
@@ -446,10 +476,11 @@ def forward_backward_batch(
         stop = converged | (k == opts.max_iter)
         if np.count_nonzero(stop):
             leaving = rows[stop]
-            final[leaving], final_keys[leaving] = beta[stop], keys[stop]
+            out.beta[leaving], out.keys[leaving] = beta[stop], keys[stop]
+            out.converged[leaving], out.fp_residual[leaving] = converged[stop], fp_residual[stop]
+            out.iterations[leaving] = k
             for i in np.flatnonzero(stop):
-                trace = terms[slots[i], :, : k + 1].copy()
-                done[rows[i]] = (k, bool(converged[i]), float(fp_residual[i]), trace)
+                out._terms[rows[i]] = terms[slots[i], :, : k + 1].copy()
             keep = ~stop
             if not keep.any():
                 break
@@ -458,20 +489,4 @@ def forward_backward_batch(
             u, tau, weights = u[keep], tau[keep], weights[keep]
             forward = forward[: len(rows)]
             gamma_products.keep(keep)
-
-    return [
-        SolveResult(
-            beta=b,
-            iterations=iters,
-            converged=converged,
-            fp_residual=fp,
-            step=step,
-            identification_iter=int(first) if converged else None,
-            model=reg.key_descriptor(key),
-            _theta=theta,
-            _terms=trace,
-        )
-        for b, key, (iters, converged, fp, trace), step, first, theta in zip(
-            final, final_keys, done, taus, run_start, thetas
-        )
-    ]
+    return out

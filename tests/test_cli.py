@@ -101,6 +101,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="regularizer.groups must be an integer"):
             cfgmod.regularizer_from_config({"kind": "group_l1l2", "groups": [[0], [True]]})
 
+    def test_operator_shape_reads_integers(self):
+        # the declared shape of a 2 x 1 operator, read as the other integer keys
+        cfg = {"kind": "analysis_l1", "operator": [[1.0], [2.0]]}
+        for shape in ([2, "1"], [2.0, 1.0]):
+            reg = cfgmod.regularizer_from_config(dict(cfg, operator_shape=shape))
+            assert (reg.p, reg.q) == (2, 1)
+        with pytest.raises(ConfigError, match="regularizer.operator_shape must be an integer"):
+            cfgmod.regularizer_from_config(dict(cfg, operator_shape=[2, True]))
+        with pytest.raises(ConfigError, match="operator shape"):
+            cfgmod.regularizer_from_config(dict(cfg, operator_shape=[1, 2]))
+
     def test_solver_options(self):
         opts = cfgmod.solve_options_from_config({"max_iter": 50, "step": 0.5})
         assert opts.max_iter == 50 and opts.step == 0.5

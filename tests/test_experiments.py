@@ -14,10 +14,13 @@ import pytest
 
 import partlysmooth.experiments as exps
 from partlysmooth import (
+    AnalysisL1,
     DesignSpec,
     ExperimentConfig,
+    GroupL1L2,
     L1,
     MuRule,
+    Nuclear,
     SignalSpec,
     SolveOptions,
     consistency_sweep,
@@ -388,8 +391,9 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     results = []
 
     def recording(thetas, reg, opts):
-        results.extend(forward_backward_batch(thetas, reg, opts))
-        return results[len(results) - len(thetas):]
+        batch = forward_backward_batch(thetas, reg, opts)
+        results.extend(batch)
+        return batch
 
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = sweep(cfg)
@@ -404,6 +408,42 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
         assert np.array_equal(replay.beta, shared.beta)
         assert replay.iterations == shared.iterations
         assert replay.identification_iter == shared.identification_iter
+
+
+IDENTIFIED_CASES = [
+    (L1(), np.array([1.5, 0.0, 0.0, -2.0, 0.0, 0.0])),
+    (GroupL1L2([[0, 1, 2], [3, 4], [5, 6, 7]]), np.array([1.0, -1.0, 0.5, 0, 0, 0, 0, 0])),
+    (Nuclear((3, 3)), np.outer([1.0, 2.0, 0.0], [1.0, 0.0, -1.0]).ravel(order="F")),
+    (AnalysisL1(oracles.tv_operator(8)), np.repeat([2.0, -1.0], 4)),
+]
+
+
+@pytest.mark.parametrize("reg, beta0", IDENTIFIED_CASES, ids=[r.kind for r, _ in IDENTIFIED_CASES])
+def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta0):
+    # a record's identified compares final model keys with beta0's key (L1
+    # masks, the others' descriptors); it must say what the batch's views say
+    batches = []
+
+    def recording(thetas, penalty, opts):
+        batches.append(forward_backward_batch(thetas, penalty, opts))
+        return batches[-1]
+
+    monkeypatch.setattr(exps, "forward_backward_batch", recording)
+    p = beta0.shape[0]
+    target = reg.descriptor(beta0)
+    seen = set()
+    for max_iter in (3, SolveOptions().max_iter):
+        cfg = identity_config(
+            regularizer=reg, design=DesignSpec.explicit(np.sqrt(p) * np.eye(p)),
+            signal=SignalSpec.explicit(beta0), sweep_values=(0.0, 1.0), trials=3,
+            solve=SolveOptions(max_iter=max_iter),
+        )
+        records = noise_stability_sweep(cfg).records
+        for record, res in zip(records, batches.pop(), strict=True):
+            assert record.identified == (res.converged and res.model == target)
+            seen.add((res.converged, record.identified))
+    # rows stopped at max_iter, converged off beta0's model and on it
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_runners_that_read_mu_rule_need_one():

@@ -10,7 +10,6 @@ from partlysmooth import (
     ModelDescriptor,
     Nuclear,
     project,
-    same_model,
 )
 from partlysmooth.config import regularizer_from_config
 
@@ -289,12 +288,7 @@ def test_model_vector_lies_in_tangent():
             np.testing.assert_allclose(
                 project(geo.model_vector, geo.subspace), geo.model_vector, atol=1e-8
             )
-            assert same_model(geo.descriptor, reg.descriptor(beta))
-
-
-def test_same_model_mixed_kinds():
-    with pytest.raises(ValueError):
-        same_model(ModelDescriptor("l1", (0,)), ModelDescriptor("nuclear", 1))
+            assert geo.descriptor == reg.descriptor(beta)
 
 
 # ---------------------------------------------------------------------------
