@@ -334,18 +334,26 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     reg = regularizer_from_config(require_key(cfg, "regularizer", "config"), base_dir)
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     opts = solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"])
-    lam = number(require_key(cfg, "lambda", "config"), "lambda", nonnegative=True)
+    lam = number(require_key(cfg, "lambda", "config"), "lambda")
+    if not lam > 0:
+        raise ConfigError(f"lambda must be > 0, got {json.dumps(cfg['lambda'], default=str)}")
     # a generated instance brings its own beta0
     _gives(cfg, ("beta0", "beta0_csv"), ("signal",))
     if _gives(cfg, ("x", "x_csv", "y", "y_csv"), ("design", "signal", "noise_sigma")):
         _no_seed(cfg, seed, "an instance from design, signal and noise_sigma")
         x = matrix_from_config(cfg, "x", base_dir, "config")
+        if x.ndim != 2:
+            raise ConfigError(f"x must be a matrix, got shape {x.shape}")
         y = _vector_from_config(cfg, "y", base_dir, "config")
         if y.shape[0] != x.shape[0]:
             raise ConfigError(f"y has length {y.shape[0]} but x has {x.shape[0]} rows")
         beta0 = None
         if "beta0" in cfg or "beta0_csv" in cfg:
             beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
+            if beta0.shape[0] != x.shape[1]:
+                raise ConfigError(
+                    f"beta0 has length {beta0.shape[0]} but x has {x.shape[1]} columns"
+                )
     else:
         needed = [k for k in ("design", "signal", "noise_sigma") if k not in cfg]
         if needed:

@@ -217,7 +217,7 @@ def _run_batch(shared, tasks):
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it
     errors = solved.beta - beta0
     # keys differ where they differ in any entry, as the solver reads them
-    changed = (solved.keys != shared.target).reshape(len(solved), -1).any(axis=1)
+    changed = (solved.keys != shared.target).any(axis=1)
     rows = zip((solved.converged & ~changed).tolist(), np.sqrt(_row_dots(errors, errors)).tolist(),
                solved.identification_iter.tolist(), solved.converged.tolist())
     return [

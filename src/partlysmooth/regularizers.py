@@ -9,8 +9,9 @@ Each regularizer knows how to
 
 * evaluate itself,
 * compute its proximal map  argmin_x 0.5 ||x - beta||^2 + gamma J(x),
-* read off the active model of a point (a discrete descriptor plus the
-  tangent subspace T and the model vector e = P_T(subdifferential)), and
+* read off the active model of every row of a batch as a bool mask, and
+  the full model of a point: the descriptor its mask stands for, the
+  tangent subspace T and the model vector e = P_T(subdifferential), and
 * classify a candidate dual vector against the subdifferential at that
   model: strictly inside its relative interior, on the boundary, or outside.
 
@@ -104,8 +105,10 @@ class Regularizer:
         raise NotImplementedError
 
     def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
-        """Cheap discrete descriptor, suitable for per-iterate tracking."""
-        raise NotImplementedError
+        """The discrete descriptor of beta's model: its model_keys row, read back."""
+        # a penalty without p (L1) takes beta of any length
+        beta = _as_vector(beta, getattr(self, "p", None), "beta")
+        return self.key_descriptor(self.model_keys(beta[None], zero_tol)[0])
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         """Full local geometry (descriptor, tangent subspace, model vector)."""
@@ -129,22 +132,18 @@ class Regularizer:
             out[i], values[i] = row, self.value(row)
         return out, values
 
-    def model_keys(self, beta, zero_tol: float):
-        """A model key for each row of beta: how the batched solver reads models.
+    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
+        """The models of the rows of the T x p array beta, as a T x k bool mask.
 
-        Keys are cheap stand-ins for descriptors: keys_a != keys_b, reduced
-        over any axis after the first, flags exactly the rows whose
-        descriptors differ, and key_descriptor turns a key back into a
-        descriptor.  This default's keys are the descriptors themselves.
+        The only model reader: descriptor, model, the solver and the sweeps go
+        through it.  Two rows share a model exactly when their masks are
+        equal.  beta is not validated.
         """
-        keys = np.empty(beta.shape[0], dtype=object)
-        for i in range(beta.shape[0]):
-            keys[i] = self.descriptor(beta[i], zero_tol)
-        return keys
+        raise NotImplementedError
 
     def key_descriptor(self, key) -> ModelDescriptor:
-        """The descriptor that a model key (see model_keys) stands for."""
-        return key
+        """The descriptor that one row of model_keys stands for: its set indices."""
+        return ModelDescriptor(self.kind, tuple(np.flatnonzero(key).tolist()))
 
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
         raise NotImplementedError
@@ -178,23 +177,13 @@ class L1(Regularizer):
         gamma = check_prox_weight(gamma)
         return np.copysign(np.maximum(np.abs(beta) - gamma, 0.0), beta)
 
-    def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
-        beta = _as_vector(beta, name="beta")
-        support = np.flatnonzero(np.abs(beta) > zero_tol)
-        return ModelDescriptor(self.kind, tuple(support.tolist()))
-
     def step_batch(self, v, weights):
         # size is |out| bit for bit: it is +0, positive or NaN
         size = np.maximum(np.abs(v) - weights[:, None], 0.0)
         return np.copysign(size, v), size.sum(axis=1)
 
-    # batched keys are support masks: one vectorized comparison per
-    # iteration, and a descriptor only when the solver asks for one
-    def model_keys(self, beta, zero_tol: float):
+    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
         return np.abs(beta) > zero_tol
-
-    def key_descriptor(self, key) -> ModelDescriptor:
-        return ModelDescriptor(self.kind, tuple(np.flatnonzero(key).tolist()))
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, name="beta")
@@ -255,12 +244,10 @@ class GroupL1L2(Regularizer):
                 out[g] = beta[g] * (1.0 - gamma / nrm)
         return out
 
-    def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
-        beta = _as_vector(beta, self.p, "beta")
-        active = tuple(
-            i for i, g in enumerate(self.groups) if np.linalg.norm(beta[g]) > zero_tol
-        )
-        return ModelDescriptor(self.kind, active)
+    # active-group masks, one column per group
+    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
+        norms = [np.linalg.norm(beta[:, g], axis=1) for g in self.groups]
+        return np.stack(norms, axis=1) > zero_tol
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, self.p, "beta")
@@ -314,15 +301,18 @@ class Nuclear(Regularizer):
         u, s, vt = np.linalg.svd(self._mat(beta), full_matrices=False)
         return self._vec(u @ (np.maximum(s - gamma, 0.0)[:, None] * vt))
 
-    def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
-        s = np.linalg.svd(self._mat(beta), compute_uv=False)
-        return ModelDescriptor(self.kind, int(np.sum(s > zero_tol)))
+    # singular values above zero_tol, by one SVD call on the column-major stack
+    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
+        p0 = self.shape[0]
+        return np.linalg.svd(beta.reshape(-1, p0, p0).swapaxes(1, 2), compute_uv=False) > zero_tol
+
+    def key_descriptor(self, key) -> ModelDescriptor:
+        return ModelDescriptor(self.kind, int(np.count_nonzero(key)))
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
-        m = self._mat(beta)
-        u, s, vt = np.linalg.svd(m, full_matrices=True)
-        r = int(np.sum(s > zero_tol))
-        desc = ModelDescriptor(self.kind, r)
+        desc = self.descriptor(beta, zero_tol)
+        r = desc.data
+        u, _, vt = np.linalg.svd(self._mat(beta), full_matrices=True)
         p0 = self.shape[0]
         # orthonormal Frobenius basis of {U A^T + B V^T}: all u_i v_j^T with
         # i < r or j < r (complementary pairs span the normal space)
@@ -397,27 +387,23 @@ class AnalysisL1(Regularizer):
             f"(fixed-point residual {residual:.3e} > {PROX_INNER_TOL})"
         )
 
-    def _cosupport(self, beta, zero_tol):
-        z = self.operator.T @ beta
-        return z, np.flatnonzero(np.abs(z) <= zero_tol)
-
-    def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
-        beta = _as_vector(beta, self.p, "beta")
-        _, cosupport = self._cosupport(beta, zero_tol)
-        return ModelDescriptor(self.kind, tuple(cosupport.tolist()))
+    # cosupport masks, from one stacked D^T beta
+    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
+        return np.abs(np.matmul(self.operator.T, beta[..., None])[..., 0]) <= zero_tol
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
+        desc = self.descriptor(beta, zero_tol)
         beta = _as_vector(beta, self.p, "beta")
-        z, cosupport = self._cosupport(beta, zero_tol)
-        desc = ModelDescriptor(self.kind, tuple(cosupport.tolist()))
-        if cosupport.size:
+        cosupport = list(desc.data)
+        if cosupport:
             import scipy.linalg  # deferred: scipy dominates the package's import time
 
             basis = scipy.linalg.null_space(self.operator[:, cosupport].T)
             sub = Subspace(basis)
         else:
             sub = Subspace.full(self.p)
-        signs = np.where(np.abs(z) > zero_tol, np.sign(z), 0.0)
+        signs = np.sign(self.operator.T @ beta)
+        signs[cosupport] = 0.0
         offset = self.operator @ signs
         e = project(offset, sub)
         return ModelGeometry(desc, sub, e, offset=offset)

@@ -459,9 +459,7 @@ def forward_backward_batch(
         threshold = opts.fp_tol * np.maximum(1.0, np.sqrt(_row_dots(beta, beta)))
         changed = keys_next != keys
         if np.count_nonzero(changed):
-            if changed.ndim > 1:
-                changed = changed.any(axis=1)
-            out.identification_iter[rows[changed]] = k
+            out.identification_iter[rows[changed.any(axis=1)]] = k
         keys = keys_next
         gam_beta = gamma_products(beta_next)
         if k == terms.shape[2]:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, a one-problem forward-backward loop, a one-trial instance
-draw, and the subspace helpers (span, projector, distance) that only the
-tests need.  Slow but simple, so the expected values in the tests do not
+prox checks, each penalty's own model rule, a one-problem forward-backward
+loop, a one-trial instance draw, and the subspace helpers (span, projector,
+distance) that only the tests need.  Slow but simple, so the expected values in the tests do not
 inherit the package's own bugs.
 """
 
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from partlysmooth import CanonicalParameters, Quadratic, Subspace, make_design, make_signal
+from partlysmooth import (
+    CanonicalParameters, ModelDescriptor, Quadratic, Subspace, make_design, make_signal,
+)
 
 
 def trivial(p):
@@ -129,6 +131,29 @@ def analysis_prox_enumerated(d, beta, gamma, tol=1e-9):
     return found[0]
 
 
+def descriptor(reg, beta, zero_tol):
+    """The model descriptor of one vector beta, by the rule of reg's kind.
+
+    One vector at a time and one rule per penalty, written out apart from
+    the package's model_keys masks: the reference they are checked against.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if reg.kind == "l1":
+        support = np.flatnonzero(np.abs(beta) > zero_tol)
+        return ModelDescriptor(reg.kind, tuple(support.tolist()))
+    if reg.kind == "group_l1l2":
+        active = tuple(
+            i for i, g in enumerate(reg.groups) if np.linalg.norm(beta[g]) > zero_tol
+        )
+        return ModelDescriptor(reg.kind, active)
+    if reg.kind == "nuclear":
+        s = np.linalg.svd(beta.reshape(reg.shape, order="F"), compute_uv=False)
+        return ModelDescriptor(reg.kind, int(np.sum(s > zero_tol)))
+    z = reg.operator.T @ beta
+    cosupport = np.flatnonzero(np.abs(z) <= zero_tol)
+    return ModelDescriptor(reg.kind, tuple(cosupport.tolist()))
+
+
 def prox_reference(value_fn, beta, gamma):
     """argmin_x 0.5 ||x - beta||^2 + gamma * J(x) by direct minimization."""
     beta = np.asarray(beta, dtype=float)
@@ -223,13 +248,13 @@ def forward_backward_scalar(theta, reg, opts):
     weight = tau * mu
     gam_beta = gamma_product(gam, beta)
     trace = [energy(theta, reg.value(beta), beta, gam_beta)]
-    desc = reg.descriptor(beta, opts.zero_tol)
+    desc = descriptor(reg, beta, opts.zero_tol)
     models = [desc]
     run_start = 0
     converged = False
     for k in range(1, opts.max_iter + 1):
         beta_next = reg.prox(beta + tau * (u - gam_beta), weight)
-        desc_next, j_next = reg.descriptor(beta_next, opts.zero_tol), reg.value(beta_next)
+        desc_next, j_next = descriptor(reg, beta_next, opts.zero_tol), reg.value(beta_next)
         if not math.isfinite(j_next):
             raise ValueError(f"iterate {k} has non-finite entries")
         delta = beta_next - beta

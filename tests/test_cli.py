@@ -343,6 +343,13 @@ def solve_payload():
     }
 
 
+def tall_solve_payload():
+    # a 4 x 3 design, whose beta0 has 3 entries
+    return {**solve_payload(), "x": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                     [1.0, 1.0, 1.0]],
+            "y": [1.0, 0.0, 0.0, 1.0], "beta0": [1.0, 0.0, 0.0]}
+
+
 def generated_solve_payload():
     return {
         "regularizer": {"kind": "l1"},
@@ -374,6 +381,14 @@ class TestSolve:
         assert sol["unique"] is True
         assert sol["error_norm"] == pytest.approx(0.2, abs=1e-8)
         assert isinstance(sol["identification_iter"], int)
+
+    def test_beta0_of_a_tall_design(self, tmp_path):
+        cfg = write_config(tmp_path, tall_solve_payload())
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+        sol = json.loads((tmp_path / "o" / "solution.json").read_text())
+        assert len(sol["beta"]) == 3
+        error = np.linalg.norm(np.subtract(sol["beta"], [1.0, 0.0, 0.0]))
+        assert sol["error_norm"] == pytest.approx(error)
 
     def test_without_beta0_no_error_norm(self, tmp_path):
         payload = solve_payload()
@@ -569,6 +584,16 @@ NAN = float("nan")
                  "tolerances.ri_tol", id="certify-ri_tol-null"),
     pytest.param("solve", with_key(solve_payload(), "lambda", None), [], "lambda",
                  id="lambda-null"),
+    # the solver needs mu = lambda / n > 0: refused in the file, naming lambda
+    pytest.param("solve", with_key(solve_payload(), "lambda", 0), [], "lambda",
+                 id="lambda-zero"),
+    # beta0 is compared with the solution, so it has one entry per column of x
+    pytest.param("solve", with_key(tall_solve_payload(), "beta0", [0.5]), [], "beta0",
+                 id="solve-beta0-too-short"),
+    pytest.param("solve", with_key(tall_solve_payload(), "beta0", [0.5, 1.0]), [], "beta0",
+                 id="solve-beta0-too-long"),
+    pytest.param("solve", with_key(solve_payload(), "x", [1.0, 0.0]), [], "x must be a matrix",
+                 id="solve-x-vector"),
     pytest.param("solve", with_key(generated_solve_payload(), "noise_sigma", None), [],
                  "noise_sigma", id="solve-noise_sigma-null"),
     pytest.param("solve", with_key(generated_solve_payload(), "seed", "three"), [], "seed",

@@ -420,8 +420,8 @@ IDENTIFIED_CASES = [
 
 @pytest.mark.parametrize("reg, beta0", IDENTIFIED_CASES, ids=[r.kind for r, _ in IDENTIFIED_CASES])
 def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta0):
-    # a record's identified compares final model keys with beta0's key (L1
-    # masks, the others' descriptors); it must say what the batch's views say
+    # a record's identified compares final model masks with beta0's; it must
+    # say what the batch's views and the reference model rule say
     batches = []
 
     def recording(thetas, penalty, opts):
@@ -430,7 +430,7 @@ def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta
 
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     p = beta0.shape[0]
-    target = reg.descriptor(beta0)
+    target = oracles.descriptor(reg, beta0, SolveOptions().zero_tol)
     seen = set()
     for max_iter in (3, SolveOptions().max_iter):
         cfg = identity_config(

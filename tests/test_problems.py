@@ -139,10 +139,11 @@ def test_canonical_parameters_example():
 
 
 def test_validation():
-    for key, bad in (("noise_sigma", -0.1), ("lambda", -1.0)):
+    for key, bad, want in (("noise_sigma", -0.1, "a finite number >= 0"),
+                           ("lambda", -1.0, "> 0"), ("lambda", 0, "> 0")):
         cfg = generated(3, 5, 1, 0.1, 0)
         cfg[key] = bad
-        with pytest.raises(ConfigError, match=f"{key} must be a finite number >= 0, got {bad}"):
+        with pytest.raises(ConfigError, match=f"{key} must be {want}, got {bad}$"):
             solve_from_config(cfg)
     cfg = generated(3, 5, 1, 0.1, 0)
     cfg["signal"] = {"kind": "explicit", "beta0": [1.0] * 4}

@@ -142,7 +142,7 @@ def test_step_matches_prox_descriptor_value_bitwise():
             [key] = reg.model_keys(out[None], 1e-8)
             ref = reg.prox(v, weight)
             assert out.tobytes() == ref.tobytes(), reg.kind
-            assert reg.key_descriptor(key) == reg.descriptor(ref, 1e-8), reg.kind
+            assert reg.key_descriptor(key) == oracles.descriptor(reg, ref, 1e-8), reg.kind
             assert val == reg.value(ref), reg.kind
 
 
@@ -160,12 +160,10 @@ def test_step_batch_matches_step_row_by_row():
             ref = reg.prox(v[i], float(weights[i]))
             assert out[i].tobytes() == ref.tobytes(), reg.kind
             assert values[i] == reg.value(ref), reg.kind
-            assert reg.key_descriptor(keys[i]) == reg.descriptor(ref, 1e-8), reg.kind
-            assert reg.key_descriptor(start[i]) == reg.descriptor(v[i], 1e-8), reg.kind
+            assert reg.key_descriptor(keys[i]) == oracles.descriptor(reg, ref, 1e-8), reg.kind
+            assert reg.key_descriptor(start[i]) == oracles.descriptor(reg, v[i], 1e-8), reg.kind
         # keys differ exactly where the descriptors do
-        differ = keys != start
-        if differ.ndim > 1:
-            differ = differ.any(axis=1)
+        differ = (keys != start).any(axis=1)
         expect = [reg.key_descriptor(a) != reg.key_descriptor(b) for a, b in zip(keys, start)]
         assert differ.tolist() == expect, reg.kind
 
@@ -289,6 +287,58 @@ def test_model_vector_lies_in_tangent():
                 project(geo.model_vector, geo.subspace), geo.model_vector, atol=1e-8
             )
             assert geo.descriptor == reg.descriptor(beta)
+
+
+def key_width(reg):
+    # one key column per coordinate, group, singular value or difference
+    if reg.kind == "group_l1l2":
+        return len(reg.groups)
+    if reg.kind == "nuclear":
+        return reg.shape[0]
+    return getattr(reg, "q", dim_of(reg))
+
+
+def test_model_keys_are_bool_masks_of_one_row_per_point():
+    rng = np.random.default_rng(17)
+    for reg in all_regularizers():
+        for count in (1, 4):
+            beta = np.array([random_point(reg, rng) for _ in range(count)])
+            beta[0] = 0.0
+            keys = reg.model_keys(beta, 1e-8)
+            assert keys.dtype == bool, reg.kind
+            assert keys.shape == (count, key_width(reg)), reg.kind
+
+
+def test_model_reads_its_descriptor_from_descriptor():
+    rng = np.random.default_rng(18)
+    for reg in all_regularizers():
+        for trial in range(10):
+            beta = random_point(reg, rng)
+            if trial % 2:
+                beta[: beta.size // 2] = 0.0
+            for zero_tol in (1e-8, 0.5):
+                geo = reg.model(beta, zero_tol)
+                assert geo.descriptor == reg.descriptor(beta, zero_tol), reg.kind
+                assert geo.descriptor == oracles.descriptor(reg, beta, zero_tol), reg.kind
+
+
+def test_model_keys_match_the_reference_rule_at_the_threshold():
+    # one model entry exactly at zero_tol (not in the model) and one a ulp
+    # above it (in the model), for every penalty
+    tol = 1e-8
+    above = np.nextafter(tol, 1)
+    cases = [
+        (L1(), [tol, above, -tol, -above, 0.0, 1.0], (1, 3, 5)),
+        (GroupL1L2([[0], [1], [2, 3]]), [tol, -above, 0.0, 0.0], (1,)),
+        (Nuclear((3, 3)), np.diag([1.0, tol, above]).ravel(order="F"), 2),
+        # D^T beta = (tol, -tol, above, -above, 0): the cosupport is {0, 1, 4}
+        (AnalysisL1(oracles.tv_operator(6)), [0.0, tol, 0.0, above, 0.0, 0.0], (0, 1, 4)),
+    ]
+    for reg, beta, expect in cases:
+        beta = np.asarray(beta)
+        [key] = reg.model_keys(beta[None], tol)
+        assert reg.key_descriptor(key) == oracles.descriptor(reg, beta, tol), reg.kind
+        assert reg.descriptor(beta, tol) == ModelDescriptor(reg.kind, expect), reg.kind
 
 
 # ---------------------------------------------------------------------------
