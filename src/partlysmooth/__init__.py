@@ -36,7 +36,6 @@ from .linalg import (
     project,
     pseudoinverse,
     restricted_injectivity,
-    spectral_norm,
 )
 from .problems import (
     DesignSpec,
@@ -107,7 +106,6 @@ __all__ = [
     "pseudoinverse",
     "restricted_injectivity",
     "sharpness_experiment",
-    "spectral_norm",
     "write_plot_csv",
     "write_records_csv",
     "write_summary_json",

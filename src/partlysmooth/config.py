@@ -166,6 +166,19 @@ def regularizer_from_config(cfg: dict, base_dir: str = ".") -> Regularizer:
         raise ConfigError(f"regularizer: {exc}") from exc
 
 
+def _check_dimension(reg_cfg: dict, reg: Regularizer, shape: tuple, key: str):
+    """Refuse data of this shape, whose last axis is its dimension, when the
+    penalty's keys fix another dimension p; the error names both keys.
+
+    L1 fits data of every dimension.
+    """
+    fixing = [k for k in _REGULARIZERS[reg.kind][1] if k in reg_cfg]
+    if fixing and shape[-1:] != (reg.p,):
+        raise ConfigError(
+            f"regularizer.{fixing[0]} gives dimension {reg.p}, but {key} has shape {shape}"
+        )
+
+
 def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
     kind = require_key(cfg, "kind", "design")
     if kind == "explicit":
@@ -303,16 +316,19 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     tol = tolerances_from_config(cfg.get("tolerances", {}))
     if _gives(cfg, ("gamma", "gamma_csv"), ("design",)):
         gamma = matrix_from_config(cfg, "gamma", base_dir, "config")
+        _check_dimension(cfg["regularizer"], reg, gamma.shape, "gamma")
     elif "design" in cfg:
         spec = design_from_config(cfg["design"], base_dir)
         x = spec.matrix
         # explicit designs give X^T X / n; gaussian rows, the population covariance
         gamma = spec.covariance if x is None else x.T @ x / x.shape[0]
+        _check_dimension(cfg["regularizer"], reg, gamma.shape, "design")
     else:
         raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")
     if _gives(cfg, ("beta0", "beta0_csv"), ("signal",)):
         _no_seed(cfg, seed, "a signal")
         beta0 = _vector_from_config(cfg, "beta0", base_dir, "config")
+        _check_dimension(cfg["regularizer"], reg, beta0.shape, "beta0")
     elif "signal" in cfg:
         spec = signal_from_config(cfg["signal"])
         beta0 = make_signal(spec, reg, np.random.default_rng(_seed(cfg, seed)))
@@ -344,6 +360,7 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
         x = matrix_from_config(cfg, "x", base_dir, "config")
         if x.ndim != 2:
             raise ConfigError(f"x must be a matrix, got shape {x.shape}")
+        _check_dimension(cfg["regularizer"], reg, x.shape, "x")
         y = _vector_from_config(cfg, "y", base_dir, "config")
         if y.shape[0] != x.shape[0]:
             raise ConfigError(f"y has length {y.shape[0]} but x has {x.shape[0]} rows")
@@ -366,6 +383,7 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
         sigma = number(cfg["noise_sigma"], "noise_sigma", nonnegative=True)
         rng = np.random.default_rng(_seed(cfg, seed))
         x = make_design(design, rng)
+        _check_dimension(cfg["regularizer"], reg, x.shape, "design")
         beta0 = make_signal(signal, reg, rng)
         if x.shape[1] != beta0.shape[0]:
             raise ConfigError(
@@ -427,12 +445,19 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     # injectivity_tol applies to certify and solve only
     _only_keys(tol_cfg, ("zero_tol", "ri_tol"), "experiment tolerances")
     tol = tolerances_from_config(tol_cfg)
+    reg_cfg = require_key(cfg, "regularizer", "config")
+    reg = regularizer_from_config(reg_cfg, base_dir)
+    design = design_from_config(require_key(cfg, "design", "config"), base_dir)
+    data = design.covariance if design.matrix is None else design.matrix
+    _check_dimension(reg_cfg, reg, data.shape, "design")
+    signal = signal_from_config(require_key(cfg, "signal", "config"))
+    # group_sparse and low_rank signals take their p from the penalty
+    if signal.p is not None:
+        _check_dimension(reg_cfg, reg, (signal.p,), "signal")
     args = dict(
-        regularizer=regularizer_from_config(
-            require_key(cfg, "regularizer", "config"), base_dir
-        ),
-        design=design_from_config(require_key(cfg, "design", "config"), base_dir),
-        signal=signal_from_config(require_key(cfg, "signal", "config")),
+        regularizer=reg,
+        design=design,
+        signal=signal,
         sweep_values=sweep_values,
         trials=number(require_key(exp, "trials", "experiment"), "experiment.trials", integer=True),
         mu_rule=mu_rule,

@@ -18,11 +18,11 @@ design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
 
 A batch draws each sweep point's trials with one draw_trials call (one
-generator per trial, products as stacks, checks once per stack), solves them
-in one forward_backward_batch (both looked up here, so tests can wrap them)
-and builds the records from the batch's arrays.  records.csv and plot.csv
-are written one line of _fmt fields per row, in the bytes csv.writer would
-write.
+generator per trial, products as stacks), passes the stacks of all its
+points to one forward_backward_batch (both looked up here, so tests can
+wrap them) and builds the records from the batch's arrays.  records.csv and
+plot.csv are written one line of _fmt fields per row, in the bytes
+csv.writer would write.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class _Shared:
 
     reg: Regularizer
     designs: tuple
-    signal: SignalSpec
+    beta0: np.ndarray
     opts: SolveOptions
     target: object
     margin: float
@@ -200,19 +200,24 @@ def _run_batch(shared, tasks):
 
     A task is (design index, sigma, mu, seeds), one trial per seed, and
     draw_trials draws each task's problems; the designs are dropped there,
-    so a batch holds none.  Returns one list of TrialRecords per task, in
-    order, built column by column from the batch's arrays: identified is
-    one comparison of the final model keys with beta0's.  Every row of a
-    batch gets the bits it gets alone, so how the tasks are grouped changes
-    no result.  Module-level so worker processes can import it.
+    so a batch holds none.  The batch solves the tasks' u stacks end to
+    end, on shared.quad or, with none, on their Gamma stacks end to end.
+    Returns one list of TrialRecords per task, in order, built column by
+    column from the batch's arrays: identified is one comparison of the
+    final model keys with beta0's.  Every row of a batch gets the bits it
+    gets alone, so how the tasks are grouped changes no result.
+    Module-level so worker processes can import it.
     """
-    beta0 = shared.signal.beta0
+    beta0 = shared.beta0
     draws = [
         draw_trials(shared.designs[point], beta0, sigma, mu, seeds, shared.quad)
         for point, sigma, mu, seeds in tasks
     ]
     solved = forward_backward_batch(
-        [theta for draw in draws for theta in draw.thetas], shared.reg, shared.opts
+        np.repeat([draw.mu for draw in draws], [len(draw.u) for draw in draws]),
+        np.concatenate([draw.u for draw in draws]),
+        shared.quad or np.concatenate([draw.gamma for draw in draws]),
+        shared.reg, shared.opts,
     )
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it
     errors = solved.beta - beta0
@@ -257,7 +262,7 @@ def _group_points(shared, tasks):
     when the sweep shares shared.quad, so a fixed-design sweep is one batch.
     A task is never split: a point over the budget is a batch of its own.
     """
-    p = shared.signal.beta0.shape[0]
+    p = shared.beta0.shape[0]
     row_bytes = 0 if shared.quad is not None else 8 * p * p
     groups, size = [], 0
     for task in tasks:
@@ -342,7 +347,7 @@ def _make_shared(config: ExperimentConfig, cert, beta0, designs, quad=None) -> _
     return _Shared(
         reg=config.regularizer,
         designs=tuple(designs),
-        signal=SignalSpec.explicit(beta0),
+        beta0=beta0,
         opts=config.solve,
         target=config.regularizer.model_keys(beta0[None], config.solve.zero_tol)[0],
         margin=margin,

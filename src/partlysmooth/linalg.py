@@ -164,13 +164,8 @@ def restricted_injectivity(gamma, subspace: Subspace, tol=INJECTIVITY_TOL) -> In
     return InjectivityReport(holds=smin > tol, smallest_singular=smin)
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value (= largest |eigenvalue| for symmetric input)."""
-    return float(spectral_norms(_as_matrix(a, "matrix")))
-
-
 def spectral_norms(stack) -> np.ndarray:
-    """spectral_norm of every matrix of a (..., m, n) float64 stack, unvalidated.
+    """Largest singular value of every matrix of a (..., m, n) float64 stack, unvalidated.
 
     One gufunc call runs one LAPACK SVD per matrix, the call
     np.linalg.norm(a, 2) makes for a single matrix, so a matrix's norm has

@@ -14,21 +14,22 @@ and the effective noise seen by the solver is eps = X^T w / n = u -
 Gamma beta0.
 
 draw_trials builds the problems of one sweep point, as the Monte-Carlo
-sweeps do: one generator per trial, every product computed as a stacked
-call whose slices are the one-trial products, and every check made once
-per stack, so each trial gets the bits it would get drawn alone.
+sweeps do: one generator per trial and every product computed as a
+stacked call whose slices are the one-trial products, so each trial gets
+the bits it would get drawn alone.  It returns them as the arrays
+forward_backward_batch solves: mu, the u stack and Gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .linalg import check_covariance, _as_matrix, _as_vector, _check_integer
 from .regularizers import GroupL1L2, Nuclear, Regularizer
-from .solver import CanonicalParameters, Quadratic, _row_dots
+from .solver import Quadratic, _row_dots
 
 DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
 
@@ -215,11 +216,15 @@ def _segment_sizes(p, k, rng):
 class TrialDraws:
     """The trials of one sweep point, as draw_trials returns them.
 
-    thetas[k] is trial k's problem, n the sample size they share and
-    eps_norms[k] = ||X^T w / n|| of trial k's design and noise.
+    Trial k's problem is (mu, u[k], Gamma_k), with Gamma_k the one Quadratic
+    gamma that every trial shares or the k-th matrix of the T x p x p stack
+    gamma; n is the sample size they share and eps_norms[k] = ||X^T w / n||
+    of trial k's design and noise.
     """
 
-    thetas: list
+    mu: float
+    u: np.ndarray
+    gamma: Union[Quadratic, np.ndarray]
     n: int
     eps_norms: np.ndarray
 
@@ -237,17 +242,17 @@ def draw_trials(
     Trial k draws from its own default_rng(seeds[k]) the design, then the
     noise w (the explicit signal beta0 draws nothing), and is the problem
     y = X beta0 + w at lambda = mu * n: theta = (mu, X^T y / n, X^T X / n),
-    with ||X^T w / n|| alongside.  quad, when given, is the Quadratic of the
-    fixed design's X^T X / n, for example one a sweep shares across its
-    sweep points; X^T X is then not recomputed.
+    with ||X^T w / n|| alongside.  The problems come as the arrays that
+    forward_backward_batch takes, which checks them.  quad, when given, is
+    the Quadratic of the fixed design's X^T X / n, for example one a sweep
+    shares across its sweep points; X^T X is then not recomputed.
 
     Each product is one stacked call whose slices are the 2-d calls of one
     trial drawn alone, so each trial has those bits.  An explicit design
     computes X beta0 once, and X^T y and X^T w of every trial as stacked
     gemvs; with no quad given, its trials share one Quadratic of X^T X / n.
     A gaussian_rows design is reduced one trial at a time into T x p x p and
-    T x p stacks, so one design is held at a time.  The stacks are checked
-    once, with the checks and messages of the per-object constructors.
+    T x p stacks, so one design is held at a time.
     """
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
@@ -293,8 +298,7 @@ def draw_trials(
             gamma = gram
     u /= n
     eps /= n
-    thetas = CanonicalParameters.stack(lam / n, u, gamma)
-    return TrialDraws(thetas=thetas, n=n, eps_norms=np.sqrt(_row_dots(eps, eps)))
+    return TrialDraws(mu=lam / n, u=u, gamma=gamma, n=n, eps_norms=np.sqrt(_row_dots(eps, eps)))
 
 
 def load_matrix_csv(path) -> np.ndarray:

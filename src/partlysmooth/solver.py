@@ -18,17 +18,19 @@ reported retrospectively, and it returns the key of the final iterate.
 ||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic keeps each
 once it is computed, and every problem sharing Gamma can share it, such as
 the trials of a fixed-design sweep.  The step needs ||Gamma|| before the
-first iteration: a batch takes its problems' norms from Quadratic.norms,
-which computes those not yet known in one stacked SVD call, one SVD per
-distinct Quadratic, with the bits of one call per matrix.  Gamma^+ only
-enters the objective's constant term, so a solve records J and the
-quadratic part of every iterate and its SolveResult adds the constant when
-the objective is first read.  A caller that never reads it, such as the
-Monte-Carlo sweeps, never computes Gamma^+.
+first iteration: a batch on one shared Quadratic reads its norm, and a batch
+on a stack of Gammas computes all their norms in one stacked SVD call, with
+the bits of one call per matrix.  Gamma^+ only enters the objective's
+constant term, so a solve records J and the quadratic part of every iterate
+and its SolveResult adds the constant when the objective is first read.  A
+caller that never reads it, such as the Monte-Carlo sweeps, never computes
+Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
-when solved alone, in one BatchResult; forward_backward is a batch of one.
+when solved alone, in one BatchResult.  It takes the batch as arrays, mu, the
+T x p stack u and one shared Quadratic or a T x p x p stack of Gammas;
+forward_backward is a batch of one.
 Each step's Gamma b products run as GEMMs of one fixed shape, GEMM_ROWS x p
 times p x p.  A plain GEMM over the T rows would not do: BLAS picks its
 kernel and blocking from the matrix shape, so a row's bits would depend on
@@ -65,55 +67,35 @@ GEMM_ROWS = 4
 class Quadratic:
     """A validated design covariance Gamma, prepared for repeated solves.
 
-    ||Gamma|| bounds the step size and pinv = Gamma^+ gives the objective's
-    constant term.  Each is computed on first use and kept: the norm by the
-    first solve (see norms), pinv by the first objective read.
+    norm = ||Gamma|| bounds the step size and pinv = Gamma^+ gives the
+    objective's constant term.  Each is computed on first use and kept.
     Gamma must not be modified once it is prepared.
     """
 
     def __init__(self, gamma):
         self.gamma = check_symmetric(gamma, name="gamma")
-        self._lip = None
-
-    @classmethod
-    def stack(cls, gammas) -> list:
-        """One Quadratic per matrix of a T x p x p stack, validated once as a stack."""
-        gammas = check_symmetric(gammas, name="gamma", stacked=True)
-        quads = []
-        for gamma in gammas:
-            quad = cls.__new__(cls)
-            quad.gamma, quad._lip = gamma, None
-            quads.append(quad)
-        return quads
 
     @property
     def dim(self) -> int:
         return self.gamma.shape[0]
 
-    @staticmethod
-    def norms(quads) -> np.ndarray:
-        """||Gamma|| of every Quadratic in quads, in order.
-
-        The norms not yet known are computed in one spectral_norms call, one
-        SVD per distinct Quadratic, and kept.  An SVD rather than a cheaper
-        eigvalsh: the step, and with it every iterate and records.csv byte,
-        depends on its bits.
-        """
-        fresh = list({id(q): q for q in quads if q._lip is None}.values())
-        if fresh:
-            for q, norm in zip(fresh, spectral_norms(np.stack([q.gamma for q in fresh]))):
-                q._lip = float(norm)
-        return np.array([q._lip for q in quads])
+    @cached_property
+    def norm(self) -> float:
+        # an SVD rather than a cheaper eigvalsh: the step, and with it every
+        # iterate and records.csv byte, depends on its bits
+        return float(spectral_norms(self.gamma))
 
     @cached_property
     def pinv(self) -> np.ndarray:
         return pseudoinverse(self.gamma)
 
 
-def _check_mu(mu) -> float:
-    mu = float(mu)
-    if not np.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+def _check_mu(mu) -> np.ndarray:
+    """mu as a float array of its own shape, every value finite and >= 0."""
+    mu = np.asarray(mu, dtype=float)
+    bad = ~(np.isfinite(mu) & (mu >= 0))
+    if np.count_nonzero(bad):
+        raise ValueError(f"mu must be finite and >= 0, got {float(mu[bad][0])}")
     return mu
 
 
@@ -136,47 +118,15 @@ class CanonicalParameters:
     quad: Quadratic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = _check_mu(self.mu)
+        mu = float(_check_mu(self.mu))
         u = _as_vector(self.u, name="u")
         quad = self.gamma if isinstance(self.gamma, Quadratic) else Quadratic(self.gamma)
         if quad.dim != u.shape[0]:
             raise ValueError("u and gamma dimensions differ")
-        self._set(mu, u, quad)
-
-    def _set(self, mu, u, quad):
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "gamma", quad.gamma)
         object.__setattr__(self, "quad", quad)
-
-    @classmethod
-    def stack(cls, mu, u, gamma) -> list:
-        """One problem per row of the T x p stack u, all with weight mu.
-
-        gamma is one Quadratic that every problem shares, or a T x p x p
-        stack.  mu, u and gamma are validated once, with the checks and
-        messages of the one-problem constructor; the problems hold views of
-        the stacks.
-        """
-        mu = _check_mu(mu)
-        u = _as_vector(u, name="u", stacked=True)
-        quads = [gamma] * len(u) if isinstance(gamma, Quadratic) else Quadratic.stack(gamma)
-        if len(quads) != len(u) or (quads and quads[0].dim != u.shape[1]):
-            raise ValueError("u and gamma dimensions differ")
-        thetas = []
-        for row, quad in zip(u, quads):
-            theta = cls.__new__(cls)
-            theta._set(mu, row, quad)
-            thetas.append(theta)
-        return thetas
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
-    @cached_property
-    def _const(self) -> float:
-        return 0.5 * (self.quad.pinv @ self.u) @ self.u
 
 
 @dataclass(frozen=True)
@@ -227,14 +177,16 @@ class SolveResult:
     model: ModelDescriptor
     # the problem solved, and per iterate J and the quadratic part
     # 0.5 <Gamma b, b> - <b, u>: what objective_trace is evaluated from
-    _theta: Optional[CanonicalParameters] = field(default=None, repr=False, compare=False)
-    _terms: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _mu: float = field(repr=False, compare=False)
+    _u: np.ndarray = field(repr=False, compare=False)
+    _quad: Quadratic = field(repr=False, compare=False)
+    _terms: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def objective_trace(self) -> np.ndarray:
         j, quadratic = self._terms
-        theta = self._theta
-        return j + (quadratic + theta._const) / theta.mu
+        u = self._u
+        return j + (quadratic + 0.5 * (self._quad.pinv @ u) @ u) / self._mu
 
     @property
     def objective(self) -> float:
@@ -247,7 +199,9 @@ class BatchResult:
 
     The fields are SolveResult's, with keys the final betas' model_keys and
     identification_iter an identification point only where converged.  [i]
-    is problem i's SolveResult, its model the key_descriptor of keys[i].
+    is problem i's SolveResult, its model the key_descriptor of keys[i];
+    a row of a Gamma stack gets its own Quadratic there, whose Gamma^+ the
+    objective computes on first read.
     """
 
     beta: np.ndarray
@@ -258,11 +212,14 @@ class BatchResult:
     step: np.ndarray
     identification_iter: np.ndarray
     _reg: Regularizer = field(repr=False)
-    _thetas: list = field(repr=False)
+    # the problems solved, mu broadcast to one value per row
+    _mu: np.ndarray = field(repr=False)
+    _u: np.ndarray = field(repr=False)
+    _gamma: Union[Quadratic, np.ndarray] = field(repr=False)
     _terms: list = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self._thetas)
+        return len(self.beta)
 
     def __getitem__(self, i) -> SolveResult:
         converged = bool(self.converged[i])
@@ -271,7 +228,8 @@ class BatchResult:
             fp_residual=float(self.fp_residual[i]), step=float(self.step[i]),
             identification_iter=int(self.identification_iter[i]) if converged else None,
             model=self._reg.key_descriptor(self.keys[i]),
-            _theta=self._thetas[i], _terms=self._terms[i],
+            _mu=float(self._mu[i]), _u=self._u[i], _terms=self._terms[i],
+            _quad=self._gamma if isinstance(self._gamma, Quadratic) else Quadratic(self._gamma[i]),
         )
 
 
@@ -299,7 +257,7 @@ def forward_backward(
         within max_iter steps; otherwise the result is flagged, not raised.
         This is forward_backward_batch on a batch of one.
     """
-    return forward_backward_batch([theta], reg, opts)[0]
+    return forward_backward_batch(theta.mu, theta.u[None], theta.quad, reg, opts)[0]
 
 
 def _step_sizes(mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
@@ -376,11 +334,19 @@ class _GammaProducts:
 
 
 def forward_backward_batch(
-    thetas,
+    mu,
+    u,
+    gamma: Union[Quadratic, np.ndarray],
     reg: Regularizer,
     opts: SolveOptions = SolveOptions(),
 ) -> BatchResult:
     """forward_backward on several problems of one dimension at once.
+
+    Row i of the T x p array u is problem i's u.  mu is one value for every
+    problem or one per row, and gamma one Quadratic that every problem
+    shares, broadcast over the rows, or a T x p x p stack, one Gamma per
+    row.  They are checked once, with the checks and messages of
+    CanonicalParameters.
 
     The iterates form a T x p array, one row per problem, every row starting
     at zero, and a row leaves the batch once it meets its stopping rule or
@@ -388,24 +354,26 @@ def forward_backward_batch(
     alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module docstring), one
     dot per row norm, elementwise arithmetic and the penalty's step_batch
     and model_keys.  So each problem's result has the same bits whatever
-    else is in the batch, and wherever its row sits.  The problems may share
-    one Quadratic, which is then broadcast over the rows, or each bring
-    their own, stacked as a T x p x p array.  The model of every iterate is
-    read as the penalty's model_keys.  Returns the BatchResult of the
-    problems, in order; an empty batch or a non-finite iterate in any row
-    raises ValueError.
+    else is in the batch, and wherever its row sits.  The model of every
+    iterate is read as the penalty's model_keys.  Returns the BatchResult of
+    the problems, in order; an empty batch or a non-finite iterate in any
+    row raises ValueError.
     """
-    thetas = list(thetas)
-    if not thetas:
+    mu = _check_mu(mu)
+    u = _as_vector(u, name="u", stacked=True)
+    count, p = u.shape
+    if not count:
         raise ValueError("forward_backward_batch needs at least one problem")
-    count, p = len(thetas), thetas[0].dim
-    if any(t.dim != p for t in thetas):
-        raise ValueError("batched problems must share one dimension")
-    quads = [t.quad for t in thetas]
-    mu = np.array([t.mu for t in thetas])
-    lip = Quadratic.norms(quads)
-    shared = all(q is quads[0] for q in quads)
-    gam = quads[0].gamma if shared else np.stack([q.gamma for q in quads])
+    if mu.ndim > 1 or mu.size not in (1, count):
+        raise ValueError(f"mu must be one value or one per problem, got shape {mu.shape}")
+    mu = np.broadcast_to(mu, count)
+    shared = isinstance(gamma, Quadratic)
+    if not shared:
+        gamma = check_symmetric(gamma, name="gamma", stacked=True)
+    gam = gamma.gamma if shared else gamma
+    if gam.shape != ((p, p) if shared else (count, p, p)):
+        raise ValueError("u and gamma dimensions differ")
+    lip = np.full(count, gamma.norm) if shared else spectral_norms(gam)
     # overflow to inf, as the per-problem float arithmetic does, with no
     # warning: the checks below refuse it
     with np.errstate(over="ignore"):
@@ -415,7 +383,6 @@ def forward_backward_batch(
     if np.count_nonzero(refused):
         check_prox_weight(weights[refused][0])
     beta = np.zeros((count, p))
-    u = np.array([t.u for t in thetas])
     rows = np.arange(count)  # the problem of each row still in the batch
 
     def quadratic(b, gam_b):
@@ -436,7 +403,8 @@ def forward_backward_batch(
     out = BatchResult(  # filled in as the rows leave
         beta=np.empty((count, p)), keys=np.empty_like(keys), iterations=np.empty(count, int),
         converged=np.empty(count, bool), fp_residual=np.empty(count), step=tau,
-        identification_iter=np.zeros(count, int), _reg=reg, _thetas=thetas, _terms=[None] * count,
+        identification_iter=np.zeros(count, int), _reg=reg, _mu=mu, _u=u, _gamma=gamma,
+        _terms=[None] * count,
     )
     tau = tau[:, None]
     forward = np.empty((count, p))  # the forward point, rebuilt in place each step

@@ -220,7 +220,8 @@ def energy(theta, j_value, beta, gamma_beta):
 
     The expression the batched solver evaluates row by row, term for term.
     """
-    return j_value + (0.5 * beta @ gamma_beta - beta @ theta.u + theta._const) / theta.mu
+    const = 0.5 * (theta.quad.pinv @ theta.u) @ theta.u
+    return j_value + (0.5 * beta @ gamma_beta - beta @ theta.u + const) / theta.mu
 
 
 def gamma_product(gam, beta):
@@ -241,9 +242,8 @@ def forward_backward_scalar(theta, reg, opts):
     SolveResult as a dict, plus "models", the descriptor of every iterate
     (index 0 is the zero start), which the solver does not keep.
     """
-    [lip] = Quadratic.norms([theta.quad])
-    tau = 0.9 * 2.0 / lip if opts.step is None else float(opts.step)
-    beta = np.zeros(theta.dim)
+    tau = 0.9 * 2.0 / theta.quad.norm if opts.step is None else float(opts.step)
+    beta = np.zeros_like(theta.u)
     mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu
     gam_beta = gamma_product(gam, beta)

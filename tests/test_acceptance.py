@@ -87,13 +87,12 @@ def _checked_fb(theta, reg):
     return result
 
 
-def _checked_batch(thetas, reg, options):
+def _checked_batch(mu, u, gamma, reg, options):
     # the sweeps solve their trials in batches: audit every solve of each
-    thetas = list(thetas)
-    results = forward_backward_batch(thetas, reg, options)
-    assert len(results) == len(thetas)
-    for theta, result in zip(thetas, results):
-        _audit(result, theta.mu)
+    results = forward_backward_batch(mu, u, gamma, reg, options)
+    assert len(results) == len(u)
+    for i, result in enumerate(results):
+        _audit(result, np.broadcast_to(mu, len(u))[i])
     return results
 
 

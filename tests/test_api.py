@@ -1,4 +1,4 @@
-"""The public API, the package's top-level names and its methods: none without a caller."""
+"""The public API, the package's top-level names, its methods and its imports: none unused."""
 
 import ast
 from collections import Counter
@@ -94,3 +94,26 @@ def test_every_method_has_a_caller():
         and total[fn.name] - attributes(fn)[fn.name] <= 0
     ]
     assert not unused, f"methods that no package or perfbench code reaches: {unused}"
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    # __init__ imports its names to re-export them; a __future__ import
+    # switches compiler behavior and binds nothing that is read
+    unused = []
+    for path in CALLERS:
+        if path == INIT:
+            continue
+        tree = parse(path)
+        loaded = {
+            sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.name}: {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in loaded
+        ]
+    assert not unused, f"imported names that the importing module never uses: {unused}"

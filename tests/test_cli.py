@@ -712,6 +712,16 @@ NAN = float("nan")
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1}, "seed": -1},
                  [], "seed", id="certify-seed-negative"),
+    # the penalty fixes p: data of another dimension is refused, naming both keys
+    pytest.param("solve", with_key(solve_payload(), "regularizer",
+                                   {"kind": "group_l1l2", "groups": [[0, 1], [2]]}),
+                 [], ("regularizer.groups", "x"), id="solve-groups-wider-than-x"),
+    pytest.param("certify", with_key(certify_payload(), "regularizer",
+                                     {"kind": "nuclear", "matrix_shape": [2, 2]}),
+                 [], ("regularizer.matrix_shape", "gamma"), id="certify-matrix_shape-not-gamma"),
+    pytest.param("experiment", with_key(experiment_payload(), "regularizer",
+                                        {"kind": "analysis_l1", "operator": np.eye(3).tolist()}),
+                 [], ("regularizer.operator", "design"), id="experiment-operator-not-design"),
 ])
 def test_error_exits_1_without_traceback(
     tmp_path, capsys, monkeypatch, command, payload, argv, names

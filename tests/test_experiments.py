@@ -390,8 +390,8 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     cfg = random_design_config(**overrides)
     results = []
 
-    def recording(thetas, reg, opts):
-        batch = forward_backward_batch(thetas, reg, opts)
+    def recording(mu, u, gamma, reg, opts):
+        batch = forward_backward_batch(mu, u, gamma, reg, opts)
         results.extend(batch)
         return batch
 
@@ -424,8 +424,8 @@ def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta
     # say what the batch's views and the reference model rule say
     batches = []
 
-    def recording(thetas, penalty, opts):
-        batches.append(forward_backward_batch(thetas, penalty, opts))
+    def recording(mu, u, gamma, penalty, opts):
+        batches.append(forward_backward_batch(mu, u, gamma, penalty, opts))
         return batches[-1]
 
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
@@ -471,9 +471,9 @@ def test_gamma_prepared_once_per_fixed_design(svd_calls):
 def test_one_batch_per_fixed_design_sweep(monkeypatch):
     batches = []
 
-    def counted(thetas, reg, opts):
-        batches.append(len(thetas))
-        return forward_backward_batch(thetas, reg, opts)
+    def counted(mu, u, gamma, reg, opts):
+        batches.append(len(u))
+        return forward_backward_batch(mu, u, gamma, reg, opts)
 
     monkeypatch.setattr(exps, "forward_backward_batch", counted)
     # 2 sweep points x 2 trials each: one batch of all four trials
@@ -492,9 +492,9 @@ def test_one_batch_per_fixed_design_sweep(monkeypatch):
 def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
     batches = []
 
-    def counted(thetas, reg, opts):
-        batches.append(len(thetas))
-        return forward_backward_batch(thetas, reg, opts)
+    def counted(mu, u, gamma, reg, opts):
+        batches.append(len(u))
+        return forward_backward_batch(mu, u, gamma, reg, opts)
 
     monkeypatch.setattr(exps, "forward_backward_batch", counted)
     cfg = TestConsistency().base(trials=3, sweep_values=(40, 80, 160))
@@ -509,7 +509,7 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
 
 def test_gamma_budget_at_p10_and_p200():
     def grouping(p, trials, points, quad=None):
-        shared = SimpleNamespace(signal=SignalSpec.explicit(np.zeros(p)), quad=quad)
+        shared = SimpleNamespace(beta0=np.zeros(p), quad=quad)
         tasks = [(i, 1.0, 0.1, list(range(trials))) for i in range(points)]
         return [len(group) for group in exps._group_points(shared, tasks)]
 

@@ -13,7 +13,6 @@ from partlysmooth import (
     load_matrix_csv,
     make_design,
     make_signal,
-    spectral_norm,
 )
 from partlysmooth import problems
 from partlysmooth.config import ConfigError, solve_from_config
@@ -78,11 +77,10 @@ def test_canonical_parameters_reuse_a_prepared_gamma():
     design = DesignSpec.explicit(np.random.default_rng(8).normal(size=(30, 5)))
     beta0 = np.array([1.0, 0.0, -2.0, 0.0, 0.5])
     own = draw_trials(design, beta0, 0.3, 0.1, [7, 8])
-    quad = own.thetas[0].quad
+    quad = own.gamma
     shared = draw_trials(design, beta0, 0.3, 0.1, [7, 8], quad)
-    for mine, theirs in zip(own.thetas, shared.thetas):
-        assert theirs.quad is quad
-        assert theirs.u.tobytes() == mine.u.tobytes() and theirs.mu == mine.mu
+    assert shared.gamma is quad
+    assert shared.u.tobytes() == own.u.tobytes() and shared.mu == own.mu
     assert shared.eps_norms.tobytes() == own.eps_norms.tobytes()
 
 
@@ -177,17 +175,18 @@ def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
     design = DRAW_DESIGNS[kind]
     seeds = list(range(101, 101 + count))
     draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
-    assert len(draws.thetas) == len(draws.eps_norms) == count
-    for seed, theta, eps_norm in zip(seeds, draws.thetas, draws.eps_norms.tolist()):
+    assert draws.u.shape == (count, 5) and len(draws.eps_norms) == count
+    # an explicit design's trials share one Quadratic, a fresh design's come as a stack
+    shared = kind == "explicit"
+    assert isinstance(draws.gamma, Quadratic) == shared
+    for k, (seed, eps_norm) in enumerate(zip(seeds, draws.eps_norms.tolist())):
         n, want, want_eps = reference_trial(design, sigma, 0.3, seed)
         assert draws.n == n
-        assert theta.mu == want.mu
-        assert theta.u.tobytes() == want.u.tobytes()
-        assert theta.gamma.tobytes() == want.gamma.tobytes()
+        assert draws.mu == want.mu
+        assert draws.u[k].tobytes() == want.u.tobytes()
+        gamma = draws.gamma.gamma if shared else draws.gamma[k]
+        assert gamma.tobytes() == want.gamma.tobytes()
         assert eps_norm == want_eps
-    # an explicit design's trials share one Gamma, a fresh design's each have one
-    quads = {id(t.quad) for t in draws.thetas}
-    assert len(quads) == (1 if kind == "explicit" else count)
 
 
 def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
@@ -198,10 +197,10 @@ def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
     monkeypatch.setattr(problems, "NOISE_BLOCK_BYTES", 3 * 8 * x.shape[0])
     seeds = list(range(7, 47))
     draws = draw_trials(design, BETA0, 0.2, 0.05, seeds, quad)
-    for seed, theta, eps_norm in zip(seeds, draws.thetas, draws.eps_norms.tolist()):
+    assert draws.gamma is quad
+    for row, seed, eps_norm in zip(draws.u, seeds, draws.eps_norms.tolist()):
         _, want, want_eps = reference_trial(design, 0.2, 0.05, seed, quad)
-        assert theta.quad is quad
-        assert theta.u.tobytes() == want.u.tobytes() and eps_norm == want_eps
+        assert row.tobytes() == want.u.tobytes() and eps_norm == want_eps
 
 
 def test_draw_trials_refuses_what_one_trial_refuses():
@@ -269,7 +268,7 @@ class TestDesigns:
             draws = []
             for seed in range(20):
                 x = make_design(DesignSpec.gaussian(cov, n), np.random.default_rng(seed))
-                draws.append(spectral_norm(x.T @ x / n - cov))
+                draws.append(np.linalg.norm(x.T @ x / n - cov, 2))
             errs[n] = np.median(draws)
         ratio = errs[200] / errs[3200]
         assert 2.0 < ratio < 8.0  # sqrt(16) = 4 up to sampling noise

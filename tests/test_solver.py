@@ -28,8 +28,8 @@ def test_parameter_validation():
         CanonicalParameters(0.1, np.zeros(3), np.eye(2))
     with pytest.raises(ValueError):
         CanonicalParameters(0.1, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    assert theta.dim == 2
+    theta = CanonicalParameters(0.1, [1, 0], np.eye(2))
+    assert theta.u.dtype == float and theta.u.shape == (2,) and theta.quad.dim == 2
 
 
 def _message(fn, *args, **kwargs):
@@ -41,13 +41,13 @@ def _message(fn, *args, **kwargs):
 def test_stacked_parameters_check_as_the_constructor_does():
     gammas = np.stack([np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
     u = np.array([[1.0, 0.0], [0.5, -0.5]])
-    thetas = CanonicalParameters.stack(0.1, u, gammas)
-    for row, theta in enumerate(thetas):
-        one = CanonicalParameters(0.1, u[row], gammas[row])
-        assert theta.mu == one.mu and theta.dim == 2
-        assert np.array_equal(theta.u, one.u) and np.array_equal(theta.gamma, one.gamma)
-    shared = Quadratic(np.eye(2))
-    assert all(t.quad is shared for t in CanonicalParameters.stack(0.1, u, shared))
+    for mu in (0.1, [0.1, 0.2]):
+        batch = forward_backward_batch(mu, u, gammas, L1())
+        for row, res in enumerate(batch):
+            alone = forward_backward(
+                CanonicalParameters(np.broadcast_to(mu, 2)[row], u[row], gammas[row]), L1()
+            )
+            assert_same_bits(res, alone)
     nan_u = u.copy()
     nan_u[1, 0] = np.nan
     asym = gammas.copy()
@@ -55,32 +55,42 @@ def test_stacked_parameters_check_as_the_constructor_does():
     inf_gamma = gammas.copy()
     inf_gamma[0, 1, 1] = np.inf
     for mu, us, gs in ((-0.1, u, gammas), (np.nan, u, gammas), (0.1, nan_u, gammas),
-                       (0.1, u, asym), (0.1, u, inf_gamma), (0.1, u, np.stack([np.eye(3)] * 2))):
-        row = 1 if gs is asym or us is nan_u else 0
-        assert _message(CanonicalParameters.stack, mu, us, gs) == _message(
-            CanonicalParameters, mu, us[row], gs[row]
+                       (0.1, u, asym), (0.1, u, inf_gamma), (0.1, u, np.stack([np.eye(3)] * 2)),
+                       ([0.1, -0.1], u, gammas), (0.1, u, Quadratic(np.eye(3)))):
+        row = 1 if gs is asym or us is nan_u or np.ndim(mu) else 0
+        one_mu = np.broadcast_to(mu, 2)[row]
+        one_gamma = gs if isinstance(gs, Quadratic) else gs[row]
+        assert _message(forward_backward_batch, mu, us, gs, L1()) == _message(
+            CanonicalParameters, one_mu, us[row], one_gamma
         )
+    # what only a batch can get wrong: its row count
+    assert _message(forward_backward_batch, 0.1, u, np.stack([np.eye(2)] * 3), L1()) == (
+        "u and gamma dimensions differ")
+    assert _message(forward_backward_batch, [0.1] * 3, u, gammas, L1()) == (
+        "mu must be one value or one per problem, got shape (3,)")
 
 
 def test_batch_refuses_a_row_as_that_problem_alone():
     rng = np.random.default_rng(45)
     good = [random_problem(L1(), 4, rng) for _ in range(3)]
+    mu, u, gammas = (np.array([getattr(t, name) for t in good]) for name in ("mu", "u", "gamma"))
     zero_mu = CanonicalParameters(0.0, good[1].u, good[1].gamma)
     # mu = 0 in the middle of a batch, with shared and stacked Gammas
     refused = "forward-backward needs mu > 0, got 0.0"
     assert _message(forward_backward, zero_mu, L1()) == refused
-    for batch in ([good[0], zero_mu, good[2]],
-                  [CanonicalParameters(t.mu, t.u, good[1].quad) for t in (good[0], zero_mu)]):
-        assert _message(forward_backward_batch, batch, L1()) == refused
+    zeroed = mu.copy()
+    zeroed[1] = 0.0
+    for gamma in (gammas, good[1].quad):
+        assert _message(forward_backward_batch, zeroed, u, gamma, L1()) == refused
     # an explicit step stable for every row but the one with the largest ||Gamma||
-    lips = Quadratic.norms([t.quad for t in good]).tolist()
+    lips = [t.quad.norm for t in good]
     worst = int(np.argmax(lips))
     limit = 2.0 / lips[worst]
     opts = SolveOptions(step=limit)
     assert limit < min(2.0 / lip for i, lip in enumerate(lips) if i != worst)
     refused = f"step {limit} outside the stable range (0, {limit})"
     assert _message(forward_backward, good[worst], L1(), opts) == refused
-    assert _message(forward_backward_batch, good, L1(), opts) == refused
+    assert _message(forward_backward_batch, mu, u, gammas, L1(), opts) == refused
     # with Gamma = 0 every positive step is stable
     flat = CanonicalParameters(0.1, np.zeros(4), np.zeros((4, 4)))
     assert _message(forward_backward, flat, L1(), SolveOptions(step=-1.0)) == (
@@ -88,9 +98,10 @@ def test_batch_refuses_a_row_as_that_problem_alone():
     # a prox weight tau * mu that overflows
     huge = CanonicalParameters(1e308, good[2].u, 1e-3 * good[2].gamma)
     assert "prox weight" in _message(forward_backward, huge, L1())
-    assert _message(forward_backward_batch, [good[0], huge], L1()) == _message(
-        forward_backward, huge, L1()
-    )
+    assert _message(
+        forward_backward_batch, [good[0].mu, huge.mu], np.stack([good[0].u, huge.u]),
+        np.stack([good[0].gamma, huge.gamma]), L1(),
+    ) == _message(forward_backward, huge, L1())
 
 
 def energy(theta, reg, beta):
@@ -311,6 +322,11 @@ def test_shared_quadratic(svd_calls):
     for res in results:
         assert res.objective == res.objective_trace[-1]
     assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 1}
+    # a batch on the same Quadratic reads every objective at no further SVD
+    batch = forward_backward_batch([0.3, 0.1], np.array([[1.0, -0.5]] * 2), quad, L1())
+    for res, alone in zip(batch, results, strict=True):
+        assert np.array_equal(res.objective_trace, alone.objective_trace)
+    assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 1}
     # an array still works and prepares its own, with the same results
     own = CanonicalParameters(0.1, np.array([1.0, -0.5]), gamma)
     assert own.quad is not quad
@@ -324,20 +340,22 @@ def test_shared_quadratic(svd_calls):
 
 def test_batch_norms_in_one_stacked_call(svd_calls):
     rng = np.random.default_rng(8)
-    gammas = [a @ a.T / 5 for a in rng.normal(size=(5, 4, 5))]
-    quads = [Quadratic(g) for g in gammas]
-    [known] = Quadratic.norms(quads[1:2])
-    thetas = [CanonicalParameters(0.2, rng.normal(size=4), q) for q in quads + quads[:2]]
-    results = forward_backward_batch(thetas, L1())
-    # one call for the known norm, one for the other four: each once
-    assert svd_calls == {"spectral_norms": 2, "pseudoinverse": 0}
-    norms = Quadratic.norms(quads)
-    assert svd_calls == {"spectral_norms": 2, "pseudoinverse": 0}
-    assert norms[1] == known
-    assert norms.tolist() == [np.linalg.norm(g, 2) for g in gammas]  # one SVD each
-    for theta, res in zip(thetas, results):
-        alone = forward_backward(CanonicalParameters(theta.mu, theta.u, theta.gamma), L1())
+    gammas = np.array([a @ a.T / 5 for a in rng.normal(size=(5, 4, 5))])
+    u = rng.normal(size=(5, 4))
+    # a stack's norms: one call for all five
+    results = forward_backward_batch(0.2, u, gammas, L1())
+    assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 0}
+    assert results.step.tolist() == [1.8 / np.linalg.norm(g, 2) for g in gammas]  # one SVD each
+    for row, res in enumerate(results):
+        alone = forward_backward(CanonicalParameters(0.2, u[row], gammas[row]), L1())
         assert res.step == alone.step and np.array_equal(res.beta, alone.beta)
+    # a shared Quadratic's norm: computed by its first batch, kept for the next
+    quad = Quadratic(gammas[1])
+    svd_calls.update(spectral_norms=0)
+    for _ in range(2):
+        shared = forward_backward_batch(0.2, u, quad, L1())
+        assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 0}
+        assert shared.step.tolist() == [results.step[1]] * 5
 
 
 def test_non_finite_iterate_raises():
@@ -386,29 +404,37 @@ def assert_same_bits(result, ref):
             assert got == want, name
 
 
-def mixed_batch(reg, p, rng, size):
-    """size problems: the first half share one Quadratic, the rest bring their own."""
-    quad = Quadratic(random_problem(reg, p, rng).gamma)
-    thetas = []
+def batch_problems(reg, p, rng, size):
+    """(mu, u, gammas) of size problems: the first half share one Gamma, the rest bring their own."""
+    shared = random_problem(reg, p, rng).gamma
+    mu, u, gammas = np.empty(size), np.empty((size, p)), np.empty((size, p, p))
     for i in range(size):
         theta = random_problem(reg, p, rng)
+        mu[i], u[i], gammas[i] = theta.mu, theta.u, theta.gamma
         if i < size // 2:
-            u = quad.gamma @ rng.normal(size=p)
-            theta = CanonicalParameters(float(10 ** rng.uniform(-2, -0.5)), u, quad)
-        thetas.append(theta)
-    return thetas
+            mu[i], u[i], gammas[i] = 10 ** rng.uniform(-2, -0.5), shared @ rng.normal(size=p), shared
+    return mu, u, gammas
+
+
+def problems(mu, u, gammas):
+    """The batch's rows as one-problem parameters."""
+    return [CanonicalParameters(*row) for row in zip(mu, u, gammas)]
 
 
 @pytest.mark.parametrize("reg, p", PENALTIES, ids=PENALTY_IDS)
 def test_batch_matches_scalar_loop_shared_and_stacked_gamma(reg, p):
     rng = np.random.default_rng(40)
-    thetas = mixed_batch(reg, p, rng, 6)
+    mu, u, gammas = batch_problems(reg, p, rng, 6)
     opts = SolveOptions()
-    # the shared half alone broadcasts one Gamma; the whole batch stacks them
-    for batch in (thetas[:3], thetas):
-        results = forward_backward_batch(batch, reg, opts)
-        assert len(results) == len(batch)
-        for theta, res in zip(batch, results):
+    # the shared half on one Quadratic, the same problems with their Gammas
+    # stacked, and the whole batch with its own Gammas stacked
+    shared = forward_backward_batch(mu[:3], u[:3], Quadratic(gammas[0]), reg, opts)
+    stacked = forward_backward_batch(mu[:3], u[:3], gammas[:3], reg, opts)
+    for res, twin in zip(shared, stacked, strict=True):
+        assert_same_bits(res, twin)
+    for size, results in ((3, shared), (6, forward_backward_batch(mu, u, gammas, reg, opts))):
+        assert len(results) == size
+        for theta, res in zip(problems(mu, u, gammas), results):
             assert res.converged
             assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts))
 
@@ -421,11 +447,12 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
     # keep the zero start's model.  With an exact prox the first step lands
     # on 0 and the row leaves the batch after it; the iterative analysis
     # prox lands within 1e-8 of 0 and needs a second step.
-    u = np.zeros(p)
-    u[:2] = 0.3, -0.3
-    thetas = [CanonicalParameters(0.6, u, np.eye(p))] + mixed_batch(reg, p, rng, 5)
+    zero_u = np.zeros(p)
+    zero_u[:2] = 0.3, -0.3
+    mu, u, gammas = batch_problems(reg, p, rng, 5)
+    mu, u, gammas = np.r_[0.6, mu], np.vstack([zero_u, u]), np.concatenate([np.eye(p)[None], gammas])
     # an explicit step must be stable for every problem in the batch
-    step = 0.5 / Quadratic.norms([t.quad for t in thetas]).max()
+    step = 0.5 / max(np.linalg.norm(g, 2) for g in gammas)
     cases = [
         SolveOptions(max_iter=6),
         SolveOptions(),
@@ -433,8 +460,8 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
         SolveOptions(step=step, max_iter=25, fp_tol=1e-6),
     ]
     for opts in cases:
-        results = forward_backward_batch(thetas, reg, opts)
-        for theta, res in zip(thetas, results):
+        results = forward_backward_batch(mu, u, gammas, reg, opts)
+        for theta, res in zip(problems(mu, u, gammas), results):
             assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts))
         zero = results[0]
         assert zero.converged and zero.identification_iter == 0
@@ -449,11 +476,13 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
 def test_trial_alone_matches_trial_in_batch_of_40():
     rng = np.random.default_rng(42)
     reg = L1()
-    for thetas in (mixed_batch(reg, 10, rng, 40), mixed_batch(reg, 10, rng, 80)[:40]):
-        batch = forward_backward_batch(thetas, reg)
+    first = batch_problems(reg, 10, rng, 40)
+    second = [a[:40] for a in batch_problems(reg, 10, rng, 80)]
+    for mu, u, gammas in (first, second):
+        batch = forward_backward_batch(mu, u, gammas, reg)
         assert len({r.iterations for r in batch}) > 1  # rows leave at different steps
         for i in (0, 13, 26, 39):
-            alone = forward_backward(thetas[i], reg)
+            alone = forward_backward(CanonicalParameters(mu[i], u[i], gammas[i]), reg)
             assert_same_bits(batch[i], alone)
 
 
@@ -521,18 +550,23 @@ def test_batch_non_finite_row_raises():
         good = random_problem(reg, p, rng)
         u = np.zeros(p)
         u[0] = 1e308
-        bad = CanonicalParameters(0.1, u, np.eye(p))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
-                forward_backward_batch([good, bad, good], reg)
+                forward_backward_batch(
+                    [good.mu, 0.1, good.mu], np.stack([good.u, u, good.u]),
+                    np.stack([good.gamma, np.eye(p), good.gamma]), reg,
+                )
 
 
 def test_batch_validation():
-    a = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    b = CanonicalParameters(0.1, np.array([1.0, 0.0, 0.5]), np.eye(3))
+    u = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        forward_backward_batch([], L1())
+        forward_backward_batch(0.1, np.zeros((0, 2)), np.zeros((0, 2, 2)), L1())
     with pytest.raises(ValueError):
-        forward_backward_batch([a, b], L1())  # dimensions differ
+        forward_backward_batch(0.1, u, np.eye(2)[None, :1], L1())  # dimensions differ
     with pytest.raises(ValueError):
-        forward_backward_batch([a, CanonicalParameters(0.0, a.u, np.eye(2))], L1())  # mu = 0
+        forward_backward_batch(0.1, u[0], Quadratic(np.eye(2)), L1())  # u is not a stack
+    with pytest.raises(ValueError):
+        forward_backward_batch(0.1, u, np.eye(2), L1())  # an array Gamma is a stack
+    with pytest.raises(ValueError):
+        forward_backward_batch([0.1, 0.0], np.vstack([u, u]), Quadratic(np.eye(2)), L1())  # mu = 0
