@@ -165,12 +165,12 @@ def restricted_injectivity(gamma, subspace: Subspace, tol=INJECTIVITY_TOL) -> In
 
 
 def spectral_norms(stack) -> np.ndarray:
-    """Largest singular value of every matrix of a (..., m, n) float64 stack, unvalidated.
+    """max |eigenvalue| = ||A|| of each matrix A of a symmetric (..., p, p) stack, unvalidated.
 
-    One gufunc call runs one LAPACK SVD per matrix, the call
-    np.linalg.norm(a, 2) makes for a single matrix, so a matrix's norm has
-    the same bits alone or in any stack.
+    One gufunc call runs one LAPACK eigenvalue solve per matrix, the call
+    np.linalg.eigvalsh makes for a single matrix, so a matrix's norm has the
+    same bits alone or in any stack.  Only the lower triangle is read.
     """
-    if stack.shape[-1] == 0 or stack.shape[-2] == 0:
+    if stack.shape[-1] == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False).max(-1)
+    return np.abs(np.linalg.eigvalsh(stack)).max(-1)

@@ -13,7 +13,9 @@ Each regularizer knows how to
   the full model of a point: the descriptor its mask stands for, the
   tangent subspace T and the model vector e = P_T(subdifferential), and
 * classify a candidate dual vector against the subdifferential at that
-  model: strictly inside its relative interior, on the boundary, or outside.
+  model: strictly inside its relative interior, on the boundary, or outside,
+* and, for l1 only, minimize the solver's problem on an iterate's model and
+  certify the result (certified_minimizers), which lets the solver stop.
 
 The classification is what drives every stability certificate downstream, so
 its margin conventions are fixed here once: margin > 0 means strict interior,
@@ -145,6 +147,23 @@ class Regularizer:
         """The descriptor that one row of model_keys stands for: its set indices."""
         return ModelDescriptor(self.kind, tuple(np.flatnonzero(key).tolist()))
 
+    def certified_minimizers(self, beta, keys, u, mu, gam, gamma_products, bound, zero_tol):
+        """Minimize each row's problem on its model, and certify the result.
+
+        Row i of the T x p array beta is an iterate of the solver's problem
+        (mu[i], u[i], Gamma), and keys[i] its model_keys row, read with
+        zero_tol.  gam is one p x p Gamma shared by the rows or a T x p x p
+        stack, one per row, and gamma_products(b) gives Gamma b for a T x p
+        array b with the solver's bits.  Returns (polished, gamma_polished,
+        values, certified), one row per row of beta: the minimizer of E on
+        the row's model, Gamma times it, its J, and whether it is certified,
+        that is the minimizer of E itself on keys[i]'s model, with the dual
+        vector eta = (u[i] - Gamma b) / mu[i] below bound[i] off the model,
+        in the penalty's dual norm.  Each row gets the bits it gets alone.
+        This default has no certificate and returns None.
+        """
+        return None
+
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -185,6 +204,32 @@ class L1(Regularizer):
     def model_keys(self, beta, zero_tol: float) -> np.ndarray:
         return np.abs(beta) > zero_tol
 
+    def certified_minimizers(self, beta, keys, u, mu, gam, gamma_products, bound, zero_tol):
+        # on support S with signs s, the minimizer solves
+        # Gamma_SS b_S = u_S - mu s, in one stacked solve per support size
+        signs = np.where(keys, np.sign(beta), 0.0)
+        polished = np.zeros_like(beta)
+        sizes = np.count_nonzero(keys, axis=1)
+        for size in sorted(set(sizes.tolist()) - {0}):
+            rows = np.flatnonzero(sizes == size)
+            support = np.nonzero(keys[rows])[1].reshape(-1, size)
+            at = rows[:, None], support
+            if gam.ndim == 2:
+                block = gam[support[:, :, None], support[:, None, :]]
+            else:
+                block = gam[rows[:, None, None], support[:, :, None], support[:, None, :]]
+            polished[at] = _solve_stack(block, u[at] - mu[rows, None] * signs[at])
+        gamma_polished = gamma_products(polished)
+        # signs kept and model_keys unchanged, and |eta| = |u - Gamma b| / mu
+        # below bound off the support
+        eta = np.abs(u - gamma_polished) / mu[:, None]
+        certified = (
+            (np.sign(polished) == signs).all(axis=1)
+            & (self.model_keys(polished, zero_tol) == keys).all(axis=1)
+            & (np.where(keys, 0.0, eta).max(axis=1) < bound)
+        )
+        return polished, gamma_polished, np.abs(polished).sum(axis=1), certified
+
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, name="beta")
         desc = self.descriptor(beta, zero_tol)
@@ -199,6 +244,20 @@ class L1(Regularizer):
         off[list(geometry.descriptor.data)] = False
         worst = float(np.abs(eta[off]).max()) if off.any() else 0.0
         return 1.0 - worst
+
+
+def _solve_stack(a, b):
+    """x with a[i] x[i] = b[i] for a T x s x s stack, NaN where a[i] is singular.
+
+    One LAPACK solve per matrix, as np.linalg.solve makes for one, so a
+    row's bits do not depend on the stack it is in.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve_stack(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
 
 
 class GroupL1L2(Regularizer):

@@ -15,16 +15,35 @@ solver tracks the model key of every iterate, so the first iteration after
 which the model never changes again (the identification point) can be
 reported retrospectively, and it returns the key of the final iterate.
 
-||Gamma|| and Gamma^+ each cost an O(p^3) SVD.  A Quadratic keeps each
-once it is computed, and every problem sharing Gamma can share it, such as
-the trials of a fixed-design sweep.  The step needs ||Gamma|| before the
-first iteration: a batch on one shared Quadratic reads its norm, and a batch
-on a stack of Gammas computes all their norms in one stacked SVD call, with
-the bits of one call per matrix.  Gamma^+ only enters the objective's
-constant term, so a solve records J and the quadratic part of every iterate
-and its SolveResult adds the constant when the objective is first read.  A
-caller that never reads it, such as the Monte-Carlo sweeps, never computes
-Gamma^+.
+A run stops at a fixed point or at a certified minimizer, and converged
+means one of the two.  The fixed-point rule is ||beta_k - beta_{k-1}|| <=
+t_k, with the threshold t_k = fp_tol * max(1, ||beta_{k-1}||).  Once the
+iterates have identified the model of the minimizer, forward-backward only
+converges linearly on it (Liang, Fadili & Peyre 2014), while one solve on
+that model gives the minimizer itself.  So an iterate beta_k whose model key
+has held for one step, once per run of one model, goes to the penalty's
+certified_minimizers.  For l1 that is the point b with b_S solving
+Gamma_SS b_S = u_S - mu s on beta_k's support S and signs s, and zero off
+S.  It is certified when its signs and model key are beta_k's and its dual
+vector eta = (u - Gamma b) / mu has |eta| < 1 - delta off S, where
+delta = (zero_tol + t_k) / (tau mu).  Then b is the minimizer of E, unique
+as Gamma_SS is invertible and |eta| < 1 off S; and a forward-backward step
+from any point within zero_tol + t_k of b leaves every coordinate off S at
+exactly zero, since 0 < tau < 2 / ||Gamma|| makes I - tau Gamma
+nonexpansive.  A certified row leaves with b as its iterate k, and keeps
+its step's fp_residual.  A row that fails goes on iterating.  The other
+penalties have no certificate and stop at a fixed point only.
+
+||Gamma|| costs an O(p^3) symmetric eigenvalue solve and Gamma^+ an O(p^3)
+SVD.  A Quadratic keeps each once it is computed, and every problem sharing
+Gamma can share it, such as the trials of a fixed-design sweep.  The step
+needs ||Gamma|| before the first iteration: a batch on one shared Quadratic
+reads its norm, and a batch on a stack of Gammas computes all their norms in
+one stacked eigvalsh call, with the bits of one call per matrix.  Gamma^+
+only enters the objective's constant term, so a solve records J and the
+quadratic part of every iterate and its SolveResult adds the constant when
+the objective is first read.  A caller that never reads it, such as the
+Monte-Carlo sweeps, never computes Gamma^+.
 
 forward_backward_batch iterates many problems of one dimension at once, one
 row of a T x p array per problem, and gives each problem the bits it gets
@@ -81,8 +100,9 @@ class Quadratic:
 
     @cached_property
     def norm(self) -> float:
-        # an SVD rather than a cheaper eigvalsh: the step, and with it every
-        # iterate and records.csv byte, depends on its bits
+        # the largest |eigenvalue| of the symmetric Gamma, which costs about
+        # half an SVD; the step, and with it every iterate and records.csv
+        # byte, depends on its bits, so a Gamma stack takes the same call
         return float(spectral_norms(self.gamma))
 
     @cached_property
@@ -165,7 +185,9 @@ class SolveResult:
     which the model descriptor stays equal to the final one (0 when the
     zero start already carries the final model); it is None for
     non-converged runs.  model is the descriptor of beta, read with the
-    solve's zero_tol.
+    solve's zero_tol.  converged means a fixed point or a certified
+    minimizer; a run that stops at the latter has it as its last iterate,
+    whose objective, the minimum of E, is no higher than any before it.
     """
 
     beta: np.ndarray
@@ -252,10 +274,11 @@ def forward_backward(
     Returns
     -------
     SolveResult
-        Converged means the relative fixed-point residual
-        ||beta_{k+1} - beta_k|| <= fp_tol * max(1, ||beta_k||) was met
-        within max_iter steps; otherwise the result is flagged, not raised.
-        This is forward_backward_batch on a batch of one.
+        Converged means that within max_iter steps the relative fixed-point
+        residual ||beta_{k+1} - beta_k|| <= fp_tol * max(1, ||beta_k||) was
+        met, or an iterate was polished to a certified minimizer (module
+        docstring); otherwise the result is flagged, not raised.  This is
+        forward_backward_batch on a batch of one.
     """
     return forward_backward_batch(theta.mu, theta.u[None], theta.quad, reg, opts)[0]
 
@@ -349,8 +372,10 @@ def forward_backward_batch(
     CanonicalParameters.
 
     The iterates form a T x p array, one row per problem, every row starting
-    at zero, and a row leaves the batch once it meets its stopping rule or
-    has taken max_iter steps.  Every operation gives a row the bits it gets
+    at zero, and a row leaves the batch once it reaches a fixed point or a
+    certified minimizer (module docstring) or has taken max_iter steps.
+    The rows checked at one step go to the penalty's certified_minimizers
+    together.  Every operation gives a row the bits it gets
     alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module docstring), one
     dot per row norm, elementwise arithmetic and the penalty's step_batch
     and model_keys.  So each problem's result has the same bits whatever
@@ -425,11 +450,28 @@ def forward_backward_batch(
         delta = beta_next - beta
         fp_residual = np.sqrt(_row_dots(delta, delta))
         threshold = opts.fp_tol * np.maximum(1.0, np.sqrt(_row_dots(beta, beta)))
-        changed = keys_next != keys
+        converged = fp_residual <= threshold
+        changed = (keys_next != keys).any(axis=1)
         if np.count_nonzero(changed):
-            out.identification_iter[rows[changed.any(axis=1)]] = k
+            out.identification_iter[rows[changed]] = k
         keys = keys_next
         gam_beta = gamma_products(beta_next)
+        # the rows whose model has held for one step, checked once per model
+        # run (module docstring)
+        check = (out.identification_iter[rows] == k - 1) & ~converged
+        if np.count_nonzero(check):
+            i = np.flatnonzero(check)
+            gam_i = gamma_products.gam if gamma_products.shared else gamma_products.gam[i]
+            found = reg.certified_minimizers(
+                beta_next[i], keys[i], u[i], mu[rows[i]], gam_i, _GammaProducts(gam_i, len(i)),
+                1.0 - (opts.zero_tol + threshold[i]) / weights[i], opts.zero_tol,
+            )
+            if found is not None:
+                polished, gam_polished, j_polished, certified = found
+                i = i[certified]
+                beta_next[i], gam_beta[i] = polished[certified], gam_polished[certified]
+                j_next[i] = j_polished[certified]
+                converged[i] = True
         if k == terms.shape[2]:
             grown = np.empty((len(rows), 2, min(2 * k, opts.max_iter + 1)))
             grown[:, :, :k] = terms[slots, :, :k]
@@ -437,7 +479,6 @@ def forward_backward_batch(
         terms[slots, 0, k] = j_next
         terms[slots, 1, k] = quadratic(beta_next, gam_beta)
         beta = beta_next
-        converged = fp_residual <= threshold
         # after max_iter steps every row leaves, converged or not
         stop = converged | (k == opts.max_iter)
         if np.count_nonzero(stop):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize
 
 from partlysmooth import (
-    CanonicalParameters, ModelDescriptor, Quadratic, Subspace, make_design, make_signal,
+    L1, CanonicalParameters, ModelDescriptor, Quadratic, Subspace, make_design, make_signal,
 )
 
 
@@ -234,15 +234,51 @@ def gamma_product(gam, beta):
     return (block @ gam)[0]
 
 
+def lasso_polish(theta, beta, zero_tol, bound):
+    """beta's lasso minimizer on its support and signs, if certified, else None.
+
+    Solves Gamma_SS b_S = u_S - mu sign(beta_S) on the support S of beta and
+    keeps the result when its signs and descriptor are beta's and
+    |u - Gamma b| / mu < bound off S.  Returns (b, Gamma b) then, Gamma b
+    as gamma_product gives it.
+    """
+    u, gam = theta.u, theta.gamma
+    support = np.flatnonzero(np.abs(beta) > zero_tol)
+    signs = np.sign(beta[support])
+    polished = np.zeros_like(beta)
+    if support.size:
+        try:
+            polished[support] = np.linalg.solve(
+                gam[np.ix_(support, support)], u[support] - theta.mu * signs
+            )
+        except np.linalg.LinAlgError:
+            return None
+    gam_polished = gamma_product(gam, polished)
+    off = np.ones(beta.shape[0], dtype=bool)
+    off[support] = False
+    eta = np.abs(u - gam_polished)[off] / theta.mu
+    if (
+        np.array_equal(np.sign(polished[support]), signs)
+        and descriptor(L1(), polished, zero_tol) == descriptor(L1(), beta, zero_tol)
+        and (not off.any() or eta.max() < bound)
+    ):
+        return polished, gam_polished
+    return None
+
+
 def forward_backward_scalar(theta, reg, opts):
     """Forward-backward on one problem from zero, one vector iterate at a time.
 
     The solver's loop before it was batched, kept as the reference the
-    batched engine must match bit for bit.  Returns the fields of a
+    batched engine must match bit for bit.  An l1 iterate whose model has
+    held for one step, and that has not met the fixed-point rule, is
+    polished by lasso_polish with the margin 1 - (zero_tol + fp threshold)
+    / (tau mu); a certified one ends the run.  Returns the fields of a
     SolveResult as a dict, plus "models", the descriptor of every iterate
     (index 0 is the zero start), which the solver does not keep.
     """
-    tau = 0.9 * 2.0 / theta.quad.norm if opts.step is None else float(opts.step)
+    norm = np.abs(np.linalg.eigvalsh(theta.gamma)).max() if theta.gamma.size else 0.0
+    tau = (0.9 * 2.0 / norm if norm else 1.0) if opts.step is None else float(opts.step)
     beta = np.zeros_like(theta.u)
     mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu
@@ -263,12 +299,19 @@ def forward_backward_scalar(theta, reg, opts):
         if desc_next != desc:
             run_start = k
             desc = desc_next
+        converged = fp_residual <= threshold
         gam_beta = gamma_product(gam, beta_next)
+        if reg.kind == "l1" and run_start == k - 1 and not converged:
+            found = lasso_polish(
+                theta, beta_next, opts.zero_tol, 1.0 - (opts.zero_tol + threshold) / weight
+            )
+            if found is not None:
+                beta_next, gam_beta = found
+                j_next, converged = reg.value(beta_next), True
         trace.append(energy(theta, j_next, beta_next, gam_beta))
         models.append(desc_next)
         beta = beta_next
-        if fp_residual <= threshold:
-            converged = True
+        if converged:
             break
     return dict(
         beta=beta,

@@ -1,6 +1,9 @@
 """Config parsing and the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +446,36 @@ class TestSolve:
 
 # ---------------------------------------------------------------------------
 # experiment command
+
+
+def consistency_payload():
+    """A serial l1 consistency file: a fresh design, and so a Gamma stack, per trial."""
+    return {
+        "regularizer": {"kind": "l1"},
+        "design": {"kind": "gaussian_rows", "identity_dim": 10, "n": 100},
+        "signal": {"kind": "sparse", "p": 10, "support_size": 3},
+        "experiment": {"kind": "consistency", "sweep": {"sample_sizes": [100, 400]},
+                       "mu_rule": {"kind": "power"}, "trials": 5, "noise_sigma": 1.0,
+                       "base_seed": 23, "jobs": 1},
+    }
+
+
+@pytest.mark.parametrize("payload", [experiment_payload, consistency_payload])
+def test_experiment_leaves_numpy_ma_and_scipy_unloaded(tmp_path, payload):
+    # an l1 sweep needs neither: numpy.ma costs ~16 ms to import (np.unique
+    # loads it), and scipy more
+    code = (
+        "import sys; from partlysmooth import cli; "
+        "args = ['experiment', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']; "
+        "code = cli.main(args); "
+        "sys.exit(code or sorted({'numpy.ma', 'scipy'} & set(sys.modules)) or None)"
+    )
+    cfg = write_config(tmp_path, payload())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "records.csv").exists()
 
 
 class TestExperiment:

@@ -317,16 +317,16 @@ class TestSharpness:
 
 class TestIdentificationProfile:
     def test_profile_is_the_noise_sweep_plus_stats(self):
-        # at max_iter=30 some trials stop short, and some converge off the target
+        # at max_iter=9 some trials stop short, and some converge off the target
         cfg = random_design_config(
-            sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=30)
+            sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=9)
         )
         res = noise_stability_sweep(cfg)
         converged = [r for r in res.records if r.converged]
         assert 0 < len(converged) < len(res.records)
         assert 0 < sum(r.identified for r in converged) < len(converged)
         iters = [r.identification_iter for r in converged]
-        assert res.profile.identification_iters == iters and max(iters) < 30
+        assert res.profile.identification_iters == iters and max(iters) < 9
         # the trials that stop short count against both fractions
         assert res.profile.finite_fraction == len(converged) / len(res.records)
         assert res.profile.post_match_fraction == (
@@ -345,13 +345,14 @@ class TestIdentificationProfile:
         assert sorted(iters) == sorted(recorded)
 
     def test_trials_that_stop_short_count_against_finite_fraction(self):
-        # the active coordinates contract by 0.1 per step, the others
-        # oscillate at 0.8: only the smallest noise level, whose trials
-        # keep the true support, converges within 12 steps
+        # beta0 = 0: only the smallest noise level, whose trials keep the
+        # zero start's empty support, the true one, is certified at step 1;
+        # the other trials leave it at step 1, so the earliest they can stop
+        # is step 2
         cfg = identity_config(
             design=DesignSpec.explicit(np.sqrt(6.0) * np.diag(np.sqrt([0.5, 0.5, 1, 1, 1, 1]))),
-            signal=SignalSpec.explicit(np.array([1.5, -2.0, 0.0, 0.0, 0.0, 0.0])),
-            sweep_values=(1e-2, 0.3, 1.0), trials=10, solve=SolveOptions(max_iter=12),
+            signal=SignalSpec.explicit(np.zeros(6)),
+            sweep_values=(1e-2, 0.3, 1.0), trials=10, solve=SolveOptions(max_iter=1),
         )
         res = noise_stability_sweep(cfg)
         assert [r.converged for r in res.records] == [True] * 10 + [False] * 20
@@ -432,7 +433,9 @@ def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta
     p = beta0.shape[0]
     target = oracles.descriptor(reg, beta0, SolveOptions().zero_tol)
     seen = set()
-    for max_iter in (3, SolveOptions().max_iter):
+    # max_iter=1: before an l1 row's first chance to stop at a certified
+    # minimizer, at step 2
+    for max_iter in (1, SolveOptions().max_iter):
         cfg = identity_config(
             regularizer=reg, design=DesignSpec.explicit(np.sqrt(p) * np.eye(p)),
             signal=SignalSpec.explicit(beta0), sweep_values=(0.0, 1.0), trials=3,

@@ -285,6 +285,118 @@ def test_matches_enumerated_lasso():
         assert dist <= 1e-6
 
 
+def sparse_lasso_batch(rng, size, p):
+    """(mu, u, gammas) of size lasso problems of dimension p: sparse beta0, small noise."""
+    mu, u, gammas = np.empty(size), np.empty((size, p)), np.empty((size, p, p))
+    for i in range(size):
+        x = rng.normal(size=(2 * p, p))
+        beta0 = np.zeros(p)
+        k = int(rng.integers(1, p + 1))
+        beta0[rng.choice(p, k, replace=False)] = rng.uniform(1, 2, k) * rng.choice([-1, 1], k)
+        y = x @ beta0 + rng.normal(size=2 * p) * 0.1
+        mu[i], u[i], gammas[i] = 10 ** rng.uniform(-2, -0.5), x.T @ y / (2 * p), x.T @ x / (2 * p)
+    return mu, u, gammas
+
+
+def stopped_rows(results, opts=SolveOptions()):
+    """The rows that left at a certified minimizer, far from the fixed-point rule."""
+    limit = [1e3 * opts.fp_tol * max(1.0, np.linalg.norm(beta)) for beta in results.beta]
+    return [i for i, res in enumerate(results) if res.converged and res.fp_residual > limit[i]]
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_stopped_rows_are_the_lasso_minimizers(p):
+    rng = np.random.default_rng(50 + p)
+    mu, u, gammas = sparse_lasso_batch(rng, 12, p)
+    results = forward_backward_batch(mu, u, gammas, L1())
+    stopped = stopped_rows(results)
+    assert len(stopped) >= 9
+    for i in stopped:
+        [minimizer] = oracles.lasso_minimizers(mu[i], u[i], gammas[i])
+        np.testing.assert_allclose(results.beta[i], minimizer, rtol=1e-10, atol=1e-12)
+        assert results[i].model == oracles.descriptor(L1(), minimizer, SolveOptions().zero_tol)
+
+
+def test_a_polished_objective_is_at_most_the_last_iterates():
+    # the polished point is the minimizer of E, so no iterate before it is lower
+    rng = np.random.default_rng(56)
+    mu, u, gammas = sparse_lasso_batch(rng, 40, 5)
+    results = forward_backward_batch(mu, u, gammas, L1())
+    stopped = stopped_rows(results)
+    assert len(stopped) >= 30
+    for i in stopped:
+        trace = results[i].objective_trace
+        assert trace[-1] <= trace[-2] and trace[-1] == trace.min()
+
+
+def _dual_margin_row(factor):
+    """l1 on Gamma = I with the minimizer (0.9, 0) and |eta| = 1 - factor * delta off it.
+
+    delta is the margin the stop's certificate demands at its check, step 2,
+    the first step after which the support {0} has held for one step:
+    (zero_tol + fp threshold) / (tau mu).  Returns the problem and delta.
+    """
+    mu, opts = 0.1, SolveOptions()
+    theta = CanonicalParameters(mu, np.array([1.0, 0.0]), np.eye(2))
+    first = forward_backward(theta, L1(), SolveOptions(max_iter=1))
+    threshold = opts.fp_tol * max(1.0, np.linalg.norm(first.beta))
+    delta = (opts.zero_tol + threshold) / (first.step * mu)
+    return CanonicalParameters(mu, np.array([1.0, mu * (1 - factor * delta)]), np.eye(2)), delta
+
+
+def test_a_row_whose_dual_margin_is_within_delta_of_one_keeps_iterating():
+    clear, delta = _dual_margin_row(2.0)
+    near, _ = _dual_margin_row(0.5)
+    assert 1e-8 < delta < 1e-6
+    res = forward_backward(clear, L1())
+    assert res.converged and res.iterations == 2 and res.beta.tolist() == [0.9, 0.0]
+    # |eta| < 1 still, so the near row has the same minimizer, but only the
+    # fixed-point rule stops it
+    res = forward_backward(near, L1())
+    assert res.converged and res.iterations > 50 and res.identification_iter == 1
+    assert res.fp_residual <= SolveOptions().fp_tol
+    np.testing.assert_allclose(res.beta, [0.9, 0.0], atol=1e-9)
+
+
+def test_a_row_whose_polished_signs_flip_keeps_iterating():
+    # both coordinates enter positive at step 1 and keep their signs at step
+    # 2, but the minimizer on that support with those signs has a negative
+    # second coordinate; the row goes on to the minimizer (0.95, 0)
+    gamma = np.array([[1.0, 0.9], [0.9, 1.0]])
+    theta = CanonicalParameters(0.05, np.array([1.0, 0.85]), gamma)
+    for k in (1, 2):
+        early = forward_backward(theta, L1(), SolveOptions(max_iter=k))
+        assert not early.converged and (early.beta > 0).all()
+    assert (np.linalg.solve(gamma, theta.u - theta.mu) < 0).any()
+    res = forward_backward(theta, L1())
+    assert res.converged and res.iterations > 2 and res.model.data == (0,)
+    [minimizer] = oracles.lasso_minimizers(theta.mu, theta.u, gamma)
+    np.testing.assert_allclose(res.beta, minimizer, rtol=1e-12)
+
+
+def test_a_singular_restricted_gamma_leaves_its_stack_neighbour_alone():
+    # both rows are checked at step 2 on a support of size 2, in one stacked
+    # solve; row 1's Gamma_SS is singular, so its minimizer is not unique
+    # and it goes on to the fixed-point rule, while row 0 stops as alone
+    gammas = np.array([[[1.0, 0.2], [0.2, 1.0]], np.ones((2, 2))])
+    u = np.array([[1.0, 0.9], [1.0, 1.0]])
+    results = forward_backward_batch(0.05, u, gammas, L1())
+    assert results.iterations[0] == 2 and results.iterations[1] > 2
+    assert results.converged.all() and results.fp_residual[1] <= SolveOptions().fp_tol
+    for row, res in enumerate(results):
+        alone = forward_backward(CanonicalParameters(0.05, u[row], gammas[row]), L1())
+        assert_same_bits(res, alone)
+
+
+def test_other_penalties_have_no_certificate():
+    rng = np.random.default_rng(57)
+    for reg, p in PENALTIES[1:]:
+        beta = rng.normal(size=(3, p))
+        assert reg.certified_minimizers(
+            beta, reg.model_keys(beta, 1e-8), beta, np.ones(3), np.eye(p), None, np.ones(3), 1e-8
+        ) is None
+
+
 def test_identification_iter_matches_trace():
     # the reference loop's descriptor of every iterate
     rng = np.random.default_rng(35)
@@ -345,7 +457,8 @@ def test_batch_norms_in_one_stacked_call(svd_calls):
     # a stack's norms: one call for all five
     results = forward_backward_batch(0.2, u, gammas, L1())
     assert svd_calls == {"spectral_norms": 1, "pseudoinverse": 0}
-    assert results.step.tolist() == [1.8 / np.linalg.norm(g, 2) for g in gammas]  # one SVD each
+    # one eigenvalue solve each
+    assert results.step.tolist() == [1.8 / np.abs(np.linalg.eigvalsh(g)).max() for g in gammas]
     for row, res in enumerate(results):
         alone = forward_backward(CanonicalParameters(0.2, u[row], gammas[row]), L1())
         assert res.step == alone.step and np.array_equal(res.beta, alone.beta)
@@ -453,7 +566,10 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
     mu, u, gammas = np.r_[0.6, mu], np.vstack([zero_u, u]), np.concatenate([np.eye(p)[None], gammas])
     # an explicit step must be stable for every problem in the batch
     step = 0.5 / max(np.linalg.norm(g, 2) for g in gammas)
+    # an l1 row can stop at a certified minimizer from step 2 on
+    short = 1 if reg.kind == "l1" else 6
     cases = [
+        SolveOptions(max_iter=short),
         SolveOptions(max_iter=6),
         SolveOptions(),
         SolveOptions(max_iter=70),  # past the trace buffer's first growth
@@ -467,10 +583,10 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
         assert zero.converged and zero.identification_iter == 0
         if reg.kind != "analysis_l1":
             assert zero.iterations == 1 and not zero.beta.any()
-        if opts.max_iter == 6:  # the other rows are still in the batch when it ends
+        if opts.max_iter == short:  # the other rows are still in the batch when it ends
             rest = list(results)[1:]
             assert not any(r.converged for r in rest)
-            assert all(r.iterations == 6 and r.identification_iter is None for r in rest)
+            assert all(r.iterations == short and r.identification_iter is None for r in rest)
 
 
 def test_trial_alone_matches_trial_in_batch_of_40():
