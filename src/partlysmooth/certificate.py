@@ -31,6 +31,7 @@ from .linalg import (
     check_symmetric,
     pseudoinverse,
     restricted_injectivity,
+    _as_vector,
 )
 from .regularizers import RI_TOL, ZERO_TOL, CertificateVerdict, ModelGeometry, Regularizer
 
@@ -129,7 +130,7 @@ def certify_uniqueness(
     _check_tolerances(zero_tol=zero_tol, ri_tol=ri_tol, injectivity_tol=injectivity_tol)
     if theta.mu <= 0:
         raise ValueError(f"dual certificate needs mu > 0, got {theta.mu}")
-    beta = np.asarray(beta, dtype=float)
+    beta = _as_vector(beta, theta.u.shape[0], "beta")
     eta = (theta.u - theta.gamma @ beta) / theta.mu
     geometry = reg.model(beta, zero_tol)
     verdict = reg.ri_membership(geometry, eta, ri_tol)

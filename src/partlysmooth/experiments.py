@@ -28,6 +28,7 @@ csv.writer would write.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
@@ -36,10 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .certificate import Certificate, check_model_stability
-from .linalg import _check_integer
+from .linalg import _check_integer, _row_dots
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, Regularizer
-from .solver import Quadratic, SolveOptions, _row_dots, forward_backward_batch
+from .solver import Quadratic, SolveOptions, forward_backward_batch
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
@@ -52,7 +53,7 @@ class MuRule:
     fixed: mu = value.  proportional: mu = scale * sigma (scale defaults to
     2 / certificate margin).  power: mu = scale * n^(-exponent) with
     0 < exponent < 1/2 (defaults: scale 1, exponent 1/4).  A field the kind
-    does not read is an error, as is a scale <= 0.
+    does not read is an error, as is a non-finite field or a scale <= 0.
     """
 
     kind: str
@@ -64,8 +65,11 @@ class MuRule:
         if not isinstance(self.kind, str) or self.kind not in MU_RULE_KINDS:
             raise ValueError(f"unknown mu rule kind {self.kind!r}")
         for name in ("value", "scale", "exponent"):
-            if getattr(self, name) is not None and name not in MU_RULE_KINDS[self.kind]:
+            x = getattr(self, name)
+            if x is not None and name not in MU_RULE_KINDS[self.kind]:
                 raise ValueError(f"a {self.kind} mu rule does not read {name}")
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"mu rule {name} must be a finite number, got {x}")
         if self.scale is not None and not self.scale > 0:
             raise ValueError(f"mu rule scale must be > 0, got {self.scale}")
         if self.kind == "fixed" and (self.value is None or self.value <= 0):
@@ -115,6 +119,9 @@ class ExperimentConfig:
         values = tuple(float(v) for v in self.sweep_values)
         if not values:
             raise ValueError("sweep_values must be nonempty")
+        for name, x in [("noise_sigma", self.noise_sigma)] + [("sweep_values", v) for v in values]:
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x}")
         object.__setattr__(self, "trials", _check_integer(self.trials, "trials"))
         object.__setattr__(self, "base_seed", _check_integer(self.base_seed, "base_seed"))
         if self.jobs is not None:
@@ -425,7 +432,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("consistency_sweep needs a gaussian_rows design")
     if config.mu_rule is None or config.mu_rule.kind != "power":
         raise ValueError("consistency_sweep needs a power mu rule")
-    if not all(v.is_integer() for v in config.sweep_values):  # False for NaN, +-inf too
+    if not all(v.is_integer() for v in config.sweep_values):
         raise ValueError(f"sample sizes must be whole numbers, got {list(config.sweep_values)}")
     sizes = [int(v) for v in config.sweep_values]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

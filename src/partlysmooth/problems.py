@@ -27,9 +27,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import check_covariance, _as_matrix, _as_vector, _check_integer
+from .linalg import check_covariance, _as_matrix, _as_vector, _check_integer, _row_dots
 from .regularizers import GroupL1L2, Nuclear, Regularizer
-from .solver import Quadratic, _row_dots
+from .solver import Quadratic
 
 DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
 

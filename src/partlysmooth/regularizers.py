@@ -30,7 +30,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linalg import RANK_TOL, Subspace, _as_matrix, _as_vector, _check_integer, project
+from .linalg import (
+    RANK_TOL, Subspace, gamma_products, _as_matrix, _as_vector, _check_integer, project,
+)
 
 ZERO_TOL = 1e-8
 RI_TOL = 1e-6
@@ -124,8 +126,7 @@ class Regularizer:
         validating v and weights: the solver checks the weights once per
         solve, and after each step it checks that J(out) is finite, which
         fails exactly when an entry of out is not.  An override must return
-        the same bits row by row, in arrays that do not share memory with v
-        (the solver builds its next forward point in v).
+        the same bits row by row.
         """
         out = np.empty_like(v)
         values = np.empty(v.shape[0])
@@ -147,16 +148,16 @@ class Regularizer:
         """The descriptor that one row of model_keys stands for: its set indices."""
         return ModelDescriptor(self.kind, tuple(np.flatnonzero(key).tolist()))
 
-    def certified_minimizers(self, beta, keys, u, mu, gam, gamma_products, bound, zero_tol):
+    def certified_minimizers(self, beta, keys, u, mu, gam, bound, zero_tol):
         """Minimize each row's problem on its model, and certify the result.
 
         Row i of the T x p array beta is an iterate of the solver's problem
         (mu[i], u[i], Gamma), and keys[i] its model_keys row, read with
         zero_tol.  gam is one p x p Gamma shared by the rows or a T x p x p
-        stack, one per row, and gamma_products(b) gives Gamma b for a T x p
-        array b with the solver's bits.  Returns (polished, gamma_polished,
-        values, certified), one row per row of beta: the minimizer of E on
-        the row's model, Gamma times it, its J, and whether it is certified,
+        stack, one per row.  Returns (polished, gamma_polished, values,
+        certified), one row per row of beta: the minimizer of E on the row's
+        model, Gamma times it from linalg.gamma_products as the solver's
+        iterates get it, its J, and whether it is certified,
         that is the minimizer of E itself on keys[i]'s model, with the dual
         vector eta = (u[i] - Gamma b) / mu[i] below bound[i] off the model,
         in the penalty's dual norm.  Each row gets the bits it gets alone.
@@ -204,7 +205,7 @@ class L1(Regularizer):
     def model_keys(self, beta, zero_tol: float) -> np.ndarray:
         return np.abs(beta) > zero_tol
 
-    def certified_minimizers(self, beta, keys, u, mu, gam, gamma_products, bound, zero_tol):
+    def certified_minimizers(self, beta, keys, u, mu, gam, bound, zero_tol):
         # on support S with signs s, the minimizer solves
         # Gamma_SS b_S = u_S - mu s, in one stacked solve per support size
         signs = np.where(keys, np.sign(beta), 0.0)
@@ -219,7 +220,7 @@ class L1(Regularizer):
             else:
                 block = gam[rows[:, None, None], support[:, :, None], support[:, None, :]]
             polished[at] = _solve_stack(block, u[at] - mu[rows, None] * signs[at])
-        gamma_polished = gamma_products(polished)
+        gamma_polished = gamma_products(gam, polished)
         # signs kept and model_keys unchanged, and |eta| = |u - Gamma b| / mu
         # below bound off the support
         eta = np.abs(u - gamma_polished) / mu[:, None]
@@ -272,7 +273,7 @@ class GroupL1L2(Regularizer):
         ]
         if not blocks:
             raise ValueError("need at least one group")
-        flat = np.concatenate(blocks) if blocks else np.array([], dtype=int)
+        flat = np.concatenate(blocks)
         p = int(flat.max()) + 1 if flat.size else 0
         seen = np.zeros(p, dtype=bool)
         for b in blocks:
@@ -388,8 +389,7 @@ class Nuclear(Regularizer):
         # spectral norm of the normal-space part of eta
         h = self._mat(eta)
         normal = h - self._mat(project(eta, geometry.subspace))
-        worst = float(np.linalg.norm(normal, 2)) if normal.size else 0.0
-        return 1.0 - worst
+        return 1.0 - float(np.linalg.norm(normal, 2))
 
 
 class AnalysisL1(Regularizer):
@@ -410,7 +410,7 @@ class AnalysisL1(Regularizer):
         self.operator = d
         self.p, self.q = d.shape
         sv = np.linalg.svd(d, compute_uv=False)
-        self._lipschitz = float(sv[0] ** 2) if sv.size else 0.0
+        self._lipschitz = float(sv[0] ** 2)
 
     def value(self, beta) -> float:
         beta = _as_vector(beta, self.p, "beta")

@@ -50,13 +50,6 @@ row of a T x p array per problem, and gives each problem the bits it gets
 when solved alone, in one BatchResult.  It takes the batch as arrays, mu, the
 T x p stack u and one shared Quadratic or a T x p x p stack of Gammas;
 forward_backward is a batch of one.
-Each step's Gamma b products run as GEMMs of one fixed shape, GEMM_ROWS x p
-times p x p.  A plain GEMM over the T rows would not do: BLAS picks its
-kernel and blocking from the matrix shape, so a row's bits would depend on
-how many rows share the call.  With Gamma shared, the rows go in consecutive
-blocks of GEMM_ROWS, the last one padded with zero rows; with a stack of
-Gammas, each row sits alone at the head of its own zero block.  Either way
-the row's bits are those of that row alone in a zero block.
 """
 
 from __future__ import annotations
@@ -68,19 +61,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .linalg import (
-    check_symmetric, pseudoinverse, spectral_norms, _as_vector, _check_integer,
+    check_symmetric, gamma_products, pseudoinverse, spectral_norms, _as_vector, _check_integer,
+    _row_dots,
 )
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
 
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
-
-# rows per GEMM block of the Gamma b products (module docstring).  Four is
-# measured on OpenBLAS 0.3.31: on its SkylakeX kernel 16-row blocks change a
-# row's bits with its position in the block at p >= 300, 8-row blocks make a
-# stacked p=200 product 3x slower, and 2-row blocks save half as much on a
-# shared one.
-GEMM_ROWS = 4
 
 
 class Quadratic:
@@ -308,54 +295,6 @@ def _step_sizes(mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarr
     return tau
 
 
-def _row_dots_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-# a[i].dot(b[i]) for every row, with its bits: both run one BLAS dot per
-# row, while (a * b).sum(1) and einsum sum in another order.  np.vecdot
-# (numpy >= 2) is the faster of the two.
-_row_dots = getattr(np, "vecdot", _row_dots_matmul)
-
-
-class _GammaProducts:
-    """Gamma b for every row b of a batch's iterates, in GEMMs of GEMM_ROWS rows.
-
-    gam is one p x p Gamma shared by the rows, whose blocks then hold
-    GEMM_ROWS consecutive rows (Gamma is symmetric, so row i of the blocks
-    times Gamma is Gamma b_i), or a T x p x p stack with one block per row,
-    the row at its head.  The blocks live across steps: a call rewrites only
-    the iterate rows, and keep() zeroes the rows it frees, so every row not
-    holding an iterate stays zero.
-    """
-
-    def __init__(self, gam: np.ndarray, count: int):
-        self.gam = gam
-        self.shared = gam.ndim == 2
-        p = gam.shape[-1]
-        if self.shared:
-            self._blocks = np.zeros((-(-count // GEMM_ROWS), GEMM_ROWS, p))
-            self._rows = self._blocks.reshape(-1, p)
-        else:
-            self._blocks = np.zeros((count, GEMM_ROWS, p))
-            self._rows = self._blocks[:, 0]
-
-    def __call__(self, beta: np.ndarray) -> np.ndarray:
-        count = len(beta)
-        self._rows[:count] = beta
-        if self.shared:
-            blocks = self._blocks[: -(-count // GEMM_ROWS)]
-            return np.matmul(blocks, self.gam).reshape(-1, beta.shape[1])[:count]
-        return np.matmul(self._blocks[:count], self.gam)[:, 0]
-
-    def keep(self, keep: np.ndarray):
-        """Drop the rows that leave the batch: keep is False there, True elsewhere."""
-        if self.shared:
-            self._rows[np.count_nonzero(keep) : len(keep)] = 0
-        else:
-            self.gam = self.gam[keep]
-
-
 def forward_backward_batch(
     mu,
     u,
@@ -375,11 +314,11 @@ def forward_backward_batch(
     at zero, and a row leaves the batch once it reaches a fixed point or a
     certified minimizer (module docstring) or has taken max_iter steps.
     The rows checked at one step go to the penalty's certified_minimizers
-    together.  Every operation gives a row the bits it gets
-    alone: Gamma b in GEMM blocks of GEMM_ROWS rows (module docstring), one
-    dot per row norm, elementwise arithmetic and the penalty's step_batch
-    and model_keys.  So each problem's result has the same bits whatever
-    else is in the batch, and wherever its row sits.  The model of every
+    together.  Every operation gives a row the bits it gets alone:
+    linalg.gamma_products for Gamma b, one dot per row norm, elementwise
+    arithmetic and the penalty's step_batch and model_keys.  So each
+    problem's result has the same bits whatever else is in the batch, and
+    wherever its row sits.  The model of every
     iterate is read as the penalty's model_keys.  Returns the BatchResult of
     the problems, in order; an empty batch or a non-finite iterate in any
     row raises ValueError.
@@ -414,8 +353,7 @@ def forward_backward_batch(
         # E's quadratic part row by row: 0.5 * b @ gb is (0.5 * b) @ gb
         return _row_dots(0.5 * b, gam_b) - _row_dots(b, u)
 
-    gamma_products = _GammaProducts(gam, count)
-    gam_beta = gamma_products(beta)
+    gam_beta = gamma_products(gam, beta)
     # per iterate J and the quadratic part, from which SolveResult evaluates
     # the objective: batch row i writes terms[slots[i]]; a row's terms are
     # copied out when it leaves, and its slot dropped at the next growth
@@ -432,12 +370,8 @@ def forward_backward_batch(
         _terms=[None] * count,
     )
     tau = tau[:, None]
-    forward = np.empty((count, p))  # the forward point, rebuilt in place each step
     for k in range(1, opts.max_iter + 1):
-        np.subtract(u, gam_beta, out=forward)
-        forward *= tau
-        forward += beta
-        beta_next, j_next = reg.step_batch(forward, weights)
+        beta_next, j_next = reg.step_batch(beta + tau * (u - gam_beta), weights)
         # count_nonzero is the cheapest test of a small boolean array
         finite = np.isfinite(j_next)
         if np.count_nonzero(finite) < finite.size:
@@ -455,15 +389,14 @@ def forward_backward_batch(
         if np.count_nonzero(changed):
             out.identification_iter[rows[changed]] = k
         keys = keys_next
-        gam_beta = gamma_products(beta_next)
+        gam_beta = gamma_products(gam, beta_next)
         # the rows whose model has held for one step, checked once per model
         # run (module docstring)
         check = (out.identification_iter[rows] == k - 1) & ~converged
         if np.count_nonzero(check):
             i = np.flatnonzero(check)
-            gam_i = gamma_products.gam if gamma_products.shared else gamma_products.gam[i]
             found = reg.certified_minimizers(
-                beta_next[i], keys[i], u[i], mu[rows[i]], gam_i, _GammaProducts(gam_i, len(i)),
+                beta_next[i], keys[i], u[i], mu[rows[i]], gam if shared else gam[i],
                 1.0 - (opts.zero_tol + threshold[i]) / weights[i], opts.zero_tol,
             )
             if found is not None:
@@ -492,8 +425,6 @@ def forward_backward_batch(
             if not keep.any():
                 break
             rows, slots, beta, keys = rows[keep], slots[keep], beta[keep], keys[keep]
-            gam_beta = gam_beta[keep]
-            u, tau, weights = u[keep], tau[keep], weights[keep]
-            forward = forward[: len(rows)]
-            gamma_products.keep(keep)
+            gam_beta, u, tau, weights = gam_beta[keep], u[keep], tau[keep], weights[keep]
+            gam = gam if shared else gam[keep]
     return out

@@ -227,7 +227,7 @@ def energy(theta, j_value, beta, gamma_beta):
 def gamma_product(gam, beta):
     """Gamma beta as row 0 of block @ Gamma, beta alone in a zero 4 x p block.
 
-    The product the solver's GEMM blocks give every row (Gamma symmetric).
+    The product linalg.gamma_products gives every row (Gamma symmetric).
     """
     block = np.zeros((4, beta.shape[0]))
     block[0] = beta

@@ -117,3 +117,41 @@ def test_no_module_imports_a_name_it_never_loads():
             if (alias.asname or alias.name.split(".")[0]) not in loaded
         ]
     assert not unused, f"imported names that the importing module never uses: {unused}"
+
+
+
+# the package's modules by layer, lowest first: a module may import only
+# modules of an earlier layer, so no import cycle can form, deferred or not
+LAYERS = [["linalg"], ["regularizers"], ["certificate", "solver"], ["problems"],
+          ["experiments"], ["config"], ["cli"]]
+
+
+def package_imports(tree) -> set:
+    """The package modules a module imports, at module level or inside a function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package; in from . import config,
+            # an imported name is a module itself
+            base = f"partlysmooth.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(parts[1] for parts in (name.split(".") for name in names)
+                     if parts[0] == "partlysmooth" and len(parts) > 1)
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    modules = [path for path in PACKAGE if path != INIT]
+    assert sorted(rank) == sorted(path.stem for path in modules)
+    upward = [
+        f"{path.stem} imports {name}"
+        for path in modules
+        for name in sorted(package_imports(parse(path)) & set(rank))
+        if rank[name] >= rank[path.stem]
+    ]
+    assert not upward, f"imports of a module in the same or a later layer: {upward}"

@@ -188,6 +188,12 @@ def test_dual_certificate_needs_positive_mu():
         certify_uniqueness(theta, np.array([0.5]), L1())
 
 
+def test_uniqueness_checks_the_length_of_beta():
+    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
+    with pytest.raises(ValueError, match="beta has length 1, expected 2"):
+        certify_uniqueness(theta, np.array([0.5]), L1())
+
+
 class _CountingL1(L1):
     models = 0
 

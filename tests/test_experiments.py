@@ -98,6 +98,15 @@ class TestMuRule:
         with pytest.raises(ValueError):
             MuRule("adaptive")
 
+    @pytest.mark.parametrize("kind, field, bad", [
+        ("fixed", "value", math.nan), ("fixed", "value", math.inf),
+        ("proportional", "scale", math.inf), ("power", "scale", math.inf),
+        ("power", "exponent", math.nan),
+    ])
+    def test_non_finite_fields(self, kind, field, bad):
+        with pytest.raises(ValueError, match=f"mu rule {field} must be a finite number"):
+            MuRule(kind, **{field: bad})
+
 
 class TestConfigValidation:
     def test_trials(self):
@@ -120,6 +129,15 @@ class TestConfigValidation:
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
             identity_config(sweep_values=())
+
+    @pytest.mark.parametrize("field, bad", [
+        ("sweep_values", (0.0, math.nan)), ("sweep_values", (math.inf,)),
+        ("sweep_values", (-math.inf, 1.0)), ("noise_sigma", math.nan),
+        ("noise_sigma", math.inf),
+    ])
+    def test_non_finite_fields(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            identity_config(**{field: bad})
 
 
 class TestNoiseStability:
@@ -267,9 +285,10 @@ class TestConsistency:
             consistency_sweep(cfg)
 
     def test_requires_whole_sample_sizes(self):
-        for sizes in ((100.7, 400), (50, math.nan), (50, math.inf)):
-            with pytest.raises(ValueError, match="whole numbers"):
-                consistency_sweep(self.base(sweep_values=sizes))
+        # a NaN or infinite size is refused when the config is built
+        # (TestConfigValidation.test_non_finite_fields)
+        with pytest.raises(ValueError, match="whole numbers"):
+            consistency_sweep(self.base(sweep_values=(100.7, 400)))
 
     def test_requires_noise_sigma(self):
         cfg = self.base(noise_sigma=None)
