@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import Certificate, check_model_stability
+from .certificate import Certificate, _check_tolerances, check_model_stability
 from .linalg import _check_integer, _row_dots
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, Regularizer
@@ -53,7 +53,8 @@ class MuRule:
     fixed: mu = value.  proportional: mu = scale * sigma (scale defaults to
     2 / certificate margin).  power: mu = scale * n^(-exponent) with
     0 < exponent < 1/2 (defaults: scale 1, exponent 1/4).  A field the kind
-    does not read is an error, as is a non-finite field or a scale <= 0.
+    does not read is an error, as is a boolean or non-finite field or a
+    scale <= 0.
     """
 
     kind: str
@@ -68,7 +69,7 @@ class MuRule:
             x = getattr(self, name)
             if x is not None and name not in MU_RULE_KINDS[self.kind]:
                 raise ValueError(f"a {self.kind} mu rule does not read {name}")
-            if x is not None and not math.isfinite(x):
+            if x is not None and (isinstance(x, (bool, np.bool_)) or not math.isfinite(x)):
                 raise ValueError(f"mu rule {name} must be a finite number, got {x}")
         if self.scale is not None and not self.scale > 0:
             raise ValueError(f"mu rule scale must be > 0, got {self.scale}")
@@ -100,7 +101,8 @@ class ExperimentConfig:
     The harness fixes what sweep_values are: noise levels, sample sizes or
     mu values.  mu_rule is required by every harness but sharpness, whose
     mu values are the sweep itself.  solve.zero_tol reads every model: in
-    the solver, beta0's model key and the certificate.
+    the solver, beta0's model key and the certificate.  A harness refuses a
+    field it never reads before any set-up.
     """
 
     regularizer: Regularizer
@@ -132,6 +134,7 @@ class ExperimentConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _check_tolerances(ri_tol=self.ri_tol)
         object.__setattr__(self, "sweep_values", values)
 
 
@@ -391,6 +394,8 @@ def _noise_setup(config: ExperimentConfig):
     rule = config.mu_rule
     if rule is None:
         raise ValueError("a noise sweep needs a mu_rule")
+    if config.noise_sigma is not None:
+        raise ValueError("a noise sweep does not read noise_sigma: its noise levels are the sweep")
     shared, cert, n = _fixed_setup(config)
     if rule.kind == "proportional" and rule.scale is None:
         if not cert.usable or cert.verdict.margin <= 0:
@@ -461,6 +466,11 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     sigma = config.noise_sigma
     if sigma is None or sigma < 0:
         raise ValueError("sharpness_experiment needs noise_sigma >= 0")
+    if config.mu_rule is not None:
+        raise ValueError("sharpness_experiment does not read mu_rule: its mu values are the sweep")
+    bad = [mu for mu in config.sweep_values if not mu > 0]
+    if bad:
+        raise ValueError(f"sharpness_experiment needs sweep_values (mu) > 0, got {bad[0]}")
     shared, cert, _ = _fixed_setup(config)
     if cert.stable:
         warnings.warn(

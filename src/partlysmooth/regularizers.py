@@ -7,10 +7,11 @@ operator D.
 
 Each regularizer knows how to
 
-* evaluate itself,
+* read the magnitudes of the rows of a batch (|beta_i|, the group norms,
+  the singular values or |(D^T beta)_i|): J is a row's sum and its model
+  the mask of those above zero_tol,
 * compute its proximal map  argmin_x 0.5 ||x - beta||^2 + gamma J(x),
-* read off the active model of every row of a batch as a bool mask, and
-  the full model of a point: the descriptor its mask stands for, the
+* read the full model of a point: the descriptor its mask stands for, the
   tangent subspace T and the model vector e = P_T(subdifferential), and
 * classify a candidate dual vector against the subdifferential at that
   model: strictly inside its relative interior, on the boundary, or outside,
@@ -102,15 +103,24 @@ class Regularizer:
     kind: str = ""
 
     # -- interface ---------------------------------------------------------
-    def value(self, beta) -> float:
+    def magnitudes(self, beta) -> np.ndarray:
+        """The T x k magnitudes of the rows of the T x p array beta, unvalidated.
+
+        J is a row's sum and its model the mask of the entries above zero_tol.
+        """
         raise NotImplementedError
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         raise NotImplementedError
 
+    def value(self, beta) -> float:
+        """J(beta): the sum of beta's magnitudes."""
+        # a penalty without p (L1) takes beta of any length
+        beta = _as_vector(beta, getattr(self, "p", None), "beta")
+        return float(self.magnitudes(beta[None]).sum(axis=1)[0])
+
     def descriptor(self, beta, zero_tol: float = ZERO_TOL) -> ModelDescriptor:
         """The discrete descriptor of beta's model: its model_keys row, read back."""
-        # a penalty without p (L1) takes beta of any length
         beta = _as_vector(beta, getattr(self, "p", None), "beta")
         return self.key_descriptor(self.model_keys(beta[None], zero_tol)[0])
 
@@ -121,28 +131,26 @@ class Regularizer:
     def step_batch(self, v, weights):
         """The penalty's share of one solver iteration, for every row of v.
 
-        Returns (out, values): out[i] = prox(v[i], weights[i]) and its value
-        J(out[i]).  This default loops over the rows.  An override may skip
-        validating v and weights: the solver checks the weights once per
-        solve, and after each step it checks that J(out) is finite, which
-        fails exactly when an entry of out is not.  An override must return
-        the same bits row by row.
+        Returns (out, magnitudes(out)), out[i] = prox(v[i], weights[i]): the
+        solver reads each row's J and model key off the magnitudes.  This
+        default loops prox over the rows.  An override may skip validating v
+        and weights: the solver checks the weights once per solve, and after
+        each step that J(out) is finite, which fails exactly when an entry of
+        out is not.  An override must return the same bits row by row.
         """
         out = np.empty_like(v)
-        values = np.empty(v.shape[0])
         for i, weight in enumerate(weights.tolist()):
-            row = self.prox(v[i], weight)
-            out[i], values[i] = row, self.value(row)
-        return out, values
+            out[i] = self.prox(v[i], weight)
+        return out, self.magnitudes(out)
 
     def model_keys(self, beta, zero_tol: float) -> np.ndarray:
         """The models of the rows of the T x p array beta, as a T x k bool mask.
 
-        The only model reader: descriptor, model, the solver and the sweeps go
-        through it.  Two rows share a model exactly when their masks are
+        The magnitudes above zero_tol, as the solver reads them off
+        step_batch.  Two rows share a model exactly when their masks are
         equal.  beta is not validated.
         """
-        raise NotImplementedError
+        return self.magnitudes(beta) > zero_tol
 
     def key_descriptor(self, key) -> ModelDescriptor:
         """The descriptor that one row of model_keys stands for: its set indices."""
@@ -188,9 +196,8 @@ class L1(Regularizer):
 
     kind = "l1"
 
-    def value(self, beta) -> float:
-        beta = _as_vector(beta, name="beta")
-        return float(np.abs(beta).sum())
+    def magnitudes(self, beta) -> np.ndarray:
+        return np.abs(beta)
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, name="beta")
@@ -200,10 +207,7 @@ class L1(Regularizer):
     def step_batch(self, v, weights):
         # size is |out| bit for bit: it is +0, positive or NaN
         size = np.maximum(np.abs(v) - weights[:, None], 0.0)
-        return np.copysign(size, v), size.sum(axis=1)
-
-    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
-        return np.abs(beta) > zero_tol
+        return np.copysign(size, v), size
 
     def certified_minimizers(self, beta, keys, u, mu, gam, bound, zero_tol):
         # on support S with signs s, the minimizer solves
@@ -221,15 +225,16 @@ class L1(Regularizer):
                 block = gam[rows[:, None, None], support[:, :, None], support[:, None, :]]
             polished[at] = _solve_stack(block, u[at] - mu[rows, None] * signs[at])
         gamma_polished = gamma_products(gam, polished)
-        # signs kept and model_keys unchanged, and |eta| = |u - Gamma b| / mu
+        size = self.magnitudes(polished)
+        # signs kept and model keys unchanged, and |eta| = |u - Gamma b| / mu
         # below bound off the support
         eta = np.abs(u - gamma_polished) / mu[:, None]
         certified = (
             (np.sign(polished) == signs).all(axis=1)
-            & (self.model_keys(polished, zero_tol) == keys).all(axis=1)
+            & ((size > zero_tol) == keys).all(axis=1)
             & (np.where(keys, 0.0, eta).max(axis=1) < bound)
         )
-        return polished, gamma_polished, np.abs(polished).sum(axis=1), certified
+        return polished, gamma_polished, size.sum(axis=1), certified
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, name="beta")
@@ -290,9 +295,9 @@ class GroupL1L2(Regularizer):
         self.groups = blocks
         self.p = p
 
-    def value(self, beta) -> float:
-        beta = _as_vector(beta, self.p, "beta")
-        return float(sum(np.linalg.norm(beta[g]) for g in self.groups))
+    # the group norms, one column per group
+    def magnitudes(self, beta) -> np.ndarray:
+        return np.stack([np.linalg.norm(beta[:, g], axis=1) for g in self.groups], axis=1)
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, self.p, "beta")
@@ -303,11 +308,6 @@ class GroupL1L2(Regularizer):
             if nrm > gamma:
                 out[g] = beta[g] * (1.0 - gamma / nrm)
         return out
-
-    # active-group masks, one column per group
-    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
-        norms = [np.linalg.norm(beta[:, g], axis=1) for g in self.groups]
-        return np.stack(norms, axis=1) > zero_tol
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, self.p, "beta")
@@ -353,18 +353,15 @@ class Nuclear(Regularizer):
     def _vec(self, m) -> np.ndarray:
         return np.asarray(m, dtype=float).ravel(order="F")
 
-    def value(self, beta) -> float:
-        return float(np.linalg.svd(self._mat(beta), compute_uv=False).sum())
+    # the singular values, by one SVD call on the column-major stack
+    def magnitudes(self, beta) -> np.ndarray:
+        p0 = self.shape[0]
+        return np.linalg.svd(beta.reshape(-1, p0, p0).swapaxes(1, 2), compute_uv=False)
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         gamma = check_prox_weight(gamma)
         u, s, vt = np.linalg.svd(self._mat(beta), full_matrices=False)
         return self._vec(u @ (np.maximum(s - gamma, 0.0)[:, None] * vt))
-
-    # singular values above zero_tol, by one SVD call on the column-major stack
-    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
-        p0 = self.shape[0]
-        return np.linalg.svd(beta.reshape(-1, p0, p0).swapaxes(1, 2), compute_uv=False) > zero_tol
 
     def key_descriptor(self, key) -> ModelDescriptor:
         return ModelDescriptor(self.kind, int(np.count_nonzero(key)))
@@ -412,9 +409,9 @@ class AnalysisL1(Regularizer):
         sv = np.linalg.svd(d, compute_uv=False)
         self._lipschitz = float(sv[0] ** 2)
 
-    def value(self, beta) -> float:
-        beta = _as_vector(beta, self.p, "beta")
-        return float(np.abs(self.operator.T @ beta).sum())
+    # |D^T beta|, from one stacked D^T beta
+    def magnitudes(self, beta) -> np.ndarray:
+        return np.abs(np.matmul(self.operator.T, beta[..., None])[..., 0])
 
     def prox(self, beta, gamma: float) -> np.ndarray:
         beta = _as_vector(beta, self.p, "beta")
@@ -446,9 +443,9 @@ class AnalysisL1(Regularizer):
             f"(fixed-point residual {residual:.3e} > {PROX_INNER_TOL})"
         )
 
-    # cosupport masks, from one stacked D^T beta
-    def model_keys(self, beta, zero_tol: float) -> np.ndarray:
-        return np.abs(np.matmul(self.operator.T, beta[..., None])[..., 0]) <= zero_tol
+    def key_descriptor(self, key) -> ModelDescriptor:
+        # the cosupport: the entries of D^T beta not above zero_tol
+        return ModelDescriptor(self.kind, tuple(np.flatnonzero(~key).tolist()))
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         desc = self.descriptor(beta, zero_tol)

@@ -316,10 +316,10 @@ def forward_backward_batch(
     The rows checked at one step go to the penalty's certified_minimizers
     together.  Every operation gives a row the bits it gets alone:
     linalg.gamma_products for Gamma b, one dot per row norm, elementwise
-    arithmetic and the penalty's step_batch and model_keys.  So each
+    arithmetic and the penalty's step_batch, whose magnitudes give each
+    iterate's J and model key as value and model_keys read them.  So each
     problem's result has the same bits whatever else is in the batch, and
-    wherever its row sits.  The model of every
-    iterate is read as the penalty's model_keys.  Returns the BatchResult of
+    wherever its row sits.  Returns the BatchResult of
     the problems, in order; an empty batch or a non-finite iterate in any
     row raises ValueError.
     """
@@ -371,7 +371,8 @@ def forward_backward_batch(
     )
     tau = tau[:, None]
     for k in range(1, opts.max_iter + 1):
-        beta_next, j_next = reg.step_batch(beta + tau * (u - gam_beta), weights)
+        beta_next, size = reg.step_batch(beta + tau * (u - gam_beta), weights)
+        j_next, keys_next = size.sum(axis=1), size > opts.zero_tol
         # count_nonzero is the cheapest test of a small boolean array
         finite = np.isfinite(j_next)
         if np.count_nonzero(finite) < finite.size:
@@ -379,7 +380,6 @@ def forward_backward_batch(
                 f"forward-backward iterate {k} of problem {rows[~finite][0]} "
                 "has non-finite entries"
             )
-        keys_next = reg.model_keys(beta_next, opts.zero_tol)
         # Euclidean norms as np.linalg.norm computes them (sqrt of a dot)
         delta = beta_next - beta
         fp_residual = np.sqrt(_row_dots(delta, delta))

@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, each penalty's own model rule, a one-problem forward-backward
-loop, a one-trial instance draw, and the subspace helpers (span, projector,
-distance) that only the tests need.  Slow but simple, so the expected values in the tests do not
-inherit the package's own bugs.
+prox checks, each penalty's own value formula and model rule, a one-problem
+forward-backward loop, a one-trial instance draw, and the subspace helpers
+(span, projector, distance) that only the tests need.  Slow but simple, so
+the expected values in the tests do not inherit the package's own bugs.
 """
 
 import itertools
@@ -152,6 +152,23 @@ def descriptor(reg, beta, zero_tol):
     z = reg.operator.T @ beta
     cosupport = np.flatnonzero(np.abs(z) <= zero_tol)
     return ModelDescriptor(reg.kind, tuple(cosupport.tolist()))
+
+
+def penalty_value(reg, beta):
+    """J(beta) of one vector beta, by the formula of reg's kind.
+
+    One vector at a time: the per-group norms summed in Python, one SVD of
+    the matrix, one product D^T beta.  Written out apart from the package's
+    magnitudes, so that value is checked against something it does not read.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if reg.kind == "l1":
+        return float(np.abs(beta).sum())
+    if reg.kind == "group_l1l2":
+        return float(sum(np.linalg.norm(beta[g]) for g in reg.groups))
+    if reg.kind == "nuclear":
+        return float(np.linalg.svd(beta.reshape(reg.shape, order="F"), compute_uv=False).sum())
+    return float(np.abs(reg.operator.T @ beta).sum())
 
 
 def prox_reference(value_fn, beta, gamma):

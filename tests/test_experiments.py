@@ -101,7 +101,8 @@ class TestMuRule:
     @pytest.mark.parametrize("kind, field, bad", [
         ("fixed", "value", math.nan), ("fixed", "value", math.inf),
         ("proportional", "scale", math.inf), ("power", "scale", math.inf),
-        ("power", "exponent", math.nan),
+        ("power", "exponent", math.nan), ("fixed", "value", True),
+        ("proportional", "scale", np.True_),
     ])
     def test_non_finite_fields(self, kind, field, bad):
         with pytest.raises(ValueError, match=f"mu rule {field} must be a finite number"):
@@ -133,7 +134,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, bad", [
         ("sweep_values", (0.0, math.nan)), ("sweep_values", (math.inf,)),
         ("sweep_values", (-math.inf, 1.0)), ("noise_sigma", math.nan),
-        ("noise_sigma", math.inf),
+        ("noise_sigma", math.inf), ("ri_tol", math.nan),
     ])
     def test_non_finite_fields(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -472,6 +473,23 @@ def test_runners_that_read_mu_rule_need_one():
     for sweep, cfg in ((noise_stability_sweep, identity_config(mu_rule=None)),
                        (consistency_sweep, TestConsistency().base(mu_rule=None))):
         with pytest.raises(ValueError, match="mu.rule"):
+            sweep(cfg)
+
+
+def test_runners_refuse_fields_they_never_read(monkeypatch):
+    # refused at entry, naming the field, before the set-up draws anything
+    def drawn(*args):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(exps, "make_design", drawn)
+    monkeypatch.setattr(exps, "make_signal", drawn)
+    outside = TestSharpness().outside_config
+    for sweep, cfg, field in (
+        (noise_stability_sweep, identity_config(noise_sigma=-1.0), "noise_sigma"),
+        (sharpness_experiment, outside(mu_rule=MuRule("fixed", value=0.1)), "mu_rule"),
+        (sharpness_experiment, outside(sweep_values=(0.1, -1.0)), r"sweep_values \(mu\) > 0"),
+    ):
+        with pytest.raises(ValueError, match=field):
             sweep(cfg)
 
 

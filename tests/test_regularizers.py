@@ -1,5 +1,7 @@
 """Penalty values, prox maps, model geometry and membership verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,24 @@ def test_analysis_value():
     d = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
     reg = AnalysisL1(d)
     assert reg.value([2.0, 2.0, 5.0]) == pytest.approx(3.0)
+
+
+def test_value_matches_the_reference_formula():
+    # random and prox-thresholded points, with singleton groups, groups of 5
+    # and the identity analysis operator besides all_regularizers
+    rng = np.random.default_rng(11)
+    regs = all_regularizers() + [
+        GroupL1L2([[i] for i in range(7)]),
+        GroupL1L2([list(range(5 * i, 5 * i + 5)) for i in range(4)]),
+        AnalysisL1(np.eye(5)),
+    ]
+    for reg in regs:
+        for trial in range(40):
+            beta = random_point(reg, rng)
+            if trial % 2:
+                beta = reg.prox(beta, float(rng.uniform(0.5, 3.0)))
+            expect = oracles.penalty_value(reg, beta)
+            assert math.isclose(reg.value(beta), expect, rel_tol=1e-13), reg.kind
 
 
 def test_value_positive_homogeneity():
@@ -130,7 +150,8 @@ def test_prox_rejects_negative_gamma():
 
 
 def test_step_matches_prox_descriptor_value_bitwise():
-    # the penalty's solver step, step_batch and model_keys, on one-row batches
+    # the penalty's solver step on one-row batches: J and the model key are
+    # read off the magnitudes step_batch returns, as the solver reads them
     rng = np.random.default_rng(14)
     for reg in all_regularizers():
         for trial in range(30):
@@ -138,12 +159,14 @@ def test_step_matches_prox_descriptor_value_bitwise():
             if trial % 3 == 0:
                 v[: v.size // 2] = 0.0  # exact zeros and whole inactive blocks
             weight = 0.0 if trial == 1 else float(rng.uniform(0.05, 2.0))
-            [out], [val] = reg.step_batch(v[None], np.array([weight]))
-            [key] = reg.model_keys(out[None], 1e-8)
+            [out], [size] = reg.step_batch(v[None], np.array([weight]))
+            val, key = size.sum(), size > 1e-8
             ref = reg.prox(v, weight)
             assert out.tobytes() == ref.tobytes(), reg.kind
+            assert (key == reg.model_keys(out[None], 1e-8)[0]).all(), reg.kind
             assert reg.key_descriptor(key) == oracles.descriptor(reg, ref, 1e-8), reg.kind
             assert val == reg.value(ref), reg.kind
+            assert math.isclose(val, oracles.penalty_value(reg, ref), rel_tol=1e-13), reg.kind
 
 
 def test_step_batch_matches_step_row_by_row():
@@ -154,12 +177,16 @@ def test_step_batch_matches_step_row_by_row():
         v[1, : v.shape[1] // 2] = 0.0
         weights = rng.uniform(0.05, 2.0, 7)
         weights[2] = 0.0
-        out, values = reg.step_batch(v, weights)
-        keys, start = reg.model_keys(out, 1e-8), reg.model_keys(v, 1e-8)
+        out, size = reg.step_batch(v, weights)
+        values, keys = size.sum(axis=1), size > 1e-8
+        assert (keys == reg.model_keys(out, 1e-8)).all(), reg.kind
+        start = reg.model_keys(v, 1e-8)
         for i in range(7):
             ref = reg.prox(v[i], float(weights[i]))
             assert out[i].tobytes() == ref.tobytes(), reg.kind
             assert values[i] == reg.value(ref), reg.kind
+            expect = oracles.penalty_value(reg, ref)
+            assert math.isclose(values[i], expect, rel_tol=1e-13), reg.kind
             assert reg.key_descriptor(keys[i]) == oracles.descriptor(reg, ref, 1e-8), reg.kind
             assert reg.key_descriptor(start[i]) == oracles.descriptor(reg, v[i], 1e-8), reg.kind
         # keys differ exactly where the descriptors do
