@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .experiments import ExperimentConfig, MuRule
+from .experiments import ExperimentConfig, MuRule, _out_of_range
 from .linalg import INJECTIVITY_TOL
 from .problems import (
     DEFAULT_AMPLITUDE_RANGE,
@@ -395,24 +395,6 @@ def solve_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
     return reg, theta, opts, tol, beta0
 
 
-def _check_sweep(key, values, mu_rule):
-    """Refuse a sweep value out of its key's range, naming the key.
-
-    A noise level is >= 0, and > 0 under a proportional mu rule (mu = 0
-    otherwise); mu values are > 0 and sample sizes >= 1.
-    """
-    proportional = mu_rule is not None and mu_rule.kind == "proportional"
-    if key == "sample_sizes":
-        bad, want = [v for v in values if v < 1], ">= 1"
-    elif key == "mu_values" or proportional:
-        bad, want = [v for v in values if not v > 0], "> 0"
-    else:
-        bad, want = [v for v in values if v < 0], ">= 0"
-    if bad:
-        rule = " under a proportional mu rule" if proportional else ""
-        raise ConfigError(f"experiment.sweep.{key} must be {want}{rule}, got {bad[0]}")
-
-
 def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     """Parse a full experiment file into (kind, ExperimentConfig)."""
     _only_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
@@ -439,7 +421,10 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         mu_rule_from_config(require_key(exp, "mu_rule", "experiment"))
         if "mu_rule" in reads else None
     )
-    _check_sweep(key, sweep_values, mu_rule)
+    # the harnesses' own range rule, refused here under the file's key
+    found = _out_of_range(key, sweep_values, mu_rule)
+    if found:
+        raise ConfigError(f"experiment.sweep.{key} must be {found[1]}, got {found[0]}")
 
     tol_cfg = cfg.get("tolerances", {})
     # injectivity_tol applies to certify and solve only

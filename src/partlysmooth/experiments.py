@@ -94,6 +94,33 @@ class MuRule:
         return float(self.scale) * float(n) ** (-float(self.exponent))
 
 
+def _out_of_range(key, values, mu_rule):
+    """(the first sweep value out of key's range, that range), or None.
+
+    key names what the values are.  A noise level is >= 0, and > 0 under a
+    proportional mu rule (mu = 0 otherwise); mu values are > 0 and sample
+    sizes >= 1.  The harnesses and the file parser both read this rule.
+    """
+    proportional = mu_rule is not None and mu_rule.kind == "proportional"
+    if key == "sample_sizes":
+        bad, want = [v for v in values if v < 1], ">= 1"
+    elif key == "mu_values" or proportional:
+        bad, want = [v for v in values if not v > 0], "> 0"
+    else:
+        bad, want = [v for v in values if v < 0], ">= 0"
+    rule = " under a proportional mu rule" if proportional else ""
+    return (bad[0], want + rule) if bad else None
+
+
+def _check_sweep(harness, key, config):
+    """Refuse, before any set-up, a sweep value the harness cannot run."""
+    found = _out_of_range(key, config.sweep_values, config.mu_rule)
+    if found:
+        bad, want = found
+        what = "mu" if key == "mu_values" else key.replace("_", " ")
+        raise ValueError(f"{harness} needs sweep_values ({what}) {want}, got {bad}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a harness needs, minus the experiment kind itself.
@@ -102,7 +129,7 @@ class ExperimentConfig:
     mu values.  mu_rule is required by every harness but sharpness, whose
     mu values are the sweep itself.  solve.zero_tol reads every model: in
     the solver, beta0's model key and the certificate.  A harness refuses a
-    field it never reads before any set-up.
+    field it never reads, and a sweep value out of range, before any set-up.
     """
 
     regularizer: Regularizer
@@ -396,6 +423,7 @@ def _noise_setup(config: ExperimentConfig):
         raise ValueError("a noise sweep needs a mu_rule")
     if config.noise_sigma is not None:
         raise ValueError("a noise sweep does not read noise_sigma: its noise levels are the sweep")
+    _check_sweep("noise_stability_sweep", "noise_levels", config)
     shared, cert, n = _fixed_setup(config)
     if rule.kind == "proportional" and rule.scale is None:
         if not cert.usable or cert.verdict.margin <= 0:
@@ -439,6 +467,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("consistency_sweep needs a power mu rule")
     if not all(v.is_integer() for v in config.sweep_values):
         raise ValueError(f"sample sizes must be whole numbers, got {list(config.sweep_values)}")
+    _check_sweep("consistency_sweep", "sample_sizes", config)
     sizes = [int(v) for v in config.sweep_values]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sample sizes must be strictly increasing, got {sizes}")
@@ -468,9 +497,7 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("sharpness_experiment needs noise_sigma >= 0")
     if config.mu_rule is not None:
         raise ValueError("sharpness_experiment does not read mu_rule: its mu values are the sweep")
-    bad = [mu for mu in config.sweep_values if not mu > 0]
-    if bad:
-        raise ValueError(f"sharpness_experiment needs sweep_values (mu) > 0, got {bad[0]}")
+    _check_sweep("sharpness_experiment", "mu_values", config)
     shared, cert, _ = _fixed_setup(config)
     if cert.stable:
         warnings.warn(

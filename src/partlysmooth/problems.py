@@ -3,8 +3,10 @@
 An instance is y = X beta0 + w with a design X (explicit, or rows drawn
 i.i.d. from N(0, Sigma)), a structured ground truth beta0 and Gaussian
 noise w.  All randomness comes from numpy generators (PCG64): make_design
-and make_signal draw X and beta0 from the generator they are given, and a
-draw_trials trial draws its design, then its noise, from its own seed.
+and make_signal draw X and beta0 from the generator they are given.  A
+draw_trials trial draws from its own seed: on an explicit design its noise
+w; on a gaussian_rows design, never X itself, but X^T X / n and X^T w / n
+in O(p^2) numbers, as an exact Wishart draw (draw_trials).
 
 The canonical parameters of (instance, lambda) are
 
@@ -42,9 +44,10 @@ class DesignSpec:
     """How to produce the design matrix.
 
     kind "explicit" carries the matrix itself, as a read-only copy that
-    every instance drawn from the spec shares; kind "gaussian_rows" draws n
-    rows from N(0, covariance) through root, the covariance's symmetric
-    square root, computed once here.
+    every instance drawn from the spec shares; kind "gaussian_rows" has n
+    rows from N(0, covariance), drawn through root, a square root R of the
+    covariance (R R^T = covariance) computed once here: make_design draws
+    the rows, draw_trials their X^T X and X^T w.
     """
 
     kind: str
@@ -239,20 +242,31 @@ def draw_trials(
 ) -> TrialDraws:
     """The problems of one sweep point, one trial per seed, computed as stacks.
 
-    Trial k draws from its own default_rng(seeds[k]) the design, then the
-    noise w (the explicit signal beta0 draws nothing), and is the problem
-    y = X beta0 + w at lambda = mu * n: theta = (mu, X^T y / n, X^T X / n),
-    with ||X^T w / n|| alongside.  The problems come as the arrays that
-    forward_backward_batch takes, which checks them.  quad, when given, is
-    the Quadratic of the fixed design's X^T X / n, for example one a sweep
-    shares across its sweep points; X^T X is then not recomputed.
+    Trial k is the problem y = X beta0 + w at lambda = mu * n, drawn from
+    its own default_rng(seeds[k]) (the explicit signal beta0 draws
+    nothing): theta = (mu, X^T y / n, X^T X / n), with ||X^T w / n||
+    alongside.  The problems come as the arrays that forward_backward_batch
+    takes, which checks them.
+
+    An explicit design's trial draws its noise w.  X beta0 is computed
+    once, and X^T y and X^T w of every trial as stacked gemvs; the trials
+    share quad, the Quadratic of X^T X / n, when it is given (for example
+    one a sweep shares across its sweep points) and otherwise one computed
+    here.
+
+    A gaussian_rows trial draws no design.  With k = min(n, p) it draws, in
+    this order, k chi-squares with n, n - 1, ..., n - k + 1 degrees of
+    freedom, the normals of the strict upper trapezoid of a k x p matrix B
+    (row by row) whose diagonal is the chi-squares' square roots, and k
+    normals z.  With M = R B^T, R the design's root, Gamma = M M^T / n,
+    eps = X^T w / n = sigma M z / n and u = Gamma beta0 + eps: the joint law
+    of X^T X / n and X^T w / n for n rows from N(0, covariance), n < p
+    included (Bartlett's decomposition, singular when n < p), in O(p^2)
+    numbers whatever n.  Each trial has its own Gamma, in a T x p x p
+    stack, so a prepared quad is refused.
 
     Each product is one stacked call whose slices are the 2-d calls of one
-    trial drawn alone, so each trial has those bits.  An explicit design
-    computes X beta0 once, and X^T y and X^T w of every trial as stacked
-    gemvs; with no quad given, its trials share one Quadratic of X^T X / n.
-    A gaussian_rows design is reduced one trial at a time into T x p x p and
-    T x p stacks, so one design is held at a time.
+    trial drawn alone, so each trial has those bits.
     """
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
@@ -266,12 +280,13 @@ def draw_trials(
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if quad is not None and quad.dim != p:
         raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={p}")
+    if quad is not None and not explicit:
+        raise ValueError("a fresh design has no prepared gamma: each trial draws its own")
     count = len(seeds)
-    gamma = quad
-    u, eps = np.empty((count, p)), np.empty((count, p))
     if explicit:
         x = design.matrix
         x_beta0 = x @ beta0
+        u, eps = np.empty((count, p)), np.empty((count, p))
         # the T x n noise stack in blocks of NOISE_BLOCK_BYTES
         block = max(1, NOISE_BLOCK_BYTES // (8 * n))
         for lo in range(0, count, block):
@@ -282,22 +297,30 @@ def draw_trials(
             w *= noise_sigma
             u[lo:lo + block] = np.matmul(x.T, (x_beta0 + w)[..., None])[..., 0]
             eps[lo:lo + block] = np.matmul(x.T, w[..., None])[..., 0]
-        if quad is None:
-            gamma = Quadratic(x.T @ x / n)
+        u /= n
+        eps /= n
+        gamma = Quadratic(x.T @ x / n) if quad is None else quad
     else:
-        gram = np.empty((count, p, p))
-        for k, seed in enumerate(seeds):
+        # Bartlett's decomposition, singular when n < p: X = Z R^T with
+        # Z^T Z = B^T B, B the k x p upper trapezoid of Z's QR factor, so
+        # X^T X = M M^T with M = R B^T, and given X, X^T w ~ N(0, sigma^2 M M^T)
+        k = min(n, p)
+        diag = np.arange(k)
+        rows, cols = np.triu_indices(k, 1, p)
+        chi, normals, z = np.empty((count, k)), np.empty((count, rows.size)), np.empty((count, k))
+        for t, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            x = make_design(design, rng)
-            w = noise_sigma * rng.standard_normal(n)
-            np.matmul(x.T, x, out=gram[k])
-            np.matmul(x.T, x @ beta0 + w, out=u[k])
-            np.matmul(x.T, w, out=eps[k])
-        if quad is None:
-            gram /= n
-            gamma = gram
-    u /= n
-    eps /= n
+            chi[t] = rng.chisquare(n - diag)
+            rng.standard_normal(out=normals[t])
+            rng.standard_normal(out=z[t])
+        b = np.zeros((count, k, p))
+        b[:, diag, diag] = np.sqrt(chi)
+        b[:, rows, cols] = normals
+        m = np.matmul(design.root, b.transpose(0, 2, 1))
+        gamma = np.matmul(m, m.transpose(0, 2, 1))
+        gamma /= n
+        eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
+        u = np.matmul(gamma, beta0) + eps
     return TrialDraws(mu=lam / n, u=u, gamma=gamma, n=n, eps_norms=np.sqrt(_row_dots(eps, eps)))
 
 

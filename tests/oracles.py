@@ -3,9 +3,10 @@
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
 prox checks, each penalty's own value formula and model rule, a one-problem
-forward-backward loop, a one-trial instance draw, and the subspace helpers
-(span, projector, distance) that only the tests need.  Slow but simple, so
-the expected values in the tests do not inherit the package's own bugs.
+forward-backward loop, one-trial instance and Wishart draws, and the
+subspace helpers (span, projector, distance) that only the tests need.
+Slow but simple, so the expected values in the tests do not inherit the
+package's own bugs.
 """
 
 import itertools
@@ -203,14 +204,42 @@ class Instance:
 def generate_instance(design, signal, noise_sigma, seed, reg):
     """One trial from default_rng(seed), drawn design, then signal, then noise.
 
-    The one-trial draw that draw_trials stacks and a generated solve file
-    makes, kept as their reference.
+    The one-trial draw that draw_trials stacks for an explicit design and a
+    generated solve file makes, kept as their reference.
     """
     rng = np.random.default_rng(seed)
     x = make_design(design, rng)
     beta0 = make_signal(signal, reg, rng)
     w = noise_sigma * rng.standard_normal(x.shape[0])
     return Instance(x=x, beta0=beta0, w=w, y=x @ beta0 + w)
+
+
+def wishart_trial(design, beta0, sigma, seed):
+    """(Gamma, u, eps) of one fresh gaussian_rows trial, by Bartlett's decomposition.
+
+    From default_rng(seed), with k = min(n, p): k chi-squares with n, n - 1,
+    ... degrees of freedom, the normals of the strict upper trapezoid of
+    the k x p factor B (row by row), then k normals z.  B is filled one
+    element at a time and every product is 2-d: M = R B^T with R the
+    design's root, Gamma = M M^T / n, eps = sigma M z / n and
+    u = Gamma beta0 + eps.  The one-trial draw that draw_trials stacks.
+    """
+    n, root = design.n, design.root
+    p = root.shape[0]
+    k = min(n, p)
+    rng = np.random.default_rng(seed)
+    chi = rng.chisquare(n - np.arange(k))
+    normals = iter(rng.standard_normal(k * p - k * (k + 1) // 2))
+    z = rng.standard_normal(k)
+    b = np.zeros((k, p))
+    for i in range(k):
+        b[i, i] = math.sqrt(chi[i])
+        for j in range(i + 1, p):
+            b[i, j] = next(normals)
+    m = root @ b.T
+    gamma = m @ m.T / n
+    eps = sigma * (m @ z) / n
+    return gamma, gamma @ beta0 + eps, eps
 
 
 def canonical_parameters(instance, lam, quad=None):

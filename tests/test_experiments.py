@@ -493,6 +493,28 @@ def test_runners_refuse_fields_they_never_read(monkeypatch):
             sweep(cfg)
 
 
+def test_runners_refuse_sweep_values_out_of_range_at_entry(monkeypatch):
+    # the file parser's range rule, applied before the certificate is computed
+    calls = []
+    monkeypatch.setattr(exps, "check_model_stability", lambda *args: calls.append(args))
+    proportional = MuRule("proportional", scale=1.0)
+    for sweep, cfg, message in (
+        (noise_stability_sweep, identity_config(sweep_values=(-1.0, 0.0)),
+         "noise_stability_sweep needs sweep_values (noise levels) >= 0, got -1.0"),
+        (noise_stability_sweep, identity_config(mu_rule=proportional),
+         "noise_stability_sweep needs sweep_values (noise levels) > 0 "
+         "under a proportional mu rule, got 0.0"),
+        (consistency_sweep, TestConsistency().base(sweep_values=(0, 50)),
+         "consistency_sweep needs sweep_values (sample sizes) >= 1, got 0.0"),
+        (sharpness_experiment, TestSharpness().outside_config(sweep_values=(0.1, 0.0)),
+         "sharpness_experiment needs sweep_values (mu) > 0, got 0.0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            sweep(cfg)
+        assert str(info.value) == message
+    assert calls == []
+
+
 def test_gamma_prepared_once_per_fixed_design(svd_calls):
     # the sweeps never read an objective, so none of them computes Gamma^+
     calls = svd_calls

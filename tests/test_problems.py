@@ -5,6 +5,7 @@ import pytest
 
 from partlysmooth import (
     AnalysisL1,
+    CanonicalParameters,
     DesignSpec,
     GroupL1L2,
     L1,
@@ -158,11 +159,23 @@ COV = np.array([[1.0, 0.3, 0.0, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0, 0.0], [0.0, 0.2,
 DRAW_DESIGNS = {
     "explicit": DesignSpec.explicit(np.random.default_rng(8).normal(size=(37, 5))),
     "gaussian_rows": DesignSpec.gaussian(COV, 23),
+    # n < p: Gamma has rank 3, B is a 3 x 5 trapezoid
+    "gaussian_rows_wide": DesignSpec.gaussian(COV, 3),
 }
 
 
 def reference_trial(design, sigma, mu, seed, quad=None):
-    """(theta, ||X^T w / n||) of one trial, drawn and computed one object at a time."""
+    """(n, theta, ||X^T w / n||) of one trial, drawn and computed one object at a time.
+
+    An explicit design's trial is y = X beta0 + w; a gaussian_rows trial is
+    the Wishart draw of oracles.wishart_trial.
+    """
+    if design.kind == "gaussian_rows":
+        n = design.n
+        gamma, u, eps = oracles.wishart_trial(design, BETA0, sigma, seed)
+        # mu = lambda / n with lambda = mu * n, as the sweep forms it
+        theta = CanonicalParameters(mu=mu * n / n, u=u, gamma=gamma)
+        return n, theta, float(np.linalg.norm(eps))
     inst = oracles.generate_instance(design, SignalSpec.explicit(BETA0), sigma, seed, L1())
     theta = oracles.canonical_parameters(inst, mu * inst.n, quad)
     return inst.n, theta, float(np.linalg.norm(oracles.correlation_noise(inst)))
@@ -187,6 +200,41 @@ def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
         gamma = draws.gamma.gamma if shared else draws.gamma[k]
         assert gamma.tobytes() == want.gamma.tobytes()
         assert eps_norm == want_eps
+
+
+TOEPLITZ = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+
+
+@pytest.mark.parametrize("n", [50, 3])
+def test_fresh_designs_have_the_wishart_moments(n):
+    # Gamma = X^T X / n is Wishart: entries with mean Sigma_ij and variance
+    # (Sigma_ij^2 + Sigma_ii Sigma_jj) / n, for n > p and for n < p alike;
+    # eps = u - Gamma beta0 has covariance sigma^2 Sigma / n.  Each sample
+    # moment must lie within 4 standard errors, at a fixed seed.
+    count, sigma, beta0 = 10000, 0.8, np.array([1.0, -2.0, 0.0, 0.5])
+    draws = draw_trials(DesignSpec.gaussian(TOEPLITZ, n), beta0, sigma, 0.1, range(count))
+    gamma = draws.gamma
+    var = (TOEPLITZ ** 2 + np.outer(np.diag(TOEPLITZ), np.diag(TOEPLITZ))) / n
+    assert np.all(np.abs(gamma.mean(0) - TOEPLITZ) <= 4 * np.sqrt(var / count))
+    squares = (gamma - gamma.mean(0)) ** 2
+    assert np.all(np.abs(squares.mean(0) - var) <= 4 * squares.std(0) / np.sqrt(count))
+    eps = draws.u - np.matmul(gamma, beta0)
+    products = eps[:, :, None] * eps[:, None, :]
+    assert np.all(np.abs(products.mean(0) - sigma ** 2 * TOEPLITZ / n)
+                  <= 4 * products.std(0) / np.sqrt(count))
+
+
+@pytest.mark.parametrize("n", [50, 3, 4])
+def test_fresh_gamma_is_symmetric_with_rank_min_n_p(n):
+    draws = draw_trials(DesignSpec.gaussian(TOEPLITZ, n), np.ones(4), 0.5, 0.1, range(30))
+    gamma = draws.gamma
+    assert gamma.tobytes() == np.ascontiguousarray(gamma.transpose(0, 2, 1)).tobytes()
+    assert [np.linalg.matrix_rank(g) for g in gamma] == [min(n, 4)] * 30
+    # noiseless: eps is exactly 0 and u exactly Gamma beta0
+    quiet = draw_trials(DesignSpec.gaussian(TOEPLITZ, n), np.ones(4), 0.0, 0.1, range(30))
+    assert quiet.gamma.tobytes() == gamma.tobytes()
+    assert not quiet.eps_norms.any()
+    assert quiet.u.tobytes() == np.matmul(gamma, np.ones(4)).tobytes()
 
 
 def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
@@ -218,6 +266,9 @@ def test_draw_trials_refuses_what_one_trial_refuses():
         assert message(design, BETA0, 0.1, -0.5, [4]) == f"lambda must be >= 0, got {-0.5 * n}"
         assert message(design, BETA0, 0.1, 0.3, [4], Quadratic(np.eye(4))) == (
             "prepared gamma has dimension 4, the design has p=5")
+    # a fresh design's trials draw their own Gamma, so none is prepared
+    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], Quadratic(COV)) == (
+        "a fresh design has no prepared gamma: each trial draws its own")
 
 
 class TestDesigns:

@@ -42,6 +42,10 @@ def test_replaying_one_trial():
     assert run_block("draw_trials") == 1
 
 
+def test_consistency_at_large_n():
+    assert run_block("consistency_sweep") == 2
+
+
 def test_json_examples(tmp_path):
     # certify, solve, experiment, in the order the README gives them
     examples = [json.loads(b) for b in blocks("json")]
