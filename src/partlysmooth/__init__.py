@@ -11,7 +11,6 @@ all of this empirically.
 
 from .certificate import (
     Certificate,
-    UniquenessReport,
     certify_uniqueness,
     check_model_stability,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "SolveResult",
     "Subspace",
     "TrialRecord",
-    "UniquenessReport",
     "certify_uniqueness",
     "check_covariance",
     "check_model_stability",

@@ -38,12 +38,14 @@ from .regularizers import RI_TOL, ZERO_TOL, CertificateVerdict, ModelGeometry, R
 
 @dataclass(frozen=True)
 class Certificate:
-    """Pre-certificate vector plus everything needed to interpret it.
+    """A dual vector eta classified on a model, plus what it takes to read it.
 
-    eta and verdict are None when restricted injectivity fails (the
-    pre-certificate is not defined there; usable is False).  stable needs a
-    usable, strictly interior certificate; a usable boundary verdict is
-    inconclusive (the linearized test cannot decide either way there).
+    check_model_stability gives the pre-certificate at beta0, whose eta and
+    verdict are None where restricted injectivity fails (usable is False).
+    certify_uniqueness gives the certificate at a solution, verdict always
+    set.  stable needs a usable, strictly interior certificate: a stable
+    model at beta0, a unique solution at a solution.  A usable boundary
+    verdict is inconclusive (the test cannot decide either way there).
     """
 
     eta: Optional[np.ndarray]
@@ -106,13 +108,6 @@ def check_model_stability(
     return Certificate(eta=eta, verdict=verdict, injectivity=injectivity, geometry=geometry)
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    unique: bool
-    verdict: CertificateVerdict
-    injectivity: InjectivityReport
-
-
 def certify_uniqueness(
     theta,
     beta,
@@ -120,8 +115,8 @@ def certify_uniqueness(
     zero_tol: float = ZERO_TOL,
     ri_tol: float = RI_TOL,
     injectivity_tol: float = INJECTIVITY_TOL,
-) -> UniquenessReport:
-    """Check whether beta is the unique minimizer for theta.
+) -> Certificate:
+    """The dual certificate of beta for theta: stable means beta is the unique minimizer.
 
     verdict classifies eta = (u - Gamma beta)/mu at the model of beta itself.
     Sufficient condition for uniqueness: that verdict is strictly interior
@@ -135,8 +130,4 @@ def certify_uniqueness(
     geometry = reg.model(beta, zero_tol)
     verdict = reg.ri_membership(geometry, eta, ri_tol)
     injectivity = restricted_injectivity(theta.gamma, geometry.subspace, injectivity_tol)
-    return UniquenessReport(
-        unique=verdict.status == "interior" and injectivity.holds,
-        verdict=verdict,
-        injectivity=injectivity,
-    )
+    return Certificate(eta=eta, verdict=verdict, injectivity=injectivity, geometry=geometry)

@@ -111,7 +111,7 @@ def cmd_solve(args) -> int:
             "margin": uniq.verdict.margin,
             "tangent_residual": uniq.verdict.tangent_residual,
         },
-        "unique": uniq.unique,
+        "unique": uniq.stable,
     }
     if beta0 is not None:
         payload["error_norm"] = float(np.linalg.norm(result.beta - beta0))
@@ -123,7 +123,7 @@ def cmd_solve(args) -> int:
         state = "converged" if result.converged else "hit max_iter"
         print(f"{state} after {result.iterations} iterations, "
               f"objective {result.objective:.6g}, model {desc}, "
-              f"unique={uniq.unique}")
+              f"unique={uniq.stable}")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .experiments import ExperimentConfig, MuRule, _out_of_range
+from .experiments import EXPERIMENTS, ExperimentConfig, MuRule, _out_of_range
 from .linalg import INJECTIVITY_TOL
 from .problems import (
     DEFAULT_AMPLITUDE_RANGE,
@@ -31,15 +31,6 @@ from .problems import (
 )
 from .regularizers import L1, RI_TOL, ZERO_TOL, AnalysisL1, GroupL1L2, Nuclear, Regularizer
 from .solver import CanonicalParameters, SolveOptions
-
-# kind: (the one sweep key its file carries, the experiment keys only it reads);
-# sharpness sweeps mu itself, and a noise sweep takes sigma from its sweep
-_EXPERIMENTS = {
-    "noise_stability": ("noise_levels", ("mu_rule",)),
-    "consistency": ("sample_sizes", ("mu_rule", "noise_sigma")),
-    "sharpness": ("mu_values", ("noise_sigma",)),
-}
-EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 class ConfigError(ValueError):
@@ -179,7 +170,8 @@ def _check_dimension(reg_cfg: dict, reg: Regularizer, shape: tuple, key: str):
         )
 
 
-def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
+def design_from_config(cfg: dict, base_dir: str = ".", default_n=None) -> DesignSpec:
+    """The design section; a gaussian_rows design without n takes default_n if set."""
     kind = require_key(cfg, "kind", "design")
     if kind == "explicit":
         _only_keys(cfg, ("kind", "matrix", "matrix_csv"), "explicit design")
@@ -190,7 +182,10 @@ def design_from_config(cfg: dict, base_dir: str = ".") -> DesignSpec:
             cfg, ("kind", "n", "identity_dim", "covariance", "covariance_csv"),
             "gaussian_rows design",
         )
-        n = number(require_key(cfg, "n", "gaussian_rows design"), "design.n", integer=True)
+        if "n" in cfg or default_n is None:
+            n = number(require_key(cfg, "n", "gaussian_rows design"), "design.n", integer=True)
+        else:
+            n = default_n
         if "identity_dim" in cfg:
             if "covariance" in cfg or "covariance_csv" in cfg:
                 raise ConfigError("gaussian_rows design: give identity_dim or covariance, not both")
@@ -400,9 +395,9 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     _only_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
     exp = require_key(cfg, "experiment", "config")
     kind = require_key(exp, "kind", "experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
-    expected, reads = _EXPERIMENTS[kind]
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {tuple(EXPERIMENTS)}")
+    expected, reads = EXPERIMENTS[kind]
     _only_keys(exp, ("kind", "sweep", "trials", "base_seed", "jobs", *reads), f"{kind} experiment")
 
     sweep = require_key(exp, "sweep", "experiment")
@@ -432,7 +427,11 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
     tol = tolerances_from_config(tol_cfg)
     reg_cfg = require_key(cfg, "regularizer", "config")
     reg = regularizer_from_config(reg_cfg, base_dir)
-    design = design_from_config(require_key(cfg, "design", "config"), base_dir)
+    # a consistency design draws n from its sweep, so its file needs none
+    design = design_from_config(
+        require_key(cfg, "design", "config"), base_dir,
+        sweep_values[0] if key == "sample_sizes" else None,
+    )
     data = design.covariance if design.matrix is None else design.matrix
     _check_dimension(reg_cfg, reg, data.shape, "design")
     signal = signal_from_config(require_key(cfg, "signal", "config"))
@@ -451,7 +450,7 @@ def experiment_from_config(cfg: dict, base_dir: str = ".") -> tuple:
         ),
         noise_sigma=number(exp.get("noise_sigma"), "experiment.noise_sigma", optional=True),
         solve=solve_options_from_config(cfg.get("solver", {}), tol["zero_tol"]),
-        jobs=number(exp["jobs"], "experiment.jobs", integer=True) if "jobs" in exp else None,
+        jobs=number(exp.get("jobs", 1), "experiment.jobs", integer=True),
         ri_tol=tol["ri_tol"],
     )
     return kind, _spec(ExperimentConfig, "experiment", **args)

@@ -31,7 +31,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -112,8 +112,24 @@ def _out_of_range(key, values, mu_rule):
     return (bad[0], want + rule) if bad else None
 
 
-def _check_sweep(harness, key, config):
-    """Refuse, before any set-up, a sweep value the harness cannot run."""
+# kind: (its sweep key, naming what sweep_values are, and the optional
+# ExperimentConfig fields it reads); a field it reads is required and any other is refused.  sharpness
+# sweeps mu itself, and a noise sweep takes sigma from its sweep
+EXPERIMENTS = {
+    "noise_stability": ("noise_levels", ("mu_rule",)),
+    "consistency": ("sample_sizes", ("mu_rule", "noise_sigma")),
+    "sharpness": ("mu_values", ("noise_sigma",)),
+}
+
+
+def _check_entry(harness, kind, config):
+    """Refuse, before any set-up, a config that kind's harness cannot run:
+    an optional field it reads left unset, one it never reads set, or a
+    sweep value out of range."""
+    key, reads = EXPERIMENTS[kind]
+    for name in ("mu_rule", "noise_sigma"):
+        if (getattr(config, name) is None) == (name in reads):
+            raise ValueError(f"{harness} {'needs' if name in reads else 'does not read'} {name}")
     found = _out_of_range(key, config.sweep_values, config.mu_rule)
     if found:
         bad, want = found
@@ -126,10 +142,11 @@ class ExperimentConfig:
     """Everything a harness needs, minus the experiment kind itself.
 
     The harness fixes what sweep_values are: noise levels, sample sizes or
-    mu values.  mu_rule is required by every harness but sharpness, whose
-    mu values are the sweep itself.  solve.zero_tol reads every model: in
-    the solver, beta0's model key and the certificate.  A harness refuses a
-    field it never reads, and a sweep value out of range, before any set-up.
+    mu values.  EXPERIMENTS says which of mu_rule and noise_sigma each
+    harness reads; it needs those and refuses the other, and a sweep value
+    out of range, before any set-up.  solve.zero_tol reads every model: in
+    the solver, beta0's model key and the certificate.  jobs is the number
+    of worker processes, 1 for a serial run.
     """
 
     regularizer: Regularizer
@@ -141,7 +158,7 @@ class ExperimentConfig:
     base_seed: int = 0
     noise_sigma: Optional[float] = None
     solve: SolveOptions = SolveOptions()
-    jobs: Optional[int] = None
+    jobs: int = 1
     ri_tol: float = RI_TOL
 
     def __post_init__(self):
@@ -151,13 +168,13 @@ class ExperimentConfig:
         for name, x in [("noise_sigma", self.noise_sigma)] + [("sweep_values", v) for v in values]:
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
-        object.__setattr__(self, "trials", _check_integer(self.trials, "trials"))
-        object.__setattr__(self, "base_seed", _check_integer(self.base_seed, "base_seed"))
-        if self.jobs is not None:
-            object.__setattr__(self, "jobs", _check_integer(self.jobs, "jobs"))
+        if self.noise_sigma is not None and self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("trials", "base_seed", "jobs"):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.jobs is not None and self.jobs < 1:
+        if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
@@ -316,8 +333,8 @@ def _group_points(shared, tasks):
 def _run_trials(shared, points, config):
     """Run config.trials trials at each point (design index, sigma, mu).
 
-    Trial k of the whole run uses seed base_seed + 1 + k.  jobs=None or 1
-    runs serially, as few batches as _group_points allows: the loop of a
+    Trial k of the whole run uses seed base_seed + 1 + k.  jobs=1 runs
+    serially, as few batches as _group_points allows: the loop of a
     batch runs as many steps as its slowest row, not the sum over points.
     jobs > 1 hands whole points to a process pool, which gets `shared` once
     per worker.  Returns one list of _run_batch outputs per point, in order.
@@ -327,7 +344,7 @@ def _run_trials(shared, points, config):
     for i, (point, sigma, mu) in enumerate(points):
         first = config.base_seed + 1 + i * trials
         tasks.append((point, sigma, mu, list(range(first, first + trials))))
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) == 1:
         return [
             records for group in _group_points(shared, tasks)
             for records in _run_batch(shared, group)
@@ -419,11 +436,6 @@ def _noise_setup(config: ExperimentConfig):
     Returns (shared, certificate, points).
     """
     rule = config.mu_rule
-    if rule is None:
-        raise ValueError("a noise sweep needs a mu_rule")
-    if config.noise_sigma is not None:
-        raise ValueError("a noise sweep does not read noise_sigma: its noise levels are the sweep")
-    _check_sweep("noise_stability_sweep", "noise_levels", config)
     shared, cert, n = _fixed_setup(config)
     if rule.kind == "proportional" and rule.scale is None:
         if not cert.usable or cert.verdict.margin <= 0:
@@ -444,6 +456,7 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     their share.  post_match_fraction is the share whose record says
     identified.  A trial that does not converge counts against both.
     """
+    _check_entry("noise_stability_sweep", "noise_stability", config)
     shared, cert, points = _noise_setup(config)
     batches = _run_trials(shared, points, config)
     records = [r for records in batches for r in records]
@@ -460,20 +473,21 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
 
 
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
-    """Recovery rate across sample sizes with fresh designs per trial."""
+    """Recovery rate across sample sizes with fresh designs per trial.
+
+    The design gives the covariance only: each sample size draws its own.
+    """
+    _check_entry("consistency_sweep", "consistency", config)
     if config.design.kind != "gaussian_rows":
         raise ValueError("consistency_sweep needs a gaussian_rows design")
-    if config.mu_rule is None or config.mu_rule.kind != "power":
+    if config.mu_rule.kind != "power":
         raise ValueError("consistency_sweep needs a power mu rule")
     if not all(v.is_integer() for v in config.sweep_values):
         raise ValueError(f"sample sizes must be whole numbers, got {list(config.sweep_values)}")
-    _check_sweep("consistency_sweep", "sample_sizes", config)
     sizes = [int(v) for v in config.sweep_values]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sample sizes must be strictly increasing, got {sizes}")
     sigma = config.noise_sigma
-    if sigma is None or sigma < 0:
-        raise ValueError("consistency_sweep needs noise_sigma >= 0")
 
     rng = np.random.default_rng(config.base_seed)
     beta0 = make_signal(config.signal, config.regularizer, rng)
@@ -492,12 +506,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
 
 def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Non-recovery across a mu grid on an instance certified outside."""
-    sigma = config.noise_sigma
-    if sigma is None or sigma < 0:
-        raise ValueError("sharpness_experiment needs noise_sigma >= 0")
-    if config.mu_rule is not None:
-        raise ValueError("sharpness_experiment does not read mu_rule: its mu values are the sweep")
-    _check_sweep("sharpness_experiment", "mu_values", config)
+    _check_entry("sharpness_experiment", "sharpness", config)
     shared, cert, _ = _fixed_setup(config)
     if cert.stable:
         warnings.warn(
@@ -513,7 +522,7 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
         for mu, [rec] in zip(config.sweep_values, _run_batch(shared, checks))
     }
 
-    points = [(0, sigma, mu) for mu in config.sweep_values]
+    points = [(0, config.noise_sigma, mu) for mu in config.sweep_values]
     batches = _run_trials(shared, points, config)
     return _result(
         "sharpness", config.sweep_values, batches, cert, noiseless_identified=noiseless
@@ -568,16 +577,9 @@ def _fmt(x) -> str:
     return (fmt or _format_for(type(x)))(x)
 
 
-RECORD_COLUMNS = (
-    "seed", "n", "sigma", "mu", "identified", "boundary_flag", "error_norm",
-    "eps_norm", "identification_iter", "converged", "certificate_margin",
-)
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
-SUMMARY_COLUMNS = (
-    "sweep_value", "trials", "converged_count", "boundary_count",
-    "identification_rate", "mean_error_ratio", "max_error_ratio",
-    "mean_identification_iter",
-)
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _write_table(path, columns, rows):

@@ -225,6 +225,7 @@ class BatchResult:
     _mu: np.ndarray = field(repr=False)
     _u: np.ndarray = field(repr=False)
     _gamma: Union[Quadratic, np.ndarray] = field(repr=False)
+    # per problem, a 2 x (iterations + 1) view of J and the quadratic part
     _terms: list = field(repr=False)
 
     def __len__(self) -> int:
@@ -319,9 +320,13 @@ def forward_backward_batch(
     arithmetic and the penalty's step_batch, whose magnitudes give each
     iterate's J and model key as value and model_keys read them.  So each
     problem's result has the same bits whatever else is in the batch, and
-    wherever its row sits.  Returns the BatchResult of
-    the problems, in order; an empty batch or a non-finite iterate in any
-    row raises ValueError.
+    wherever its row sits.  Each step logs J and the quadratic part of the
+    rows still in the batch, so one slow row does not keep a full-length
+    trace for every row; after the loop the log fills one 2 x
+    sum(iterations + 1) buffer, and problem i's objective trace is evaluated
+    from its own columns.  Returns the BatchResult of the problems, in
+    order; an empty batch or a non-finite iterate in any row raises
+    ValueError.
     """
     mu = _check_mu(mu)
     u = _as_vector(u, name="u", stacked=True)
@@ -354,20 +359,16 @@ def forward_backward_batch(
         return _row_dots(0.5 * b, gam_b) - _row_dots(b, u)
 
     gam_beta = gamma_products(gam, beta)
-    # per iterate J and the quadratic part, from which SolveResult evaluates
-    # the objective: batch row i writes terms[slots[i]]; a row's terms are
-    # copied out when it leaves, and its slot dropped at the next growth
-    terms = np.empty((count, 2, min(opts.max_iter + 1, 64)))
-    slots = np.arange(count)
-    # J of the zero start, which also validates its length against the penalty
-    terms[:, 0, 0] = reg.value(beta[0])
-    terms[:, 1, 0] = quadratic(beta, gam_beta)
+    # per step, the problems of the rows still in the batch, their J and
+    # their quadratic part, from which SolveResult evaluates the objective;
+    # J of the zero start also validates its length against the penalty
+    log = [(rows, np.full(count, reg.value(beta[0])), quadratic(beta, gam_beta))]
     keys = reg.model_keys(beta, opts.zero_tol)
     out = BatchResult(  # filled in as the rows leave
         beta=np.empty((count, p)), keys=np.empty_like(keys), iterations=np.empty(count, int),
         converged=np.empty(count, bool), fp_residual=np.empty(count), step=tau,
         identification_iter=np.zeros(count, int), _reg=reg, _mu=mu, _u=u, _gamma=gamma,
-        _terms=[None] * count,
+        _terms=[],
     )
     tau = tau[:, None]
     for k in range(1, opts.max_iter + 1):
@@ -405,12 +406,7 @@ def forward_backward_batch(
                 beta_next[i], gam_beta[i] = polished[certified], gam_polished[certified]
                 j_next[i] = j_polished[certified]
                 converged[i] = True
-        if k == terms.shape[2]:
-            grown = np.empty((len(rows), 2, min(2 * k, opts.max_iter + 1)))
-            grown[:, :, :k] = terms[slots, :, :k]
-            terms, slots = grown, np.arange(len(rows))
-        terms[slots, 0, k] = j_next
-        terms[slots, 1, k] = quadratic(beta_next, gam_beta)
+        log.append((rows, j_next, quadratic(beta_next, gam_beta)))
         beta = beta_next
         # after max_iter steps every row leaves, converged or not
         stop = converged | (k == opts.max_iter)
@@ -419,12 +415,19 @@ def forward_backward_batch(
             out.beta[leaving], out.keys[leaving] = beta[stop], keys[stop]
             out.converged[leaving], out.fp_residual[leaving] = converged[stop], fp_residual[stop]
             out.iterations[leaving] = k
-            for i in np.flatnonzero(stop):
-                out._terms[rows[i]] = terms[slots[i], :, : k + 1].copy()
             keep = ~stop
             if not keep.any():
                 break
-            rows, slots, beta, keys = rows[keep], slots[keep], beta[keep], keys[keep]
+            rows, beta, keys = rows[keep], beta[keep], keys[keep]
             gam_beta, u, tau, weights = gam_beta[keep], u[keep], tau[keep], weights[keep]
             gam = gam if shared else gam[keep]
+    # problem i's terms are columns start[i] to start[i] + iterations[i] of
+    # one buffer; step k of the log writes column start[i] + k of its rows
+    problems, j, quadratic_part = (np.concatenate(part) for part in zip(*log))
+    lengths = out.iterations + 1
+    start = np.cumsum(lengths) - lengths
+    at = start[problems] + np.repeat(np.arange(len(log)), [len(entry[0]) for entry in log])
+    terms = np.empty((2, lengths.sum()))
+    terms[0, at], terms[1, at] = j, quadratic_part
+    out._terms = np.split(terms, start[1:], axis=1)
     return out

@@ -176,3 +176,10 @@ def test_every_penalty_reads_its_magnitudes_and_nothing_else():
     wrong += [f"{c.__name__} defines {name}" for c in penalties
               for name in ("value", "model_keys") if name in vars(c)]
     assert not wrong, wrong
+
+
+def test_the_cli_runs_every_kind_of_experiment():
+    from partlysmooth.cli import _RUNNERS
+    from partlysmooth.experiments import EXPERIMENTS
+
+    assert list(_RUNNERS) == list(EXPERIMENTS)

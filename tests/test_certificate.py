@@ -206,7 +206,7 @@ def test_uniqueness_certificate():
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
     reg = _CountingL1()
     rep = certify_uniqueness(theta, np.array([0.9, 0.0]), reg)
-    assert rep.unique
+    assert rep.stable
     assert rep.verdict.status == "interior"
     assert rep.injectivity.holds
     # one model geometry serves both the dual certificate and injectivity
@@ -220,4 +220,4 @@ def test_uniqueness_fails_on_duplicated_columns():
     theta = CanonicalParameters(0.2, u, gamma)
     beta = np.array([0.8, 0.0])  # one of the minimizers
     rep = certify_uniqueness(theta, beta, L1())
-    assert not rep.unique
+    assert not rep.stable

@@ -65,6 +65,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfgmod.matrix_from_config({"m_csv": "missing.csv"}, "m", str(tmp_path), "t")
 
+    def test_matrix_and_vector_refusals(self):
+        with pytest.raises(ConfigError, match="^test: m is not a numeric array: "):
+            cfgmod.matrix_from_config({"m": [["a", "b"]]}, "m", ".", "test")
+        with pytest.raises(ConfigError, match="^test: v must be a vector$"):
+            cfgmod._vector_from_config({"v": np.eye(2).tolist()}, "v", ".", "test")
+
     def test_design_from_config(self):
         spec = cfgmod.design_from_config({"kind": "explicit", "matrix": [[1.0, 0.0]]})
         assert spec.kind == "explicit" and spec.matrix.shape == (1, 2)
@@ -547,6 +553,32 @@ class TestExperiment:
         assert summary["noiseless_identified"] == {
             "0.10000000000000001": False, "0.29999999999999999": False,
         }
+
+    def test_consistency_design_needs_no_n(self, tmp_path):
+        # each sample size draws its own design, so design.n is never read:
+        # a file may omit it, and a given one changes no byte
+        written = []
+        for n in (None, 100, 7):
+            payload = consistency_payload()
+            del payload["design"]["n"]
+            if n is not None:
+                payload["design"]["n"] = n
+            cfg = write_config(tmp_path, payload, f"n{n}.json")
+            out = tmp_path / f"n{n}"
+            assert run(["experiment", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+            written.append((out / "records.csv").read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    def test_dispatches_through_runners(self, tmp_path, monkeypatch):
+        # cli._RUNNERS is the one dispatch table, so wrapping an entry
+        # wraps every run of its kind
+        calls = []
+        runner = cli._RUNNERS["noise_stability"]
+        monkeypatch.setitem(cli._RUNNERS, "noise_stability",
+                            lambda config: calls.append(config) or runner(config))
+        cfg = write_config(tmp_path, experiment_payload())
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_bad_kind_exits_1(self, tmp_path, capsys):
         payload = experiment_payload(kind="annealing")

@@ -49,7 +49,6 @@ def identity_config(**overrides):
         mu_rule=MuRule("fixed", value=0.05),
         trials=5,
         base_seed=0,
-        jobs=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -115,7 +114,7 @@ class TestConfigValidation:
             identity_config(trials=0)
 
     @pytest.mark.parametrize("field, bad", [
-        ("trials", True), ("trials", 2.5), ("jobs", 1.5), ("jobs", True),
+        ("trials", True), ("trials", 2.5), ("jobs", 1.5), ("jobs", True), ("jobs", None),
         ("base_seed", True), ("base_seed", 1.5),
     ])
     def test_integer_fields(self, field, bad):
@@ -139,6 +138,11 @@ class TestConfigValidation:
     def test_non_finite_fields(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             identity_config(**{field: bad})
+
+    def test_negative_noise_sigma(self):
+        # refused when the config is built, whichever harness it is for
+        with pytest.raises(ValueError, match=r"^noise_sigma must be >= 0, got -1.0$"):
+            identity_config(noise_sigma=-1.0)
 
 
 class TestNoiseStability:
@@ -485,12 +489,19 @@ def test_runners_refuse_fields_they_never_read(monkeypatch):
     monkeypatch.setattr(exps, "make_signal", drawn)
     outside = TestSharpness().outside_config
     for sweep, cfg, field in (
-        (noise_stability_sweep, identity_config(noise_sigma=-1.0), "noise_sigma"),
+        (noise_stability_sweep, identity_config(noise_sigma=0.1), "noise_sigma"),
         (sharpness_experiment, outside(mu_rule=MuRule("fixed", value=0.1)), "mu_rule"),
         (sharpness_experiment, outside(sweep_values=(0.1, -1.0)), r"sweep_values \(mu\) > 0"),
     ):
         with pytest.raises(ValueError, match=field):
             sweep(cfg)
+
+
+def test_fixed_design_and_signal_dimensions_must_agree():
+    cfg = identity_config(design=DesignSpec.explicit(np.eye(5)),
+                          signal=SignalSpec.explicit(np.ones(4)))
+    with pytest.raises(ValueError, match="^design and signal dimensions differ$"):
+        noise_stability_sweep(cfg)
 
 
 def test_runners_refuse_sweep_values_out_of_range_at_entry(monkeypatch):
@@ -622,8 +633,10 @@ def test_default_jobs_is_serial(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    res = noise_stability_sweep(identity_config(jobs=None))
-    assert res.records == noise_stability_sweep(identity_config()).records
+    # identity_config sets no jobs
+    assert identity_config().jobs == 1
+    res = noise_stability_sweep(identity_config())
+    assert res.records == noise_stability_sweep(identity_config(jobs=1)).records
 
 
 def test_import_leaves_the_process_pool_unloaded():

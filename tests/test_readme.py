@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from partlysmooth.cli import EXIT_OK, EXIT_OUTSIDE, main
+from partlysmooth.experiments import EXPERIMENTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -61,3 +62,25 @@ def test_json_examples(tmp_path):
                            "--quiet", *extra]))
     # the certify example is the outside-certified design of the quick tour
     assert codes == [EXIT_OUTSIDE, EXIT_OK, EXIT_OK]
+
+
+def table(header):
+    """The rows of the README table under the header line, as lists of cells."""
+    lines = README.splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+
+
+def test_experiment_tables_name_what_each_kind_sweeps_and_reads():
+    def names(cell):
+        return re.findall(r"`([^`]+)`", cell)
+
+    sweeps = {names(kind)[0]: names(key) for kind, key, _ in
+              table("| experiment kind | sweep key | question it answers |")}
+    assert sweeps == {kind: [key] for kind, (key, _) in EXPERIMENTS.items()}
+    reads = {names(kind)[0]: names(fields) for kind, fields, _ in
+             table("| experiment kind | reads | why |")}
+    assert reads == {kind: list(fields) for kind, (_, fields) in EXPERIMENTS.items()}

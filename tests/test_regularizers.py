@@ -125,6 +125,16 @@ def test_analysis_prox_example():
     np.testing.assert_allclose(out, [2.5, 1.0, -1.5], atol=1e-8)
 
 
+def test_analysis_prox_raises_when_its_inner_loop_does_not_converge(monkeypatch):
+    import partlysmooth.regularizers as regs
+
+    monkeypatch.setattr(regs, "PROX_INNER_MAX_ITER", 2)
+    message = (r"^analysis prox did not converge in 2 iterations "
+               rf"\(fixed-point residual \d\.\d{{3}}e[-+]\d+ > {regs.PROX_INNER_TOL}\)$")
+    with pytest.raises(RuntimeError, match=message):
+        AnalysisL1(oracles.tv_operator(4)).prox([3.0, -1.0, 2.0, 0.5], 0.5)
+
+
 def test_analysis_prox_matches_enumeration():
     d = oracles.tv_operator(4)
     reg = AnalysisL1(d)
