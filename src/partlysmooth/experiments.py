@@ -234,13 +234,13 @@ class ExperimentResult:
 class _Shared:
     """What every trial of one sweep shares.
 
-    designs holds one design per sweep point, or the single design of a
-    fixed-design sweep, whose Gamma is then prepared once as quad.  target
-    is beta0's model key.  A pool gets this once per worker, not per task.
+    design is the sweep's one design; a fixed design's Gamma is prepared
+    once as quad.  target is beta0's model key.  A pool gets this once per
+    worker, not per task.
     """
 
     reg: Regularizer
-    designs: tuple
+    design: DesignSpec
     beta0: np.ndarray
     opts: SolveOptions
     target: object
@@ -252,10 +252,10 @@ class _Shared:
 def _run_batch(shared, tasks):
     """The trials of several sweep points, solved as one forward_backward_batch.
 
-    A task is (design index, sigma, mu, seeds), one trial per seed, and
-    draw_trials draws each task's problems; the designs are dropped there,
-    so a batch holds none.  The batch solves the tasks' u stacks end to
-    end, on shared.quad or, with none, on their Gamma stacks end to end.
+    A task is (n, sigma, mu, seeds), one trial per seed on n rows of
+    shared.design, and draw_trials draws each task's problems.  The batch
+    solves the tasks' u stacks end to end, on shared.quad or, with none, on
+    their Gamma stacks end to end.
     Returns one list of TrialRecords per task, in order, built column by
     column from the batch's arrays: identified is one comparison of the
     final model keys with beta0's.  Every row of a batch gets the bits it
@@ -264,8 +264,8 @@ def _run_batch(shared, tasks):
     """
     beta0 = shared.beta0
     draws = [
-        draw_trials(shared.designs[point], beta0, sigma, mu, seeds, shared.quad)
-        for point, sigma, mu, seeds in tasks
+        draw_trials(shared.design, beta0, sigma, mu, seeds, shared.quad, n)
+        for n, sigma, mu, seeds in tasks
     ]
     solved = forward_backward_batch(
         np.repeat([draw.mu for draw in draws], [len(draw.u) for draw in draws]),
@@ -281,14 +281,14 @@ def _run_batch(shared, tasks):
                solved.identification_iter.tolist(), solved.converged.tolist())
     return [
         [
-            TrialRecord(seed=seed, n=draw.n, sigma=sigma, mu=mu, identified=identified,
+            TrialRecord(seed=seed, n=n, sigma=sigma, mu=mu, identified=identified,
                         boundary_flag=shared.boundary, error_norm=error_norm, eps_norm=eps_norm,
                         identification_iter=first if converged else None, converged=converged,
                         certificate_margin=shared.margin)
             for seed, eps_norm, (identified, error_norm, first, converged)
             in zip(seeds, draw.eps_norms.tolist(), rows)
         ]
-        for (_, sigma, mu, seeds), draw in zip(tasks, draws)
+        for (n, sigma, mu, seeds), draw in zip(tasks, draws)
     ]
 
 
@@ -331,7 +331,7 @@ def _group_points(shared, tasks):
 
 
 def _run_trials(shared, points, config):
-    """Run config.trials trials at each point (design index, sigma, mu).
+    """Run config.trials trials at each point (n, sigma, mu).
 
     Trial k of the whole run uses seed base_seed + 1 + k.  jobs=1 runs
     serially, as few batches as _group_points allows: the loop of a
@@ -341,9 +341,9 @@ def _run_trials(shared, points, config):
     """
     trials, jobs = config.trials, config.jobs
     tasks = []
-    for i, (point, sigma, mu) in enumerate(points):
+    for i, (n, sigma, mu) in enumerate(points):
         first = config.base_seed + 1 + i * trials
-        tasks.append((point, sigma, mu, list(range(first, first + trials))))
+        tasks.append((n, sigma, mu, list(range(first, first + trials))))
     if jobs == 1 or len(tasks) == 1:
         return [
             records for group in _group_points(shared, tasks)
@@ -396,11 +396,11 @@ def _summarize(records_by_value):
     return rows
 
 
-def _make_shared(config: ExperimentConfig, cert, beta0, designs, quad=None) -> _Shared:
+def _make_shared(config: ExperimentConfig, cert, beta0, design, quad=None) -> _Shared:
     margin = cert.verdict.margin if cert.usable else float("nan")
     return _Shared(
         reg=config.regularizer,
-        designs=tuple(designs),
+        design=design,
         beta0=beta0,
         opts=config.solve,
         target=config.regularizer.model_keys(beta0[None], config.solve.zero_tol)[0],
@@ -413,20 +413,21 @@ def _make_shared(config: ExperimentConfig, cert, beta0, designs, quad=None) -> _
 def _fixed_setup(config: ExperimentConfig):
     """Draw the shared design and signal once from base_seed; prepare Gamma.
 
-    Returns (shared, certificate, n).
+    A drawn design's root is computed here, before the certificate ends
+    set-up.  Returns (shared, certificate, n).
     """
     rng = np.random.default_rng(config.base_seed)
     x = make_design(config.design, rng)
     beta0 = make_signal(config.signal, config.regularizer, rng)
     if x.shape[1] != beta0.shape[0]:
         raise ValueError("design and signal dimensions differ")
+    # an explicit spec already holds x, read-only, and its root
+    design = config.design if config.design.kind == "explicit" else DesignSpec.explicit(x)
     quad = Quadratic(x.T @ x / x.shape[0])
     cert = check_model_stability(
         quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    # an explicit spec already holds x, read-only: no second copy of it
-    design = config.design if config.design.kind == "explicit" else DesignSpec.explicit(x)
-    return _make_shared(config, cert, beta0, [design], quad), cert, x.shape[0]
+    return _make_shared(config, cert, beta0, design, quad), cert, x.shape[0]
 
 
 def _noise_setup(config: ExperimentConfig):
@@ -444,7 +445,7 @@ def _noise_setup(config: ExperimentConfig):
                 "(positive margin); set the scale explicitly"
             )
         rule = replace(rule, scale=2.0 / cert.verdict.margin)
-    return shared, cert, [(0, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
+    return shared, cert, [(n, sigma, rule.resolve(sigma, n)) for sigma in config.sweep_values]
 
 
 def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -475,7 +476,8 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate across sample sizes with fresh designs per trial.
 
-    The design gives the covariance only: each sample size draws its own.
+    The design gives the covariance and its root, computed once when the
+    design was built; each sample size draws its trials through them.
     """
     _check_entry("consistency_sweep", "consistency", config)
     if config.design.kind != "gaussian_rows":
@@ -491,15 +493,14 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
 
     rng = np.random.default_rng(config.base_seed)
     beta0 = make_signal(config.signal, config.regularizer, rng)
-    cov = config.design.covariance
     # population certificate: the stability condition is checked on the
     # covariance the rows are drawn from
     cert = check_model_stability(
-        cov, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
+        config.design.covariance, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
     # every trial draws its own design, so each prepares its own Gamma
-    shared = _make_shared(config, cert, beta0, [DesignSpec.gaussian(cov, n) for n in sizes])
-    points = [(i, sigma, config.mu_rule.resolve(sigma, n)) for i, n in enumerate(sizes)]
+    shared = _make_shared(config, cert, beta0, config.design)
+    points = [(n, sigma, config.mu_rule.resolve(sigma, n)) for n in sizes]
     batches = _run_trials(shared, points, config)
     return _result("consistency", sizes, batches, cert)
 
@@ -507,7 +508,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
 def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Non-recovery across a mu grid on an instance certified outside."""
     _check_entry("sharpness_experiment", "sharpness", config)
-    shared, cert, _ = _fixed_setup(config)
+    shared, cert, n = _fixed_setup(config)
     if cert.stable:
         warnings.warn(
             "sharpness experiment on an instance whose certificate is strictly "
@@ -516,13 +517,13 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # deterministic noiseless check per mu: the solution should be off the
     # model of beta0 even with w = 0
-    checks = [(0, 0.0, mu, [config.base_seed]) for mu in config.sweep_values]
+    checks = [(n, 0.0, mu, [config.base_seed]) for mu in config.sweep_values]
     noiseless = {
         mu: rec.identified
         for mu, [rec] in zip(config.sweep_values, _run_batch(shared, checks))
     }
 
-    points = [(0, config.noise_sigma, mu) for mu in config.sweep_values]
+    points = [(n, config.noise_sigma, mu) for mu in config.sweep_values]
     batches = _run_trials(shared, points, config)
     return _result(
         "sharpness", config.sweep_values, batches, cert, noiseless_identified=noiseless

@@ -65,7 +65,7 @@ def _check_integer(value, name: str) -> int:
     return int(value)
 
 
-def check_symmetric(a, tol=SYM_TOL, name="operator", stacked=False):
+def check_symmetric(a, name="operator", stacked=False):
     """Validate symmetry of a square matrix and return it as float64.
 
     stacked=True checks a T x p x p stack of them at once.
@@ -73,22 +73,22 @@ def check_symmetric(a, tol=SYM_TOL, name="operator", stacked=False):
     a = _as_matrix(a, name, stacked)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > tol:
-        raise ValueError(f"{name} is not symmetric to tolerance {tol}")
+    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > SYM_TOL:
+        raise ValueError(f"{name} is not symmetric to tolerance {SYM_TOL}")
     return a
 
 
-def check_covariance(a, name="covariance"):
+def check_covariance(a):
     """Validate that `a` is symmetric positive semidefinite.
 
     Eigenvalues are allowed to dip slightly negative (>= -1e-8) to absorb
     roundoff in empirical covariances.
     """
-    a = check_symmetric(a, name=name)
+    a = check_symmetric(a, name="covariance")
     if a.size:
         lo = float(np.linalg.eigvalsh(a).min())
         if lo < PSD_TOL:
-            raise ValueError(f"{name} has eigenvalue {lo:.3e} below {PSD_TOL}")
+            raise ValueError(f"covariance has eigenvalue {lo:.3e} below {PSD_TOL}")
     return a
 
 
@@ -148,12 +148,12 @@ def project(v, subspace: Subspace) -> np.ndarray:
     return b @ (b.T @ v)
 
 
-def pseudoinverse(a, rank_tol=RANK_TOL) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular value cutoff."""
     a = _as_matrix(a, "matrix")
     if a.size == 0:
         return a.T.copy()
-    return np.linalg.pinv(a, rcond=rank_tol)
+    return np.linalg.pinv(a, rcond=RANK_TOL)
 
 
 @dataclass(frozen=True)

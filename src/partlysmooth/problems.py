@@ -3,10 +3,7 @@
 An instance is y = X beta0 + w with a design X (explicit, or rows drawn
 i.i.d. from N(0, Sigma)), a structured ground truth beta0 and Gaussian
 noise w.  All randomness comes from numpy generators (PCG64): make_design
-and make_signal draw X and beta0 from the generator they are given.  A
-draw_trials trial draws from its own seed: on an explicit design its noise
-w; on a gaussian_rows design, never X itself, but X^T X / n and X^T w / n
-in O(p^2) numbers, as an exact Wishart draw (draw_trials).
+and make_signal draw X and beta0 from the generator they are given.
 
 The canonical parameters of (instance, lambda) are
 
@@ -16,10 +13,10 @@ and the effective noise seen by the solver is eps = X^T w / n = u -
 Gamma beta0.
 
 draw_trials builds the problems of one sweep point, as the Monte-Carlo
-sweeps do: one generator per trial and every product computed as a
-stacked call whose slices are the one-trial products, so each trial gets
-the bits it would get drawn alone.  It returns them as the arrays
-forward_backward_batch solves: mu, the u stack and Gamma.
+sweeps do: each trial draws its canonical parameters from its own seed in
+O(p^2) numbers, never X or w (a gaussian_rows trial's X^T X as an exact
+Wishart draw), and every product is a stacked call whose slices are the
+one-trial products, so each trial gets the bits it would get drawn alone.
 """
 
 from __future__ import annotations
@@ -35,19 +32,23 @@ from .solver import Quadratic
 
 DEFAULT_AMPLITUDE_RANGE = (1.0, 2.0)
 
-# what draw_trials holds of an explicit design's T x n noise at once, in bytes
-NOISE_BLOCK_BYTES = 1 << 20
+
+def _sample_size(n) -> int:
+    n = _check_integer(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """How to produce the design matrix.
+    """How to produce the design matrix, with root, a square root R computed once here.
 
-    kind "explicit" carries the matrix itself, as a read-only copy that
-    every instance drawn from the spec shares; kind "gaussian_rows" has n
-    rows from N(0, covariance), drawn through root, a square root R of the
-    covariance (R R^T = covariance) computed once here: make_design draws
-    the rows, draw_trials their X^T X and X^T w.
+    kind "explicit" carries the matrix X itself, as a read-only copy that
+    every instance drawn from the spec shares, and R R^T = X^T X.  kind
+    "gaussian_rows" has n rows from N(0, covariance) and R R^T = covariance.
+    make_design draws gaussian rows through R, and draw_trials every
+    trial's X^T w (and a fresh trial's X^T X).
     """
 
     kind: str
@@ -63,22 +64,22 @@ class DesignSpec:
             matrix = _as_matrix(self.matrix, "design matrix").copy()
             matrix.flags.writeable = False
             object.__setattr__(self, "matrix", matrix)
+            square = matrix.T @ matrix
         elif self.kind == "gaussian_rows":
             if self.covariance is None or self.n is None:
                 raise ValueError("gaussian_rows design needs covariance and n")
             cov = check_covariance(self.covariance)
-            n = _check_integer(self.n, "n")
-            if n < 1:
-                raise ValueError("n must be >= 1")
+            n = _sample_size(self.n)
             object.__setattr__(self, "covariance", cov)
             object.__setattr__(self, "n", n)
-            # tiny negative eigenvalues from roundoff are clipped
-            vals, vecs = np.linalg.eigh(cov)
-            root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-            root.flags.writeable = False
-            object.__setattr__(self, "root", root)
+            square = cov
         else:
             raise ValueError(f"unknown design kind {self.kind!r}")
+        # R R^T = square, tiny negative eigenvalues from roundoff clipped
+        vals, vecs = np.linalg.eigh(square)
+        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        root.flags.writeable = False
+        object.__setattr__(self, "root", root)
 
     @classmethod
     def explicit(cls, matrix) -> "DesignSpec":
@@ -221,14 +222,12 @@ class TrialDraws:
 
     Trial k's problem is (mu, u[k], Gamma_k), with Gamma_k the one Quadratic
     gamma that every trial shares or the k-th matrix of the T x p x p stack
-    gamma; n is the sample size they share and eps_norms[k] = ||X^T w / n||
-    of trial k's design and noise.
+    gamma; eps_norms[k] is the norm of trial k's draw of X^T w / n.
     """
 
     mu: float
     u: np.ndarray
     gamma: Union[Quadratic, np.ndarray]
-    n: int
     eps_norms: np.ndarray
 
 
@@ -239,31 +238,35 @@ def draw_trials(
     mu: float,
     seeds,
     quad: Optional[Quadratic] = None,
+    n: Optional[int] = None,
 ) -> TrialDraws:
     """The problems of one sweep point, one trial per seed, computed as stacks.
 
     Trial k is the problem y = X beta0 + w at lambda = mu * n, drawn from
     its own default_rng(seeds[k]) (the explicit signal beta0 draws
     nothing): theta = (mu, X^T y / n, X^T X / n), with ||X^T w / n||
-    alongside.  The problems come as the arrays that forward_backward_batch
-    takes, which checks them.
+    alongside.  The trial draws theta, never X or w: given a p x k M with
+    M M^T = X^T X, its last draw is k normals z, and eps = X^T w / n =
+    sigma M z / n (the law of X^T w / n given X) and u = Gamma beta0 + eps.
+    The problems come as the arrays that forward_backward_batch takes,
+    which checks them.
 
-    An explicit design's trial draws its noise w.  X beta0 is computed
-    once, and X^T y and X^T w of every trial as stacked gemvs; the trials
-    share quad, the Quadratic of X^T X / n, when it is given (for example
-    one a sweep shares across its sweep points) and otherwise one computed
-    here.
+    An explicit design's trial draws only z, with M the design's root and
+    k = p; n, if given, must be its row count.  The trials share quad, the
+    Quadratic of X^T X / n, when it is given (for example one a sweep
+    shares across its sweep points) and otherwise one computed here.
 
-    A gaussian_rows trial draws no design.  With k = min(n, p) it draws, in
-    this order, k chi-squares with n, n - 1, ..., n - k + 1 degrees of
-    freedom, the normals of the strict upper trapezoid of a k x p matrix B
-    (row by row) whose diagonal is the chi-squares' square roots, and k
-    normals z.  With M = R B^T, R the design's root, Gamma = M M^T / n,
-    eps = X^T w / n = sigma M z / n and u = Gamma beta0 + eps: the joint law
-    of X^T X / n and X^T w / n for n rows from N(0, covariance), n < p
-    included (Bartlett's decomposition, singular when n < p), in O(p^2)
-    numbers whatever n.  Each trial has its own Gamma, in a T x p x p
-    stack, so a prepared quad is refused.
+    A gaussian_rows trial draws no design; n, if given, is its sample size
+    in place of design.n, so that one design's root serves every size.
+    With k = min(n, p) it draws, in this order, k chi-squares with n,
+    n - 1, ..., n - k + 1 degrees of freedom, the normals of the strict
+    upper trapezoid of a k x p matrix B (row by row) whose diagonal is the
+    chi-squares' square roots, and z.  With M = R B^T, R the design's root,
+    and Gamma = M M^T / n, (Gamma, eps) has the joint law of X^T X / n and
+    X^T w / n for n rows from N(0, covariance), n < p included (Bartlett's
+    decomposition, singular when n < p), in O(p^2) numbers whatever n.
+    Each trial has its own Gamma, in a T x p x p stack, so a prepared quad
+    is refused.
 
     Each product is one stacked call whose slices are the 2-d calls of one
     trial drawn alone, so each trial has those bits.
@@ -272,7 +275,11 @@ def draw_trials(
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     beta0 = _as_vector(beta0, name="beta0")
     explicit = design.kind == "explicit"
-    n, p = design.matrix.shape if explicit else (design.n, design.covariance.shape[0])
+    own_n = design.matrix.shape[0] if explicit else design.n
+    n = own_n if n is None else _sample_size(n)
+    if explicit and n != own_n:
+        raise ValueError(f"the explicit design has n={own_n} rows, got n={n}")
+    p = design.root.shape[0]
     if p != beta0.shape[0]:
         raise ValueError(f"design has p={p} columns but the signal has length {beta0.shape[0]}")
     lam = mu * n
@@ -283,45 +290,36 @@ def draw_trials(
     if quad is not None and not explicit:
         raise ValueError("a fresh design has no prepared gamma: each trial draws its own")
     count = len(seeds)
+    k = p if explicit else min(n, p)
+    diag = np.arange(k)
+    # B's strict upper trapezoid; an explicit design's trial draws no B
+    rows, cols = np.triu_indices(0 if explicit else k, 1, p)
+    chi, normals, z = np.empty((count, k)), np.empty((count, rows.size)), np.empty((count, k))
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if not explicit:
+            chi[t] = rng.chisquare(n - diag)
+            rng.standard_normal(out=normals[t])
+        rng.standard_normal(out=z[t])
     if explicit:
-        x = design.matrix
-        x_beta0 = x @ beta0
-        u, eps = np.empty((count, p)), np.empty((count, p))
-        # the T x n noise stack in blocks of NOISE_BLOCK_BYTES
-        block = max(1, NOISE_BLOCK_BYTES // (8 * n))
-        for lo in range(0, count, block):
-            chunk = seeds[lo:lo + block]
-            w = np.empty((len(chunk), n))
-            for k, seed in enumerate(chunk):
-                np.random.default_rng(seed).standard_normal(out=w[k])
-            w *= noise_sigma
-            u[lo:lo + block] = np.matmul(x.T, (x_beta0 + w)[..., None])[..., 0]
-            eps[lo:lo + block] = np.matmul(x.T, w[..., None])[..., 0]
-        u /= n
-        eps /= n
-        gamma = Quadratic(x.T @ x / n) if quad is None else quad
+        m = design.root
+        if quad is None:
+            quad = Quadratic(design.matrix.T @ design.matrix / n)
+        gamma = quad.gamma
     else:
         # Bartlett's decomposition, singular when n < p: X = Z R^T with
         # Z^T Z = B^T B, B the k x p upper trapezoid of Z's QR factor, so
-        # X^T X = M M^T with M = R B^T, and given X, X^T w ~ N(0, sigma^2 M M^T)
-        k = min(n, p)
-        diag = np.arange(k)
-        rows, cols = np.triu_indices(k, 1, p)
-        chi, normals, z = np.empty((count, k)), np.empty((count, rows.size)), np.empty((count, k))
-        for t, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            chi[t] = rng.chisquare(n - diag)
-            rng.standard_normal(out=normals[t])
-            rng.standard_normal(out=z[t])
+        # X^T X = M M^T with M = R B^T
         b = np.zeros((count, k, p))
         b[:, diag, diag] = np.sqrt(chi)
         b[:, rows, cols] = normals
         m = np.matmul(design.root, b.transpose(0, 2, 1))
         gamma = np.matmul(m, m.transpose(0, 2, 1))
         gamma /= n
-        eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
-        u = np.matmul(gamma, beta0) + eps
-    return TrialDraws(mu=lam / n, u=u, gamma=gamma, n=n, eps_norms=np.sqrt(_row_dots(eps, eps)))
+    eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
+    u = np.matmul(gamma, beta0) + eps
+    return TrialDraws(mu=lam / n, u=u, gamma=quad if explicit else gamma,
+                      eps_norms=np.sqrt(_row_dots(eps, eps)))
 
 
 def load_matrix_csv(path) -> np.ndarray:

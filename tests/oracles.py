@@ -3,7 +3,8 @@
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
 prox checks, each penalty's own value formula and model rule, a one-problem
-forward-backward loop, one-trial instance and Wishart draws, and the
+forward-backward loop, one-trial instance, explicit-design and Wishart
+draws, and the
 subspace helpers (span, projector, distance) that only the tests need.
 Slow but simple, so the expected values in the tests do not inherit the
 package's own bugs.
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.optimize
 
 from partlysmooth import (
-    L1, CanonicalParameters, ModelDescriptor, Quadratic, Subspace, make_design, make_signal,
+    L1, CanonicalParameters, ModelDescriptor, Subspace, make_design, make_signal,
 )
 
 
@@ -204,14 +205,33 @@ class Instance:
 def generate_instance(design, signal, noise_sigma, seed, reg):
     """One trial from default_rng(seed), drawn design, then signal, then noise.
 
-    The one-trial draw that draw_trials stacks for an explicit design and a
-    generated solve file makes, kept as their reference.
+    The draw a generated solve file makes, kept as its reference.
     """
     rng = np.random.default_rng(seed)
     x = make_design(design, rng)
     beta0 = make_signal(signal, reg, rng)
     w = noise_sigma * rng.standard_normal(x.shape[0])
     return Instance(x=x, beta0=beta0, w=w, y=x @ beta0 + w)
+
+
+def explicit_trial(design, beta0, sigma, seed):
+    """(Gamma, u, eps) of one trial on an explicit design X, drawn from theta.
+
+    M = V diag(sqrt(max(lambda, 0))) from the eigendecomposition
+    X^T X = V diag(lambda) V^T, so M M^T = X^T X.  From default_rng(seed),
+    p normals z; Gamma = X^T X / n, eps = sigma M z / n, which has the law
+    of X^T w / n for w ~ N(0, sigma^2 I_n), and u = Gamma beta0 + eps.  The
+    one-trial draw that draw_trials stacks.
+    """
+    x = design.matrix
+    n, p = x.shape
+    gram = x.T @ x
+    vals, vecs = np.linalg.eigh(gram)
+    m = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    z = np.random.default_rng(seed).standard_normal(p)
+    gamma = gram / n
+    eps = sigma * (m @ z) / n
+    return gamma, gamma @ beta0 + eps, eps
 
 
 def wishart_trial(design, beta0, sigma, seed):
@@ -242,23 +262,10 @@ def wishart_trial(design, beta0, sigma, seed):
     return gamma, gamma @ beta0 + eps, eps
 
 
-def canonical_parameters(instance, lam, quad=None):
-    """theta = (lambda/n, X^T y / n, X^T X / n) of one trial.
-
-    quad, when given, stands for the instance's X^T X / n, which is then not
-    recomputed.
-    """
+def canonical_parameters(instance, lam):
+    """theta = (lambda/n, X^T y / n, X^T X / n) of one trial."""
     n, x = instance.n, instance.x
-    gamma = Quadratic(x.T @ x / n) if quad is None else quad
-    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=gamma)
-
-
-def correlation_noise(instance):
-    """eps = X^T w / n, the noise term entering the canonical parameters.
-
-    The per-trial computation that draw_trials stacks, kept as its reference.
-    """
-    return instance.x.T @ instance.w / instance.n
+    return CanonicalParameters(mu=lam / n, u=x.T @ instance.y / n, gamma=x.T @ x / n)
 
 
 def energy(theta, j_value, beta, gamma_beta):

@@ -15,6 +15,7 @@ import pytest
 import partlysmooth.experiments as exps
 from partlysmooth import (
     AnalysisL1,
+    CanonicalParameters,
     DesignSpec,
     ExperimentConfig,
     GroupL1L2,
@@ -184,8 +185,10 @@ class TestNoiseStability:
         )
         with pytest.raises(ValueError):
             noise_stability_sweep(cfg)
-        # explicit scale overrides the screening
-        ok = replace(cfg, mu_rule=MuRule("proportional", scale=1.0))
+        # explicit scale overrides the screening.  At mu = 10 sigma none of
+        # 2000 trials identify; at mu = sigma about a quarter do, so five
+        # failures there would be a chance event
+        ok = replace(cfg, mu_rule=MuRule("proportional", scale=10.0))
         res = noise_stability_sweep(ok)
         assert [r.identified for r in res.records] == [False] * 5
 
@@ -424,15 +427,42 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     res = sweep(cfg)
     # the trials are the last solves (sharpness first runs noiseless checks)
     assert len(res.records) == 4
+    n = cfg.design.matrix.shape[0]
     for record, shared in zip(res.records, results[-len(res.records):]):
-        inst = oracles.generate_instance(
-            cfg.design, cfg.signal, record.sigma, record.seed, cfg.regularizer
+        gamma, u, _ = oracles.explicit_trial(
+            cfg.design, cfg.signal.beta0, record.sigma, record.seed
         )
-        theta = oracles.canonical_parameters(inst, record.mu * inst.n)
+        theta = CanonicalParameters(mu=record.mu * n / n, u=u, gamma=gamma)
         replay = forward_backward(theta, cfg.regularizer, cfg.solve)
         assert np.array_equal(replay.beta, shared.beta)
         assert replay.iterations == shared.iterations
         assert replay.identification_iter == shared.identification_iter
+
+
+@pytest.mark.parametrize("design", [
+    DesignSpec.explicit(np.random.default_rng(5).normal(size=(40, 6))),
+    DesignSpec.gaussian(np.eye(6), 40),
+], ids=["explicit", "gaussian_rows"])
+def test_noise_sweep_factors_no_design_after_set_up(monkeypatch, design):
+    # the design's root is computed before the certificate, which ends
+    # set-up; the sweep over the noise levels after it makes no eigh call
+    real_eigh, real_certificate = np.linalg.eigh, exps.check_model_stability
+    certified, after = [], []
+
+    def certificate(*args, **kwargs):
+        cert = real_certificate(*args, **kwargs)
+        certified.append(True)
+        return cert
+
+    def eigh(a):
+        after.append(bool(certified))
+        return real_eigh(a)
+
+    monkeypatch.setattr(exps, "check_model_stability", certificate)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    res = noise_stability_sweep(random_design_config(design=design, sweep_values=(0.0, 1e-2, 1e-1)))
+    assert len(res.records) == 6 and certified == [True]
+    assert True not in after
 
 
 IDENTIFIED_CASES = [

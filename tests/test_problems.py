@@ -15,7 +15,6 @@ from partlysmooth import (
     make_design,
     make_signal,
 )
-from partlysmooth import problems
 from partlysmooth.config import ConfigError, solve_from_config
 from partlysmooth.problems import draw_trials
 from partlysmooth.solver import Quadratic
@@ -68,7 +67,7 @@ def test_instance_consistency():
     assert theta.mu == pytest.approx(0.1)
     # eps = u - Gamma beta0 is exactly the correlated noise
     eps = theta.u - theta.gamma @ beta0
-    np.testing.assert_allclose(eps, oracles.correlation_noise(inst), atol=1e-12)
+    np.testing.assert_allclose(eps, inst.x.T @ inst.w / inst.n, atol=1e-12)
     # u lies in the image of Gamma by construction, even when n < p
     wide, _ = solved_theta(generated(10, 4, 2, 0.5, 3, lam=1.0))
     assert np.linalg.norm(wide.gamma @ (wide.quad.pinv @ wide.u) - wide.u) < 1e-10
@@ -88,17 +87,6 @@ def test_canonical_parameters_reuse_a_prepared_gamma():
 def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
     from partlysmooth import ExperimentConfig, MuRule, consistency_sweep
 
-    cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
-    config = ExperimentConfig(
-        regularizer=L1(),
-        design=DesignSpec.gaussian(cov, 20),
-        signal=SignalSpec(kind="sparse", p=3, support_size=1),
-        sweep_values=(30,),
-        mu_rule=MuRule("power"),
-        trials=12,
-        noise_sigma=0.5,
-        jobs=1,
-    )
     real = np.linalg.eigh
     calls = []
 
@@ -107,8 +95,21 @@ def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    # the design's root is the one factorization, shared by every sample size
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    config = ExperimentConfig(
+        regularizer=L1(),
+        design=DesignSpec.gaussian(cov, 20),
+        signal=SignalSpec(kind="sparse", p=3, support_size=1),
+        sweep_values=(30, 40, 50),
+        mu_rule=MuRule("power"),
+        trials=12,
+        noise_sigma=0.5,
+        jobs=1,
+    )
     res = consistency_sweep(config)
-    assert len(res.records) == 12 and len(calls) == 1
+    assert len(res.records) == 36 and len(calls) == 1
+    assert [r.n for r in res.records] == [30] * 12 + [40] * 12 + [50] * 12
     # the stored root draws the bits a fresh factorization would
     spec = DesignSpec.gaussian(cov, 30)
     vals, vecs = real(cov)
@@ -164,37 +165,40 @@ DRAW_DESIGNS = {
 }
 
 
-def reference_trial(design, sigma, mu, seed, quad=None):
-    """(n, theta, ||X^T w / n||) of one trial, drawn and computed one object at a time.
+def reference_trial(design, sigma, mu, seed):
+    """(theta, ||X^T w / n||) of one trial, drawn and computed one object at a time.
 
-    An explicit design's trial is y = X beta0 + w; a gaussian_rows trial is
-    the Wishart draw of oracles.wishart_trial.
+    An explicit design's trial is the draw of oracles.explicit_trial, a
+    gaussian_rows trial the Wishart draw of oracles.wishart_trial.
     """
     if design.kind == "gaussian_rows":
         n = design.n
         gamma, u, eps = oracles.wishart_trial(design, BETA0, sigma, seed)
-        # mu = lambda / n with lambda = mu * n, as the sweep forms it
-        theta = CanonicalParameters(mu=mu * n / n, u=u, gamma=gamma)
-        return n, theta, float(np.linalg.norm(eps))
-    inst = oracles.generate_instance(design, SignalSpec.explicit(BETA0), sigma, seed, L1())
-    theta = oracles.canonical_parameters(inst, mu * inst.n, quad)
-    return inst.n, theta, float(np.linalg.norm(oracles.correlation_noise(inst)))
+    else:
+        n = design.matrix.shape[0]
+        gamma, u, eps = oracles.explicit_trial(design, BETA0, sigma, seed)
+    # mu = lambda / n with lambda = mu * n, as the sweep forms it
+    theta = CanonicalParameters(mu=mu * n / n, u=u, gamma=gamma)
+    return theta, float(np.linalg.norm(eps))
 
 
-@pytest.mark.parametrize("kind", DRAW_DESIGNS)
+# "explicit_prepared": the explicit design, its trials sharing a Quadratic given to draw_trials
+@pytest.mark.parametrize("kind", [*DRAW_DESIGNS, "explicit_prepared"])
 @pytest.mark.parametrize("count", [1, 40])
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
 def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
-    design = DRAW_DESIGNS[kind]
+    prepared = kind == "explicit_prepared"
+    design = DRAW_DESIGNS["explicit" if prepared else kind]
+    quad = Quadratic(design.matrix.T @ design.matrix / design.matrix.shape[0]) if prepared else None
     seeds = list(range(101, 101 + count))
-    draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
+    draws = draw_trials(design, BETA0, sigma, 0.3, seeds, quad)
     assert draws.u.shape == (count, 5) and len(draws.eps_norms) == count
     # an explicit design's trials share one Quadratic, a fresh design's come as a stack
-    shared = kind == "explicit"
+    shared = design.kind == "explicit"
     assert isinstance(draws.gamma, Quadratic) == shared
+    assert draws.gamma is quad or not prepared
     for k, (seed, eps_norm) in enumerate(zip(seeds, draws.eps_norms.tolist())):
-        n, want, want_eps = reference_trial(design, sigma, 0.3, seed)
-        assert draws.n == n
+        want, want_eps = reference_trial(design, sigma, 0.3, seed)
         assert draws.mu == want.mu
         assert draws.u[k].tobytes() == want.u.tobytes()
         gamma = draws.gamma.gamma if shared else draws.gamma[k]
@@ -224,6 +228,22 @@ def test_fresh_designs_have_the_wishart_moments(n):
                   <= 4 * products.std(0) / np.sqrt(count))
 
 
+@pytest.mark.parametrize("n", [40, 3])
+def test_explicit_designs_have_the_noise_moments(n):
+    # eps = X^T w / n for w ~ N(0, sigma^2 I_n) has mean 0 and covariance
+    # sigma^2 X^T X / n^2, here against X itself, not the design's root or
+    # the oracle; for n < p as well.  Each sample moment must lie within 4
+    # standard errors, at a fixed seed.
+    x = np.random.default_rng(6).normal(size=(n, 4)) @ TOEPLITZ
+    count, sigma, beta0 = 10000, 0.8, np.array([1.0, -2.0, 0.0, 0.5])
+    draws = draw_trials(DesignSpec.explicit(x), beta0, sigma, 0.1, range(count))
+    eps = draws.u - draws.gamma.gamma @ beta0
+    assert np.all(np.abs(eps.mean(0)) <= 4 * eps.std(0) / np.sqrt(count))
+    products = eps[:, :, None] * eps[:, None, :]
+    assert np.all(np.abs(products.mean(0) - sigma ** 2 * x.T @ x / n ** 2)
+                  <= 4 * products.std(0) / np.sqrt(count))
+
+
 @pytest.mark.parametrize("n", [50, 3, 4])
 def test_fresh_gamma_is_symmetric_with_rank_min_n_p(n):
     draws = draw_trials(DesignSpec.gaussian(TOEPLITZ, n), np.ones(4), 0.5, 0.1, range(30))
@@ -235,20 +255,6 @@ def test_fresh_gamma_is_symmetric_with_rank_min_n_p(n):
     assert quiet.gamma.tobytes() == gamma.tobytes()
     assert not quiet.eps_norms.any()
     assert quiet.u.tobytes() == np.matmul(gamma, np.ones(4)).tobytes()
-
-
-def test_draw_trials_with_a_prepared_gamma_in_noise_blocks(monkeypatch):
-    design = DRAW_DESIGNS["explicit"]
-    x = design.matrix
-    quad = Quadratic(x.T @ x / x.shape[0])
-    # blocks of 3 rows: 40 trials in 13 full blocks and one of a single row
-    monkeypatch.setattr(problems, "NOISE_BLOCK_BYTES", 3 * 8 * x.shape[0])
-    seeds = list(range(7, 47))
-    draws = draw_trials(design, BETA0, 0.2, 0.05, seeds, quad)
-    assert draws.gamma is quad
-    for row, seed, eps_norm in zip(draws.u, seeds, draws.eps_norms.tolist()):
-        _, want, want_eps = reference_trial(design, 0.2, 0.05, seed, quad)
-        assert row.tobytes() == want.u.tobytes() and eps_norm == want_eps
 
 
 def test_draw_trials_refuses_what_one_trial_refuses():
@@ -269,6 +275,22 @@ def test_draw_trials_refuses_what_one_trial_refuses():
     # a fresh design's trials draw their own Gamma, so none is prepared
     assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], Quadratic(COV)) == (
         "a fresh design has no prepared gamma: each trial draws its own")
+    # an explicit design has its own n; a fresh one takes any n >= 1
+    assert message(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4], None, 36) == (
+        "the explicit design has n=37 rows, got n=36")
+    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], None, 0) == (
+        "n must be >= 1, got 0")
+    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], None, 2.0) == (
+        "n must be an integer, got 2.0")
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_draw_trials_at_another_n_draws_the_design_of_that_n(n):
+    # n in place of design.n gives the bits of the design built with that n
+    given = draw_trials(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.7, 0.3, [5, 6], None, n)
+    built = draw_trials(DesignSpec.gaussian(COV, n), BETA0, 0.7, 0.3, [5, 6])
+    assert given.mu == built.mu and given.eps_norms.tobytes() == built.eps_norms.tobytes()
+    assert given.u.tobytes() == built.u.tobytes() and given.gamma.tobytes() == built.gamma.tobytes()
 
 
 class TestDesigns:
