@@ -314,9 +314,8 @@ def certify_from_config(cfg: dict, base_dir: str = ".", seed=None) -> tuple:
         _check_dimension(cfg["regularizer"], reg, gamma.shape, "gamma")
     elif "design" in cfg:
         spec = design_from_config(cfg["design"], base_dir)
-        x = spec.matrix
         # explicit designs give X^T X / n; gaussian rows, the population covariance
-        gamma = spec.covariance if x is None else x.T @ x / x.shape[0]
+        gamma = spec.covariance if spec.quad is None else spec.quad.gamma
         _check_dimension(cfg["regularizer"], reg, gamma.shape, "design")
     else:
         raise ConfigError("config needs 'gamma' (inline or CSV) or a 'design' section")

@@ -40,7 +40,7 @@ from .certificate import Certificate, _check_tolerances, check_model_stability
 from .linalg import _check_integer, _row_dots
 from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, Regularizer
-from .solver import Quadratic, SolveOptions, forward_backward_batch
+from .solver import SolveOptions, forward_backward_batch
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
@@ -234,9 +234,9 @@ class ExperimentResult:
 class _Shared:
     """What every trial of one sweep shares.
 
-    design is the sweep's one design; a fixed design's Gamma is prepared
-    once as quad.  target is beta0's model key.  A pool gets this once per
-    worker, not per task.
+    design is the sweep's one design, which owns what it prepares: a fixed
+    design's quad, with ||Gamma||, and its root come with it, so a pool
+    worker gets them once, not per task.  target is beta0's model key.
     """
 
     reg: Regularizer
@@ -246,7 +246,6 @@ class _Shared:
     target: object
     margin: float
     boundary: bool
-    quad: Optional[Quadratic] = None
 
 
 def _run_batch(shared, tasks):
@@ -254,8 +253,8 @@ def _run_batch(shared, tasks):
 
     A task is (n, sigma, mu, seeds), one trial per seed on n rows of
     shared.design, and draw_trials draws each task's problems.  The batch
-    solves the tasks' u stacks end to end, on shared.quad or, with none, on
-    their Gamma stacks end to end.
+    solves the tasks' u stacks end to end, on a fixed design's own quad or
+    on the tasks' Gamma stacks end to end.
     Returns one list of TrialRecords per task, in order, built column by
     column from the batch's arrays: identified is one comparison of the
     final model keys with beta0's.  Every row of a batch gets the bits it
@@ -264,13 +263,13 @@ def _run_batch(shared, tasks):
     """
     beta0 = shared.beta0
     draws = [
-        draw_trials(shared.design, beta0, sigma, mu, seeds, shared.quad, n)
+        draw_trials(shared.design, beta0, sigma, mu, seeds, n)
         for n, sigma, mu, seeds in tasks
     ]
     solved = forward_backward_batch(
         np.repeat([draw.mu for draw in draws], [len(draw.u) for draw in draws]),
         np.concatenate([draw.u for draw in draws]),
-        shared.quad or np.concatenate([draw.gamma for draw in draws]),
+        shared.design.quad or np.concatenate([draw.gamma for draw in draws]),
         shared.reg, shared.opts,
     )
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it
@@ -313,11 +312,11 @@ def _group_points(shared, tasks):
     """Consecutive tasks in batches whose Gamma stack fits GAMMA_STACK_BYTES.
 
     A row costs p^2 float64 of stack when it brings its own Gamma and none
-    when the sweep shares shared.quad, so a fixed-design sweep is one batch.
+    when it shares a fixed design's quad, so a fixed-design sweep is one batch.
     A task is never split: a point over the budget is a batch of its own.
     """
     p = shared.beta0.shape[0]
-    row_bytes = 0 if shared.quad is not None else 8 * p * p
+    row_bytes = 0 if shared.design.quad is not None else 8 * p * p
     groups, size = [], 0
     for task in tasks:
         cost = row_bytes * len(task[3])
@@ -396,38 +395,36 @@ def _summarize(records_by_value):
     return rows
 
 
-def _make_shared(config: ExperimentConfig, cert, beta0, design, quad=None) -> _Shared:
-    margin = cert.verdict.margin if cert.usable else float("nan")
+def _make_shared(config: ExperimentConfig, cert, beta0, design) -> _Shared:
     return _Shared(
         reg=config.regularizer,
         design=design,
         beta0=beta0,
         opts=config.solve,
         target=config.regularizer.model_keys(beta0[None], config.solve.zero_tol)[0],
-        margin=margin,
+        margin=cert.verdict.margin if cert.usable else float("nan"),
         boundary=cert.inconclusive,
-        quad=quad,
     )
 
 
 def _fixed_setup(config: ExperimentConfig):
     """Draw the shared design and signal once from base_seed; prepare Gamma.
 
-    A drawn design's root is computed here, before the certificate ends
-    set-up.  Returns (shared, certificate, n).
+    The design's root, quad and ||Gamma|| are read before the certificate
+    ends set-up, so the sweep does per-trial work only.  Returns (shared, certificate, n).
     """
     rng = np.random.default_rng(config.base_seed)
     x = make_design(config.design, rng)
     beta0 = make_signal(config.signal, config.regularizer, rng)
     if x.shape[1] != beta0.shape[0]:
         raise ValueError("design and signal dimensions differ")
-    # an explicit spec already holds x, read-only, and its root
+    # an explicit spec already holds x, read-only; root first, which gives quad
     design = config.design if config.design.kind == "explicit" else DesignSpec.explicit(x)
-    quad = Quadratic(x.T @ x / x.shape[0])
+    design.root, design.quad.norm
     cert = check_model_stability(
-        quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
+        design.quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    return _make_shared(config, cert, beta0, design, quad), cert, x.shape[0]
+    return _make_shared(config, cert, beta0, design), cert, x.shape[0]
 
 
 def _noise_setup(config: ExperimentConfig):
@@ -476,8 +473,8 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Recovery rate across sample sizes with fresh designs per trial.
 
-    The design gives the covariance and its root, computed once when the
-    design was built; each sample size draws its trials through them.
+    The design gives the covariance and its root, read once before the
+    certificate ends set-up; each sample size draws its trials through them.
     """
     _check_entry("consistency_sweep", "consistency", config)
     if config.design.kind != "gaussian_rows":
@@ -493,12 +490,12 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
 
     rng = np.random.default_rng(config.base_seed)
     beta0 = make_signal(config.signal, config.regularizer, rng)
+    config.design.root  # factored here, in set-up
     # population certificate: the stability condition is checked on the
     # covariance the rows are drawn from
     cert = check_model_stability(
         config.design.covariance, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    # every trial draws its own design, so each prepares its own Gamma
     shared = _make_shared(config, cert, beta0, config.design)
     points = [(n, sigma, config.mu_rule.resolve(sigma, n)) for n in sizes]
     batches = _run_trials(shared, points, config)

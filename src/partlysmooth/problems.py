@@ -21,7 +21,8 @@ one-trial products, so each trial gets the bits it would get drawn alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -42,20 +43,21 @@ def _sample_size(n) -> int:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """How to produce the design matrix, with root, a square root R computed once here.
+    """How to produce the design matrix; the one owner of what it prepares.
 
     kind "explicit" carries the matrix X itself, as a read-only copy that
-    every instance drawn from the spec shares, and R R^T = X^T X.  kind
-    "gaussian_rows" has n rows from N(0, covariance) and R R^T = covariance.
-    make_design draws gaussian rows through R, and draw_trials every
-    trial's X^T w (and a fresh trial's X^T X).
+    every instance drawn from the spec shares; it has quad, the Quadratic of
+    Gamma = X^T X / n, and root R with R R^T = X^T X.  kind "gaussian_rows"
+    has n rows from N(0, covariance), no quad, and R R^T = covariance.  quad
+    and root are computed on first read and kept; root read first forms
+    X^T X once for both.  make_design draws gaussian rows through R, and
+    draw_trials every trial's X^T w (and a fresh trial's X^T X).
     """
 
     kind: str
     matrix: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
     n: Optional[int] = None
-    root: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "explicit":
@@ -64,7 +66,6 @@ class DesignSpec:
             matrix = _as_matrix(self.matrix, "design matrix").copy()
             matrix.flags.writeable = False
             object.__setattr__(self, "matrix", matrix)
-            square = matrix.T @ matrix
         elif self.kind == "gaussian_rows":
             if self.covariance is None or self.n is None:
                 raise ValueError("gaussian_rows design needs covariance and n")
@@ -72,14 +73,25 @@ class DesignSpec:
             n = _sample_size(self.n)
             object.__setattr__(self, "covariance", cov)
             object.__setattr__(self, "n", n)
-            square = cov
         else:
             raise ValueError(f"unknown design kind {self.kind!r}")
+
+    @cached_property
+    def quad(self) -> Optional[Quadratic]:
+        x = self.matrix
+        return None if x is None else Quadratic(x.T @ x / x.shape[0])
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        x = self.matrix
+        square = self.covariance if x is None else x.T @ x
+        if x is not None:  # the same product gives quad, unless quad was read first
+            self.__dict__.setdefault("quad", Quadratic(square / x.shape[0]))
         # R R^T = square, tiny negative eigenvalues from roundoff clipped
         vals, vecs = np.linalg.eigh(square)
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
         root.flags.writeable = False
-        object.__setattr__(self, "root", root)
+        return root
 
     @classmethod
     def explicit(cls, matrix) -> "DesignSpec":
@@ -220,9 +232,9 @@ def _segment_sizes(p, k, rng):
 class TrialDraws:
     """The trials of one sweep point, as draw_trials returns them.
 
-    Trial k's problem is (mu, u[k], Gamma_k), with Gamma_k the one Quadratic
-    gamma that every trial shares or the k-th matrix of the T x p x p stack
-    gamma; eps_norms[k] is the norm of trial k's draw of X^T w / n.
+    Trial k's problem is (mu, u[k], Gamma_k), with Gamma_k the explicit
+    design's own quad, which every trial shares, or the k-th matrix of the
+    T x p x p stack gamma; eps_norms[k] is the norm of trial k's X^T w / n.
     """
 
     mu: float
@@ -237,7 +249,6 @@ def draw_trials(
     noise_sigma: float,
     mu: float,
     seeds,
-    quad: Optional[Quadratic] = None,
     n: Optional[int] = None,
 ) -> TrialDraws:
     """The problems of one sweep point, one trial per seed, computed as stacks.
@@ -252,9 +263,8 @@ def draw_trials(
     which checks them.
 
     An explicit design's trial draws only z, with M the design's root and
-    k = p; n, if given, must be its row count.  The trials share quad, the
-    Quadratic of X^T X / n, when it is given (for example one a sweep
-    shares across its sweep points) and otherwise one computed here.
+    k = p, and its Gamma is the design's quad, one Quadratic for every
+    call; n, if given, must be its row count.
 
     A gaussian_rows trial draws no design; n, if given, is its sample size
     in place of design.n, so that one design's root serves every size.
@@ -265,8 +275,8 @@ def draw_trials(
     and Gamma = M M^T / n, (Gamma, eps) has the joint law of X^T X / n and
     X^T w / n for n rows from N(0, covariance), n < p included (Bartlett's
     decomposition, singular when n < p), in O(p^2) numbers whatever n.
-    Each trial has its own Gamma, in a T x p x p stack, so a prepared quad
-    is refused.
+    Each trial has its own Gamma, in a T x p x p stack.  One standard_normal
+    call draws B's normals and z: the numbers of two calls in turn.
 
     Each product is one stacked call whose slices are the 2-d calls of one
     trial drawn alone, so each trial has those bits.
@@ -285,40 +295,33 @@ def draw_trials(
     lam = mu * n
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if quad is not None and quad.dim != p:
-        raise ValueError(f"prepared gamma has dimension {quad.dim}, the design has p={p}")
-    if quad is not None and not explicit:
-        raise ValueError("a fresh design has no prepared gamma: each trial draws its own")
     count = len(seeds)
     k = p if explicit else min(n, p)
     diag = np.arange(k)
     # B's strict upper trapezoid; an explicit design's trial draws no B
     rows, cols = np.triu_indices(0 if explicit else k, 1, p)
-    chi, normals, z = np.empty((count, k)), np.empty((count, rows.size)), np.empty((count, k))
+    chi, normals = np.empty((count, k)), np.empty((count, rows.size + k))
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         if not explicit:
             chi[t] = rng.chisquare(n - diag)
-            rng.standard_normal(out=normals[t])
-        rng.standard_normal(out=z[t])
+        rng.standard_normal(out=normals[t])
+    z = np.ascontiguousarray(normals[:, rows.size:])  # laid out as a lone trial's z
     if explicit:
-        m = design.root
-        if quad is None:
-            quad = Quadratic(design.matrix.T @ design.matrix / n)
-        gamma = quad.gamma
+        m, gamma = design.root, design.quad.gamma
     else:
         # Bartlett's decomposition, singular when n < p: X = Z R^T with
         # Z^T Z = B^T B, B the k x p upper trapezoid of Z's QR factor, so
         # X^T X = M M^T with M = R B^T
         b = np.zeros((count, k, p))
         b[:, diag, diag] = np.sqrt(chi)
-        b[:, rows, cols] = normals
+        b[:, rows, cols] = normals[:, :rows.size]
         m = np.matmul(design.root, b.transpose(0, 2, 1))
         gamma = np.matmul(m, m.transpose(0, 2, 1))
         gamma /= n
     eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
     u = np.matmul(gamma, beta0) + eps
-    return TrialDraws(mu=lam / n, u=u, gamma=quad if explicit else gamma,
+    return TrialDraws(mu=lam / n, u=u, gamma=design.quad or gamma,
                       eps_norms=np.sqrt(_row_dots(eps, eps)))
 
 

@@ -36,11 +36,12 @@ penalties have no certificate and stop at a fixed point only.
 
 ||Gamma|| costs an O(p^3) symmetric eigenvalue solve and Gamma^+ an O(p^3)
 SVD.  A Quadratic keeps each once it is computed, and every problem sharing
-Gamma can share it, such as the trials of a fixed-design sweep.  The step
-needs ||Gamma|| before the first iteration: a batch on one shared Quadratic
-reads its norm, and a batch on a stack of Gammas computes all their norms in
-one stacked eigvalsh call, with the bits of one call per matrix.  Gamma^+
-only enters the objective's constant term, so a solve records J and the
+Gamma can share it, such as the trials of a fixed-design sweep, whose
+set-up reads its design's quad.norm.  The step needs ||Gamma|| before the
+first iteration: a batch on one shared Quadratic reads its norm, and a batch
+on a stack of Gammas computes all their norms in one stacked eigvalsh call,
+with the bits of one call per matrix.  Gamma^+ only enters the objective's
+constant term, so a solve records J and the
 quadratic part of every iterate and its SolveResult adds the constant when
 the objective is first read.  A caller that never reads it, such as the
 Monte-Carlo sweeps, never computes Gamma^+.
@@ -208,9 +209,9 @@ class BatchResult:
 
     The fields are SolveResult's, with keys the final betas' model_keys and
     identification_iter an identification point only where converged.  [i]
-    is problem i's SolveResult, its model the key_descriptor of keys[i];
-    a row of a Gamma stack gets its own Quadratic there, whose Gamma^+ the
-    objective computes on first read.
+    (i < 0 counts from the end) is problem i's SolveResult, with its columns
+    of the terms and the key_descriptor of keys[i]; a row of a Gamma stack
+    gets its own Quadratic there, whose Gamma^+ the objective computes.
     """
 
     beta: np.ndarray
@@ -225,20 +226,23 @@ class BatchResult:
     _mu: np.ndarray = field(repr=False)
     _u: np.ndarray = field(repr=False)
     _gamma: Union[Quadratic, np.ndarray] = field(repr=False)
-    # per problem, a 2 x (iterations + 1) view of J and the quadratic part
-    _terms: list = field(repr=False)
+    # J and the quadratic part, problem i's in columns _start[i] to _start[i + 1]
+    _terms: np.ndarray = field(repr=False)
+    _start: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.beta)
 
     def __getitem__(self, i) -> SolveResult:
+        i = range(len(self))[i]
         converged = bool(self.converged[i])
         return SolveResult(
             beta=self.beta[i], iterations=int(self.iterations[i]), converged=converged,
             fp_residual=float(self.fp_residual[i]), step=float(self.step[i]),
             identification_iter=int(self.identification_iter[i]) if converged else None,
             model=self._reg.key_descriptor(self.keys[i]),
-            _mu=float(self._mu[i]), _u=self._u[i], _terms=self._terms[i],
+            _mu=float(self._mu[i]), _u=self._u[i],
+            _terms=self._terms[:, self._start[i]:self._start[i + 1]],
             _quad=self._gamma if isinstance(self._gamma, Quadratic) else Quadratic(self._gamma[i]),
         )
 
@@ -368,7 +372,7 @@ def forward_backward_batch(
         beta=np.empty((count, p)), keys=np.empty_like(keys), iterations=np.empty(count, int),
         converged=np.empty(count, bool), fp_residual=np.empty(count), step=tau,
         identification_iter=np.zeros(count, int), _reg=reg, _mu=mu, _u=u, _gamma=gamma,
-        _terms=[],
+        _terms=None, _start=None,
     )
     tau = tau[:, None]
     for k in range(1, opts.max_iter + 1):
@@ -421,13 +425,10 @@ def forward_backward_batch(
             rows, beta, keys = rows[keep], beta[keep], keys[keep]
             gam_beta, u, tau, weights = gam_beta[keep], u[keep], tau[keep], weights[keep]
             gam = gam if shared else gam[keep]
-    # problem i's terms are columns start[i] to start[i] + iterations[i] of
-    # one buffer; step k of the log writes column start[i] + k of its rows
+    # step k of the log writes column _start[i] + k of its rows' problems i
     problems, j, quadratic_part = (np.concatenate(part) for part in zip(*log))
-    lengths = out.iterations + 1
-    start = np.cumsum(lengths) - lengths
-    at = start[problems] + np.repeat(np.arange(len(log)), [len(entry[0]) for entry in log])
-    terms = np.empty((2, lengths.sum()))
-    terms[0, at], terms[1, at] = j, quadratic_part
-    out._terms = np.split(terms, start[1:], axis=1)
+    out._start = np.concatenate([[0], np.cumsum(out.iterations + 1)])
+    at = out._start[problems] + np.repeat(np.arange(len(log)), [len(entry[0]) for entry in log])
+    out._terms = np.empty((2, out._start[-1]))
+    out._terms[0, at], out._terms[1, at] = j, quadratic_part
     return out

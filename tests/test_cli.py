@@ -415,6 +415,23 @@ class TestSolve:
         assert sol["error_norm"] == pytest.approx(0.05 * np.sqrt(2), abs=1e-8)
         assert sol["descriptor"]["data"] == [0, 3]
 
+    def test_explicit_design_factors_nothing(self, tmp_path, monkeypatch):
+        # neither certify nor solve draws a trial, so neither computes the
+        # explicit design's root
+        real, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        x = np.sqrt(3.0) * np.linalg.cholesky(np.array(G3)).T
+        certify = write_config(tmp_path, {
+            "regularizer": {"kind": "l1"},
+            "design": {"kind": "explicit", "matrix": x.tolist()},
+            "beta0": [1.0, 1.0, 0.0],
+        }, "certify.json")
+        solve = write_config(tmp_path, generated_solve_payload(), "solve.json")
+        assert run(["certify", "--config", certify, "--out", tmp_path / "c", "--quiet"]) \
+            == EXIT_OUTSIDE
+        assert run(["solve", "--config", solve, "--out", tmp_path / "s", "--quiet"]) == EXIT_OK
+        assert calls == []
+
     def test_non_converged_still_ok(self, tmp_path, capsys):
         payload = solve_payload()
         payload["solver"] = {"max_iter": 1, "step": 0.1}

@@ -439,14 +439,20 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
         assert replay.identification_iter == shared.identification_iter
 
 
-@pytest.mark.parametrize("design", [
-    DesignSpec.explicit(np.random.default_rng(5).normal(size=(40, 6))),
-    DesignSpec.gaussian(np.eye(6), 40),
-], ids=["explicit", "gaussian_rows"])
-def test_noise_sweep_factors_no_design_after_set_up(monkeypatch, design):
-    # the design's root is computed before the certificate, which ends
-    # set-up; the sweep over the noise levels after it makes no eigh call
-    real_eigh, real_certificate = np.linalg.eigh, exps.check_model_stability
+@pytest.mark.parametrize("sweep, overrides", [
+    (noise_stability_sweep, dict(sweep_values=(0.0, 1e-2, 1e-1))),
+    (noise_stability_sweep, dict(design=DesignSpec.gaussian(np.eye(6), 40),
+                                 sweep_values=(0.0, 1e-2, 1e-1))),
+    (sharpness_experiment, FIXED_DESIGN_SWEEPS[1][1]),
+], ids=["explicit", "gaussian_rows", "sharpness"])
+def test_noise_sweep_factors_no_design_after_set_up(monkeypatch, sweep, overrides):
+    # the design's root and ||Gamma|| are computed before the certificate,
+    # which ends set-up; the sweep after it makes no eigh or eigvalsh call
+    cfg = random_design_config(**overrides)
+    if cfg.design.kind == "explicit":
+        # a new spec, nothing of it read yet
+        cfg = replace(cfg, design=DesignSpec.explicit(cfg.design.matrix))
+    real_certificate = exps.check_model_stability
     certified, after = [], []
 
     def certificate(*args, **kwargs):
@@ -454,14 +460,17 @@ def test_noise_sweep_factors_no_design_after_set_up(monkeypatch, design):
         certified.append(True)
         return cert
 
-    def eigh(a):
-        after.append(bool(certified))
-        return real_eigh(a)
+    def counted(real):
+        def call(a):
+            after.append(bool(certified))
+            return real(a)
+        return call
 
     monkeypatch.setattr(exps, "check_model_stability", certificate)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    res = noise_stability_sweep(random_design_config(design=design, sweep_values=(0.0, 1e-2, 1e-1)))
-    assert len(res.records) == 6 and certified == [True]
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    res = sweep(cfg)
+    assert len(res.records) == 2 * len(cfg.sweep_values) and certified == [True]
     assert True not in after
 
 
@@ -557,11 +566,16 @@ def test_runners_refuse_sweep_values_out_of_range_at_entry(monkeypatch):
 
 
 def test_gamma_prepared_once_per_fixed_design(svd_calls):
-    # the sweeps never read an objective, so none of them computes Gamma^+
+    # ||Gamma|| is computed once per design and kept on its spec, so a second
+    # sweep on it computes none; the sweeps never read an objective, so none
+    # of them computes Gamma^+
     calls = svd_calls
     for sweep, overrides in FIXED_DESIGN_SWEEPS:
+        cfg = random_design_config(**overrides)
+        # a new spec, nothing of it read yet
+        cfg = replace(cfg, design=DesignSpec.explicit(cfg.design.matrix))
         calls.update(spectral_norms=0, pseudoinverse=0)
-        sweep(random_design_config(**overrides))
+        assert sweep(cfg).records == sweep(cfg).records
         assert calls == {"spectral_norms": 1, "pseudoinverse": 0}, sweep.__name__
     # fresh designs: every trial has its own Gamma, and the batch computes
     # all their norms in one stacked call
@@ -612,7 +626,7 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
 
 def test_gamma_budget_at_p10_and_p200():
     def grouping(p, trials, points, quad=None):
-        shared = SimpleNamespace(beta0=np.zeros(p), quad=quad)
+        shared = SimpleNamespace(beta0=np.zeros(p), design=SimpleNamespace(quad=quad))
         tasks = [(i, 1.0, 0.1, list(range(trials))) for i in range(points)]
         return [len(group) for group in exps._group_points(shared, tasks)]
 

@@ -74,14 +74,15 @@ def test_instance_consistency():
 
 
 def test_canonical_parameters_reuse_a_prepared_gamma():
-    design = DesignSpec.explicit(np.random.default_rng(8).normal(size=(30, 5)))
+    # every draw on one explicit design shares the design's one Quadratic,
+    # whose Gamma has the bits of X^T X / n
+    x = np.random.default_rng(8).normal(size=(30, 5))
+    design = DesignSpec.explicit(x)
     beta0 = np.array([1.0, 0.0, -2.0, 0.0, 0.5])
-    own = draw_trials(design, beta0, 0.3, 0.1, [7, 8])
-    quad = own.gamma
-    shared = draw_trials(design, beta0, 0.3, 0.1, [7, 8], quad)
-    assert shared.gamma is quad
-    assert shared.u.tobytes() == own.u.tobytes() and shared.mu == own.mu
-    assert shared.eps_norms.tobytes() == own.eps_norms.tobytes()
+    first = draw_trials(design, beta0, 0.3, 0.1, [7, 8])
+    second = draw_trials(design, beta0, 0.3, 0.1, [9])
+    assert first.gamma is second.gamma is design.quad
+    assert design.quad.gamma.tobytes() == (x.T @ x / 30).tobytes()
 
 
 def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
@@ -182,21 +183,17 @@ def reference_trial(design, sigma, mu, seed):
     return theta, float(np.linalg.norm(eps))
 
 
-# "explicit_prepared": the explicit design, its trials sharing a Quadratic given to draw_trials
-@pytest.mark.parametrize("kind", [*DRAW_DESIGNS, "explicit_prepared"])
+@pytest.mark.parametrize("kind", DRAW_DESIGNS)
 @pytest.mark.parametrize("count", [1, 40])
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
 def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
-    prepared = kind == "explicit_prepared"
-    design = DRAW_DESIGNS["explicit" if prepared else kind]
-    quad = Quadratic(design.matrix.T @ design.matrix / design.matrix.shape[0]) if prepared else None
+    design = DRAW_DESIGNS[kind]
     seeds = list(range(101, 101 + count))
-    draws = draw_trials(design, BETA0, sigma, 0.3, seeds, quad)
+    draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
     assert draws.u.shape == (count, 5) and len(draws.eps_norms) == count
     # an explicit design's trials share one Quadratic, a fresh design's come as a stack
     shared = design.kind == "explicit"
     assert isinstance(draws.gamma, Quadratic) == shared
-    assert draws.gamma is quad or not prepared
     for k, (seed, eps_norm) in enumerate(zip(seeds, draws.eps_norms.tolist())):
         want, want_eps = reference_trial(design, sigma, 0.3, seed)
         assert draws.mu == want.mu
@@ -270,24 +267,19 @@ def test_draw_trials_refuses_what_one_trial_refuses():
             "design has p=5 columns but the signal has length 4")
         # lambda = mu * n
         assert message(design, BETA0, 0.1, -0.5, [4]) == f"lambda must be >= 0, got {-0.5 * n}"
-        assert message(design, BETA0, 0.1, 0.3, [4], Quadratic(np.eye(4))) == (
-            "prepared gamma has dimension 4, the design has p=5")
-    # a fresh design's trials draw their own Gamma, so none is prepared
-    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], Quadratic(COV)) == (
-        "a fresh design has no prepared gamma: each trial draws its own")
     # an explicit design has its own n; a fresh one takes any n >= 1
-    assert message(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4], None, 36) == (
+    assert message(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4], 36) == (
         "the explicit design has n=37 rows, got n=36")
-    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], None, 0) == (
+    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], 0) == (
         "n must be >= 1, got 0")
-    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], None, 2.0) == (
+    assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], 2.0) == (
         "n must be an integer, got 2.0")
 
 
 @pytest.mark.parametrize("n", [3, 40])
 def test_draw_trials_at_another_n_draws_the_design_of_that_n(n):
     # n in place of design.n gives the bits of the design built with that n
-    given = draw_trials(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.7, 0.3, [5, 6], None, n)
+    given = draw_trials(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.7, 0.3, [5, 6], n)
     built = draw_trials(DesignSpec.gaussian(COV, n), BETA0, 0.7, 0.3, [5, 6])
     assert given.mu == built.mu and given.eps_norms.tobytes() == built.eps_norms.tobytes()
     assert given.u.tobytes() == built.u.tobytes() and given.gamma.tobytes() == built.gamma.tobytes()

@@ -40,7 +40,7 @@ def test_quick_tour():
 
 
 def test_replaying_one_trial():
-    assert run_block("draw_trials") == 1
+    assert run_block("draw_trials") == 2
 
 
 def test_consistency_at_large_n():

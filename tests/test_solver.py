@@ -550,6 +550,11 @@ def test_batch_matches_scalar_loop_shared_and_stacked_gamma(reg, p):
         for theta, res in zip(problems(mu, u, gammas), results):
             assert res.converged
             assert_same_bits(res, oracles.forward_backward_scalar(theta, reg, opts))
+        # a negative index counts from the end, and one past the last row is refused
+        for i in range(1, size + 1):
+            assert_same_bits(results[-i], results[size - i])
+        with pytest.raises(IndexError):
+            results[size]
 
 
 @pytest.mark.parametrize("reg, p", PENALTIES, ids=PENALTY_IDS)
