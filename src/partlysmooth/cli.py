@@ -150,7 +150,7 @@ def cmd_experiment(args) -> int:
     result = _RUNNERS[kind](config)
 
     os.makedirs(args.out, exist_ok=True)
-    write_records_csv(result.records, os.path.join(args.out, "records.csv"))
+    write_records_csv(result.trials, os.path.join(args.out, "records.csv"))
     write_summary_json(result, os.path.join(args.out, "summary.json"))
     write_plot_csv(result, os.path.join(args.out, "plot.csv"))
 

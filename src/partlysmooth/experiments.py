@@ -18,20 +18,23 @@ design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
 
 A batch draws each sweep point's trials with one draw_trials call (one
-generator per trial, products as stacks), passes the stacks of all its
+generator per trial, products as stacks) and passes the stacks of all its
 points to one forward_backward_batch (both looked up here, so tests can
-wrap them) and builds the records from the batch's arrays.  records.csv and
-plot.csv are written one line of _fmt fields per row, in the bytes
-csv.writer would write.
+wrap them).  A point's outcomes stay columns: slices of the batch's arrays
+beside the point's n, sigma and mu.  A sweep's TrialTable holds them, the
+summaries read them through masks, and records.csv and plot.csv are
+written a column at a time, a value that many rows share formatted once,
+in the bytes csv.writer would write.  ExperimentResult.records, one
+TrialRecord per trial, is built from the table only when read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -216,14 +219,98 @@ class ProfileStats:
     post_match_fraction: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """The trials of one sweep point, as columns in seed order.
+
+    n, sigma and mu are the point's, shared by its trials; the arrays are
+    the slices of its rows in the batch that solved them.
+    identification_iter holds an integer per trial, which a record reads
+    only where converged.
+    """
+
+    n: int
+    sigma: float
+    mu: float
+    seed: np.ndarray
+    identified: np.ndarray
+    error_norm: np.ndarray
+    eps_norm: np.ndarray
+    identification_iter: np.ndarray
+    converged: np.ndarray
+
+
+# the record columns whose value a whole sweep point shares, and a whole sweep
+_POINT_VALUES = ("n", "sigma", "mu")
+_SWEEP_VALUES = ("boundary_flag", "certificate_margin")
+
+
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """A sweep's trials as columns: one TrialColumns per sweep point, in
+    task order, and the certificate's boundary flag and margin, which every
+    trial shares.  Iterating it gives one TrialRecord per trial.
+    """
+
+    points: list
+    boundary_flag: bool
+    certificate_margin: float
+
+    def __len__(self) -> int:
+        return sum(len(point.seed) for point in self.points)
+
+    def __iter__(self):
+        columns = [self.column(name) for name in RECORD_COLUMNS]
+        return (TrialRecord(*row) for row in zip(*columns))
+
+    def _runs(self, name):
+        """Column name as (value, count) runs when rows share its value, else None."""
+        if name in _SWEEP_VALUES:
+            return [(getattr(self, name), len(self))]
+        if name in _POINT_VALUES:
+            return [(getattr(point, name), len(point.seed)) for point in self.points]
+        return None
+
+    def array(self, name) -> np.ndarray:
+        """A per-trial column over every point, as one array."""
+        return np.concatenate([getattr(point, name) for point in self.points])
+
+    def column(self, name) -> list:
+        """Column name, one value per trial of the Python type its record holds:
+        None for the identification_iter of a trial that did not converge."""
+        runs = self._runs(name)
+        if runs is not None:
+            return [x for value, count in runs for x in [value] * count]
+        values = self.array(name).tolist()
+        if name == "identification_iter":
+            return [x if ok else None for x, ok in zip(values, self.array("converged").tolist())]
+        return values
+
+    def fields(self, name) -> list:
+        """Column name as the fields _fmt writes, a shared value formatted once."""
+        runs = self._runs(name)
+        if runs is not None:
+            return [x for value, count in runs for x in [_fmt(value)] * count]
+        fields = _format_column(self.array(name).tolist())
+        if name == "identification_iter":
+            return [x if ok else "" for x, ok in zip(fields, self.array("converged").tolist())]
+        return fields
+
+
+@dataclass(eq=False)
 class ExperimentResult:
+    """A sweep's outcome.  trials holds every trial as columns, which the
+    summaries and writers read; records is the same trials as one
+    TrialRecord each, in task order, built from trials when first read."""
+
     kind: str
-    records: list
+    trials: TrialTable
     summary: list
     certificate: Optional[Certificate] = None
     noiseless_identified: Optional[dict] = None
     profile: Optional[ProfileStats] = None
+
+    records = cached_property(lambda self: list(self.trials))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +331,6 @@ class _Shared:
     beta0: np.ndarray
     opts: SolveOptions
     target: object
-    margin: float
-    boundary: bool
 
 
 def _run_batch(shared, tasks):
@@ -255,10 +340,10 @@ def _run_batch(shared, tasks):
     shared.design, and draw_trials draws each task's problems.  The batch
     solves the tasks' u stacks end to end, on a fixed design's own quad or
     on the tasks' Gamma stacks end to end.
-    Returns one list of TrialRecords per task, in order, built column by
-    column from the batch's arrays: identified is one comparison of the
-    final model keys with beta0's.  Every row of a batch gets the bits it
-    gets alone, so how the tasks are grouped changes no result.
+    Returns one TrialColumns per task, in order, whose arrays are slices of
+    the batch's: identified is one comparison of the final model keys with
+    beta0's.  Every row of a batch gets the bits it gets alone, so how the
+    tasks are grouped changes no result.
     Module-level so worker processes can import it.
     """
     beta0 = shared.beta0
@@ -274,21 +359,19 @@ def _run_batch(shared, tasks):
     )
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it
     errors = solved.beta - beta0
+    error_norms = np.sqrt(_row_dots(errors, errors))
     # keys differ where they differ in any entry, as the solver reads them
-    changed = (solved.keys != shared.target).any(axis=1)
-    rows = zip((solved.converged & ~changed).tolist(), np.sqrt(_row_dots(errors, errors)).tolist(),
-               solved.identification_iter.tolist(), solved.converged.tolist())
-    return [
-        [
-            TrialRecord(seed=seed, n=n, sigma=sigma, mu=mu, identified=identified,
-                        boundary_flag=shared.boundary, error_norm=error_norm, eps_norm=eps_norm,
-                        identification_iter=first if converged else None, converged=converged,
-                        certificate_margin=shared.margin)
-            for seed, eps_norm, (identified, error_norm, first, converged)
-            in zip(seeds, draw.eps_norms.tolist(), rows)
-        ]
-        for (n, sigma, mu, seeds), draw in zip(tasks, draws)
-    ]
+    identified = solved.converged & ~(solved.keys != shared.target).any(axis=1)
+    points, start = [], 0
+    for (n, sigma, mu, seeds), draw in zip(tasks, draws):
+        rows = slice(start, start + len(seeds))
+        points.append(TrialColumns(
+            n=n, sigma=sigma, mu=mu, seed=np.asarray(seeds), identified=identified[rows],
+            error_norm=error_norms[rows], eps_norm=draw.eps_norms,
+            identification_iter=solved.identification_iter[rows], converged=solved.converged[rows],
+        ))
+        start = rows.stop
+    return points
 
 
 _WORKER_SHARED = None  # set once in each pool worker by _init_worker
@@ -300,8 +383,8 @@ def _init_worker(shared):
 
 
 def _run_worker_point(task):
-    [records] = _run_batch(_WORKER_SHARED, [task])
-    return records
+    [point] = _run_batch(_WORKER_SHARED, [task])
+    return point
 
 
 # what a serial batch's stack of per-row Gammas may hold, in bytes
@@ -336,7 +419,7 @@ def _run_trials(shared, points, config):
     serially, as few batches as _group_points allows: the loop of a
     batch runs as many steps as its slowest row, not the sum over points.
     jobs > 1 hands whole points to a process pool, which gets `shared` once
-    per worker.  Returns one list of _run_batch outputs per point, in order.
+    per worker.  Returns one TrialColumns per point, in order.
     """
     trials, jobs = config.trials, config.jobs
     tasks = []
@@ -345,8 +428,7 @@ def _run_trials(shared, points, config):
         tasks.append((n, sigma, mu, list(range(first, first + trials))))
     if jobs == 1 or len(tasks) == 1:
         return [
-            records for group in _group_points(shared, tasks)
-            for records in _run_batch(shared, group)
+            point for group in _group_points(shared, tasks) for point in _run_batch(shared, group)
         ]
     # deferred: concurrent.futures.process adds tens of ms to every import
     from concurrent.futures import ProcessPoolExecutor
@@ -357,42 +439,42 @@ def _run_trials(shared, points, config):
         return list(pool.map(_run_worker_point, tasks))
 
 
-def _result(kind, values, batches, cert, **extras):
-    """The ExperimentResult of a sweep: batches[i] holds the records at values[i]."""
-    by_value = [(float(v), records) for v, records in zip(values, batches)]
+def _result(kind, values, points, cert, **extras):
+    """The ExperimentResult of a sweep: points[i] holds the trials at values[i]."""
+    margin = cert.verdict.margin if cert.usable else float("nan")
+    boundary = cert.inconclusive
     return ExperimentResult(
         kind=kind,
-        records=[r for _, records in by_value for r in records],
-        summary=_summarize(by_value),
+        trials=TrialTable(points, boundary, margin),
+        summary=[_summarize(float(v), point, boundary) for v, point in zip(values, points)],
         certificate=cert,
         **extras,
     )
 
 
-def _summarize(records_by_value):
-    rows = []
-    for value, records in records_by_value:
-        conv = [r for r in records if r.converged]
-        boundary = [r for r in records if r.boundary_flag]
-        eligible = [r for r in conv if not r.boundary_flag]
-        rate = (
-            sum(r.identified for r in eligible) / len(eligible) if eligible else float("nan")
-        )
-        ratios = [r.error_norm / r.eps_norm for r in conv if r.eps_norm > 0]
-        iters = [r.identification_iter for r in conv if r.identification_iter is not None]
-        rows.append(
-            SummaryRow(
-                sweep_value=value,
-                trials=len(records),
-                converged_count=len(conv),
-                boundary_count=len(boundary),
-                identification_rate=rate,
-                mean_error_ratio=float(np.mean(ratios)) if ratios else float("nan"),
-                max_error_ratio=float(np.max(ratios)) if ratios else float("nan"),
-                mean_identification_iter=float(np.mean(iters)) if iters else float("nan"),
-            )
-        )
-    return rows
+def _summarize(value, point, boundary):
+    """The SummaryRow of one sweep point's trials; boundary is the sweep's flag.
+
+    The rate is over converged trials off the boundary, the error ratios
+    over converged trials with eps_norm > 0, and each is nan over none.
+    """
+    conv = point.converged
+    converged = int(np.count_nonzero(conv))
+    eligible = 0 if boundary else converged
+    rate = int(np.count_nonzero(point.identified & conv)) / eligible if eligible else float("nan")
+    has_eps = conv & (point.eps_norm > 0)
+    ratios = point.error_norm[has_eps] / point.eps_norm[has_eps]
+    iters = point.identification_iter[conv]
+    return SummaryRow(
+        sweep_value=value,
+        trials=len(conv),
+        converged_count=converged,
+        boundary_count=len(conv) if boundary else 0,
+        identification_rate=rate,
+        mean_error_ratio=float(np.mean(ratios)) if ratios.size else float("nan"),
+        max_error_ratio=float(np.max(ratios)) if ratios.size else float("nan"),
+        mean_identification_iter=float(np.mean(iters)) if iters.size else float("nan"),
+    )
 
 
 def _make_shared(config: ExperimentConfig, cert, beta0, design) -> _Shared:
@@ -402,8 +484,6 @@ def _make_shared(config: ExperimentConfig, cert, beta0, design) -> _Shared:
         beta0=beta0,
         opts=config.solve,
         target=config.regularizer.model_keys(beta0[None], config.solve.zero_tol)[0],
-        margin=cert.verdict.margin if cert.usable else float("nan"),
-        boundary=cert.inconclusive,
     )
 
 
@@ -456,18 +536,17 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     """
     _check_entry("noise_stability_sweep", "noise_stability", config)
     shared, cert, points = _noise_setup(config)
-    batches = _run_trials(shared, points, config)
-    records = [r for records in batches for r in records]
-    finite = [
-        r.identification_iter for r in records
-        if r.converged and r.identification_iter < config.solve.max_iter
-    ]
-    profile = ProfileStats(
+    trials = _run_trials(shared, points, config)
+    result = _result("noise_stability", config.sweep_values, trials, cert)
+    table = result.trials
+    iters = table.array("identification_iter")
+    finite = iters[table.array("converged") & (iters < config.solve.max_iter)].tolist()
+    result.profile = ProfileStats(
         identification_iters=finite,
-        finite_fraction=len(finite) / len(records),
-        post_match_fraction=sum(r.identified for r in records) / len(records),
+        finite_fraction=len(finite) / len(table),
+        post_match_fraction=int(np.count_nonzero(table.array("identified"))) / len(table),
     )
-    return _result("noise_stability", config.sweep_values, batches, cert, profile=profile)
+    return result
 
 
 def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -498,8 +577,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     )
     shared = _make_shared(config, cert, beta0, config.design)
     points = [(n, sigma, config.mu_rule.resolve(sigma, n)) for n in sizes]
-    batches = _run_trials(shared, points, config)
-    return _result("consistency", sizes, batches, cert)
+    return _result("consistency", sizes, _run_trials(shared, points, config), cert)
 
 
 def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -516,14 +594,14 @@ def sharpness_experiment(config: ExperimentConfig) -> ExperimentResult:
     # model of beta0 even with w = 0
     checks = [(n, 0.0, mu, [config.base_seed]) for mu in config.sweep_values]
     noiseless = {
-        mu: rec.identified
-        for mu, [rec] in zip(config.sweep_values, _run_batch(shared, checks))
+        mu: bool(point.identified[0])
+        for mu, point in zip(config.sweep_values, _run_batch(shared, checks))
     }
 
     points = [(n, config.noise_sigma, mu) for mu in config.sweep_values]
-    batches = _run_trials(shared, points, config)
     return _result(
-        "sharpness", config.sweep_values, batches, cert, noiseless_identified=noiseless
+        "sharpness", config.sweep_values, _run_trials(shared, points, config), cert,
+        noiseless_identified=noiseless,
     )
 
 
@@ -558,10 +636,10 @@ def _format_for(kind):
         return lambda x: "true" if x else "false"
     if issubclass(kind, (int, np.integer)):
         return str if kind is int else lambda x: str(int(x))
-    return lambda x: format(float(x), ".17g")
+    return "{:.17g}".format if kind is float else lambda x: format(float(x), ".17g")
 
 
-# the formatters of the types records and summaries hold, looked up per value
+# the formatters of the types records and summaries hold
 _FORMATS = {
     kind: _format_for(kind)
     for kind in (type(None), bool, int, float, np.bool_, np.int64, np.float64)
@@ -575,27 +653,45 @@ def _fmt(x) -> str:
     return (fmt or _format_for(type(x)))(x)
 
 
+def _format_column(values) -> list:
+    """The _fmt fields of one column's values: the formatter of their one
+    type mapped over them, or _fmt per value in a column of mixed types."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return list(map(_fmt, values))
+    [kind] = kinds
+    return list(map(_FORMATS.get(kind) or _format_for(kind), values))
+
+
 RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
-def _write_table(path, columns, rows):
-    """A header line, then one line of _fmt fields per row.
+def _write_table(path, names, table):
+    """A header line, then one line per row of table's columns of fields.
 
-    The bytes csv.writer writes for these lines: no column name and no
-    field _fmt makes holds a delimiter, quote or line break, so none is
-    quoted.
+    table is a TrialTable or rows with the attributes names, transposed
+    into columns.  The bytes csv.writer writes for these lines: no column
+    name and no field _fmt makes holds a delimiter, quote or line break, so
+    none is quoted.
     """
-    fields = operator.attrgetter(*columns)
-    lines = [",".join(columns)]
-    lines += [",".join([_fmt(x) for x in fields(row)]) for row in rows]
+    if isinstance(table, TrialTable):
+        columns = [table.fields(name) for name in names]
+    else:
+        rows = list(table)
+        columns = [_format_column([getattr(row, name) for row in rows]) for name in names]
+    lines = [",".join(names), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_records_csv(records, path):
-    """One row per trial, floats at 17 significant digits."""
+    """One row per trial, floats at 17 significant digits.
+
+    records is a sweep's TrialTable (ExperimentResult.trials), or rows
+    with the RECORD_COLUMNS attributes, such as its TrialRecords.
+    """
     _write_table(path, RECORD_COLUMNS, records)
 
 

@@ -41,7 +41,7 @@ def _sample_size(n) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSpec:
     """How to produce the design matrix; the one owner of what it prepares.
 
@@ -51,7 +51,8 @@ class DesignSpec:
     has n rows from N(0, covariance), no quad, and R R^T = covariance.  quad
     and root are computed on first read and kept; root read first forms
     X^T X once for both.  make_design draws gaussian rows through R, and
-    draw_trials every trial's X^T w (and a fresh trial's X^T X).
+    draw_trials every trial's X^T w (and a fresh trial's X^T X).  A spec
+    compares and hashes by identity, as its array fields have no truth value.
     """
 
     kind: str
@@ -106,7 +107,7 @@ class DesignSpec:
 _COUNTS = ("p", "support_size", "active_groups", "rank", "segments")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSpec:
     """How to produce the ground-truth vector.
 
@@ -116,7 +117,8 @@ class SignalSpec:
     "low_rank" (a p0 x p0 matrix of the given rank with singular values in
     amplitude_range, vectorized column-major) and "piecewise_constant"
     (segments blocks; consecutive levels differ by an amplitude_range step,
-    so every breakpoint is genuinely active).
+    so every breakpoint is genuinely active).  A spec compares and hashes by
+    identity, as beta0 has no truth value.
     """
 
     kind: str
@@ -301,10 +303,11 @@ def draw_trials(
     # B's strict upper trapezoid; an explicit design's trial draws no B
     rows, cols = np.triu_indices(0 if explicit else k, 1, p)
     chi, normals = np.empty((count, k)), np.empty((count, rows.size + k))
+    dof = (n - diag).astype(float)  # the chi-squares' degrees of freedom, as chisquare reads them
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         if not explicit:
-            chi[t] = rng.chisquare(n - diag)
+            chi[t] = rng.chisquare(dof)
         rng.standard_normal(out=normals[t])
     z = np.ascontiguousarray(normals[:, rows.size:])  # laid out as a lone trial's z
     if explicit:

@@ -760,6 +760,140 @@ def test_writers_have_the_bytes_of_csv_writer(tmp_path):
     assert [exps._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
+IDENTITY_FILE = {
+    "regularizer": {"kind": "l1"},
+    "design": {"kind": "explicit", "matrix": (np.sqrt(6.0) * np.eye(6)).tolist()},
+    "signal": {"kind": "explicit", "beta0": [1.5, 0.0, 0.0, -2.0, 0.0, 0.0]},
+    "experiment": {"kind": "noise_stability", "sweep": {"noise_levels": [0.0, 1e-3]},
+                   "mu_rule": {"kind": "fixed", "value": 0.05}, "trials": 2},
+}
+
+# experiment files run through cli.main: no trial converges in one short
+# step; the first point's trials converge in one step and the second's do
+# not (as in test_trials_that_stop_short_count_against_finite_fraction); a
+# consistency sweep; a sharpness sweep on an instance certified outside
+CLI_SWEEPS = {
+    "noise-short-step": dict(IDENTITY_FILE, solver={"max_iter": 1, "step": 0.1}),
+    "noise-half-converged": dict(
+        IDENTITY_FILE, solver={"max_iter": 1},
+        design={"kind": "explicit",
+                "matrix": (np.sqrt(6.0) * np.diag(np.sqrt([0.5, 0.5, 1, 1, 1, 1]))).tolist()},
+        signal={"kind": "explicit", "beta0": [0.0] * 6},
+        experiment=dict(IDENTITY_FILE["experiment"], sweep={"noise_levels": [1e-2, 0.3]}),
+    ),
+    "consistency": {
+        "regularizer": {"kind": "l1"},
+        "design": {"kind": "gaussian_rows", "identity_dim": 10},
+        "signal": {"kind": "sparse", "p": 10, "support_size": 3},
+        "experiment": {"kind": "consistency", "sweep": {"sample_sizes": [5, 40, 160]},
+                       "mu_rule": {"kind": "power"}, "trials": 4, "noise_sigma": 1.0,
+                       "base_seed": 23},
+    },
+    "sharpness": {
+        "regularizer": {"kind": "l1"},
+        "design": {"kind": "explicit",
+                   "matrix": (np.sqrt(3.0) * np.linalg.cholesky(G3).T).tolist()},
+        "signal": {"kind": "explicit", "beta0": [1.0, 1.0, 0.0]},
+        "experiment": {"kind": "sharpness", "sweep": {"mu_values": [0.01, 0.1]},
+                       "noise_sigma": 1e-2, "trials": 3},
+    },
+}
+
+
+def run_cli_sweep(tmp_path, name, *args):
+    """cli.main on CLI_SWEEPS[name]; returns (exit code, output directory)."""
+    from partlysmooth import cli
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CLI_SWEEPS[name]))
+    out = tmp_path / f"{name}-out{''.join(args)}"
+    code = cli.main(["experiment", "--config", str(path), "--out", str(out), "--quiet", *args])
+    return code, out
+
+
+@pytest.mark.parametrize("name", ["noise-short-step", "noise-half-converged", "consistency"])
+def test_cli_records_csv_has_the_bytes_of_csv_writer_over_records(tmp_path, monkeypatch, name):
+    # the CLI writes the columns; csv.writer over the records built from
+    # them is the reference
+    from partlysmooth import cli
+
+    results = []
+    kind = CLI_SWEEPS[name]["experiment"]["kind"]
+    runner = cli._RUNNERS[kind]
+    monkeypatch.setitem(cli._RUNNERS, kind,
+                        lambda config: results.append(runner(config)) or results[-1])
+    code, out = run_cli_sweep(tmp_path, name)
+    assert code == 0
+    [res] = results
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        for r in res.records:
+            writer.writerow([reference_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
+    assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    converged = [r.converged for r in res.records]
+    if name == "noise-short-step":
+        assert not any(converged)
+    if name == "noise-half-converged":
+        assert converged == [True] * 2 + [False] * 2
+
+
+def test_records_have_the_values_and_types_of_their_solves(monkeypatch):
+    # half the trials stop short: their identification_iter is None
+    cfg = identity_config(
+        design=DesignSpec.explicit(np.sqrt(6.0) * np.diag(np.sqrt([0.5, 0.5, 1, 1, 1, 1]))),
+        signal=SignalSpec.explicit(np.zeros(6)),
+        sweep_values=(1e-2, 0.3), trials=3, solve=SolveOptions(max_iter=1),
+    )
+    solves = []
+
+    def recording(mu, u, gamma, reg, opts):
+        batch = forward_backward_batch(mu, u, gamma, reg, opts)
+        solves.extend(batch)
+        return batch
+
+    monkeypatch.setattr(exps, "forward_backward_batch", recording)
+    res = noise_stability_sweep(cfg)
+    assert len(res.records) == len(solves) == 6
+    assert res.records is res.records  # built once
+    types = dict(seed=int, n=int, sigma=float, mu=float, identified=bool, boundary_flag=bool,
+                 error_norm=float, eps_norm=float, converged=bool, certificate_margin=float)
+    for k, (record, solve) in enumerate(zip(res.records, solves)):
+        assert {c: type(getattr(record, c)) for c in types} == types
+        assert record.seed == cfg.base_seed + 1 + k and record.n == 6
+        assert (record.sigma, record.mu) == (cfg.sweep_values[k // 3], 0.05)
+        assert record.converged is solve.converged is (k < 3)
+        assert record.identification_iter == solve.identification_iter
+        assert type(record.identification_iter) is (int if k < 3 else type(None))
+        assert record.identified is (solve.converged and not solve.beta.any())
+        assert record.error_norm == float(np.linalg.norm(solve.beta))
+        _, _, eps = oracles.explicit_trial(cfg.design, np.zeros(6), record.sigma, record.seed)
+        assert record.eps_norm == float(np.linalg.norm(eps))
+        assert record.boundary_flag is False
+        assert record.certificate_margin == res.certificate.verdict.margin
+
+
+@pytest.mark.parametrize("name, jobs", [
+    ("noise-half-converged", "1"), ("noise-half-converged", "2"), ("consistency", "1"),
+    ("sharpness", "1"),
+])
+def test_an_experiment_run_builds_no_trial_record(tmp_path, monkeypatch, name, jobs):
+    # records.csv, summary.json and plot.csv come from the columns; a
+    # TrialRecord per trial is built only where result.records is read
+    class NoRecords:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a TrialRecord was built")
+
+    monkeypatch.setattr(exps, "TrialRecord", NoRecords)
+    code, out = run_cli_sweep(tmp_path, name, "--jobs", jobs)
+    assert code == 0
+    experiment = CLI_SWEEPS[name]["experiment"]
+    [values] = experiment["sweep"].values()
+    assert (out / "records.csv").read_text().count("\n") == 1 + len(values) * experiment["trials"]
+    with pytest.raises(AssertionError, match="TrialRecord"):
+        noise_stability_sweep(identity_config()).records
+
+
 def test_summary_json(tmp_path):
     res = noise_stability_sweep(identity_config(trials=3))
     path = tmp_path / "summary.json"

@@ -427,6 +427,19 @@ class TestSignals:
             SignalSpec(kind="spike_train", p=4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DesignSpec.explicit(np.eye(2)),
+    lambda: DesignSpec.gaussian(np.eye(2), 5),
+    lambda: SignalSpec.explicit(np.ones(2)),
+    lambda: SignalSpec(kind="sparse", p=4, support_size=2),
+], ids=["explicit-design", "gaussian-design", "explicit-signal", "sparse-signal"])
+def test_specs_compare_and_hash_by_identity(make):
+    # array fields have no one truth value, so == and hash() raised on them
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_load_matrix_csv(tmp_path):
     path = tmp_path / "m.csv"
     m = np.array([[1.0, 2.5], [-3.0, 4.0]])
