@@ -18,7 +18,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     MuRule,
-    TrialRecord,
     consistency_sweep,
     find_certified_design,
     noise_stability_sweep,
@@ -87,7 +86,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "Subspace",
-    "TrialRecord",
     "certify_uniqueness",
     "check_covariance",
     "check_model_stability",

@@ -36,7 +36,7 @@ from .linalg import (
 from .regularizers import RI_TOL, ZERO_TOL, CertificateVerdict, ModelGeometry, Regularizer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """A dual vector eta classified on a model, plus what it takes to read it.
 

@@ -21,11 +21,11 @@ A batch draws each sweep point's trials with one draw_trials call (one
 generator per trial, products as stacks) and passes the stacks of all its
 points to one forward_backward_batch (both looked up here, so tests can
 wrap them).  A point's outcomes stay columns: slices of the batch's arrays
-beside the point's n, sigma and mu.  A sweep's TrialTable holds them, the
-summaries read them through masks, and records.csv and plot.csv are
-written a column at a time, a value that many rows share formatted once,
-in the bytes csv.writer would write.  ExperimentResult.records, one
-TrialRecord per trial, is built from the table only when read.
+beside the point's n, sigma and mu.  A sweep's TrialTable holds them and is
+the one form of its trials: the summaries read its columns through masks,
+and records.csv (RECORD_COLUMNS) and plot.csv are written a column at a
+time, a value that many rows share formatted once, in the bytes csv.writer
+would write.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -183,21 +182,8 @@ class ExperimentConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         _check_tolerances(ri_tol=self.ri_tol)
         object.__setattr__(self, "sweep_values", values)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    seed: int
-    n: int
-    sigma: float
-    mu: float
-    identified: bool
-    boundary_flag: bool
-    error_norm: float
-    eps_norm: float
-    identification_iter: Optional[int]
-    converged: bool
-    certificate_margin: float
+        if self.noise_sigma is not None:
+            object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
 
 @dataclass(frozen=True)
@@ -219,14 +205,26 @@ class ProfileStats:
     post_match_fraction: float
 
 
+# the columns of records.csv, in order: a trial's seed, its sweep point's
+# n, sigma and mu, its outcomes, and the sweep certificate's flag and margin
+RECORD_COLUMNS = (
+    "seed", "n", "sigma", "mu", "identified", "boundary_flag", "error_norm", "eps_norm",
+    "identification_iter", "converged", "certificate_margin",
+)
+# the record columns whose value a whole sweep point shares, and a whole sweep
+_POINT_VALUES = ("n", "sigma", "mu")
+_SWEEP_VALUES = ("boundary_flag", "certificate_margin")
+
+
 @dataclass(frozen=True, eq=False)
 class TrialColumns:
     """The trials of one sweep point, as columns in seed order.
 
     n, sigma and mu are the point's, shared by its trials; the arrays are
-    the slices of its rows in the batch that solved them.
-    identification_iter holds an integer per trial, which a record reads
-    only where converged.
+    the slices of its rows in the batch that solved them, one per record
+    column that is neither a point's nor a sweep's.
+    identification_iter holds an integer per trial, which records.csv
+    writes only where converged.
     """
 
     n: int
@@ -240,16 +238,11 @@ class TrialColumns:
     converged: np.ndarray
 
 
-# the record columns whose value a whole sweep point shares, and a whole sweep
-_POINT_VALUES = ("n", "sigma", "mu")
-_SWEEP_VALUES = ("boundary_flag", "certificate_margin")
-
-
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """A sweep's trials as columns: one TrialColumns per sweep point, in
     task order, and the certificate's boundary flag and margin, which every
-    trial shares.  Iterating it gives one TrialRecord per trial.
+    trial shares.  array gives any of RECORD_COLUMNS over every trial.
     """
 
     points: list
@@ -258,10 +251,6 @@ class TrialTable:
 
     def __len__(self) -> int:
         return sum(len(point.seed) for point in self.points)
-
-    def __iter__(self):
-        columns = [self.column(name) for name in RECORD_COLUMNS]
-        return (TrialRecord(*row) for row in zip(*columns))
 
     def _runs(self, name):
         """Column name as (value, count) runs when rows share its value, else None."""
@@ -272,26 +261,22 @@ class TrialTable:
         return None
 
     def array(self, name) -> np.ndarray:
-        """A per-trial column over every point, as one array."""
+        """Record column name over every trial, in task order, as one array."""
+        runs = self._runs(name)
+        if runs is not None:
+            values, counts = zip(*runs)
+            return np.repeat(values, counts)
         return np.concatenate([getattr(point, name) for point in self.points])
 
-    def column(self, name) -> list:
-        """Column name, one value per trial of the Python type its record holds:
-        None for the identification_iter of a trial that did not converge."""
-        runs = self._runs(name)
-        if runs is not None:
-            return [x for value, count in runs for x in [value] * count]
-        values = self.array(name).tolist()
-        if name == "identification_iter":
-            return [x if ok else None for x, ok in zip(values, self.array("converged").tolist())]
-        return values
-
     def fields(self, name) -> list:
-        """Column name as the fields _fmt writes, a shared value formatted once."""
+        """Record column name as the fields records.csv writes, a shared value
+        formatted once: "" for the identification_iter of a trial that did
+        not converge."""
         runs = self._runs(name)
         if runs is not None:
-            return [x for value, count in runs for x in [_fmt(value)] * count]
-        fields = _format_column(self.array(name).tolist())
+            return [x for value, count in runs for x in [_FORMATS[type(value)](value)] * count]
+        values = self.array(name).tolist()
+        fields = list(map(_FORMATS[type(values[0])], values))
         if name == "identification_iter":
             return [x if ok else "" for x, ok in zip(fields, self.array("converged").tolist())]
         return fields
@@ -299,9 +284,8 @@ class TrialTable:
 
 @dataclass(eq=False)
 class ExperimentResult:
-    """A sweep's outcome.  trials holds every trial as columns, which the
-    summaries and writers read; records is the same trials as one
-    TrialRecord each, in task order, built from trials when first read."""
+    """A sweep's outcome.  trials holds every trial as columns, in task
+    order, which the summaries and the writers read."""
 
     kind: str
     trials: TrialTable
@@ -310,14 +294,12 @@ class ExperimentResult:
     noiseless_identified: Optional[dict] = None
     profile: Optional[ProfileStats] = None
 
-    records = cached_property(lambda self: list(self.trials))
-
 
 # ---------------------------------------------------------------------------
 # trial engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Shared:
     """What every trial of one sweep shares.
 
@@ -477,7 +459,7 @@ def _summarize(value, point, boundary):
     )
 
 
-def _make_shared(config: ExperimentConfig, cert, beta0, design) -> _Shared:
+def _make_shared(config: ExperimentConfig, beta0, design) -> _Shared:
     return _Shared(
         reg=config.regularizer,
         design=design,
@@ -504,7 +486,7 @@ def _fixed_setup(config: ExperimentConfig):
     cert = check_model_stability(
         design.quad.gamma, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    return _make_shared(config, cert, beta0, design), cert, x.shape[0]
+    return _make_shared(config, beta0, design), cert, x.shape[0]
 
 
 def _noise_setup(config: ExperimentConfig):
@@ -531,8 +513,8 @@ def noise_stability_sweep(config: ExperimentConfig) -> ExperimentResult:
     The result's profile covers all trials.  A trial identifies finitely when
     it converged with an identification_iter below solve.max_iter;
     identification_iters lists those iterations and finite_fraction is
-    their share.  post_match_fraction is the share whose record says
-    identified.  A trial that does not converge counts against both.
+    their share.  post_match_fraction is the share whose identified
+    column is true.  A trial that does not converge counts against both.
     """
     _check_entry("noise_stability_sweep", "noise_stability", config)
     shared, cert, points = _noise_setup(config)
@@ -575,7 +557,7 @@ def consistency_sweep(config: ExperimentConfig) -> ExperimentResult:
     cert = check_model_stability(
         config.design.covariance, beta0, config.regularizer, config.solve.zero_tol, config.ri_tol
     )
-    shared = _make_shared(config, cert, beta0, config.design)
+    shared = _make_shared(config, beta0, config.design)
     points = [(n, sigma, config.mu_rule.resolve(sigma, n)) for n in sizes]
     return _result("consistency", sizes, _run_trials(shared, points, config), cert)
 
@@ -628,71 +610,30 @@ def find_certified_design(reg, covariance, n, beta0, min_margin=0.0, base_seed=0
 # serialization
 
 
-def _format_for(kind):
-    """How _fmt writes a value of type kind."""
-    if kind is type(None):
-        return lambda x: ""
-    if issubclass(kind, (bool, np.bool_)):
-        return lambda x: "true" if x else "false"
-    if issubclass(kind, (int, np.integer)):
-        return str if kind is int else lambda x: str(int(x))
-    return "{:.17g}".format if kind is float else lambda x: format(float(x), ".17g")
-
-
-# the formatters of the types records and summaries hold
-_FORMATS = {
-    kind: _format_for(kind)
-    for kind in (type(None), bool, int, float, np.bool_, np.int64, np.float64)
-}
-
-
-def _fmt(x) -> str:
-    """A field of records.csv or plot.csv: "" for None, true/false, integers
-    as such, anything else as a float at 17 significant digits."""
-    fmt = _FORMATS.get(type(x))
-    return (fmt or _format_for(type(x)))(x)
-
-
-def _format_column(values) -> list:
-    """The _fmt fields of one column's values: the formatter of their one
-    type mapped over them, or _fmt per value in a column of mixed types."""
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return list(map(_fmt, values))
-    [kind] = kinds
-    return list(map(_FORMATS.get(kind) or _format_for(kind), values))
-
-
-RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+# how records.csv and plot.csv write a field of each type their columns
+# hold, one type per column: true/false, an integer as such, a float at 17
+# significant digits
+_FORMATS = {bool: lambda x: "true" if x else "false", int: str, float: "{:.17g}".format}
 
 SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
-def _write_table(path, names, table):
-    """A header line, then one line per row of table's columns of fields.
+def _write_table(path, names, columns):
+    """A header line of names, then one line per row of columns of fields.
 
-    table is a TrialTable or rows with the attributes names, transposed
-    into columns.  The bytes csv.writer writes for these lines: no column
-    name and no field _fmt makes holds a delimiter, quote or line break, so
-    none is quoted.
+    The bytes csv.writer writes for these lines: no column name and no
+    field _FORMATS makes holds a delimiter, quote or line break, so none is
+    quoted.
     """
-    if isinstance(table, TrialTable):
-        columns = [table.fields(name) for name in names]
-    else:
-        rows = list(table)
-        columns = [_format_column([getattr(row, name) for row in rows]) for name in names]
     lines = [",".join(names), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def write_records_csv(records, path):
-    """One row per trial, floats at 17 significant digits.
-
-    records is a sweep's TrialTable (ExperimentResult.trials), or rows
-    with the RECORD_COLUMNS attributes, such as its TrialRecords.
-    """
-    _write_table(path, RECORD_COLUMNS, records)
+def write_records_csv(trials: TrialTable, path):
+    """One row per trial of a sweep's TrialTable (ExperimentResult.trials),
+    floats at 17 significant digits."""
+    _write_table(path, RECORD_COLUMNS, [trials.fields(name) for name in RECORD_COLUMNS])
 
 
 def write_summary_json(result: ExperimentResult, path):
@@ -716,7 +657,7 @@ def write_summary_json(result: ExperimentResult, path):
             payload["certificate"]["tangent_residual"] = cert.verdict.tangent_residual
     if result.noiseless_identified is not None:
         payload["noiseless_identified"] = {
-            _fmt(mu): bool(v) for mu, v in result.noiseless_identified.items()
+            _FORMATS[float](mu): bool(v) for mu, v in result.noiseless_identified.items()
         }
     if result.profile is not None:
         payload["profile"] = {
@@ -731,4 +672,5 @@ def write_summary_json(result: ExperimentResult, path):
 
 def write_plot_csv(result: ExperimentResult, path):
     """Long-format summary table, one row per sweep point."""
-    _write_table(path, SUMMARY_COLUMNS, result.summary)
+    columns = [[getattr(row, name) for row in result.summary] for name in SUMMARY_COLUMNS]
+    _write_table(path, SUMMARY_COLUMNS, [list(map(_FORMATS[type(c[0])], c)) for c in columns])

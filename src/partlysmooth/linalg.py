@@ -92,7 +92,7 @@ def check_covariance(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^p stored as an orthonormal basis.
 

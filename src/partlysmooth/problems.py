@@ -230,7 +230,7 @@ def _segment_sizes(p, k, rng):
     return np.diff(edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDraws:
     """The trials of one sweep point, as draw_trials returns them.
 

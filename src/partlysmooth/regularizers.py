@@ -66,7 +66,7 @@ def check_prox_weight(gamma) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelGeometry:
     """Local geometry of a regularizer at a point.
 

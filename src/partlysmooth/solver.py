@@ -107,7 +107,7 @@ def _check_mu(mu) -> np.ndarray:
     return mu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalParameters:
     """Scale-free problem data theta = (mu, u, Gamma).
 
@@ -161,7 +161,7 @@ class SolveOptions:
             raise ValueError(f"zero_tol must be finite and >= 0, got {self.zero_tol}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Outcome of a forward-backward run.
 
@@ -203,7 +203,7 @@ class SolveResult:
         return self.objective_trace[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchResult:
     """Outcome of forward_backward_batch: row i of each array is problem i's.
 

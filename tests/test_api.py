@@ -80,18 +80,33 @@ def attributes(node) -> Counter:
     return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
+def methods(cls):
+    """(name, node) of each method of a class body: a def, or a name assigned
+    a property(...) or cached_property(...) call.  A dataclass field(...) or
+    a default instance is not a method."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in ("property", "cached_property"):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_method_has_a_caller():
     # a method, property or constructor of a package class (dunders aside)
     # is reached as an attribute somewhere outside its own body
     trees = {path: parse(path) for path in CALLERS}
     total = sum((attributes(tree) for tree in trees.values()), Counter())
     unused = [
-        f"{path.name}: {cls.name}.{fn.name}"
+        f"{path.name}: {cls.name}.{name}"
         for path in PACKAGE
         for cls in trees[path].body if isinstance(cls, ast.ClassDef)
-        for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        if not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and total[fn.name] - attributes(fn)[fn.name] <= 0
+        for name, node in methods(cls)
+        if not (name.startswith("__") and name.endswith("__"))
+        and total[name] - attributes(node)[name] <= 0
     ]
     assert not unused, f"methods that no package or perfbench code reaches: {unused}"
 

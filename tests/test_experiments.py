@@ -34,7 +34,13 @@ from partlysmooth import (
     write_records_csv,
     write_summary_json,
 )
-from partlysmooth.experiments import RECORD_COLUMNS, SUMMARY_COLUMNS
+from partlysmooth.experiments import (
+    RECORD_COLUMNS,
+    SUMMARY_COLUMNS,
+    SummaryRow,
+    TrialColumns,
+    TrialTable,
+)
 
 import oracles
 
@@ -53,6 +59,15 @@ def identity_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def same_trials(a, b) -> bool:
+    """Whether two sweeps' results hold the same trials: every record column
+    equal, in task order, nan matching nan."""
+    return all(
+        np.array_equal(a.trials.array(c), b.trials.array(c), equal_nan=True)
+        for c in RECORD_COLUMNS
+    )
 
 
 class TestMuRule:
@@ -145,35 +160,43 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^noise_sigma must be >= 0, got -1.0$"):
             identity_config(noise_sigma=-1.0)
 
+    def test_noise_sigma_is_a_float(self):
+        # a library config's noise_sigma=1 is the float a config file gives,
+        # as is each sweep point's sigma
+        cfg = TestSharpness().outside_config(noise_sigma=1, trials=2)
+        assert type(cfg.noise_sigma) is float
+        res = sharpness_experiment(cfg)
+        assert [type(point.sigma) for point in res.trials.points] == [float, float]
+        assert res.trials.array("sigma").dtype == np.float64
+
 
 class TestNoiseStability:
     def test_identity_design_recovers(self):
         res = noise_stability_sweep(identity_config())
         assert res.kind == "noise_stability"
-        assert len(res.records) == 10
+        t = res.trials
+        assert len(t) == 10
         assert res.certificate.usable
         assert res.certificate.verdict.margin == pytest.approx(1.0, abs=1e-12)
-        for rec in res.records:
-            assert rec.converged and rec.identified
-            assert rec.certificate_margin == pytest.approx(1.0, abs=1e-12)
-        noiseless = [r for r in res.records if r.sigma == 0.0]
+        assert t.array("converged").all() and t.array("identified").all()
+        assert t.array("certificate_margin") == pytest.approx(1.0, abs=1e-12)
+        noiseless = t.array("sigma") == 0.0
+        assert np.count_nonzero(noiseless) == 5
         # with identity covariance the solution is soft thresholding: the
         # noiseless error is exactly mu per active coordinate
-        for rec in noiseless:
-            assert rec.error_norm == pytest.approx(0.05 * np.sqrt(2), abs=1e-8)
-            assert rec.eps_norm == 0.0
+        assert t.array("error_norm")[noiseless] == pytest.approx(0.05 * np.sqrt(2), abs=1e-8)
+        assert not t.array("eps_norm")[noiseless].any()
 
     def test_reproducible(self):
         a = noise_stability_sweep(identity_config())
         b = noise_stability_sweep(identity_config())
-        assert a.records == b.records
+        assert same_trials(a, b)
         c = noise_stability_sweep(identity_config(base_seed=99))
-        assert a.records != c.records
+        assert not same_trials(a, c)
 
     def test_seed_layout(self):
         res = noise_stability_sweep(identity_config(base_seed=40))
-        seeds = [r.seed for r in res.records]
-        assert seeds == list(range(41, 51))
+        assert res.trials.array("seed").tolist() == list(range(41, 51))
 
     def test_default_proportional_scale_requires_certificate(self):
         # outside-certified instance: the 2/margin default has no meaning
@@ -190,14 +213,14 @@ class TestNoiseStability:
         # failures there would be a chance event
         ok = replace(cfg, mu_rule=MuRule("proportional", scale=10.0))
         res = noise_stability_sweep(ok)
-        assert [r.identified for r in res.records] == [False] * 5
+        assert res.trials.array("identified").tolist() == [False] * 5
 
     def test_non_converged_trials_are_excluded(self):
         cfg = identity_config(solve=SolveOptions(max_iter=1, step=0.1))
         res = noise_stability_sweep(cfg)
-        for rec in res.records:
-            assert not rec.converged and not rec.identified
-            assert rec.identification_iter is None
+        t = res.trials
+        assert not t.array("converged").any() and not t.array("identified").any()
+        assert t.fields("identification_iter") == [""] * len(t)
         for row in res.summary:
             assert row.converged_count == 0
             assert math.isnan(row.identification_rate)
@@ -210,14 +233,13 @@ class TestNoiseStability:
         assert noisy.trials == 4 and noisy.converged_count == 4
         assert noisy.identification_rate == 1.0
         assert noisy.boundary_count == 0
-        recs = [r for r in res.records if r.sigma > 0]
-        expect = np.mean([r.error_norm / r.eps_norm for r in recs])
-        assert noisy.mean_error_ratio == pytest.approx(expect)
-        assert noisy.max_error_ratio == pytest.approx(
-            max(r.error_norm / r.eps_norm for r in recs)
-        )
+        t = res.trials
+        recs = t.array("sigma") > 0
+        ratios = t.array("error_norm")[recs] / t.array("eps_norm")[recs]
+        assert noisy.mean_error_ratio == pytest.approx(np.mean(ratios))
+        assert noisy.max_error_ratio == pytest.approx(np.max(ratios))
         assert noisy.mean_identification_iter == pytest.approx(
-            np.mean([r.identification_iter for r in recs])
+            np.mean(t.array("identification_iter")[recs])
         )
 
 
@@ -232,7 +254,7 @@ class TestBoundaryBookkeeping:
             mu_rule=MuRule("fixed", value=1e-3),
         )
         res = noise_stability_sweep(cfg)
-        assert all(r.boundary_flag for r in res.records)
+        assert res.trials.array("boundary_flag").all()
         row = res.summary[0]
         assert row.boundary_count == 6
         assert math.isnan(row.identification_rate)
@@ -257,21 +279,20 @@ class TestConsistency:
     def test_rates_improve_with_n(self):
         res = consistency_sweep(self.base())
         assert res.kind == "consistency"
-        assert len(res.records) == 50
+        t = res.trials
+        assert len(t) == 50
         # population certificate on the identity is perfectly interior
         assert res.certificate.verdict.status == "interior"
         rates = [row.identification_rate for row in res.summary]
         assert rates[1] >= rates[0]
         assert rates[1] >= 0.9
-        ns = sorted({r.n for r in res.records})
-        assert ns == [50, 200]
+        assert sorted(set(t.array("n").tolist())) == [50, 200]
         # mu follows the power rule at each n
-        for rec in res.records:
-            assert rec.mu == pytest.approx(rec.n ** -0.25)
+        assert t.array("mu") == pytest.approx(t.array("n") ** -0.25)
 
     def test_fresh_design_per_trial(self):
         res = consistency_sweep(self.base(trials=2, sweep_values=(40, 80)))
-        errs = [r.eps_norm for r in res.records]
+        errs = res.trials.array("eps_norm").tolist()
         assert len(set(errs)) == len(errs)
 
     def test_requires_gaussian_design(self):
@@ -349,16 +370,16 @@ class TestIdentificationProfile:
             sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=9)
         )
         res = noise_stability_sweep(cfg)
-        converged = [r for r in res.records if r.converged]
-        assert 0 < len(converged) < len(res.records)
-        assert 0 < sum(r.identified for r in converged) < len(converged)
-        iters = [r.identification_iter for r in converged]
+        t = res.trials
+        converged = t.array("converged")
+        matched = np.count_nonzero(t.array("identified") & converged)
+        assert 0 < np.count_nonzero(converged) < len(t)
+        assert 0 < matched < np.count_nonzero(converged)
+        iters = t.array("identification_iter")[converged].tolist()
         assert res.profile.identification_iters == iters and max(iters) < 9
         # the trials that stop short count against both fractions
-        assert res.profile.finite_fraction == len(converged) / len(res.records)
-        assert res.profile.post_match_fraction == (
-            sum(r.identified for r in converged) / len(res.records)
-        )
+        assert res.profile.finite_fraction == len(iters) / len(t)
+        assert res.profile.post_match_fraction == matched / len(t)
 
     def test_profile_on_certified_instance(self):
         cfg = identity_config(sweep_values=(1e-3, 1e-4), trials=6)
@@ -368,7 +389,7 @@ class TestIdentificationProfile:
         assert res.profile.post_match_fraction == 1.0
         iters = res.profile.identification_iters
         assert len(iters) == 12
-        recorded = [r.identification_iter for r in res.records]
+        recorded = res.trials.array("identification_iter").tolist()
         assert sorted(iters) == sorted(recorded)
 
     def test_trials_that_stop_short_count_against_finite_fraction(self):
@@ -382,7 +403,7 @@ class TestIdentificationProfile:
             sweep_values=(1e-2, 0.3, 1.0), trials=10, solve=SolveOptions(max_iter=1),
         )
         res = noise_stability_sweep(cfg)
-        assert [r.converged for r in res.records] == [True] * 10 + [False] * 20
+        assert res.trials.array("converged").tolist() == [True] * 10 + [False] * 20
         assert res.profile.finite_fraction == pytest.approx(1 / 3)
         assert res.profile.post_match_fraction == pytest.approx(1 / 3)
         # given the steps, every trial converges and the fraction is 1
@@ -426,13 +447,13 @@ def test_shared_gamma_matches_unshared_replay(monkeypatch, sweep, overrides):
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = sweep(cfg)
     # the trials are the last solves (sharpness first runs noiseless checks)
-    assert len(res.records) == 4
+    t = res.trials
+    assert len(t) == 4
     n = cfg.design.matrix.shape[0]
-    for record, shared in zip(res.records, results[-len(res.records):]):
-        gamma, u, _ = oracles.explicit_trial(
-            cfg.design, cfg.signal.beta0, record.sigma, record.seed
-        )
-        theta = CanonicalParameters(mu=record.mu * n / n, u=u, gamma=gamma)
+    trials = zip(*(t.array(c).tolist() for c in ("seed", "sigma", "mu")))
+    for (seed, sigma, mu), shared in zip(trials, results[-len(t):], strict=True):
+        gamma, u, _ = oracles.explicit_trial(cfg.design, cfg.signal.beta0, sigma, seed)
+        theta = CanonicalParameters(mu=mu * n / n, u=u, gamma=gamma)
         replay = forward_backward(theta, cfg.regularizer, cfg.solve)
         assert np.array_equal(replay.beta, shared.beta)
         assert replay.iterations == shared.iterations
@@ -470,7 +491,7 @@ def test_noise_sweep_factors_no_design_after_set_up(monkeypatch, sweep, override
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     res = sweep(cfg)
-    assert len(res.records) == 2 * len(cfg.sweep_values) and certified == [True]
+    assert len(res.trials) == 2 * len(cfg.sweep_values) and certified == [True]
     assert True not in after
 
 
@@ -484,7 +505,7 @@ IDENTIFIED_CASES = [
 
 @pytest.mark.parametrize("reg, beta0", IDENTIFIED_CASES, ids=[r.kind for r, _ in IDENTIFIED_CASES])
 def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta0):
-    # a record's identified compares final model masks with beta0's; it must
+    # a trial's identified compares final model masks with beta0's; it must
     # say what the batch's views and the reference model rule say
     batches = []
 
@@ -504,10 +525,10 @@ def test_identified_from_keys_matches_the_descriptor_rule(monkeypatch, reg, beta
             signal=SignalSpec.explicit(beta0), sweep_values=(0.0, 1.0), trials=3,
             solve=SolveOptions(max_iter=max_iter),
         )
-        records = noise_stability_sweep(cfg).records
-        for record, res in zip(records, batches.pop(), strict=True):
-            assert record.identified == (res.converged and res.model == target)
-            seen.add((res.converged, record.identified))
+        identified = noise_stability_sweep(cfg).trials.array("identified").tolist()
+        for ident, res in zip(identified, batches.pop(), strict=True):
+            assert ident == (res.converged and res.model == target)
+            seen.add((res.converged, ident))
     # rows stopped at max_iter, converged off beta0's model and on it
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -575,14 +596,14 @@ def test_gamma_prepared_once_per_fixed_design(svd_calls):
         # a new spec, nothing of it read yet
         cfg = replace(cfg, design=DesignSpec.explicit(cfg.design.matrix))
         calls.update(spectral_norms=0, pseudoinverse=0)
-        assert sweep(cfg).records == sweep(cfg).records
+        assert same_trials(sweep(cfg), sweep(cfg))
         assert calls == {"spectral_norms": 1, "pseudoinverse": 0}, sweep.__name__
     # fresh designs: every trial has its own Gamma, and the batch computes
     # all their norms in one stacked call
     calls.update(spectral_norms=0, pseudoinverse=0)
     res = consistency_sweep(TestConsistency().base(trials=3, sweep_values=(40, 80)))
     assert calls == {"spectral_norms": 1, "pseudoinverse": 0}
-    assert len(res.records) == 6
+    assert len(res.trials) == 6
 
 
 def test_one_batch_per_fixed_design_sweep(monkeypatch):
@@ -615,12 +636,12 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
 
     monkeypatch.setattr(exps, "forward_backward_batch", counted)
     cfg = TestConsistency().base(trials=3, sweep_values=(40, 80, 160))
-    want = consistency_sweep(cfg).records
+    want = consistency_sweep(cfg)
     point = 3 * 6 * 6 * 8  # bytes of one sample size's Gamma stack
     for budget, sizes in ((9 * point, [9]), (2 * point, [6, 3]), (point - 1, [3, 3, 3])):
         monkeypatch.setattr(exps, "GAMMA_STACK_BYTES", budget)
         batches.clear()
-        assert consistency_sweep(cfg).records == want
+        assert same_trials(consistency_sweep(cfg), want)
         assert batches == sizes, budget
 
 
@@ -640,14 +661,14 @@ def test_gamma_budget_at_p10_and_p200():
 
 def test_consistency_jobs_match_serial():
     cfg = TestConsistency().base(trials=3, sweep_values=(40, 80, 160))
-    assert consistency_sweep(replace(cfg, jobs=2)).records == consistency_sweep(cfg).records
+    assert same_trials(consistency_sweep(replace(cfg, jobs=2)), consistency_sweep(cfg))
 
 
 def test_parallel_jobs_match_serial():
     cfg = identity_config(trials=4)
     serial = noise_stability_sweep(cfg)
     parallel = noise_stability_sweep(replace(cfg, jobs=2))
-    assert serial.records == parallel.records
+    assert same_trials(serial, parallel)
 
 
 def test_lone_trials_match_their_rows_in_a_batch(tmp_path):
@@ -665,7 +686,7 @@ def test_lone_trials_match_their_rows_in_a_batch(tmp_path):
         written = []
         for jobs in (1, 2):
             path = tmp_path / f"{sweep.__name__}-{jobs}.csv"
-            write_records_csv(sweep(replace(cfg, jobs=jobs)).records, path)
+            write_records_csv(sweep(replace(cfg, jobs=jobs)).trials, path)
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
@@ -680,7 +701,7 @@ def test_default_jobs_is_serial(monkeypatch):
     # identity_config sets no jobs
     assert identity_config().jobs == 1
     res = noise_stability_sweep(identity_config())
-    assert res.records == noise_stability_sweep(identity_config(jobs=1)).records
+    assert same_trials(res, noise_stability_sweep(identity_config(jobs=1)))
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -708,22 +729,26 @@ def test_find_certified_design():
 def test_records_csv_round_trip(tmp_path):
     res = noise_stability_sweep(identity_config(trials=3))
     path = tmp_path / "records.csv"
-    write_records_csv(res.records, path)
+    t = res.trials
+    write_records_csv(t, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(res.records)
+    assert len(rows) == len(t)
     assert tuple(rows[0].keys()) == RECORD_COLUMNS
-    for row, rec in zip(rows, res.records):
-        assert int(row["seed"]) == rec.seed
+    columns = ("seed", "identified", "error_norm", "certificate_margin")
+    for row, (seed, identified, error, margin) in zip(
+        rows, zip(*(t.array(c).tolist() for c in columns)), strict=True
+    ):
+        assert int(row["seed"]) == seed
         assert row["identified"] in ("true", "false")
-        assert (row["identified"] == "true") == rec.identified
+        assert (row["identified"] == "true") == identified
         # floats are written with enough digits to round-trip bitwise
-        assert float(row["error_norm"]) == rec.error_norm
-        assert float(row["certificate_margin"]) == rec.certificate_margin
-    # None serializes as the empty string
+        assert float(row["error_norm"]) == error
+        assert float(row["certificate_margin"]) == margin
+    # a trial that did not converge has an empty identification_iter
     assert rows[0]["identification_iter"] != ""
     blank = noise_stability_sweep(identity_config(trials=1, solve=SolveOptions(max_iter=1, step=0.1)))
-    write_records_csv(blank.records, path)
+    write_records_csv(blank.trials, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["identification_iter"] == ""
@@ -731,33 +756,62 @@ def test_records_csv_round_trip(tmp_path):
 
 
 def reference_fmt(x) -> str:
-    """_fmt as one isinstance chain: the reference for its per-type table."""
+    """A field as one isinstance chain: the reference for the writers' per-type table."""
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    if isinstance(x, int):
+        return str(x)
+    return format(x, ".17g")
+
+
+def write_reference(path, names, columns):
+    """csv.writer over columns of values, reference_fmt per field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([reference_fmt(x) for x in row] for row in zip(*columns, strict=True))
 
 
 def test_writers_have_the_bytes_of_csv_writer(tmp_path):
-    values = [None, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.5e-7, 2 ** 70,
-              -(2 ** 63), 0, True, False, np.float64(0.1), np.float64(-math.inf),
-              np.int64(-7), np.int32(3), np.bool_(True), np.bool_(False), 1 / 3]
-    # every value in every column, so each column sees each type
-    rows = [SimpleNamespace(**{c: values[(i + j) % len(values)]
-                               for j, c in enumerate(RECORD_COLUMNS)})
-            for i in range(len(values))]
-    path = tmp_path / "records.csv"
-    write_records_csv(rows, path)
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in rows:
-            writer.writerow([reference_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
-    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert [exps._fmt(v) for v in values] == [reference_fmt(v) for v in values]
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.5e-7, 1 / 3]
+    k = len(floats)
+    # a table of two points, the first of four trials, and the summary rows
+    # of a sweep, holding these values and the extreme integers
+    per_trial = dict(
+        seed=[-(2 ** 63), 2 ** 63 - 1, *range(k - 2)],
+        identified=[i % 2 == 0 for i in range(k)],
+        error_norm=floats,
+        eps_norm=floats[::-1],
+        identification_iter=list(range(k)),
+        converged=[i % 3 != 1 for i in range(k)],
+    )
+    shared = [(2 ** 70, -0.0, 5e-324), (0, math.inf, math.nan)]
+    points = [
+        TrialColumns(n, sigma, mu, **{c: np.array(v[rows]) for c, v in per_trial.items()})
+        for (n, sigma, mu), rows in zip(shared, (slice(0, 4), slice(4, k)))
+    ]
+    write_records_csv(TrialTable(points, True, -math.inf), tmp_path / "records.csv")
+    columns = dict(
+        per_trial,
+        n=[2 ** 70] * 4 + [0] * (k - 4),
+        sigma=[-0.0] * 4 + [math.inf] * (k - 4),
+        mu=[5e-324] * 4 + [math.nan] * (k - 4),
+        boundary_flag=[True] * k,
+        certificate_margin=[-math.inf] * k,
+        identification_iter=[i if ok else None for i, ok in enumerate(per_trial["converged"])],
+    )
+    write_reference(tmp_path / "want.csv", RECORD_COLUMNS, [columns[c] for c in RECORD_COLUMNS])
+    assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    summary = [SummaryRow(x, 2 ** 70, -(2 ** 63), 0, x, -x, 1e308, 5e-324) for x in floats]
+    write_plot_csv(SimpleNamespace(summary=summary), tmp_path / "plot.csv")
+    write_reference(tmp_path / "want.csv", SUMMARY_COLUMNS,
+                    [[getattr(row, c) for row in summary] for c in SUMMARY_COLUMNS])
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    values = [*floats, 2 ** 70, -(2 ** 63), 0, True, False]
+    assert [exps._FORMATS[type(v)](v) for v in values] == [reference_fmt(v) for v in values]
 
 
 IDENTITY_FILE = {
@@ -813,8 +867,8 @@ def run_cli_sweep(tmp_path, name, *args):
 
 @pytest.mark.parametrize("name", ["noise-short-step", "noise-half-converged", "consistency"])
 def test_cli_records_csv_has_the_bytes_of_csv_writer_over_records(tmp_path, monkeypatch, name):
-    # the CLI writes the columns; csv.writer over the records built from
-    # them is the reference
+    # the CLI writes the columns formatted a column at a time; csv.writer
+    # over the table's arrays, a row per trial, is the reference
     from partlysmooth import cli
 
     results = []
@@ -825,13 +879,13 @@ def test_cli_records_csv_has_the_bytes_of_csv_writer_over_records(tmp_path, monk
     code, out = run_cli_sweep(tmp_path, name)
     assert code == 0
     [res] = results
-    with open(tmp_path / "want.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in res.records:
-            writer.writerow([reference_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
+    columns = {c: res.trials.array(c).tolist() for c in RECORD_COLUMNS}
+    converged = columns["converged"]
+    columns["identification_iter"] = [
+        i if ok else None for i, ok in zip(columns["identification_iter"], converged)
+    ]
+    write_reference(tmp_path / "want.csv", RECORD_COLUMNS, list(columns.values()))
     assert (out / "records.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    converged = [r.converged for r in res.records]
     if name == "noise-short-step":
         assert not any(converged)
     if name == "noise-half-converged":
@@ -839,7 +893,7 @@ def test_cli_records_csv_has_the_bytes_of_csv_writer_over_records(tmp_path, monk
 
 
 def test_records_have_the_values_and_types_of_their_solves(monkeypatch):
-    # half the trials stop short: their identification_iter is None
+    # half the trials stop short: records.csv leaves their identification_iter empty
     cfg = identity_config(
         design=DesignSpec.explicit(np.sqrt(6.0) * np.diag(np.sqrt([0.5, 0.5, 1, 1, 1, 1]))),
         signal=SignalSpec.explicit(np.zeros(6)),
@@ -854,44 +908,33 @@ def test_records_have_the_values_and_types_of_their_solves(monkeypatch):
 
     monkeypatch.setattr(exps, "forward_backward_batch", recording)
     res = noise_stability_sweep(cfg)
-    assert len(res.records) == len(solves) == 6
-    assert res.records is res.records  # built once
-    types = dict(seed=int, n=int, sigma=float, mu=float, identified=bool, boundary_flag=bool,
-                 error_norm=float, eps_norm=float, converged=bool, certificate_margin=float)
-    for k, (record, solve) in enumerate(zip(res.records, solves)):
-        assert {c: type(getattr(record, c)) for c in types} == types
-        assert record.seed == cfg.base_seed + 1 + k and record.n == 6
-        assert (record.sigma, record.mu) == (cfg.sweep_values[k // 3], 0.05)
-        assert record.converged is solve.converged is (k < 3)
-        assert record.identification_iter == solve.identification_iter
-        assert type(record.identification_iter) is (int if k < 3 else type(None))
-        assert record.identified is (solve.converged and not solve.beta.any())
-        assert record.error_norm == float(np.linalg.norm(solve.beta))
-        _, _, eps = oracles.explicit_trial(cfg.design, np.zeros(6), record.sigma, record.seed)
-        assert record.eps_norm == float(np.linalg.norm(eps))
-        assert record.boundary_flag is False
-        assert record.certificate_margin == res.certificate.verdict.margin
-
-
-@pytest.mark.parametrize("name, jobs", [
-    ("noise-half-converged", "1"), ("noise-half-converged", "2"), ("consistency", "1"),
-    ("sharpness", "1"),
-])
-def test_an_experiment_run_builds_no_trial_record(tmp_path, monkeypatch, name, jobs):
-    # records.csv, summary.json and plot.csv come from the columns; a
-    # TrialRecord per trial is built only where result.records is read
-    class NoRecords:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a TrialRecord was built")
-
-    monkeypatch.setattr(exps, "TrialRecord", NoRecords)
-    code, out = run_cli_sweep(tmp_path, name, "--jobs", jobs)
-    assert code == 0
-    experiment = CLI_SWEEPS[name]["experiment"]
-    [values] = experiment["sweep"].values()
-    assert (out / "records.csv").read_text().count("\n") == 1 + len(values) * experiment["trials"]
-    with pytest.raises(AssertionError, match="TrialRecord"):
-        noise_stability_sweep(identity_config()).records
+    t = res.trials
+    assert len(t) == len(solves) == 6
+    # a shared value is the Python scalar of its column's one type
+    assert [(type(p.n), type(p.sigma), type(p.mu)) for p in t.points] == [(int, float, float)] * 2
+    assert (type(t.boundary_flag), type(t.certificate_margin)) == (bool, float)
+    kinds = dict(seed="i", n="i", sigma="f", mu="f", identified="b", boundary_flag="b",
+                 error_norm="f", eps_norm="f", identification_iter="i", converged="b",
+                 certificate_margin="f")
+    assert {c: t.array(c).dtype.kind for c in RECORD_COLUMNS} == kinds
+    columns = {c: t.array(c).tolist() for c in RECORD_COLUMNS}
+    written = t.fields("identification_iter")
+    for k, solve in enumerate(solves):
+        trial = {c: column[k] for c, column in columns.items()}
+        assert trial["seed"] == cfg.base_seed + 1 + k and trial["n"] == 6
+        assert (trial["sigma"], trial["mu"]) == (cfg.sweep_values[k // 3], 0.05)
+        assert trial["converged"] is solve.converged is (k < 3)
+        if k < 3:
+            assert trial["identification_iter"] == solve.identification_iter
+            assert written[k] == str(solve.identification_iter)
+        else:
+            assert solve.identification_iter is None and written[k] == ""
+        assert trial["identified"] is (solve.converged and not solve.beta.any())
+        assert trial["error_norm"] == float(np.linalg.norm(solve.beta))
+        _, _, eps = oracles.explicit_trial(cfg.design, np.zeros(6), trial["sigma"], trial["seed"])
+        assert trial["eps_norm"] == float(np.linalg.norm(eps))
+        assert trial["boundary_flag"] is False
+        assert trial["certificate_margin"] == res.certificate.verdict.margin
 
 
 def test_summary_json(tmp_path):

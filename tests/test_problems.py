@@ -11,10 +11,16 @@ from partlysmooth import (
     L1,
     Nuclear,
     SignalSpec,
+    SolveOptions,
+    Subspace,
+    check_model_stability,
+    forward_backward,
+    forward_backward_batch,
     load_matrix_csv,
     make_design,
     make_signal,
 )
+from partlysmooth.experiments import _Shared
 from partlysmooth.config import ConfigError, solve_from_config
 from partlysmooth.problems import draw_trials
 from partlysmooth.solver import Quadratic
@@ -109,8 +115,8 @@ def test_gaussian_sweep_factors_the_covariance_once(monkeypatch):
         jobs=1,
     )
     res = consistency_sweep(config)
-    assert len(res.records) == 36 and len(calls) == 1
-    assert [r.n for r in res.records] == [30] * 12 + [40] * 12 + [50] * 12
+    assert len(res.trials) == 36 and len(calls) == 1
+    assert res.trials.array("n").tolist() == [30] * 12 + [40] * 12 + [50] * 12
     # the stored root draws the bits a fresh factorization would
     spec = DesignSpec.gaussian(cov, 30)
     vals, vecs = real(cov)
@@ -427,14 +433,30 @@ class TestSignals:
             SignalSpec(kind="spike_train", p=4)
 
 
+THETA = CanonicalParameters(mu=0.1, u=np.array([1.0, 0.0]), gamma=np.eye(2))
+
+
 @pytest.mark.parametrize("make", [
     lambda: DesignSpec.explicit(np.eye(2)),
     lambda: DesignSpec.gaussian(np.eye(2), 5),
     lambda: SignalSpec.explicit(np.ones(2)),
     lambda: SignalSpec(kind="sparse", p=4, support_size=2),
-], ids=["explicit-design", "gaussian-design", "explicit-signal", "sparse-signal"])
+    lambda: check_model_stability(np.eye(2), np.array([1.0, 0.0]), L1()),
+    lambda: Subspace(np.eye(2)),
+    lambda: L1().model(np.array([1.0, 0.0])),
+    lambda: CanonicalParameters(mu=0.1, u=np.ones(2), gamma=np.eye(2)),
+    lambda: forward_backward(THETA, L1()),
+    lambda: forward_backward_batch(np.array([0.1]), THETA.u[None], THETA.gamma[None], L1(),
+                                   SolveOptions()),
+    lambda: draw_trials(DesignSpec.explicit(np.eye(2)), np.ones(2), 0.1, 0.1, [1]),
+    lambda: _Shared(L1(), DesignSpec.explicit(np.eye(2)), np.ones(2), SolveOptions(), None),
+], ids=["explicit-design", "gaussian-design", "explicit-signal", "sparse-signal", "certificate",
+        "subspace", "model-geometry", "canonical-parameters", "solve-result", "batch-result",
+        "trial-draws", "sweep-shared"])
 def test_specs_compare_and_hash_by_identity(make):
-    # array fields have no one truth value, so == and hash() raised on them
+    # array fields have no one truth value, so a generated == and hash()
+    # raised on them: specs and the dataclasses that hold arrays compare and
+    # hash by identity
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
