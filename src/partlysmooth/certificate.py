@@ -11,10 +11,11 @@ subdifferential at beta0, the active model of beta0 is stable: low-noise,
 well-tuned solves recover it exactly.  A strictly-outside eta certifies the
 opposite.  A boundary verdict is inconclusive and reported as such.
 
-The same membership test applied to eta = (u - Gamma beta)/mu at a solver
-output beta checks first-order optimality a posteriori; combined with
-restricted injectivity on the tangent space at beta it certifies that beta
-is the unique minimizer.
+Strictly inside means P_T eta = e and eta's dual norm off the model below 1:
+Regularizer.off_model_max for l1 and groups, as in the solver's certified
+stop; nuclear and analysis-l1 keep their own margins (a spectral norm, an
+LP).  The same test of eta = (u - Gamma beta)/mu at a solver output beta,
+with restricted injectivity there, certifies that beta is the unique minimizer.
 """
 
 from __future__ import annotations

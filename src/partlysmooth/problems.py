@@ -283,6 +283,9 @@ def draw_trials(
     Each product is one stacked call whose slices are the 2-d calls of one
     trial drawn alone, so each trial has those bits.
     """
+    for name, value in (("noise_sigma", noise_sigma), ("mu", mu)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     beta0 = _as_vector(beta0, name="beta0")

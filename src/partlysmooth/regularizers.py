@@ -8,8 +8,8 @@ operator D.
 Each regularizer knows how to
 
 * read the magnitudes of the rows of a batch (|beta_i|, the group norms,
-  the singular values or |(D^T beta)_i|): J is a row's sum and its model
-  the mask of those above zero_tol,
+  the singular values or |(D^T beta)_i|): J is a row's sum, its model the
+  mask of those above zero_tol, and off_model_max the largest one off a mask,
 * compute its proximal map  argmin_x 0.5 ||x - beta||^2 + gamma J(x),
 * read the full model of a point: the descriptor its mask stands for, the
   tangent subspace T and the model vector e = P_T(subdifferential), and
@@ -173,8 +173,19 @@ class Regularizer:
         """
         return None
 
+    def off_model_max(self, eta, keys) -> np.ndarray:
+        """Each row's dual norm off its model: its largest magnitude with an unset key, else 0."""
+        return np.where(keys, 0.0, self.magnitudes(eta)).max(axis=1, initial=0.0)
+
     def _interior_margin(self, geometry: ModelGeometry, eta: np.ndarray) -> float:
-        raise NotImplementedError
+        """1 - off_model_max of eta, keyed by the descriptor's set indices.
+
+        Nuclear and AnalysisL1 override it: the nuclear normal-space norm
+        needs the point's singular vectors, and the analysis margin is an LP.
+        """
+        keys = np.zeros(self.magnitudes(eta[None]).shape, dtype=bool)
+        keys[0, list(geometry.descriptor.data)] = True
+        return 1.0 - float(self.off_model_max(eta[None], keys)[0])
 
     # -- shared logic ------------------------------------------------------
     def ri_membership(self, geometry: ModelGeometry, eta, tol: float = RI_TOL) -> CertificateVerdict:
@@ -226,13 +237,11 @@ class L1(Regularizer):
             polished[at] = _solve_stack(block, u[at] - mu[rows, None] * signs[at])
         gamma_polished = gamma_products(gam, polished)
         size = self.magnitudes(polished)
-        # signs kept and model keys unchanged, and |eta| = |u - Gamma b| / mu
-        # below bound off the support
-        eta = np.abs(u - gamma_polished) / mu[:, None]
+        # signs and model keys kept, and eta = (u - Gamma b) / mu below bound off the model
         certified = (
             (np.sign(polished) == signs).all(axis=1)
             & ((size > zero_tol) == keys).all(axis=1)
-            & (np.where(keys, 0.0, eta).max(axis=1) < bound)
+            & (self.off_model_max((u - gamma_polished) / mu[:, None], keys) < bound)
         )
         return polished, gamma_polished, size.sum(axis=1), certified
 
@@ -244,12 +253,6 @@ class L1(Regularizer):
         e = np.zeros_like(beta)
         e[support] = np.sign(beta[support])
         return ModelGeometry(desc, sub, e)
-
-    def _interior_margin(self, geometry, eta) -> float:
-        off = np.ones(eta.shape[0], dtype=bool)
-        off[list(geometry.descriptor.data)] = False
-        worst = float(np.abs(eta[off]).max()) if off.any() else 0.0
-        return 1.0 - worst
 
 
 def _solve_stack(a, b):
@@ -319,14 +322,6 @@ class GroupL1L2(Regularizer):
             g = self.groups[i]
             e[g] = beta[g] / np.linalg.norm(beta[g])
         return ModelGeometry(desc, sub, e)
-
-    def _interior_margin(self, geometry, eta) -> float:
-        active = set(geometry.descriptor.data)
-        worst = 0.0
-        for i, g in enumerate(self.groups):
-            if i not in active:
-                worst = max(worst, float(np.linalg.norm(eta[g])))
-        return 1.0 - worst
 
 
 class Nuclear(Regularizer):

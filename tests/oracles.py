@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, each penalty's own value formula and model rule, a one-problem
+prox checks, each penalty's own value formula and model rule, the one-row
+off-model dual norm of l1 and the group norm, a one-problem
 forward-backward loop, one-trial instance, explicit-design and Wishart
 draws, and the
 subspace helpers (span, projector, distance) that only the tests need.
@@ -171,6 +172,29 @@ def penalty_value(reg, beta):
     if reg.kind == "nuclear":
         return float(np.linalg.svd(beta.reshape(reg.shape, order="F"), compute_uv=False).sum())
     return float(np.abs(reg.operator.T @ beta).sum())
+
+
+def off_model_max(reg, eta, active):
+    """The dual norm of one vector eta off a model, for l1 or the group norm.
+
+    active is the model's descriptor data: the support, or the active
+    groups.  The largest |eta_i| off the support through an index mask, or
+    the largest per-group np.linalg.norm off the active groups in a Python
+    loop; 0 when nothing is off.  The one-row formulas the package read
+    before its batched off_model_max.  The loop's Python max drops a NaN
+    group norm that follows a finite one, so it is no reference for NaN.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if reg.kind == "l1":
+        off = np.ones(eta.shape[0], dtype=bool)
+        off[list(active)] = False
+        return float(np.abs(eta[off]).max()) if off.any() else 0.0
+    active = set(active)
+    worst = 0.0
+    for i, g in enumerate(reg.groups):
+        if i not in active:
+            worst = max(worst, float(np.linalg.norm(eta[g])))
+    return worst
 
 
 def prox_reference(value_fn, beta, gamma):

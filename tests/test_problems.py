@@ -269,6 +269,11 @@ def test_draw_trials_refuses_what_one_trial_refuses():
     for design in DRAW_DESIGNS.values():
         n = design.matrix.shape[0] if design.kind == "explicit" else design.n
         assert message(design, BETA0, -0.1, 0.3, [4]) == "noise_sigma must be >= 0, got -0.1"
+        # NaN passes every comparison, so a non-finite value is refused by name
+        assert message(design, BETA0, np.nan, 0.3, [4]) == "noise_sigma must be finite, got nan"
+        assert message(design, BETA0, np.inf, 0.3, [4]) == "noise_sigma must be finite, got inf"
+        assert message(design, BETA0, 0.1, np.nan, [4]) == "mu must be finite, got nan"
+        assert message(design, BETA0, 0.1, np.inf, [4]) == "mu must be finite, got inf"
         assert message(design, BETA0[:4], 0.1, 0.3, [4]) == (
             "design has p=5 columns but the signal has length 4")
         # lambda = mu * n

@@ -440,6 +440,70 @@ def test_analysis_membership_empty_cosupport():
     assert v.status == "interior" and v.margin == pytest.approx(1.0)
 
 
+OFF_MODEL_REGULARIZERS = {
+    "l1": L1(),
+    "group_scattered": GroupL1L2([[0, 4, 7], [1, 2, 3], [5], [6, 8]]),
+    "group_contiguous": GroupL1L2([[0, 1, 2], [3, 4, 5], [6, 7, 8]]),
+    "group_singletons": GroupL1L2([[i] for i in range(9)]),
+}
+
+
+def off_model_blocks(reg):
+    # the coordinates of each key column of a 9-vector: one each for L1
+    return getattr(reg, "groups", [[i] for i in range(9)])
+
+
+def model_point(reg, key):
+    # a point whose model has the set entries of key: its support or active groups
+    blocks = off_model_blocks(reg)
+    beta = np.zeros(9)
+    beta[[i for g in np.flatnonzero(key) for i in blocks[g]]] = 1.0
+    return beta
+
+
+@pytest.mark.parametrize("name", OFF_MODEL_REGULARIZERS)
+def test_off_model_max_matches_the_one_row_formula(name):
+    # the batched read against the one-row formulas it replaces: L1 bit for
+    # bit, the group norm to rounding (stacked norms against one
+    # np.linalg.norm per group; 1 ulp at most on 2000 rows of each partition)
+    reg = OFF_MODEL_REGULARIZERS[name]
+    rng = np.random.default_rng(17)
+    eta = rng.normal(0.0, 1.5, (60, 9))
+    keys = rng.random((60, len(off_model_blocks(reg)))) < 0.4
+    keys[0], keys[1] = True, False
+    got = reg.off_model_max(eta, keys)
+    assert got.shape == (60,) and got[0] == 0.0
+    for i in range(60):
+        active = np.flatnonzero(keys[i])
+        expect = oracles.off_model_max(reg, eta[i], active)
+        if reg.kind == "l1":
+            assert got[i] == expect
+        else:
+            assert math.isclose(got[i], expect, rel_tol=2 * np.finfo(float).eps), (i, got[i], expect)
+        # ri_membership reads the same maximum through the descriptor's key
+        margin = reg.ri_membership(reg.model(model_point(reg, keys[i])), eta[i]).margin
+        assert margin == 1.0 - got[i]
+    assert reg.ri_membership(reg.model(np.ones(9)), eta[0]).margin == 1.0
+
+
+@pytest.mark.parametrize("name", OFF_MODEL_REGULARIZERS)
+def test_off_model_max_propagates_nan_off_the_model_only(name):
+    # a NaN at coordinate 0 reads NaN where 0's entry is off the model, and
+    # nothing where it is on it; the other rows keep their values
+    reg = OFF_MODEL_REGULARIZERS[name]
+    eta = np.full((4, 9), 0.5)
+    eta[:2, 0] = np.nan
+    keys = np.zeros((4, len(off_model_blocks(reg))), dtype=bool)
+    keys[0, 0] = keys[2, 0] = True
+    got = reg.off_model_max(eta, keys)
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
+    assert got[0] == got[2] == reg.off_model_max(eta[2:3], keys[2:3])[0]
+
+
+def test_off_model_max_with_no_entries_reads_zero():
+    assert L1().off_model_max(np.zeros((2, 0)), np.zeros((2, 0), dtype=bool)).tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # validation and construction
 
