@@ -297,7 +297,9 @@ def draw_trials(
     p = design.root.shape[0]
     if p != beta0.shape[0]:
         raise ValueError(f"design has p={p} columns but the signal has length {beta0.shape[0]}")
-    lam = mu * n
+    lam = float(mu) * n
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda = mu * n must be finite, got mu={mu} and n={n}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     count = len(seeds)
@@ -325,10 +327,13 @@ def draw_trials(
         m = np.matmul(design.root, b.transpose(0, 2, 1))
         gamma = np.matmul(m, m.transpose(0, 2, 1))
         gamma /= n
-    eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
+    with np.errstate(over="ignore"):  # refused below, by name
+        eps = noise_sigma * np.matmul(m, z[..., None])[..., 0] / n
+        eps_norms = np.sqrt(_row_dots(eps, eps))
+    if not np.isfinite(eps_norms).all():
+        raise ValueError(f"X^T w / n overflows at noise_sigma={noise_sigma}")
     u = np.matmul(gamma, beta0) + eps
-    return TrialDraws(mu=lam / n, u=u, gamma=design.quad or gamma,
-                      eps_norms=np.sqrt(_row_dots(eps, eps)))
+    return TrialDraws(mu=lam / n, u=u, gamma=design.quad or gamma, eps_norms=eps_norms)
 
 
 def load_matrix_csv(path) -> np.ndarray:

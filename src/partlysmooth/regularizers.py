@@ -10,7 +10,9 @@ Each regularizer knows how to
 * read the magnitudes of the rows of a batch (|beta_i|, the group norms,
   the singular values or |(D^T beta)_i|): J is a row's sum, its model the
   mask of those above zero_tol, and off_model_max the largest one off a mask,
-* compute its proximal map  argmin_x 0.5 ||x - beta||^2 + gamma J(x),
+* take its proximal map  argmin_x 0.5 ||x - v||^2 + w J(x)  of every row of
+  a batch at once, with the magnitudes of the result (step_batch, the
+  penalty's one call per solver iteration),
 * read the full model of a point: the descriptor its mask stands for, the
   tangent subspace T and the model vector e = P_T(subdifferential), and
 * classify a candidate dual vector against the subdifferential at that
@@ -38,7 +40,7 @@ from .linalg import (
 ZERO_TOL = 1e-8
 RI_TOL = 1e-6
 
-# inner solver knobs for the analysis-l1 prox (dual projected gradient)
+# inner solver knobs for the analysis-l1 proximal map (dual projected gradient)
 PROX_INNER_TOL = 1e-9
 PROX_INNER_MAX_ITER = 10_000
 
@@ -56,14 +58,6 @@ class ModelDescriptor:
 
     def __str__(self):
         return f"{self.kind}:{self.data}"
-
-
-def check_prox_weight(gamma) -> float:
-    """Validate a prox weight: finite and >= 0."""
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"prox weight must be finite and >= 0, got {gamma}")
-    return gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +104,6 @@ class Regularizer:
         """
         raise NotImplementedError
 
-    def prox(self, beta, gamma: float) -> np.ndarray:
-        raise NotImplementedError
-
     def value(self, beta) -> float:
         """J(beta): the sum of beta's magnitudes."""
         # a penalty without p (L1) takes beta of any length
@@ -131,17 +122,16 @@ class Regularizer:
     def step_batch(self, v, weights):
         """The penalty's share of one solver iteration, for every row of v.
 
-        Returns (out, magnitudes(out)), out[i] = prox(v[i], weights[i]): the
-        solver reads each row's J and model key off the magnitudes.  This
-        default loops prox over the rows.  An override may skip validating v
-        and weights: the solver checks the weights once per solve, and after
-        each step that J(out) is finite, which fails exactly when an entry of
-        out is not.  An override must return the same bits row by row.
+        Returns (out, magnitudes(out)), out[i] the proximal map
+        argmin_x 0.5 ||x - v[i]||^2 + weights[i] J(x): the solver reads each
+        row's J and model key off the magnitudes.  Each penalty implements
+        its proximal map once, here, and a row gets the bits it gets alone.
+        v and weights need not be validated: the solver checks the weights
+        once per solve, and after each step that J(out) is finite, which
+        fails exactly when an entry of out is not.  A penalty whose map
+        would not end on a non-finite row (an SVD, an inner loop) refuses it.
         """
-        out = np.empty_like(v)
-        for i, weight in enumerate(weights.tolist()):
-            out[i] = self.prox(v[i], weight)
-        return out, self.magnitudes(out)
+        raise NotImplementedError
 
     def model_keys(self, beta, zero_tol: float) -> np.ndarray:
         """The models of the rows of the T x p array beta, as a T x k bool mask.
@@ -209,11 +199,6 @@ class L1(Regularizer):
 
     def magnitudes(self, beta) -> np.ndarray:
         return np.abs(beta)
-
-    def prox(self, beta, gamma: float) -> np.ndarray:
-        beta = _as_vector(beta, name="beta")
-        gamma = check_prox_weight(gamma)
-        return np.copysign(np.maximum(np.abs(beta) - gamma, 0.0), beta)
 
     def step_batch(self, v, weights):
         # size is |out| bit for bit: it is +0, positive or NaN
@@ -297,31 +282,33 @@ class GroupL1L2(Regularizer):
             raise ValueError(f"groups do not cover coordinates {missing.tolist()}")
         self.groups = blocks
         self.p = p
+        # the coordinates in group order, where each group starts in it, and
+        # each coordinate's group
+        sizes = [b.size for b in blocks]
+        self._order = flat
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._group_of = np.empty(p, dtype=int)
+        self._group_of[flat] = np.repeat(np.arange(len(blocks)), sizes)
 
-    # the group norms, one column per group
+    # the group norms, one column per group, from one sum of squares per batch
     def magnitudes(self, beta) -> np.ndarray:
-        return np.stack([np.linalg.norm(beta[:, g], axis=1) for g in self.groups], axis=1)
+        return np.sqrt(np.add.reduceat(np.square(beta[:, self._order]), self._starts, axis=1))
 
-    def prox(self, beta, gamma: float) -> np.ndarray:
-        beta = _as_vector(beta, self.p, "beta")
-        gamma = check_prox_weight(gamma)
-        out = np.zeros_like(beta)
-        for g in self.groups:
-            nrm = np.linalg.norm(beta[g])
-            if nrm > gamma:
-                out[g] = beta[g] * (1.0 - gamma / nrm)
-        return out
+    def step_batch(self, v, weights):
+        # each group scaled by max(||v_g|| - w, 0) / ||v_g||, a zero group by 0
+        norms = self.magnitudes(v)
+        scale = np.divide(np.maximum(norms - weights[:, None], 0.0), norms,
+                          out=np.zeros_like(norms), where=norms > 0.0)
+        out = v * scale[:, self._group_of]
+        return out, self.magnitudes(out)
 
     def model(self, beta, zero_tol: float = ZERO_TOL) -> ModelGeometry:
         beta = _as_vector(beta, self.p, "beta")
         desc = self.descriptor(beta, zero_tol)
-        coords = [j for i in desc.data for j in self.groups[i].tolist()]
-        sub = Subspace.coordinates(self.p, coords)
-        e = np.zeros_like(beta)
-        for i in desc.data:
-            g = self.groups[i]
-            e[g] = beta[g] / np.linalg.norm(beta[g])
-        return ModelGeometry(desc, sub, e)
+        active = np.isin(self._group_of, desc.data)
+        norms = self.magnitudes(beta[None])[0, self._group_of]
+        e = np.divide(beta, norms, out=np.zeros_like(beta), where=active)
+        return ModelGeometry(desc, Subspace.coordinates(self.p, np.flatnonzero(active)), e)
 
 
 class Nuclear(Regularizer):
@@ -345,18 +332,20 @@ class Nuclear(Regularizer):
         beta = _as_vector(beta, self.p, "beta")
         return beta.reshape(self.shape, order="F")
 
-    def _vec(self, m) -> np.ndarray:
-        return np.asarray(m, dtype=float).ravel(order="F")
-
     # the singular values, by one SVD call on the column-major stack
     def magnitudes(self, beta) -> np.ndarray:
         p0 = self.shape[0]
         return np.linalg.svd(beta.reshape(-1, p0, p0).swapaxes(1, 2), compute_uv=False)
 
-    def prox(self, beta, gamma: float) -> np.ndarray:
-        gamma = check_prox_weight(gamma)
-        u, s, vt = np.linalg.svd(self._mat(beta), full_matrices=False)
-        return self._vec(u @ (np.maximum(s - gamma, 0.0)[:, None] * vt))
+    def step_batch(self, v, weights):
+        # the singular values shrunk, by one SVD and one matmul of the stack;
+        # an SVD with an inf or NaN may not return
+        v = _as_vector(v, self.p, "the forward point", stacked=True)
+        p0 = self.shape[0]
+        u, s, vt = np.linalg.svd(v.reshape(-1, p0, p0).swapaxes(1, 2), full_matrices=False)
+        out = np.matmul(u, np.maximum(s - weights[:, None], 0.0)[..., None] * vt)
+        out = out.swapaxes(1, 2).reshape(v.shape)
+        return out, self.magnitudes(out)
 
     def key_descriptor(self, key) -> ModelDescriptor:
         return ModelDescriptor(self.kind, int(np.count_nonzero(key)))
@@ -374,7 +363,7 @@ class Nuclear(Regularizer):
                 if i < r or j < r:
                     cols.append(np.outer(u[:, i], vt[j, :]).ravel(order="F"))
         basis = np.stack(cols, axis=1) if cols else np.zeros((self.p, 0))
-        e = self._vec(u[:, :r] @ vt[:r, :])
+        e = (u[:, :r] @ vt[:r, :]).ravel(order="F")
         return ModelGeometry(desc, Subspace(basis), e)
 
     def _interior_margin(self, geometry, eta) -> float:
@@ -408,11 +397,16 @@ class AnalysisL1(Regularizer):
     def magnitudes(self, beta) -> np.ndarray:
         return np.abs(np.matmul(self.operator.T, beta[..., None])[..., 0])
 
-    def prox(self, beta, gamma: float) -> np.ndarray:
-        beta = _as_vector(beta, self.p, "beta")
-        gamma = check_prox_weight(gamma)
+    def step_batch(self, v, weights):
+        # one row at a time; the inner loop would not end on an inf or NaN
+        v = _as_vector(v, self.p, "the forward point", stacked=True)
+        out = np.array([self._prox(row, weight) for row, weight in zip(v, weights.tolist())])
+        return out, self.magnitudes(out)
+
+    def _prox(self, beta, gamma: float) -> np.ndarray:
+        """The proximal map of one row beta at weight gamma (class docstring)."""
         if gamma == 0.0 or self._lipschitz == 0.0:
-            return beta.copy()
+            return beta
         d = self.operator
         step = 1.0 / self._lipschitz
         v = np.zeros(self.q)

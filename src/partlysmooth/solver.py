@@ -65,7 +65,7 @@ from .linalg import (
     check_symmetric, gamma_products, pseudoinverse, spectral_norms, _as_vector, _check_integer,
     _row_dots,
 )
-from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer, check_prox_weight
+from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer
 
 # relative step as a fraction of the stability limit 2/||Gamma||
 DEFAULT_STEP_FRACTION = 0.9
@@ -354,7 +354,7 @@ def forward_backward_batch(
         weights = tau * mu
     refused = ~(np.isfinite(weights) & (weights >= 0))
     if np.count_nonzero(refused):
-        check_prox_weight(weights[refused][0])
+        raise ValueError(f"prox weight must be finite and >= 0, got {weights[refused][0]}")
     beta = np.zeros((count, p))
     rows = np.arange(count)  # the problem of each row still in the batch
 

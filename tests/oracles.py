@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, each penalty's own value formula and model rule, the one-row
-off-model dual norm of l1 and the group norm, a one-problem
-forward-backward loop, one-trial instance, explicit-design and Wishart
-draws, and the
-subspace helpers (span, projector, distance) that only the tests need.
+prox checks, each penalty's own value formula, model rule and one-row
+proximal map, the one-row off-model dual norm of l1 and the group norm, a
+one-problem forward-backward loop, one-trial instance, explicit-design and
+Wishart draws, the explicit designs of a certificate-margin family, and
+the subspace helpers (span, projector, distance) that only the tests need.
 Slow but simple, so the expected values in the tests do not inherit the
 package's own bugs.
 """
@@ -19,8 +19,9 @@ import numpy as np
 import scipy.optimize
 
 from partlysmooth import (
-    L1, CanonicalParameters, ModelDescriptor, Subspace, make_design, make_signal,
+    L1, CanonicalParameters, DesignSpec, ModelDescriptor, Subspace, make_design, make_signal,
 )
+from partlysmooth.regularizers import PROX_INNER_MAX_ITER, PROX_INNER_TOL
 
 
 def trivial(p):
@@ -197,6 +198,53 @@ def off_model_max(reg, eta, active):
     return worst
 
 
+def prox(reg, v, weight):
+    """The penalty's proximal map of one vector v: step_batch on a one-row batch."""
+    out, _ = reg.step_batch(np.asarray(v, dtype=float)[None], np.array([float(weight)]))
+    return out[0]
+
+
+def one_row_prox(reg, beta, gamma):
+    """argmin_x 0.5 ||x - beta||^2 + gamma J(x) of one vector, by reg's kind.
+
+    The one-row maps the package had before its batched step_batch: the
+    l1 soft threshold, a Python loop over the groups with one
+    np.linalg.norm each, one 2-d SVD of the column-major matrix, and the
+    analysis dual min_{||v||_inf <= gamma} ||beta - D v||^2 by accelerated
+    projected gradient with adaptive restart, to the package's tolerance.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if reg.kind == "l1":
+        return np.copysign(np.maximum(np.abs(beta) - gamma, 0.0), beta)
+    if reg.kind == "group_l1l2":
+        out = np.zeros_like(beta)
+        for g in reg.groups:
+            nrm = np.linalg.norm(beta[g])
+            if nrm > gamma:
+                out[g] = beta[g] * (1.0 - gamma / nrm)
+        return out
+    if reg.kind == "nuclear":
+        u, s, vt = np.linalg.svd(beta.reshape(reg.shape, order="F"), full_matrices=False)
+        return (u @ (np.maximum(s - gamma, 0.0)[:, None] * vt)).ravel(order="F")
+    d = reg.operator
+    if gamma == 0.0:
+        return beta.copy()
+    step = 1.0 / np.linalg.norm(d, 2) ** 2
+    v = v_prev = np.zeros(d.shape[1])
+    t = 1.0
+    for _ in range(PROX_INNER_MAX_ITER):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = v + ((t - 1.0) / t_next) * (v - v_prev)
+        v_next = np.clip(y + step * (d.T @ (beta - d @ y)), -gamma, gamma)
+        mapped = np.clip(v_next + step * (d.T @ (beta - d @ v_next)), -gamma, gamma)
+        if np.linalg.norm(mapped - v_next) <= PROX_INNER_TOL:
+            return beta - d @ mapped
+        if np.dot(y - v_next, v_next - v) > 0.0:
+            t_next = 1.0
+        v_prev, v, t = v, v_next, t_next
+    raise AssertionError("the reference analysis prox did not converge")
+
+
 def prox_reference(value_fn, beta, gamma):
     """argmin_x 0.5 ||x - beta||^2 + gamma * J(x) by direct minimization."""
     beta = np.asarray(beta, dtype=float)
@@ -286,6 +334,32 @@ def wishart_trial(design, beta0, sigma, seed):
     return gamma, gamma @ beta0 + eps, eps
 
 
+def margin_family(reg, beta0, t):
+    """An explicit design on which beta0's pre-certificate has margin 1 - t.
+
+    For l1 or the group norm, whose models are coordinate subspaces T.  With
+    e the model vector of beta0 and j the first coordinate off T, Gamma is
+    the identity but for an equicorrelated block Gamma_TT = 0.7 I + 0.3 1 1^T
+    (so that the restricted inverse matters) and Gamma_jT = Gamma_Tj =
+    t e_T / (e_T^T Gamma_TT^-1 e_T).  The pre-certificate is then
+    eta = Gamma_.T Gamma_TT^-1 e_T, whose only entry off T is eta_j = t, and
+    the margin (l1: |eta_j|; group: the norm of j's group) is 1 - t.  Gamma
+    is positive definite while t^2 < e_T^T Gamma_TT^-1 e_T, and the design
+    is X = sqrt(p) L^T, p rows, with L L^T = Gamma.
+    """
+    beta0 = np.asarray(beta0, dtype=float)
+    p = beta0.shape[0]
+    geometry = reg.model(beta0)
+    on = geometry.subspace.basis.any(axis=1)
+    j = int(np.flatnonzero(~on)[0])
+    gamma = np.eye(p)
+    block = 0.7 * np.eye(on.sum()) + 0.3
+    gamma[np.ix_(on, on)] = block
+    e = geometry.model_vector[on]
+    gamma[j, on] = gamma[on, j] = t * e / (e @ np.linalg.solve(block, e))
+    return DesignSpec.explicit(np.sqrt(p) * np.linalg.cholesky(gamma).T)
+
+
 def canonical_parameters(instance, lam):
     """theta = (lambda/n, X^T y / n, X^T X / n) of one trial."""
     n, x = instance.n, instance.x
@@ -347,7 +421,8 @@ def forward_backward_scalar(theta, reg, opts):
     """Forward-backward on one problem from zero, one vector iterate at a time.
 
     The solver's loop before it was batched, kept as the reference the
-    batched engine must match bit for bit.  An l1 iterate whose model has
+    batched engine must match bit for bit; its proximal map is the
+    penalty's step_batch on one row (prox).  An l1 iterate whose model has
     held for one step, and that has not met the fixed-point rule, is
     polished by lasso_polish with the margin 1 - (zero_tol + fp threshold)
     / (tau mu); a certified one ends the run.  Returns the fields of a
@@ -366,7 +441,7 @@ def forward_backward_scalar(theta, reg, opts):
     run_start = 0
     converged = False
     for k in range(1, opts.max_iter + 1):
-        beta_next = reg.prox(beta + tau * (u - gam_beta), weight)
+        beta_next = prox(reg, beta + tau * (u - gam_beta), weight)
         desc_next, j_next = descriptor(reg, beta_next, opts.zero_tol), reg.value(beta_next)
         if not math.isfinite(j_next):
             raise ValueError(f"iterate {k} has non-finite entries")

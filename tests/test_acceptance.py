@@ -1,12 +1,15 @@
 """Acceptance gate.
 
-Ten end-to-end checks covering the package's core claims: prox optimality
-for every penalty, certificate correctness against hand-computed values,
-solver agreement with an exhaustive oracle, the statistical behavior of the
-Monte-Carlo harnesses (recovery under small noise, consistency in n, failure
-on uncertified instances, finite-step identification), a descent audit over
-every solve the gate performs, and the structural reductions between
-penalties.
+Eleven end-to-end checks covering the package's core claims: prox
+optimality for every penalty, certificate correctness against hand-computed
+values, solver agreement with an exhaustive oracle, the statistical behavior
+of the Monte-Carlo harnesses (recovery under small noise, consistency in n,
+failure on uncertified instances, finite-step identification), a descent
+audit over every solve the gate performs, the structural reductions between
+penalties, and the switch of recovery at certificate margin 0.
+
+Criterion 11 runs before criterion 8, so that the descent audit sees its
+solves too.
 
 Each check prints one line, ``criterion NN PASS/FAIL: <label>``, collected
 again in the terminal summary by conftest.  Statistical checks use pinned
@@ -42,7 +45,7 @@ from partlysmooth import (
 )
 from partlysmooth.solver import CanonicalParameters
 
-from oracles import lasso_minimizers, subspace_distance, tv_operator
+from oracles import lasso_minimizers, margin_family, prox, subspace_distance, tv_operator
 
 RESULTS = []
 
@@ -110,7 +113,7 @@ def test_criterion_01_prox_optimality():
             for _ in range(100):
                 beta = rng.standard_normal(p) * rng.uniform(0.5, 2.0)
                 gamma = 10.0 ** rng.uniform(-1.5, 0.5)
-                out = reg.prox(beta, gamma)
+                out = prox(reg, beta, gamma)
                 subgrad = (beta - out) / gamma
                 verdict = reg.ri_membership(reg.model(out), subgrad)
                 assert verdict.status in ("interior", "boundary"), (
@@ -257,9 +260,44 @@ def test_criterion_07_finite_identification(monkeypatch):
         assert res.profile.post_match_fraction == 1.0
 
 
+def test_criterion_11_recovery_switches_at_margin_zero(monkeypatch):
+    with _criterion(11, "identification switches where the certificate margin crosses 0"):
+        monkeypatch.setattr(exps, "forward_backward_batch", _checked_batch)
+        start = time.monotonic()
+        p = 20
+        l1_beta0, group_beta0 = np.zeros(p), np.zeros(p)
+        l1_beta0[:3] = 1.5, -1.2, 1.0
+        group_beta0[:4] = 1.5, -1.2, 1.0, 0.8
+        cases = [
+            (L1(), l1_beta0),
+            (GroupL1L2([[2 * i, 2 * i + 1] for i in range(p // 2)]), group_beta0),
+        ]
+        for reg, beta0 in cases:
+            for t in (0.9, 0.99, 1.01, 1.1):
+                design = margin_family(reg, beta0, t)
+                cert = check_model_stability(design.quad.gamma, beta0, reg)
+                assert abs(cert.verdict.margin - (1.0 - t)) <= 1e-12, (reg.kind, t)
+                assert cert.verdict.status == ("interior" if t < 1.0 else "outside")
+                # mu = 100 sigma: the off-model dual moves by about
+                # sigma / (sqrt(n) mu) = 0.002, a fifth of the smallest |margin|
+                config = ExperimentConfig(
+                    regularizer=reg,
+                    design=design,
+                    signal=SignalSpec.explicit(beta0),
+                    sweep_values=(1e-4, 1e-3),
+                    mu_rule=MuRule("proportional", scale=100.0),
+                    trials=50,
+                    base_seed=11,
+                    jobs=1,
+                )
+                rates = [row.identification_rate for row in noise_stability_sweep(config).summary]
+                assert rates == [1.0 if t < 1.0 else 0.0] * 2, (reg.kind, t, rates)
+        assert time.monotonic() - start < 60.0
+
+
 def test_criterion_08_descent_audit():
     with _criterion(8, "objective non-increasing on every audited solve"):
-        # criteria 3-7 route every solve through the auditing wrapper
+        # criteria 3-7 and 11 route every solve through the auditing wrapper
         assert DESCENT["solves"] >= 1000, f"only {DESCENT['solves']} solves audited"
         assert DESCENT["worst"] <= 0.0, (
             f"objective increased by {DESCENT['worst']:.3e} beyond slack"
@@ -303,14 +341,14 @@ def test_criterion_10_reductions():
             gamma = 10.0 ** rng.uniform(-1.5, 0.5)
 
             assert abs(grp.value(beta) - l1.value(beta)) <= 1e-12
-            assert np.max(np.abs(grp.prox(beta, gamma) - l1.prox(beta, gamma))) <= 1e-12
+            assert np.max(np.abs(prox(grp, beta, gamma) - prox(l1, beta, gamma))) <= 1e-12
             mg, ml = grp.model(beta), l1.model(beta)
             assert mg.descriptor.data == ml.descriptor.data
             assert subspace_distance(mg.subspace, ml.subspace) <= 1e-12
             assert np.max(np.abs(mg.model_vector - ml.model_vector)) <= 1e-12
 
             assert abs(ana.value(beta) - l1.value(beta)) <= 1e-12
-            assert np.max(np.abs(ana.prox(beta, gamma) - l1.prox(beta, gamma))) <= 1e-6
+            assert np.max(np.abs(prox(ana, beta, gamma) - prox(l1, beta, gamma))) <= 1e-6
             ma = ana.model(beta)
             support = set(ml.descriptor.data)
             assert set(ma.descriptor.data) == set(range(p)) - support

@@ -180,16 +180,17 @@ def subclasses(cls):
 
 def test_every_penalty_reads_its_magnitudes_and_nothing_else():
     # J, the model keys and the solver's step all come from magnitudes, so a
-    # penalty defines magnitudes and prox, and value and model_keys live once,
-    # in the base class: no penalty brings a second J or model path
+    # penalty defines magnitudes and step_batch, its one proximal map, and
+    # value and model_keys live once, in the base class: no penalty brings a
+    # second J, model path or proximal map
     from partlysmooth.regularizers import Regularizer
 
     penalties = [c for c in subclasses(Regularizer) if c.__module__.startswith("partlysmooth.")]
     assert {c.__name__ for c in penalties} >= {"L1", "GroupL1L2", "Nuclear", "AnalysisL1"}
     wrong = [f"{c.__name__} lacks {name}" for c in penalties
-             for name in ("magnitudes", "prox") if name not in vars(c)]
+             for name in ("magnitudes", "step_batch") if name not in vars(c)]
     wrong += [f"{c.__name__} defines {name}" for c in penalties
-              for name in ("value", "model_keys") if name in vars(c)]
+              for name in ("prox", "value", "model_keys") if name in vars(c)]
     assert not wrong, wrong
 
 

@@ -278,6 +278,11 @@ def test_draw_trials_refuses_what_one_trial_refuses():
             "design has p=5 columns but the signal has length 4")
         # lambda = mu * n
         assert message(design, BETA0, 0.1, -0.5, [4]) == f"lambda must be >= 0, got {-0.5 * n}"
+        # finite values whose lambda or X^T w / n overflow
+        assert message(design, BETA0, 0.1, 1e308, [4]) == (
+            f"lambda = mu * n must be finite, got mu=1e+308 and n={n}")
+        assert message(design, BETA0, 1e308, 0.3, [4]) == (
+            "X^T w / n overflows at noise_sigma=1e+308")
     # an explicit design has its own n; a fresh one takes any n >= 1
     assert message(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4], 36) == (
         "the explicit design has n=37 rows, got n=36")
