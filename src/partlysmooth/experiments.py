@@ -17,21 +17,23 @@ Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
 
-A batch draws each sweep point's trials with one draw_trials call (one
-generator per trial, products as stacks) and passes the stacks of all its
-points to one forward_backward_batch (both looked up here, so tests can
-wrap them).  A point's outcomes stay columns: slices of the batch's arrays
-beside the point's n, sigma and mu.  A sweep's TrialTable holds them and is
-the one form of its trials: the summaries read its columns through masks,
-and records.csv (RECORD_COLUMNS) and plot.csv are written a column at a
-time, a value that many rows share formatted once, in the bytes csv.writer
-would write.
+A batch derives the default_rng(seed) state of every trial in one
+_seed_states pass, draws each sweep point's trials with one draw_trials
+call (each trial on its seed's stream, products as stacks) and passes the
+stacks of all its points to one forward_backward_batch (all three looked
+up here, so tests can wrap them).  A point's outcomes stay columns: slices
+of the batch's arrays beside the point's n, sigma and mu.  A sweep's
+TrialTable holds them and is the one form of its trials: the summaries read
+its columns through masks, and records.csv (RECORD_COLUMNS) and plot.csv
+are written a column at a time, a value that many rows share formatted
+once, in the bytes csv.writer would write.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -40,9 +42,15 @@ import numpy as np
 
 from .certificate import Certificate, _check_tolerances, check_model_stability
 from .linalg import _check_integer, _row_dots
-from .problems import DesignSpec, SignalSpec, draw_trials, make_design, make_signal
+from .problems import DesignSpec, SignalSpec, _seed_states, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, Regularizer
 from .solver import SolveOptions, forward_backward_batch
+
+
+def _is_real(x) -> bool:
+    """x is a real number, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
 
 # kind: the fields the rule reads
 MU_RULE_KINDS = {"fixed": ("value",), "proportional": ("scale",), "power": ("scale", "exponent")}
@@ -55,8 +63,8 @@ class MuRule:
     fixed: mu = value.  proportional: mu = scale * sigma (scale defaults to
     2 / certificate margin).  power: mu = scale * n^(-exponent) with
     0 < exponent < 1/2 (defaults: scale 1, exponent 1/4).  A field the kind
-    does not read is an error, as is a boolean or non-finite field or a
-    scale <= 0.
+    does not read is an error, as is a field that is not a finite real
+    number (a boolean included) or a scale <= 0.
     """
 
     kind: str
@@ -71,8 +79,8 @@ class MuRule:
             x = getattr(self, name)
             if x is not None and name not in MU_RULE_KINDS[self.kind]:
                 raise ValueError(f"a {self.kind} mu rule does not read {name}")
-            if x is not None and (isinstance(x, (bool, np.bool_)) or not math.isfinite(x)):
-                raise ValueError(f"mu rule {name} must be a finite number, got {x}")
+            if x is not None and not (_is_real(x) and math.isfinite(x)):
+                raise ValueError(f"mu rule {name} must be a finite number, got {x!r}")
         if self.scale is not None and not self.scale > 0:
             raise ValueError(f"mu rule scale must be > 0, got {self.scale}")
         if self.kind == "fixed" and (self.value is None or self.value <= 0):
@@ -146,7 +154,8 @@ class ExperimentConfig:
     The harness fixes what sweep_values are: noise levels, sample sizes or
     mu values.  EXPERIMENTS says which of mu_rule and noise_sigma each
     harness reads; it needs those and refuses the other, and a sweep value
-    out of range, before any set-up.  solve.zero_tol reads every model: in
+    out of range, before any set-up.  noise_sigma and the sweep values are
+    finite real numbers, not booleans.  solve.zero_tol reads every model: in
     the solver, beta0's model key and the certificate.  jobs is the number
     of worker processes, 1 for a serial run.
     """
@@ -164,10 +173,12 @@ class ExperimentConfig:
     ri_tol: float = RI_TOL
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.sweep_values)
+        values = tuple(self.sweep_values)
         if not values:
             raise ValueError("sweep_values must be nonempty")
         for name, x in [("noise_sigma", self.noise_sigma)] + [("sweep_values", v) for v in values]:
+            if x is not None and not _is_real(x):
+                raise ValueError(f"{name} must be a real number, got {x!r}")
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x}")
         if self.noise_sigma is not None and self.noise_sigma < 0:
@@ -181,7 +192,7 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         _check_tolerances(ri_tol=self.ri_tol)
-        object.__setattr__(self, "sweep_values", values)
+        object.__setattr__(self, "sweep_values", tuple(float(v) for v in values))
         if self.noise_sigma is not None:
             object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
@@ -319,7 +330,9 @@ def _run_batch(shared, tasks):
     """The trials of several sweep points, solved as one forward_backward_batch.
 
     A task is (n, sigma, mu, seeds), one trial per seed on n rows of
-    shared.design, and draw_trials draws each task's problems.  The batch
+    shared.design, and draw_trials draws each task's problems.  Each trial
+    draws default_rng(seed)'s stream: one _seed_states pass derives the
+    states of all the batch's seeds, and each task gets its slice.  The batch
     solves the tasks' u stacks end to end, on a fixed design's own quad or
     on the tasks' Gamma stacks end to end.
     Returns one TrialColumns per task, in order, whose arrays are slices of
@@ -329,10 +342,12 @@ def _run_batch(shared, tasks):
     Module-level so worker processes can import it.
     """
     beta0 = shared.beta0
-    draws = [
-        draw_trials(shared.design, beta0, sigma, mu, seeds, n)
-        for n, sigma, mu, seeds in tasks
-    ]
+    states = _seed_states([seed for *_, seeds in tasks for seed in seeds])
+    draws, start = [], 0
+    for n, sigma, mu, seeds in tasks:
+        part = states[start:start + len(seeds)]
+        draws.append(draw_trials(shared.design, beta0, sigma, mu, seeds, n, _states=part))
+        start += len(seeds)
     solved = forward_backward_batch(
         np.repeat([draw.mu for draw in draws], [len(draw.u) for draw in draws]),
         np.concatenate([draw.u for draw in draws]),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import partlysmooth.experiments as exps
+import partlysmooth.problems as problems
 from partlysmooth import (
     AnalysisL1,
     CanonicalParameters,
@@ -117,7 +118,8 @@ class TestMuRule:
         ("fixed", "value", math.nan), ("fixed", "value", math.inf),
         ("proportional", "scale", math.inf), ("power", "scale", math.inf),
         ("power", "exponent", math.nan), ("fixed", "value", True),
-        ("proportional", "scale", np.True_),
+        ("proportional", "scale", np.True_), ("fixed", "value", "a"),
+        ("power", "exponent", "0.3"), ("proportional", "scale", [1.0]),
     ])
     def test_non_finite_fields(self, kind, field, bad):
         with pytest.raises(ValueError, match=f"mu rule {field} must be a finite number"):
@@ -153,6 +155,16 @@ class TestConfigValidation:
     ])
     def test_non_finite_fields(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            identity_config(**{field: bad})
+
+    @pytest.mark.parametrize("field, bad, shown", [
+        ("sweep_values", (True, 0.1), "True"), ("sweep_values", (0.1, np.False_), repr(np.False_)),
+        ("sweep_values", ("0.1",), "'0.1'"), ("noise_sigma", True, "True"),
+        ("noise_sigma", np.True_, repr(np.True_)), ("noise_sigma", "1", "'1'"),
+    ])
+    def test_real_fields_refuse_booleans_and_text(self, field, bad, shown):
+        # float(True) is 1.0, so a boolean would otherwise pass as a number
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {shown}$"):
             identity_config(**{field: bad})
 
     def test_negative_noise_sigma(self):
@@ -643,6 +655,47 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
         batches.clear()
         assert same_trials(consistency_sweep(cfg), want)
         assert batches == sizes, budget
+
+
+def test_a_batch_seeds_its_trials_in_one_pass(monkeypatch):
+    # one _seed_states pass per _run_batch call, over all of the batch's
+    # seeds, and no default_rng inside a batch: not one per point or trial
+    passes, batches, inside = [], [], []
+    seed_states, run_batch, default_rng = exps._seed_states, exps._run_batch, np.random.default_rng
+
+    def counted_pass(seeds):
+        passes.append(list(seeds))
+        return seed_states(seeds)
+
+    def counted_batch(shared, tasks):
+        before = len(passes)
+        inside.append(True)
+        try:
+            points = run_batch(shared, tasks)
+        finally:
+            inside.pop()
+        batches.append((passes[before:], [seed for *_, seeds in tasks for seed in seeds]))
+        return points
+
+    def rng(*args, **kwargs):
+        assert not inside, "a batch built a default_rng"
+        return default_rng(*args, **kwargs)
+
+    # draw_trials makes its own pass when no batch hands it its states
+    monkeypatch.setattr(exps, "_seed_states", counted_pass)
+    monkeypatch.setattr(problems, "_seed_states", counted_pass)
+    monkeypatch.setattr(exps, "_run_batch", counted_batch)
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    for sweep, cfg in (
+        (consistency_sweep, TestConsistency().base(trials=3, sweep_values=(40, 80, 160))),
+        (noise_stability_sweep, identity_config(trials=3, sweep_values=(1e-3, 1e-2, 1e-1))),
+    ):
+        batches.clear()
+        res = sweep(cfg)
+        assert len(res.trials) == 9 and batches, sweep.__name__
+        for made, seeds in batches:
+            assert made == [seeds], sweep.__name__
+        assert [s for _, seeds in batches for s in seeds] == res.trials.array("seed").tolist()
 
 
 def test_gamma_budget_at_p10_and_p200():

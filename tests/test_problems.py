@@ -22,7 +22,7 @@ from partlysmooth import (
 )
 from partlysmooth.experiments import _Shared
 from partlysmooth.config import ConfigError, solve_from_config
-from partlysmooth.problems import draw_trials
+from partlysmooth.problems import _seed_states, draw_trials
 from partlysmooth.solver import Quadratic
 
 import oracles
@@ -195,6 +195,8 @@ def reference_trial(design, sigma, mu, seed):
 def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
     design = DRAW_DESIGNS[kind]
     seeds = list(range(101, 101 + count))
+    if count > 1:  # seeds of every width and type that the seeding pass reads
+        seeds[1:6] = [2 ** 32, 2 ** 64 - 1, 2 ** 200 + 3, np.int64(7), np.uint64(2 ** 63 + 5)]
     draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
     assert draws.u.shape == (count, 5) and len(draws.eps_norms) == count
     # an explicit design's trials share one Quadratic, a fresh design's come as a stack
@@ -207,6 +209,31 @@ def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
         gamma = draws.gamma.gamma if shared else draws.gamma[k]
         assert gamma.tobytes() == want.gamma.tobytes()
         assert eps_norm == want_eps
+
+
+EDGE_SEEDS = [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, 2 ** 128, 2 ** 200 + 3]
+
+
+@pytest.mark.parametrize("seeds", [
+    range(20001),
+    # seeds of 2^128 and above have more than 4 words, which numpy mixes in after the pool
+    EDGE_SEEDS,
+    [np.int64(0), np.int64(9), np.int64(2 ** 63 - 1), np.uint64(3), np.uint64(2 ** 64 - 1)],
+    # every width in one batch, so the wider seeds' words are mixed under a mask
+    [5, 2 ** 200 + 3, 0, 2 ** 128, 2 ** 64 - 1, 1, 2 ** 160, np.uint64(2 ** 64 - 1), 2 ** 32],
+], ids=["0-20000", "edges", "numpy", "mixed"])
+def test_seed_states_are_default_rngs(seeds):
+    # the pass gives each seed the PCG64 state of default_rng(seed), bit for
+    # bit, whether the seed comes alone or in a batch
+    want = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    def as_states(pairs):
+        return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                 "has_uint32": 0, "uinteger": 0} for state, inc in pairs]
+
+    assert as_states(_seed_states(seeds)) == want
+    assert [as_states(_seed_states([seed]))[0] for seed in seeds] == want
+    assert _seed_states([]) == []
 
 
 TOEPLITZ = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
@@ -290,6 +317,15 @@ def test_draw_trials_refuses_what_one_trial_refuses():
         "n must be >= 1, got 0")
     assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], 2.0) == (
         "n must be an integer, got 2.0")
+    # a seed is an integer >= 0; a bool is no seed, though default_rng(True) is seed 1's
+    for design in DRAW_DESIGNS.values():
+        for seeds, shown in (([4, True], "seed must be an integer, got True"),
+                             ([2.0], "seed must be an integer, got 2.0"),
+                             ([4, "5"], "seed must be an integer, got '5'"),
+                             ([np.True_], f"seed must be an integer, got {np.True_!r}"),
+                             ([4, -1], "seed must be >= 0, got -1"),
+                             ([np.int64(-3), 4], "seed must be >= 0, got -3")):
+            assert message(design, BETA0, 0.1, 0.3, seeds) == shown
 
 
 @pytest.mark.parametrize("n", [3, 40])
