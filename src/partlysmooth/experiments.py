@@ -332,9 +332,10 @@ def _run_batch(shared, tasks):
     A task is (n, sigma, mu, seeds), one trial per seed on n rows of
     shared.design, and draw_trials draws each task's problems.  Each trial
     draws default_rng(seed)'s stream: one _seed_states pass derives the
-    states of all the batch's seeds, and each task gets its slice.  The batch
-    solves the tasks' u stacks end to end, on a fixed design's own quad or
-    on the tasks' Gamma stacks end to end.
+    states of all the batch's seeds, and each task gets its slice: a pass
+    has a fixed cost of tens of microseconds, which a pass per point would
+    pay once per point.  The batch solves the tasks' u stacks end to end,
+    on a fixed design's own quad or on the tasks' Gamma stacks end to end.
     Returns one TrialColumns per task, in order, whose arrays are slices of
     the batch's: identified is one comparison of the final model keys with
     beta0's.  Every row of a batch gets the bits it gets alone, so how the

@@ -278,9 +278,7 @@ def _seed_states(seeds) -> list:
     a seed past 2^128 mixes its extra words under a mask.  A seed must be
     a Python or numpy integer >= 0, and not a bool.
     """
-    ints = list(seeds)
-    if not set(map(type, ints)) <= {int}:  # a bool's type is not int
-        ints = [_check_integer(seed, "seed") for seed in ints]
+    ints = [_check_integer(seed, "seed") for seed in seeds]
     if ints and min(ints) < 0:
         raise ValueError(f"seed must be >= 0, got {min(ints)}")
     # words[i] is the i-th 32-bit word of every seed, zero past its own, at least the pool's 4
@@ -371,6 +369,8 @@ def draw_trials(
     seeds all its trials in one pass.
     """
     states = _seed_states(seeds) if _states is None else _states
+    if len(states) != len(seeds):
+        raise ValueError(f"{len(states)} seed states for {len(seeds)} seeds")
     for name, value in (("noise_sigma", noise_sigma), ("mu", mu)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

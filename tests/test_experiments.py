@@ -659,33 +659,31 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
 
 def test_a_batch_seeds_its_trials_in_one_pass(monkeypatch):
     # one _seed_states pass per _run_batch call, over all of the batch's
-    # seeds, and no default_rng inside a batch: not one per point or trial
-    passes, batches, inside = [], [], []
-    seed_states, run_batch, default_rng = exps._seed_states, exps._run_batch, np.random.default_rng
+    # seeds, and no default_rng in a batch: not one pass per point, nor one
+    # generator per trial
+    passes, batches = [], []
+    seed_states, run_batch = exps._seed_states, exps._run_batch
 
     def counted_pass(seeds):
         passes.append(list(seeds))
         return seed_states(seeds)
 
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a batch built a default_rng")
+
     def counted_batch(shared, tasks):
-        before = len(passes)
-        inside.append(True)
-        try:
+        passes.clear()
+        with monkeypatch.context() as inside:
+            inside.setattr(np.random, "default_rng", no_rng)
             points = run_batch(shared, tasks)
-        finally:
-            inside.pop()
-        batches.append((passes[before:], [seed for *_, seeds in tasks for seed in seeds]))
+        batches.append(passes[:])
+        assert passes == [[seed for *_, seeds in tasks for seed in seeds]]
         return points
 
-    def rng(*args, **kwargs):
-        assert not inside, "a batch built a default_rng"
-        return default_rng(*args, **kwargs)
-
-    # draw_trials makes its own pass when no batch hands it its states
+    # draw_trials would make its own pass if a batch did not hand it its states
     monkeypatch.setattr(exps, "_seed_states", counted_pass)
     monkeypatch.setattr(problems, "_seed_states", counted_pass)
     monkeypatch.setattr(exps, "_run_batch", counted_batch)
-    monkeypatch.setattr(np.random, "default_rng", rng)
     for sweep, cfg in (
         (consistency_sweep, TestConsistency().base(trials=3, sweep_values=(40, 80, 160))),
         (noise_stability_sweep, identity_config(trials=3, sweep_values=(1e-3, 1e-2, 1e-1))),
@@ -693,9 +691,7 @@ def test_a_batch_seeds_its_trials_in_one_pass(monkeypatch):
         batches.clear()
         res = sweep(cfg)
         assert len(res.trials) == 9 and batches, sweep.__name__
-        for made, seeds in batches:
-            assert made == [seeds], sweep.__name__
-        assert [s for _, seeds in batches for s in seeds] == res.trials.array("seed").tolist()
+        assert [s for (made,) in batches for s in made] == res.trials.array("seed").tolist()
 
 
 def test_gamma_budget_at_p10_and_p200():

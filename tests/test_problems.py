@@ -326,6 +326,9 @@ def test_draw_trials_refuses_what_one_trial_refuses():
                              ([4, -1], "seed must be >= 0, got -1"),
                              ([np.int64(-3), 4], "seed must be >= 0, got -3")):
             assert message(design, BETA0, 0.1, 0.3, seeds) == shown
+    # a batch's states for these seeds must be as many as the seeds
+    with pytest.raises(ValueError, match=r"^1 seed states for 2 seeds$"):
+        draw_trials(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4, 5], _states=_seed_states([4]))
 
 
 @pytest.mark.parametrize("n", [3, 40])
