@@ -171,7 +171,8 @@ class Regularizer:
         """1 - off_model_max of eta, keyed by the descriptor's set indices.
 
         Nuclear and AnalysisL1 override it: the nuclear normal-space norm
-        needs the point's singular vectors, and the analysis margin is an LP.
+        needs the point's singular vectors, and the analysis margin reads the
+        dual on the cosupport off one least-squares solve.
         """
         keys = np.zeros(self.magnitudes(eta[None]).shape, dtype=bool)
         keys[0, list(geometry.descriptor.data)] = True
@@ -376,8 +377,11 @@ class Nuclear(Regularizer):
 class AnalysisL1(Regularizer):
     """The analysis penalty ||D^T beta||_1 for a fixed p x q operator D.
 
-    The model of a point is the cosupport I = { i : (D^T beta)_i = 0 },
-    with tangent space T = ker(D_I^T).  The prox has no closed form; it is
+    D must have full column rank q (so q <= p).  The model of a point is the
+    cosupport I = { i : (D^T beta)_i = 0 }, with tangent space T = ker(D_I^T).
+    A dual vector eta is in the subdifferential when D_I alpha_I = eta - offset
+    for some ||alpha_I||_inf <= 1; D_I is injective, so alpha_I is unique and
+    the margin is 1 - ||alpha_I||_inf.  The prox has no closed form; it is
     computed through the dual problem min_{||v||_inf <= gamma} ||beta - D v||^2
     by accelerated projected gradient with adaptive restart.
     """
@@ -388,9 +392,15 @@ class AnalysisL1(Regularizer):
         d = _as_matrix(operator, "analysis operator")
         if d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"analysis operator must be nonempty, got shape {d.shape}")
+        sv = np.linalg.svd(d, compute_uv=False)
+        rank = int(np.sum(sv > RANK_TOL * sv[0]))
+        if rank < d.shape[1]:
+            raise ValueError(
+                f"analysis operator of shape {d.shape} must have full column rank "
+                f"{d.shape[1]}, got rank {rank}"
+            )
         self.operator = d
         self.p, self.q = d.shape
-        sv = np.linalg.svd(d, compute_uv=False)
         self._lipschitz = float(sv[0] ** 2)
 
     # |D^T beta|, from one stacked D^T beta
@@ -405,7 +415,7 @@ class AnalysisL1(Regularizer):
 
     def _prox(self, beta, gamma: float) -> np.ndarray:
         """The proximal map of one row beta at weight gamma (class docstring)."""
-        if gamma == 0.0 or self._lipschitz == 0.0:
+        if gamma == 0.0:
             return beta
         d = self.operator
         step = 1.0 / self._lipschitz
@@ -441,10 +451,11 @@ class AnalysisL1(Regularizer):
         beta = _as_vector(beta, self.p, "beta")
         cosupport = list(desc.data)
         if cosupport:
-            import scipy.linalg  # deferred: scipy dominates the package's import time
-
-            basis = scipy.linalg.null_space(self.operator[:, cosupport].T)
-            sub = Subspace(basis)
+            # ker(D_I^T): the right singular vectors of D_I^T past its rank
+            # |I|, as columns of a C-ordered p x p copy; a basis with row
+            # stride p keeps the projection bits this model has always had
+            vt = np.linalg.svd(self.operator[:, cosupport].T, full_matrices=True)[2]
+            sub = Subspace(vt.T.copy()[:, len(cosupport):])
         else:
             sub = Subspace.full(self.p)
         signs = np.sign(self.operator.T @ beta)
@@ -454,41 +465,9 @@ class AnalysisL1(Regularizer):
         return ModelGeometry(desc, sub, e, offset=offset)
 
     def _interior_margin(self, geometry, eta) -> float:
-        import scipy.optimize  # deferred, as in model()
-
-        cosupport = np.asarray(geometry.descriptor.data, dtype=int)
-        if cosupport.size == 0:
-            return 1.0
+        # alpha_I from one least-squares solve (class docstring)
         if geometry.offset is None:
             raise ValueError("analysis geometry is missing its subdifferential offset")
-        d_i = self.operator[:, cosupport]
-        rhs = eta - geometry.offset
-        # reduce against an orthonormal basis of Im(D_I) so that the equality
-        # system stays consistent when eta only satisfies the tangent
-        # equation up to tolerance
-        u, s, _ = np.linalg.svd(d_i, full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
-        if rank == 0:
-            return 1.0
-        b = u[:, :rank]
-        k = cosupport.size
-        # variables (u_I, t): minimize t subject to B^T D_I u = B^T rhs,
-        # -t <= u_i <= t
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        a_eq = np.hstack([b.T @ d_i, np.zeros((rank, 1))])
-        b_eq = b.T @ rhs
-        a_ub = np.block([
-            [np.eye(k), -np.ones((k, 1))],
-            [-np.eye(k), -np.ones((k, 1))],
-        ])
-        bounds = [(None, None)] * k + [(0, None)]
-        res = scipy.optimize.linprog(
-            c, A_ub=a_ub, b_ub=np.zeros(2 * k), A_eq=a_eq, b_eq=b_eq,
-            bounds=bounds, method="highs",
-        )
-        if res.status == 2:  # infeasible: not even in the affine hull
-            return -np.inf
-        if not res.success:
-            raise RuntimeError(f"interior-margin LP failed: {res.message}")
-        return 1.0 - float(res.x[-1])
+        d_i = self.operator[:, list(geometry.descriptor.data)]
+        alpha = np.linalg.lstsq(d_i, eta - geometry.offset, rcond=None)[0]
+        return 1.0 - float(np.abs(alpha).max(initial=0.0))

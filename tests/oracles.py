@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: brute-force sign enumeration for the
 lasso and for the analysis prox, generic derivative-free minimization for
-prox checks, each penalty's own value formula, model rule and one-row
-proximal map, the one-row off-model dual norm of l1 and the group norm, a
-one-problem forward-backward loop, one-trial instance, explicit-design and
-Wishart draws, the explicit designs of a certificate-margin family, and
-the subspace helpers (span, projector, distance) that only the tests need.
+prox checks, the analysis margin as a linear program, each penalty's own
+value formula, model rule and one-row proximal map, the one-row off-model
+dual norm of l1 and the group norm, a one-problem forward-backward loop,
+one-trial instance, explicit-design and Wishart draws, the explicit designs
+of a certificate-margin family, and the subspace helpers (span, projector,
+distance) that only the tests need.
 Slow but simple, so the expected values in the tests do not inherit the
 package's own bugs.
 """
@@ -134,6 +135,32 @@ def analysis_prox_enumerated(d, beta, gamma, tol=1e-9):
         assert np.allclose(x, found[0], atol=1e-7), "prox enumeration is ambiguous"
     return found[0]
 
+
+def analysis_margin_lp(d, cosupport, eta, offset):
+    """1 - min ||alpha||_inf over D_I alpha = eta - offset, by a linear program.
+
+    The analysis margin for any operator, redundant or not: variables
+    (alpha, t), minimize t subject to -t <= alpha_i <= t and the equality
+    system reduced against an orthonormal basis of Im(D_I), so that it stays
+    consistent when eta meets the tangent equation only up to rounding.
+    """
+    d_i = np.asarray(d, dtype=float)[:, list(cosupport)]
+    k = d_i.shape[1]
+    if k == 0:
+        return 1.0
+    u, s, _ = np.linalg.svd(d_i, full_matrices=False)
+    b = u[:, : int(np.sum(s > 1e-10 * s[0]))]
+    res = scipy.optimize.linprog(
+        np.append(np.zeros(k), 1.0),
+        A_ub=np.block([[np.eye(k), -np.ones((k, 1))], [-np.eye(k), -np.ones((k, 1))]]),
+        b_ub=np.zeros(2 * k),
+        A_eq=np.hstack([b.T @ d_i, np.zeros((b.shape[1], 1))]),
+        b_eq=b.T @ (np.asarray(eta, dtype=float) - offset),
+        bounds=[(None, None)] * k + [(0, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return 1.0 - float(res.x[-1])
 
 def descriptor(reg, beta, zero_tol):
     """The model descriptor of one vector beta, by the rule of reg's kind.

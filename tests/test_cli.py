@@ -21,6 +21,7 @@ from partlysmooth.cli import (
 from partlysmooth.config import ConfigError
 
 import oracles
+from test_readme import blocks as readme_blocks
 
 G3 = [[1.0, 0.0, 0.6], [0.0, 1.0, 0.6], [0.6, 0.6, 1.0]]
 G3_BOUNDARY = [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]]
@@ -501,6 +502,52 @@ def test_experiment_leaves_numpy_ma_and_scipy_unloaded(tmp_path, payload):
     assert (tmp_path / "out" / "records.csv").exists()
 
 
+def tv_payloads():
+    """certify, solve and experiment files for the p = 8 difference operator."""
+    reg = {"kind": "analysis_l1", "operator": oracles.tv_operator(8).tolist()}
+    beta0 = [1.0] * 4 + [3.0] * 4
+    return {
+        "certify": {"regularizer": reg, "gamma": np.eye(8).tolist(), "beta0": beta0},
+        "solve": {"regularizer": reg, "noise_sigma": 0.0, "lambda": 0.3,
+                  "design": {"kind": "explicit", "matrix": (np.sqrt(8.0) * np.eye(8)).tolist()},
+                  "signal": {"kind": "explicit", "beta0": beta0}},
+        "experiment": {
+            "regularizer": reg,
+            "design": {"kind": "gaussian_rows", "identity_dim": 8, "n": 40},
+            "signal": {"kind": "piecewise_constant", "p": 8, "segments": 2},
+            "experiment": {"kind": "noise_stability", "sweep": {"noise_levels": [0.05]},
+                           "mu_rule": {"kind": "fixed", "value": 0.05}, "trials": 3,
+                           "base_seed": 11, "jobs": 1},
+        },
+    }
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: a TV certify, solve and
+    # experiment, and the README's three examples, exit as they do with
+    # scipy installed
+    runs, want = [], []
+    for command, payload in tv_payloads().items():
+        runs.append([command, "--config", write_config(tmp_path, payload, f"tv-{command}.json")])
+        want.append(EXIT_OK)
+    for i, block in enumerate(readme_blocks("json")):
+        cfg = json.loads(block)
+        command = "experiment" if "experiment" in cfg else "solve" if "lambda" in cfg else "certify"
+        runs.append([command, "--config", write_config(tmp_path, cfg, f"readme-{i}.json")])
+        want.append(EXIT_OUTSIDE if command == "certify" else EXIT_OK)
+    for i, argv in enumerate(runs):
+        argv += ["--out", str(tmp_path / f"out{i}"), "--quiet"]
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; from partlysmooth import cli; "
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == want
+
+
 class TestExperiment:
     def test_runs_and_writes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment_payload())
@@ -804,6 +851,11 @@ NAN = float("nan")
     pytest.param("experiment", with_key(experiment_payload(), "regularizer",
                                         {"kind": "analysis_l1", "operator": np.eye(3).tolist()}),
                  [], ("regularizer.operator", "design"), id="experiment-operator-not-design"),
+    # an analysis operator without full column rank is refused, naming its rank
+    pytest.param("certify", {"regularizer": {"kind": "analysis_l1",
+                                             "operator": [[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]]},
+                             "gamma": np.eye(3).tolist(), "beta0": [1.0, 0.0, 2.0]},
+                 [], "got rank 1", id="operator-rank-deficient"),
 ])
 def test_error_exits_1_without_traceback(
     tmp_path, capsys, monkeypatch, command, payload, argv, names

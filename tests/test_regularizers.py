@@ -1,9 +1,11 @@
 """Penalty values, proximal maps (step_batch), model geometry and membership verdicts."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from partlysmooth import (
     AnalysisL1,
@@ -11,6 +13,7 @@ from partlysmooth import (
     L1,
     ModelDescriptor,
     Nuclear,
+    Subspace,
     project,
 )
 from partlysmooth.config import regularizer_from_config
@@ -478,6 +481,50 @@ def test_analysis_membership_empty_cosupport():
     assert v.status == "interior" and v.margin == pytest.approx(1.0)
 
 
+def analysis_cases():
+    """(operator, cosupport) pairs: every cosupport of four small operators,
+    and seeded random cosupports of a p = 20 difference operator."""
+    small = [oracles.tv_operator(6), np.eye(8), oracles.tv_operator(3), np.array([[1.0], [2.0]])]
+    for d in small:
+        for mask in itertools.product((False, True), repeat=d.shape[1]):
+            yield d, np.flatnonzero(mask)
+    rng = np.random.default_rng(31)
+    d = oracles.tv_operator(20)
+    for _ in range(60):
+        size = int(rng.integers(0, 20))
+        yield d, np.sort(rng.choice(19, size=size, replace=False))
+
+
+def point_with_cosupport(d, cosupport, rng):
+    # D has full column rank, so D^T beta = z is solvable for any z
+    z = rng.choice([-1.0, 1.0], d.shape[1]) * rng.uniform(0.5, 2.0, d.shape[1])
+    z[cosupport] = 0.0
+    return np.linalg.lstsq(d.T, z, rcond=None)[0]
+
+
+def test_analysis_margin_matches_the_lp():
+    # eta = offset + D_I alpha meets the tangent equation; the unique dual
+    # is alpha, and the closed form reads the LP's margin
+    rng = np.random.default_rng(30)
+    count = 0
+    for d, cosupport in analysis_cases():
+        reg = AnalysisL1(d)
+        geo = reg.model(point_with_cosupport(d, cosupport, rng))
+        assert geo.descriptor.data == tuple(cosupport.tolist())
+        if cosupport.size:
+            want = scipy.linalg.null_space(d[:, cosupport].T)
+            assert oracles.subspace_distance(geo.subspace, Subspace(want)) < 1e-12
+        else:
+            assert geo.subspace.dim == d.shape[0]
+        eta = geo.offset + d[:, cosupport] @ rng.uniform(-1.5, 1.5, cosupport.size)
+        verdict = reg.ri_membership(geo, eta)
+        assert verdict.tangent_residual < 1e-12
+        want = oracles.analysis_margin_lp(d, cosupport, eta, geo.offset)
+        assert abs(verdict.margin - want) < 1e-12, (d.shape, cosupport)
+        count += 1
+    assert count == 32 + 256 + 4 + 2 + 60
+
+
 OFF_MODEL_REGULARIZERS = {
     "l1": L1(),
     "group_scattered": GroupL1L2([[0, 4, 7], [1, 2, 3], [5], [6, 8]]),
@@ -592,6 +639,16 @@ def test_analysis_operator_validation():
         AnalysisL1(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         AnalysisL1(np.array([1.0, 2.0]))
+    # a dual on a cosupport is unique only when D is injective: a zero, a
+    # rank-1 and a wide operator are refused, naming the rank
+    for operator, rank in [
+        (np.zeros((3, 2)), 0),
+        (np.array([[1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]]), 1),
+        (np.hstack([oracles.tv_operator(3), np.eye(3)[:, :2]]), 3),
+    ]:
+        want = f"full column rank {operator.shape[1]}, got rank {rank}"
+        with pytest.raises(ValueError, match=want):
+            AnalysisL1(operator)
 
 
 def test_vector_validation():
