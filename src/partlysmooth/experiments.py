@@ -17,9 +17,8 @@ Every trial is reproducible from (config, base_seed): setup draws (fixed
 design, signal) use base_seed, trial k overall uses base_seed + 1 + k.
 Records are emitted in task order regardless of the parallelism degree.
 
-A batch derives the default_rng(seed) state of every trial in one
-_seed_states pass, draws each sweep point's trials with one draw_trials
-call (each trial on its seed's stream, products as stacks) and passes the
+A batch draws each sweep point's trials with one draw_trials call (trial
+seed s on the stream of Philox key s, products as stacks) and passes the
 stacks of all its points to one forward_backward_batch (all three looked
 up here, so tests can wrap them).  A point's outcomes stay columns: slices
 of the batch's arrays beside the point's n, sigma and mu.  A sweep's
@@ -42,7 +41,7 @@ import numpy as np
 
 from .certificate import Certificate, _check_tolerances, check_model_stability
 from .linalg import _check_integer, _row_dots
-from .problems import DesignSpec, SignalSpec, _seed_states, draw_trials, make_design, make_signal
+from .problems import _SEED_BOUND, DesignSpec, SignalSpec, draw_trials, make_design, make_signal
 from .regularizers import RI_TOL, Regularizer
 from .solver import SolveOptions, forward_backward_batch
 
@@ -191,6 +190,11 @@ class ExperimentConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        last = self.base_seed + self.trials * len(values)  # the last trial's seed
+        if last >= _SEED_BOUND:
+            raise ValueError(
+                f"base_seed={self.base_seed} puts the last trial seed at {last}, past 2**128 - 1"
+            )
         _check_tolerances(ri_tol=self.ri_tol)
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in values))
         if self.noise_sigma is not None:
@@ -330,29 +334,21 @@ def _run_batch(shared, tasks):
     """The trials of several sweep points, solved as one forward_backward_batch.
 
     A task is (n, sigma, mu, seeds), one trial per seed on n rows of
-    shared.design, and draw_trials draws each task's problems.  Each trial
-    draws default_rng(seed)'s stream: one _seed_states pass derives the
-    states of all the batch's seeds, and each task gets its slice: a pass
-    has a fixed cost of tens of microseconds, which a pass per point would
-    pay once per point.  The batch solves the tasks' u stacks end to end,
-    on a fixed design's own quad or on the tasks' Gamma stacks end to end.
+    shared.design, and one draw_trials call draws each task's problems.  The
+    batch solves the tasks' u stacks end to end, on a fixed design's own
+    quad or on the tasks' Gamma stacks end to end.
     Returns one TrialColumns per task, in order, whose arrays are slices of
     the batch's: identified is one comparison of the final model keys with
     beta0's.  Every row of a batch gets the bits it gets alone, so how the
     tasks are grouped changes no result.
     Module-level so worker processes can import it.
     """
-    beta0 = shared.beta0
-    states = _seed_states([seed for *_, seeds in tasks for seed in seeds])
-    draws, start = [], 0
-    for n, sigma, mu, seeds in tasks:
-        part = states[start:start + len(seeds)]
-        draws.append(draw_trials(shared.design, beta0, sigma, mu, seeds, n, _states=part))
-        start += len(seeds)
+    beta0, design = shared.beta0, shared.design
+    draws = [draw_trials(design, beta0, sigma, mu, seeds, n) for n, sigma, mu, seeds in tasks]
     solved = forward_backward_batch(
         np.repeat([draw.mu for draw in draws], [len(draw.u) for draw in draws]),
         np.concatenate([draw.u for draw in draws]),
-        shared.design.quad or np.concatenate([draw.gamma for draw in draws]),
+        design.quad or np.concatenate([draw.gamma for draw in draws]),
         shared.reg, shared.opts,
     )
     # ||beta - beta0|| of every trial, as np.linalg.norm computes it

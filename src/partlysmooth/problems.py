@@ -2,8 +2,8 @@
 
 An instance is y = X beta0 + w with a design X (explicit, or rows drawn
 i.i.d. from N(0, Sigma)), a structured ground truth beta0 and Gaussian
-noise w.  All randomness comes from numpy generators (PCG64): make_design
-and make_signal draw X and beta0 from the generator they are given.
+noise w.  make_design and make_signal draw X and beta0 from the numpy
+generator they are given (the sweeps' set-up passes default_rng(base_seed)).
 
 The canonical parameters of (instance, lambda) are
 
@@ -17,9 +17,9 @@ sweeps do: each trial draws its canonical parameters from its own seed in
 O(p^2) numbers, never X or w (a gaussian_rows trial's X^T X as an exact
 Wishart draw), and every product is a stacked call whose slices are the
 one-trial products, so each trial gets the bits it would get drawn alone.
-A trial's stream is default_rng(seed)'s: _seed_states computes numpy's
-seeding of PCG64 for a whole batch of seeds in one vectorized pass, and
-one generator is set to each trial's state in turn.
+Trial seed s draws from Generator(Philox(key=s)): a counter-based
+generator, whose every key indexes its own stream, so one generator set to
+each trial's key in turn draws a batch.
 """
 
 from __future__ import annotations
@@ -233,78 +233,8 @@ def _segment_sizes(p, k, rng):
     return np.diff(edges)
 
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe, numpy.random.bit_generator)
-# with its 4-word pool, and PCG64's multiplier.  Every constant is a uint32
-# scalar, so that numpy 1.x's value-based casting keeps the hashing in 32 bits.
-_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
-_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-_POOL = 4
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_consts(init, mult, count):
-    """A column of the count + 1 values a hash constant takes: init, init * mult, ..."""
-    consts = [int(init)]
-    for _ in range(count):
-        consts.append(consts[-1] * int(mult) & 0xFFFFFFFF)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values, consts):
-    """SeedSequence's hashmix of values[i], the constant going consts[i] -> consts[i + 1]."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> _SHIFT)
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool words x with hashed words y."""
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> _SHIFT)
-
-
-def _seed_states(seeds) -> list:
-    """The PCG64 (state, inc) of default_rng(seed), for every seed in one pass.
-
-    numpy's SeedSequence hashes a seed's 32-bit words, least significant
-    first, into a 4-word pool: each word (0 past the seed's own) by one
-    hashmix, 12 pool mixes, then one mix of every pool word with each word
-    past the fourth.  8 output words, paired little-endian, are PCG64's
-    initstate and initseq, and srandom gives inc = 2 initseq + 1 and
-    state = ((inc + initstate) MULT + inc) mod 2^128.  Here each step runs
-    over all seeds at once, as uint32 arrays that wrap as the C code does;
-    a seed past 2^128 mixes its extra words under a mask.  A seed must be
-    a Python or numpy integer >= 0, and not a bool.
-    """
-    ints = [_check_integer(seed, "seed") for seed in seeds]
-    if ints and min(ints) < 0:
-        raise ValueError(f"seed must be >= 0, got {min(ints)}")
-    # words[i] is the i-th 32-bit word of every seed, zero past its own, at least the pool's 4
-    size = max(_POOL, (max(ints, default=0).bit_length() + 31) // 32)
-    raw = b"".join(seed.to_bytes(4 * size, "little") for seed in ints)
-    words = np.frombuffer(raw, dtype="<u4").reshape(len(ints), size).T.astype(np.uint32)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * size)
-    pool = _hashmix(words[:_POOL], consts[:_POOL + 1])
-    at = _POOL
-    for src in range(_POOL):
-        dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL]))
-        at += _POOL - 1
-    for i in range(_POOL, size):  # word i, in the seeds that have it: a nonzero word from i on
-        mixed = _mix(pool, _hashmix(words[i], consts[at:at + _POOL + 1]))
-        pool = np.where(words[i:].any(axis=0), mixed, pool)
-        at += _POOL
-    # 8 output words, cycling through the pool
-    out = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
-    out = out.astype(np.uint64)
-    halves = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    states = []
-    for s0, s1, i0, i1 in zip(*halves):
-        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
-        states.append((((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+_SEED_BOUND = 1 << 128  # a seed is a 128-bit Philox key
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,19 +259,17 @@ def draw_trials(
     mu: float,
     seeds,
     n: Optional[int] = None,
-    *,
-    _states=None,
 ) -> TrialDraws:
     """The problems of one sweep point, one trial per seed, computed as stacks.
 
     Trial k is the problem y = X beta0 + w at lambda = mu * n, drawn from
-    the stream of default_rng(seeds[k]) (the explicit signal beta0 draws
-    nothing): theta = (mu, X^T y / n, X^T X / n), with ||X^T w / n||
-    alongside.  The trial draws theta, never X or w: given a p x k M with
-    M M^T = X^T X, its last draw is k normals z, and eps = X^T w / n =
-    sigma M z / n (the law of X^T w / n given X) and u = Gamma beta0 + eps.
-    The problems come as the arrays that forward_backward_batch takes,
-    which checks them.
+    the stream of Generator(Philox(key=seeds[k])) (the explicit signal
+    beta0 draws nothing): theta = (mu, X^T y / n, X^T X / n), with
+    ||X^T w / n|| alongside.  The trial draws theta, never X or w: given a
+    p x k M with M M^T = X^T X, its last draw is k normals z, and
+    eps = X^T w / n = sigma M z / n (the law of X^T w / n given X) and
+    u = Gamma beta0 + eps.  The problems come as the arrays that
+    forward_backward_batch takes, which checks them.
 
     An explicit design's trial draws only z, with M the design's root and
     k = p, and its Gamma is the design's quad, one Quadratic for every
@@ -362,15 +290,15 @@ def draw_trials(
     Each product is one stacked call whose slices are the 2-d calls of one
     trial drawn alone, so each trial has those bits.
 
-    Each seed must be an integer >= 0.  One _seed_states pass derives the
-    PCG64 state of every seed's default_rng at once, and one generator,
-    set to each state in turn, draws the trials.  _states, private to the
-    sweeps, is that pass's slice for these seeds: a batch of several points
-    seeds all its trials in one pass.
+    Each seed must be an integer in [0, 2^128), a 128-bit Philox key.  One
+    generator, set to each trial's key at counter 0 in turn, draws the
+    trials.
     """
-    states = _seed_states(seeds) if _states is None else _states
-    if len(states) != len(seeds):
-        raise ValueError(f"{len(states)} seed states for {len(seeds)} seeds")
+    seeds = [_check_integer(seed, "seed") for seed in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"seed must be >= 0, got {min(seeds)}")
+    if seeds and max(seeds) >= _SEED_BOUND:
+        raise ValueError(f"seed must be < 2**128, got {max(seeds)}")
     for name, value in (("noise_sigma", noise_sigma), ("mu", mu)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -390,19 +318,22 @@ def draw_trials(
         raise ValueError(f"lambda = mu * n must be finite, got mu={mu} and n={n}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    count = len(states)
+    count = len(seeds)
     k = p if explicit else min(n, p)
     diag = np.arange(k)
     # B's strict upper trapezoid; an explicit design's trial draws no B
     rows, cols = np.triu_indices(0 if explicit else k, 1, p)
     chi, normals = np.empty((count, k)), np.empty((count, rows.size + k))
     dof = (n - diag).astype(float)  # the chi-squares' degrees of freedom, as chisquare reads them
-    # one generator, set to each trial's state in turn: default_rng(seed) but for its set-up
-    bits = np.random.PCG64(0)
+    # one generator, set to each trial's key in turn: Generator(Philox(key=seed))
+    # but for its set-up, with its counter and buffer fresh
+    bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for t, (pcg["state"], pcg["inc"]) in enumerate(states):
+    key = [0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for t, seed in enumerate(seeds):
+        key[:] = seed & _WORD, seed >> 64
         bits.state = state
         if not explicit:
             chi[t] = rng.chisquare(dof)

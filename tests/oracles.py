@@ -317,17 +317,18 @@ def explicit_trial(design, beta0, sigma, seed):
     """(Gamma, u, eps) of one trial on an explicit design X, drawn from theta.
 
     M = V diag(sqrt(max(lambda, 0))) from the eigendecomposition
-    X^T X = V diag(lambda) V^T, so M M^T = X^T X.  From default_rng(seed),
-    p normals z; Gamma = X^T X / n, eps = sigma M z / n, which has the law
-    of X^T w / n for w ~ N(0, sigma^2 I_n), and u = Gamma beta0 + eps.  The
-    one-trial draw that draw_trials stacks.
+    X^T X = V diag(lambda) V^T, so M M^T = X^T X.  From a fresh
+    Generator(Philox(key=seed)), p normals z; Gamma = X^T X / n,
+    eps = sigma M z / n, which has the law of X^T w / n for
+    w ~ N(0, sigma^2 I_n), and u = Gamma beta0 + eps.  The one-trial draw
+    that draw_trials stacks.
     """
     x = design.matrix
     n, p = x.shape
     gram = x.T @ x
     vals, vecs = np.linalg.eigh(gram)
     m = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = np.random.default_rng(seed).standard_normal(p)
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal(p)
     gamma = gram / n
     eps = sigma * (m @ z) / n
     return gamma, gamma @ beta0 + eps, eps
@@ -336,17 +337,18 @@ def explicit_trial(design, beta0, sigma, seed):
 def wishart_trial(design, beta0, sigma, seed):
     """(Gamma, u, eps) of one fresh gaussian_rows trial, by Bartlett's decomposition.
 
-    From default_rng(seed), with k = min(n, p): k chi-squares with n, n - 1,
-    ... degrees of freedom, the normals of the strict upper trapezoid of
-    the k x p factor B (row by row), then k normals z.  B is filled one
-    element at a time and every product is 2-d: M = R B^T with R the
-    design's root, Gamma = M M^T / n, eps = sigma M z / n and
-    u = Gamma beta0 + eps.  The one-trial draw that draw_trials stacks.
+    From a fresh Generator(Philox(key=seed)), with k = min(n, p): k
+    chi-squares with n, n - 1, ... degrees of freedom, the normals of the
+    strict upper trapezoid of the k x p factor B (row by row), then k
+    normals z.  B is filled one element at a time and every product is 2-d:
+    M = R B^T with R the design's root, Gamma = M M^T / n,
+    eps = sigma M z / n and u = Gamma beta0 + eps.  The one-trial draw that
+    draw_trials stacks.
     """
     n, root = design.n, design.root
     p = root.shape[0]
     k = min(n, p)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     chi = rng.chisquare(n - np.arange(k))
     normals = iter(rng.standard_normal(k * p - k * (k + 1) // 2))
     z = rng.standard_normal(k)

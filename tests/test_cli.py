@@ -838,6 +838,11 @@ NAN = float("nan")
                  id="base_seed-negative"),
     pytest.param("experiment", experiment_payload(), ["--seed", "-2"], "base_seed",
                  id="experiment-seed-flag-negative"),
+    # the last trial seed, base_seed + trials * points, is a 128-bit Philox key
+    pytest.param("experiment", experiment_payload(), ["--seed", str(2 ** 128)], "base_seed",
+                 id="experiment-seed-flag-past-2**128"),
+    pytest.param("experiment", experiment_payload(base_seed=2 ** 128 - 1), [], "base_seed",
+                 id="base_seed-past-2**128"),
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1}, "seed": -1},
                  [], "seed", id="certify-seed-negative"),

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import partlysmooth.experiments as exps
-import partlysmooth.problems as problems
 from partlysmooth import (
     AnalysisL1,
     CanonicalParameters,
@@ -171,6 +170,17 @@ class TestConfigValidation:
         # refused when the config is built, whichever harness it is for
         with pytest.raises(ValueError, match=r"^noise_sigma must be >= 0, got -1.0$"):
             identity_config(noise_sigma=-1.0)
+
+    def test_last_trial_seed_is_a_128_bit_key(self):
+        # 2 points of 5 trials use seeds base_seed + 1 ... base_seed + 10, and
+        # each is a Philox key, < 2^128: refused when the config is built
+        top = 2 ** 128 - 11
+        assert identity_config(base_seed=top).base_seed == top
+        with pytest.raises(ValueError, match=(
+                rf"^base_seed={top + 1} puts the last trial seed at {2 ** 128}, past 2\*\*128 - 1$")):
+            identity_config(base_seed=top + 1)
+        res = noise_stability_sweep(identity_config(base_seed=top, trials=1, sweep_values=(0.0,)))
+        assert res.trials.array("seed").tolist() == [top + 1]
 
     def test_noise_sigma_is_a_float(self):
         # a library config's noise_sigma=1 is the float a config file gives,
@@ -379,7 +389,7 @@ class TestIdentificationProfile:
     def test_profile_is_the_noise_sweep_plus_stats(self):
         # at max_iter=9 some trials stop short, and some converge off the target
         cfg = random_design_config(
-            sweep_values=(1e-2, 1e-1, 1.0), trials=4, solve=SolveOptions(max_iter=9)
+            sweep_values=(1e-2, 1e-1, 1.0), trials=5, solve=SolveOptions(max_iter=9)
         )
         res = noise_stability_sweep(cfg)
         t = res.trials
@@ -658,31 +668,37 @@ def test_fresh_design_batches_fit_the_gamma_budget(monkeypatch):
 
 
 def test_a_batch_seeds_its_trials_in_one_pass(monkeypatch):
-    # one _seed_states pass per _run_batch call, over all of the batch's
-    # seeds, and no default_rng in a batch: not one pass per point, nor one
-    # generator per trial
-    passes, batches = [], []
-    seed_states, run_batch = exps._seed_states, exps._run_batch
+    # one draw_trials call per sweep point, each building one bit generator
+    # that it keys to every trial in turn, and no default_rng in a batch:
+    # not one generator per trial
+    made, calls, batches = [], [], []
+    philox, draw, run_batch = np.random.Philox, exps.draw_trials, exps._run_batch
 
-    def counted_pass(seeds):
-        passes.append(list(seeds))
-        return seed_states(seeds)
+    def counted_bits(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
 
-    def no_rng(*args, **kwargs):
-        raise AssertionError("a batch built a default_rng")
+    def counted_draw(*args):
+        calls.append(list(args[4]))
+        return draw(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a batch built a default_rng or another bit generator")
 
     def counted_batch(shared, tasks):
-        passes.clear()
+        made.clear()
+        calls.clear()
         with monkeypatch.context() as inside:
-            inside.setattr(np.random, "default_rng", no_rng)
+            for name in ("default_rng", "PCG64", "PCG64DXSM", "MT19937", "SFC64"):
+                inside.setattr(np.random, name, refused)
+            inside.setattr(np.random, "Philox", counted_bits)
             points = run_batch(shared, tasks)
-        batches.append(passes[:])
-        assert passes == [[seed for *_, seeds in tasks for seed in seeds]]
+        assert calls == [seeds for *_, seeds in tasks]
+        assert len(made) == len(tasks)
+        batches.append([s for seeds in calls for s in seeds])
         return points
 
-    # draw_trials would make its own pass if a batch did not hand it its states
-    monkeypatch.setattr(exps, "_seed_states", counted_pass)
-    monkeypatch.setattr(problems, "_seed_states", counted_pass)
+    monkeypatch.setattr(exps, "draw_trials", counted_draw)
     monkeypatch.setattr(exps, "_run_batch", counted_batch)
     for sweep, cfg in (
         (consistency_sweep, TestConsistency().base(trials=3, sweep_values=(40, 80, 160))),
@@ -691,7 +707,7 @@ def test_a_batch_seeds_its_trials_in_one_pass(monkeypatch):
         batches.clear()
         res = sweep(cfg)
         assert len(res.trials) == 9 and batches, sweep.__name__
-        assert [s for (made,) in batches for s in made] == res.trials.array("seed").tolist()
+        assert [s for seeds in batches for s in seeds] == res.trials.array("seed").tolist()
 
 
 def test_gamma_budget_at_p10_and_p200():

@@ -20,9 +20,10 @@ from partlysmooth import (
     make_design,
     make_signal,
 )
+import partlysmooth.experiments as exps
 from partlysmooth.experiments import _Shared
 from partlysmooth.config import ConfigError, solve_from_config
-from partlysmooth.problems import _seed_states, draw_trials
+from partlysmooth.problems import draw_trials
 from partlysmooth.solver import Quadratic
 
 import oracles
@@ -189,14 +190,18 @@ def reference_trial(design, sigma, mu, seed):
     return theta, float(np.linalg.norm(eps))
 
 
+# a key's high word 0, 1 and 2^64 - 1, its low word 0 and 2^64 - 1, and numpy integers
+EDGE_SEEDS = [2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, np.int64(7), np.uint64(2 ** 63 + 5)]
+
+
 @pytest.mark.parametrize("kind", DRAW_DESIGNS)
 @pytest.mark.parametrize("count", [1, 40])
 @pytest.mark.parametrize("sigma", [0.0, 0.7])
 def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
     design = DRAW_DESIGNS[kind]
     seeds = list(range(101, 101 + count))
-    if count > 1:  # seeds of every width and type that the seeding pass reads
-        seeds[1:6] = [2 ** 32, 2 ** 64 - 1, 2 ** 200 + 3, np.int64(7), np.uint64(2 ** 63 + 5)]
+    if count > 1:  # keys of every width and type
+        seeds[1:1 + len(EDGE_SEEDS)] = EDGE_SEEDS
     draws = draw_trials(design, BETA0, sigma, 0.3, seeds)
     assert draws.u.shape == (count, 5) and len(draws.eps_norms) == count
     # an explicit design's trials share one Quadratic, a fresh design's come as a stack
@@ -211,29 +216,37 @@ def test_draw_trials_has_the_bits_of_one_trial_at_a_time(kind, count, sigma):
         assert eps_norm == want_eps
 
 
-EDGE_SEEDS = [2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1, 2 ** 128, 2 ** 200 + 3]
+@pytest.mark.parametrize("kind", DRAW_DESIGNS)
+def test_a_batch_of_points_draws_each_trial_from_a_fresh_philox_key(kind, monkeypatch):
+    # every trial of a batch of several sweep points has the bits of its
+    # seed's lone Generator(Philox(key=seed)) draw: no counter, buffer or
+    # key carries over from the trial or the point before it
+    design = DRAW_DESIGNS[kind]
+    n = design.matrix.shape[0] if design.kind == "explicit" else design.n
+    tasks = [(n, 0.7, 0.3, [101, *EDGE_SEEDS[:2]]), (n, 0.1, 0.1, [EDGE_SEEDS[2], 5]),
+             (n, 0.2, 0.5, EDGE_SEEDS[3:])]
+    solves = []
 
+    def recorded(mu, u, gamma, reg, opts):
+        solves.append((mu, u, gamma))
+        return forward_backward_batch(mu, u, gamma, reg, opts)
 
-@pytest.mark.parametrize("seeds", [
-    range(20001),
-    # seeds of 2^128 and above have more than 4 words, which numpy mixes in after the pool
-    EDGE_SEEDS,
-    [np.int64(0), np.int64(9), np.int64(2 ** 63 - 1), np.uint64(3), np.uint64(2 ** 64 - 1)],
-    # every width in one batch, so the wider seeds' words are mixed under a mask
-    [5, 2 ** 200 + 3, 0, 2 ** 128, 2 ** 64 - 1, 1, 2 ** 160, np.uint64(2 ** 64 - 1), 2 ** 32],
-], ids=["0-20000", "edges", "numpy", "mixed"])
-def test_seed_states_are_default_rngs(seeds):
-    # the pass gives each seed the PCG64 state of default_rng(seed), bit for
-    # bit, whether the seed comes alone or in a batch
-    want = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
-
-    def as_states(pairs):
-        return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                 "has_uint32": 0, "uinteger": 0} for state, inc in pairs]
-
-    assert as_states(_seed_states(seeds)) == want
-    assert [as_states(_seed_states([seed]))[0] for seed in seeds] == want
-    assert _seed_states([]) == []
+    monkeypatch.setattr(exps, "forward_backward_batch", recorded)
+    opts = SolveOptions(max_iter=3)
+    target = L1().model_keys(BETA0[None], opts.zero_tol)[0]
+    shared = _Shared(L1(), design, BETA0, opts, target)
+    points = exps._run_batch(shared, tasks)
+    [(mu, u, gamma)] = solves
+    row = 0
+    for (_, sigma, point_mu, seeds), point in zip(tasks, points):
+        for seed, eps_norm in zip(seeds, point.eps_norm.tolist()):
+            want, want_eps = reference_trial(design, sigma, point_mu, seed)
+            assert mu[row] == want.mu and eps_norm == want_eps
+            assert u[row].tobytes() == want.u.tobytes()
+            row_gamma = gamma.gamma if design.kind == "explicit" else gamma[row]
+            assert row_gamma.tobytes() == want.gamma.tobytes()
+            row += 1
+    assert row == len(u)
 
 
 TOEPLITZ = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
@@ -317,18 +330,18 @@ def test_draw_trials_refuses_what_one_trial_refuses():
         "n must be >= 1, got 0")
     assert message(DRAW_DESIGNS["gaussian_rows"], BETA0, 0.1, 0.3, [4], 2.0) == (
         "n must be an integer, got 2.0")
-    # a seed is an integer >= 0; a bool is no seed, though default_rng(True) is seed 1's
+    # a seed is an integer in [0, 2^128); a bool is no seed, though Philox(key=True) takes it
     for design in DRAW_DESIGNS.values():
         for seeds, shown in (([4, True], "seed must be an integer, got True"),
                              ([2.0], "seed must be an integer, got 2.0"),
                              ([4, "5"], "seed must be an integer, got '5'"),
                              ([np.True_], f"seed must be an integer, got {np.True_!r}"),
                              ([4, -1], "seed must be >= 0, got -1"),
-                             ([np.int64(-3), 4], "seed must be >= 0, got -3")):
+                             ([np.int64(-3), 4], "seed must be >= 0, got -3"),
+                             # a seed is a 128-bit Philox key
+                             ([4, 2 ** 128], f"seed must be < 2**128, got {2 ** 128}"),
+                             ([2 ** 200, 2 ** 128 - 1], f"seed must be < 2**128, got {2 ** 200}")):
             assert message(design, BETA0, 0.1, 0.3, seeds) == shown
-    # a batch's states for these seeds must be as many as the seeds
-    with pytest.raises(ValueError, match=r"^1 seed states for 2 seeds$"):
-        draw_trials(DRAW_DESIGNS["explicit"], BETA0, 0.1, 0.3, [4, 5], _states=_seed_states([4]))
 
 
 @pytest.mark.parametrize("n", [3, 40])
