@@ -13,9 +13,10 @@ opposite.  A boundary verdict is inconclusive and reported as such.
 
 Strictly inside means P_T eta = e and eta's dual norm off the model below 1:
 Regularizer.off_model_max for l1 and groups, as in the solver's certified
-stop; nuclear and analysis-l1 keep their own margins (a spectral norm, an
-LP).  The same test of eta = (u - Gamma beta)/mu at a solver output beta,
-with restricted injectivity there, certifies that beta is the unique minimizer.
+stop; nuclear and analysis-l1 keep their own margins (a spectral norm, and
+the dual on the cosupport from one least-squares solve).  The same test of
+eta = (u - Gamma beta)/mu at a solver output beta, with restricted
+injectivity there, certifies that beta is the unique minimizer.
 """
 
 from __future__ import annotations

@@ -70,15 +70,16 @@ def _only_keys(cfg, known, context):
 def number(value, name: str, *, integer=False, nonnegative=False, optional=False):
     """The file value of key `name` as a finite float, or an int if integer.
 
-    Anything else (null, non-numeric text, a boolean, NaN, +-inf, a fraction
-    for an integer, a negative if nonnegative) raises ConfigError naming the
-    key and the value, except null for an optional key, which means unset.
+    Anything else (null, non-numeric text, a boolean, NaN, +-inf, an integer
+    too large for a float, a fraction for an integer, a negative if
+    nonnegative) raises ConfigError naming the key and the value, except
+    null for an optional key, which means unset.
     """
     if optional and value is None:
         return None
     try:
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()) or (nonnegative and x < 0):
         want = ("an integer" if integer else "a finite number") + (" >= 0" if nonnegative else "")
@@ -224,11 +225,13 @@ def signal_from_config(cfg: dict) -> SignalSpec:
 
 def solve_options_from_config(cfg: dict, zero_tol: float = ZERO_TOL) -> SolveOptions:
     """The solver section; zero_tol comes from the tolerances section."""
-    _only_keys(cfg, ("step", "max_iter", "fp_tol"), "solver")
+    _only_keys(cfg, ("step_fraction", "max_iter", "fp_tol"), "solver")
     return _spec(
         SolveOptions,
         "solver",
-        step=number(cfg.get("step"), "solver.step", optional=True),
+        step_fraction=number(
+            cfg.get("step_fraction", SolveOptions.step_fraction), "solver.step_fraction"
+        ),
         max_iter=number(
             cfg.get("max_iter", SolveOptions.max_iter), "solver.max_iter", integer=True
         ),

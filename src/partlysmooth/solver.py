@@ -10,7 +10,8 @@ J(beta) + ||X beta - y||^2 / (2 n mu), so E is nonnegative whenever u lies
 in the image of Gamma.
 
 Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) from
-beta = 0, with a fixed step 0 < tau < 2 / ||Gamma||.  Along the way the
+beta = 0, with the fixed step tau = step_fraction * 2 / ||Gamma|| (1 when
+Gamma = 0), so 0 < tau < 2 / ||Gamma|| for every problem.  Along the way the
 solver tracks the model key of every iterate, so the first iteration after
 which the model never changes again (the identification point) can be
 reported retrospectively, and it returns the key of the final iterate.
@@ -66,10 +67,6 @@ from .linalg import (
     _row_dots,
 )
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer
-
-# relative step as a fraction of the stability limit 2/||Gamma||
-DEFAULT_STEP_FRACTION = 0.9
-
 
 class Quadratic:
     """A validated design covariance Gamma, prepared for repeated solves.
@@ -141,17 +138,20 @@ class CanonicalParameters:
 class SolveOptions:
     """Knobs for forward_backward.
 
-    step=None picks tau = 0.9 * (2 / ||Gamma||).  An explicit step must
-    satisfy 0 < tau < 2 / ||Gamma|| or the solve is refused.  zero_tol is
-    the threshold the iterates' models are read with.
+    Each problem steps at tau = step_fraction * 2 / ||Gamma|| (1 when
+    Gamma = 0), a fraction of its own stability limit, so any step_fraction
+    in (0, 1) is stable for every problem.  zero_tol is the threshold the
+    iterates' models are read with.
     """
 
-    step: Optional[float] = None
+    step_fraction: float = 0.9
     max_iter: int = 100_000
     fp_tol: float = 1e-10
     zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
+        if not 0 < self.step_fraction < 1:
+            raise ValueError(f"step_fraction must lie in (0, 1), got {self.step_fraction}")
         object.__setattr__(self, "max_iter", _check_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -275,31 +275,6 @@ def forward_backward(
     return forward_backward_batch(theta.mu, theta.u[None], theta.quad, reg, opts)[0]
 
 
-def _step_sizes(mu: np.ndarray, lip: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    """The step of every problem, from arrays of their mu and ||Gamma||.
-
-    The default is DEFAULT_STEP_FRACTION * 2 / ||Gamma|| (1 when Gamma = 0);
-    an explicit step must lie in (0, 2 / ||Gamma||).  The first problem
-    refused, for mu <= 0 or an unstable step, raises its error.
-    """
-    positive = lip > 0
-    if opts.step is None:
-        tau = np.divide(DEFAULT_STEP_FRACTION * 2.0, lip, out=np.ones_like(lip), where=positive)
-        bad = mu <= 0
-    else:
-        tau = np.full_like(lip, float(opts.step))
-        limit = np.divide(2.0, lip, out=np.full_like(lip, np.inf), where=positive)
-        bad = (mu <= 0) | (tau <= 0) | (positive & (tau >= limit))
-    if np.count_nonzero(bad):
-        i = np.flatnonzero(bad)[0]
-        if mu[i] <= 0:
-            raise ValueError(f"forward-backward needs mu > 0, got {float(mu[i])}")
-        raise ValueError(
-            f"step {float(tau[i])} outside the stable range (0, {float(limit[i])})"
-        )
-    return tau
-
-
 def forward_backward_batch(
     mu,
     u,
@@ -346,11 +321,13 @@ def forward_backward_batch(
     gam = gamma.gamma if shared else gamma
     if gam.shape != ((p, p) if shared else (count, p, p)):
         raise ValueError("u and gamma dimensions differ")
+    if np.count_nonzero(mu <= 0):
+        raise ValueError(f"forward-backward needs mu > 0, got {float(mu[mu <= 0][0])}")
     lip = np.full(count, gamma.norm) if shared else spectral_norms(gam)
     # overflow to inf, as the per-problem float arithmetic does, with no
-    # warning: the checks below refuse it
+    # warning: the check below refuses it
     with np.errstate(over="ignore"):
-        tau = _step_sizes(mu, lip, opts)
+        tau = np.divide(opts.step_fraction * 2.0, lip, out=np.ones_like(lip), where=lip > 0)
         weights = tau * mu
     refused = ~(np.isfinite(weights) & (weights >= 0))
     if np.count_nonzero(refused):

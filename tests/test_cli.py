@@ -123,9 +123,16 @@ class TestConfigParsing:
             cfgmod.regularizer_from_config(dict(cfg, operator_shape=[1, 2]))
 
     def test_solver_options(self):
-        opts = cfgmod.solve_options_from_config({"max_iter": 50, "step": 0.5})
-        assert opts.max_iter == 50 and opts.step == 0.5
+        opts = cfgmod.solve_options_from_config({"max_iter": 50, "step_fraction": 0.5})
+        assert opts.max_iter == 50 and opts.step_fraction == 0.5
         assert opts.fp_tol == 1e-10
+        assert cfgmod.solve_options_from_config({}).step_fraction == 0.9
+        # a step is a fraction of each problem's own stability limit, in (0, 1)
+        for bad in (0, 1, -1, 1.5, NAN, True, None, "half"):
+            with pytest.raises(ConfigError, match="step_fraction"):
+                cfgmod.solve_options_from_config({"step_fraction": bad})
+        with pytest.raises(ConfigError, match=r"unknown solver keys: \['step'\]"):
+            cfgmod.solve_options_from_config({"step": 1.0})
         with pytest.raises(ConfigError):
             cfgmod.solve_options_from_config({"momentum": 0.9})
         with pytest.raises(ConfigError):
@@ -435,7 +442,8 @@ class TestSolve:
 
     def test_non_converged_still_ok(self, tmp_path, capsys):
         payload = solve_payload()
-        payload["solver"] = {"max_iter": 1, "step": 0.1}
+        # tau = 0.1 on Gamma = I / 2
+        payload["solver"] = {"max_iter": 1, "step_fraction": 0.025}
         cfg = write_config(tmp_path, payload)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_OK
         assert "max_iter" in capsys.readouterr().out
@@ -632,6 +640,29 @@ class TestExperiment:
             assert run(["experiment", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
             written.append((out / "records.csv").read_bytes())
         assert written[0] == written[1] == written[2]
+
+    def test_consistency_steps_at_a_fraction_of_each_trials_limit(self, tmp_path, monkeypatch):
+        # at n = 20 every trial's ||Gamma|| is past 2, so no one step 1 is
+        # stable for the sweep; step_fraction 0.5 is, for every trial
+        import partlysmooth.experiments as exps
+
+        norms = []
+        solve = exps.forward_backward_batch
+
+        def recording(mu, u, gamma, *args):
+            norms.extend(np.abs(np.linalg.eigvalsh(gamma)).max(axis=1))
+            return solve(mu, u, gamma, *args)
+
+        monkeypatch.setattr(exps, "forward_backward_batch", recording)
+        payload = consistency_payload()
+        payload["experiment"].update(sweep={"sample_sizes": [20, 400]}, trials=8, base_seed=3)
+        payload["solver"] = {"step_fraction": 0.5}
+        cfg = write_config(tmp_path, payload)
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
+        assert min(norms[:8]) > 2.0
+        records = (tmp_path / "o" / "records.csv").read_text().splitlines()
+        converged = [row.split(",")[exps.RECORD_COLUMNS.index("converged")] for row in records[1:]]
+        assert converged == ["true"] * 16
 
     def test_dispatches_through_runners(self, tmp_path, monkeypatch):
         # cli._RUNNERS is the one dispatch table, so wrapping an entry
@@ -843,6 +874,20 @@ NAN = float("nan")
                  id="experiment-seed-flag-past-2**128"),
     pytest.param("experiment", experiment_payload(base_seed=2 ** 128 - 1), [], "base_seed",
                  id="base_seed-past-2**128"),
+    # a JSON integer too large for a float is refused, naming its key
+    *(pytest.param("experiment", with_key(experiment_payload(), key, 10 ** 400), [], key,
+                   id=f"{key}-10**400")
+      for key in ("experiment.base_seed", "experiment.trials", "experiment.jobs")),
+    pytest.param("experiment", with_key(experiment_payload(), "signal",
+                                        {"kind": "sparse", "p": 10 ** 400, "support_size": 1}),
+                 [], "signal.p", id="signal.p-10**400"),
+    # the step is a fraction of each problem's stability limit; the absolute
+    # step key is gone
+    pytest.param("experiment", with_key(experiment_payload(), "solver.step", 1.0), [],
+                 "unknown solver keys: ['step']", id="solver-step"),
+    *(pytest.param("experiment", with_key(experiment_payload(), "solver.step_fraction", bad), [],
+                   "step_fraction", id=f"step_fraction-{bad}")
+      for bad in (0, 1, -1, 1.5, NAN, True)),
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1}, "seed": -1},
                  [], "seed", id="certify-seed-negative"),

@@ -238,7 +238,7 @@ class TestNoiseStability:
         assert res.trials.array("identified").tolist() == [False] * 5
 
     def test_non_converged_trials_are_excluded(self):
-        cfg = identity_config(solve=SolveOptions(max_iter=1, step=0.1))
+        cfg = identity_config(solve=SolveOptions(max_iter=1, step_fraction=0.05))
         res = noise_stability_sweep(cfg)
         t = res.trials
         assert not t.array("converged").any() and not t.array("identified").any()
@@ -311,6 +311,30 @@ class TestConsistency:
         assert sorted(set(t.array("n").tolist())) == [50, 200]
         # mu follows the power rule at each n
         assert t.array("mu") == pytest.approx(t.array("n") ** -0.25)
+
+    def test_every_trial_steps_at_its_fraction_of_its_own_limit(self, monkeypatch):
+        # at n = 20 some trials' ||Gamma|| is past 2, where the step 1 that
+        # step_fraction 0.5 gives on the population Gamma = I is unstable;
+        # each trial steps at 0.5 * 2 / ||Gamma|| of its own Gamma instead
+        batches = []
+
+        def recording(mu, u, gamma, reg, opts):
+            batches.append((gamma, forward_backward_batch(mu, u, gamma, reg, opts)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(exps, "forward_backward_batch", recording)
+        cfg = self.base(
+            design=DesignSpec.gaussian(np.eye(10), 20),
+            signal=SignalSpec("sparse", p=10, support_size=3),
+            sweep_values=(20, 400), trials=10, noise_sigma=1.0,
+            solve=SolveOptions(step_fraction=0.5),
+        )
+        res = consistency_sweep(cfg)
+        assert res.trials.array("converged").all()
+        [(gammas, solved)] = batches
+        norms = np.array([np.abs(np.linalg.eigvalsh(g)).max() for g in gammas])
+        assert solved.step.tolist() == (1.0 / norms).tolist()
+        assert norms[:10].max() > 2.0 and norms[10:].max() < 2.0
 
     def test_fresh_design_per_trial(self):
         res = consistency_sweep(self.base(trials=2, sweep_values=(40, 80)))
@@ -812,7 +836,9 @@ def test_records_csv_round_trip(tmp_path):
         assert float(row["certificate_margin"]) == margin
     # a trial that did not converge has an empty identification_iter
     assert rows[0]["identification_iter"] != ""
-    blank = noise_stability_sweep(identity_config(trials=1, solve=SolveOptions(max_iter=1, step=0.1)))
+    blank = noise_stability_sweep(
+        identity_config(trials=1, solve=SolveOptions(max_iter=1, step_fraction=0.05))
+    )
     write_records_csv(blank.trials, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -892,7 +918,7 @@ IDENTITY_FILE = {
 # not (as in test_trials_that_stop_short_count_against_finite_fraction); a
 # consistency sweep; a sharpness sweep on an instance certified outside
 CLI_SWEEPS = {
-    "noise-short-step": dict(IDENTITY_FILE, solver={"max_iter": 1, "step": 0.1}),
+    "noise-short-step": dict(IDENTITY_FILE, solver={"max_iter": 1, "step_fraction": 0.05}),
     "noise-half-converged": dict(
         IDENTITY_FILE, solver={"max_iter": 1},
         design={"kind": "explicit",
@@ -955,6 +981,31 @@ def test_cli_records_csv_has_the_bytes_of_csv_writer_over_records(tmp_path, monk
         assert not any(converged)
     if name == "noise-half-converged":
         assert converged == [True] * 2 + [False] * 2
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_started_by_spawn_or_forkserver_writes_the_serial_bytes(tmp_path, method):
+    # Python 3.14 starts pools by forkserver on Linux, and spawn is the
+    # default on macOS and Windows: workers that import the package afresh
+    # must still write the records.csv of a serial run
+    code, serial = run_cli_sweep(tmp_path, "consistency")
+    assert code == 0
+    script = tmp_path / "pool.py"
+    script.write_text(
+        "import multiprocessing, sys\n"
+        "from partlysmooth import cli\n"
+        "if __name__ == '__main__':\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / method
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run(
+        [sys.executable, str(script), "experiment", "--config", str(tmp_path / "consistency.json"),
+         "--out", str(out), "--quiet", "--jobs", "2"],
+        env=env, check=True, timeout=120,
+    )
+    assert (out / "records.csv").read_bytes() == (serial / "records.csv").read_bytes()
 
 
 def test_records_have_the_values_and_types_of_their_solves(monkeypatch):

@@ -82,19 +82,6 @@ def test_batch_refuses_a_row_as_that_problem_alone():
     zeroed[1] = 0.0
     for gamma in (gammas, good[1].quad):
         assert _message(forward_backward_batch, zeroed, u, gamma, L1()) == refused
-    # an explicit step stable for every row but the one with the largest ||Gamma||
-    lips = [t.quad.norm for t in good]
-    worst = int(np.argmax(lips))
-    limit = 2.0 / lips[worst]
-    opts = SolveOptions(step=limit)
-    assert limit < min(2.0 / lip for i, lip in enumerate(lips) if i != worst)
-    refused = f"step {limit} outside the stable range (0, {limit})"
-    assert _message(forward_backward, good[worst], L1(), opts) == refused
-    assert _message(forward_backward_batch, mu, u, gammas, L1(), opts) == refused
-    # with Gamma = 0 every positive step is stable
-    flat = CanonicalParameters(0.1, np.zeros(4), np.zeros((4, 4)))
-    assert _message(forward_backward, flat, L1(), SolveOptions(step=-1.0)) == (
-        "step -1.0 outside the stable range (0, inf)")
     # a prox weight tau * mu that overflows
     huge = CanonicalParameters(1e308, good[2].u, 1e-3 * good[2].gamma)
     assert "prox weight" in _message(forward_backward, huge, L1())
@@ -142,7 +129,8 @@ def test_objective_nonnegative_when_consistent():
 def test_identity_design_lasso():
     theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
     # unit step on the identity maps straight to the closed-form solution
-    res = forward_backward(theta, L1(), SolveOptions(step=1.0))
+    res = forward_backward(theta, L1(), SolveOptions(step_fraction=0.5))
+    assert res.step == 1.0
     np.testing.assert_allclose(res.beta, [0.9, 0.0], atol=1e-12)
     assert res.converged
     assert res.iterations == 2
@@ -169,13 +157,22 @@ def test_large_mu_gives_zero():
 
 
 def test_step_validation():
-    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    for bad in (0.0, -1.0, 2.0, 2.5):
-        with pytest.raises(ValueError):
-            forward_backward(theta, L1(), SolveOptions(step=bad))
-    res = forward_backward(theta, L1(), SolveOptions(step=1.0))
-    assert res.step == 1.0
-    np.testing.assert_allclose(res.beta, [0.9, 0.0], atol=1e-9)
+    # a fraction of the stability limit outside (0, 1) is refused when built
+    for bad in (0.0, 1.0, -1.0, 1.5, 2.0, np.nan, np.inf, True, False):
+        with pytest.raises(ValueError, match="step_fraction must lie in"):
+            SolveOptions(step_fraction=bad)
+    # every problem steps at step_fraction * 2 / ||Gamma||, 1 when Gamma = 0
+    u = np.array([1.0, 0.0])
+    for scale, fraction, step in ((1.0, 0.5, 1.0), (4.0, 0.5, 0.25), (4.0, 0.25, 0.125),
+                                  (0.0, 0.5, 1.0), (0.0, 0.9, 1.0)):
+        theta = CanonicalParameters(0.1, scale * u, scale * np.eye(2))
+        res = forward_backward(theta, L1(), SolveOptions(step_fraction=fraction))
+        assert res.step == step and res.converged
+    # a stack of Gammas gets one step per row, each from its own norm
+    gammas = np.stack([np.eye(2), 4.0 * np.eye(2), np.zeros((2, 2))])
+    batch = forward_backward_batch(0.1, np.ones((3, 2)), gammas, L1(),
+                                   SolveOptions(step_fraction=0.5))
+    assert batch.step.tolist() == [1.0, 0.25, 1.0]
 
 
 def test_mu_zero_rejected():
@@ -569,8 +566,6 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
     zero_u[:2] = 0.3, -0.3
     mu, u, gammas = batch_problems(reg, p, rng, 5)
     mu, u, gammas = np.r_[0.6, mu], np.vstack([zero_u, u]), np.concatenate([np.eye(p)[None], gammas])
-    # an explicit step must be stable for every problem in the batch
-    step = 0.5 / max(np.linalg.norm(g, 2) for g in gammas)
     # an l1 row can stop at a certified minimizer from step 2 on
     short = 1 if reg.kind == "l1" else 6
     cases = [
@@ -578,7 +573,7 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
         SolveOptions(max_iter=6),
         SolveOptions(),
         SolveOptions(max_iter=70),  # past the trace buffer's first growth
-        SolveOptions(step=step, max_iter=25, fp_tol=1e-6),
+        SolveOptions(step_fraction=0.25, max_iter=25, fp_tol=1e-6),
     ]
     for opts in cases:
         results = forward_backward_batch(mu, u, gammas, reg, opts)
