@@ -225,13 +225,10 @@ def signal_from_config(cfg: dict) -> SignalSpec:
 
 def solve_options_from_config(cfg: dict, zero_tol: float = ZERO_TOL) -> SolveOptions:
     """The solver section; zero_tol comes from the tolerances section."""
-    _only_keys(cfg, ("step_fraction", "max_iter", "fp_tol"), "solver")
+    _only_keys(cfg, ("max_iter", "fp_tol"), "solver")
     return _spec(
         SolveOptions,
         "solver",
-        step_fraction=number(
-            cfg.get("step_fraction", SolveOptions.step_fraction), "solver.step_fraction"
-        ),
         max_iter=number(
             cfg.get("max_iter", SolveOptions.max_iter), "solver.max_iter", integer=True
         ),

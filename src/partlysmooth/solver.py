@@ -10,8 +10,8 @@ J(beta) + ||X beta - y||^2 / (2 n mu), so E is nonnegative whenever u lies
 in the image of Gamma.
 
 Iteration:  beta <- prox_{tau mu J}(beta + tau (u - Gamma beta)) from
-beta = 0, with the fixed step tau = step_fraction * 2 / ||Gamma|| (1 when
-Gamma = 0), so 0 < tau < 2 / ||Gamma|| for every problem.  Along the way the
+beta = 0, with the fixed step tau = 0.9 * 2 / ||Gamma|| (1 when Gamma = 0),
+so 0 < tau < 2 / ||Gamma|| for every problem.  Along the way the
 solver tracks the model key of every iterate, so the first iteration after
 which the model never changes again (the identification point) can be
 reported retrospectively, and it returns the key of the final iterate.
@@ -67,6 +67,10 @@ from .linalg import (
     _row_dots,
 )
 from .regularizers import ZERO_TOL, ModelDescriptor, Regularizer
+
+# every problem's step as a fraction of its stability limit 2/||Gamma||
+DEFAULT_STEP_FRACTION = 0.9
+
 
 class Quadratic:
     """A validated design covariance Gamma, prepared for repeated solves.
@@ -138,20 +142,16 @@ class CanonicalParameters:
 class SolveOptions:
     """Knobs for forward_backward.
 
-    Each problem steps at tau = step_fraction * 2 / ||Gamma|| (1 when
-    Gamma = 0), a fraction of its own stability limit, so any step_fraction
-    in (0, 1) is stable for every problem.  zero_tol is the threshold the
+    Every problem steps at tau = DEFAULT_STEP_FRACTION * 2 / ||Gamma|| (1
+    when Gamma = 0), so no step is set here.  zero_tol is the threshold the
     iterates' models are read with.
     """
 
-    step_fraction: float = 0.9
     max_iter: int = 100_000
     fp_tol: float = 1e-10
     zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
-        if not 0 < self.step_fraction < 1:
-            raise ValueError(f"step_fraction must lie in (0, 1), got {self.step_fraction}")
         object.__setattr__(self, "max_iter", _check_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -325,13 +325,14 @@ def forward_backward_batch(
         raise ValueError(f"forward-backward needs mu > 0, got {float(mu[mu <= 0][0])}")
     lip = np.full(count, gamma.norm) if shared else spectral_norms(gam)
     # overflow to inf, as the per-problem float arithmetic does, with no
-    # warning: the check below refuses it
+    # warning: the check below refuses it, and a zero weight too (tau = 0
+    # when ||Gamma|| overflows, or tau * mu underflows), which would drop J
     with np.errstate(over="ignore"):
-        tau = np.divide(opts.step_fraction * 2.0, lip, out=np.ones_like(lip), where=lip > 0)
+        tau = np.divide(DEFAULT_STEP_FRACTION * 2.0, lip, out=np.ones_like(lip), where=lip > 0)
         weights = tau * mu
-    refused = ~(np.isfinite(weights) & (weights >= 0))
+    refused = ~(np.isfinite(weights) & (weights > 0))
     if np.count_nonzero(refused):
-        raise ValueError(f"prox weight must be finite and >= 0, got {weights[refused][0]}")
+        raise ValueError(f"prox weight must be finite and > 0, got {weights[refused][0]}")
     beta = np.zeros((count, p))
     rows = np.arange(count)  # the problem of each row still in the batch
 

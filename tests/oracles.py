@@ -459,7 +459,7 @@ def forward_backward_scalar(theta, reg, opts):
     (index 0 is the zero start), which the solver does not keep.
     """
     norm = np.abs(np.linalg.eigvalsh(theta.gamma)).max() if theta.gamma.size else 0.0
-    tau = opts.step_fraction * 2.0 / norm if norm else 1.0
+    tau = 0.9 * 2.0 / norm if norm else 1.0
     beta = np.zeros_like(theta.u)
     mu, u, gam = theta.mu, theta.u, theta.gamma
     weight = tau * mu

@@ -123,16 +123,13 @@ class TestConfigParsing:
             cfgmod.regularizer_from_config(dict(cfg, operator_shape=[1, 2]))
 
     def test_solver_options(self):
-        opts = cfgmod.solve_options_from_config({"max_iter": 50, "step_fraction": 0.5})
-        assert opts.max_iter == 50 and opts.step_fraction == 0.5
+        opts = cfgmod.solve_options_from_config({"max_iter": 50})
+        assert opts.max_iter == 50
         assert opts.fp_tol == 1e-10
-        assert cfgmod.solve_options_from_config({}).step_fraction == 0.9
-        # a step is a fraction of each problem's own stability limit, in (0, 1)
-        for bad in (0, 1, -1, 1.5, NAN, True, None, "half"):
-            with pytest.raises(ConfigError, match="step_fraction"):
-                cfgmod.solve_options_from_config({"step_fraction": bad})
-        with pytest.raises(ConfigError, match=r"unknown solver keys: \['step'\]"):
-            cfgmod.solve_options_from_config({"step": 1.0})
+        # every problem steps at 0.9 of its own stability limit: no step key
+        for key in ("step", "step_fraction"):
+            with pytest.raises(ConfigError, match=rf"unknown solver keys: \['{key}'\]"):
+                cfgmod.solve_options_from_config({key: 0.5})
         with pytest.raises(ConfigError):
             cfgmod.solve_options_from_config({"momentum": 0.9})
         with pytest.raises(ConfigError):
@@ -442,8 +439,7 @@ class TestSolve:
 
     def test_non_converged_still_ok(self, tmp_path, capsys):
         payload = solve_payload()
-        # tau = 0.1 on Gamma = I / 2
-        payload["solver"] = {"max_iter": 1, "step_fraction": 0.025}
+        payload["solver"] = {"max_iter": 1}
         cfg = write_config(tmp_path, payload)
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_OK
         assert "max_iter" in capsys.readouterr().out
@@ -640,29 +636,6 @@ class TestExperiment:
             assert run(["experiment", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
             written.append((out / "records.csv").read_bytes())
         assert written[0] == written[1] == written[2]
-
-    def test_consistency_steps_at_a_fraction_of_each_trials_limit(self, tmp_path, monkeypatch):
-        # at n = 20 every trial's ||Gamma|| is past 2, so no one step 1 is
-        # stable for the sweep; step_fraction 0.5 is, for every trial
-        import partlysmooth.experiments as exps
-
-        norms = []
-        solve = exps.forward_backward_batch
-
-        def recording(mu, u, gamma, *args):
-            norms.extend(np.abs(np.linalg.eigvalsh(gamma)).max(axis=1))
-            return solve(mu, u, gamma, *args)
-
-        monkeypatch.setattr(exps, "forward_backward_batch", recording)
-        payload = consistency_payload()
-        payload["experiment"].update(sweep={"sample_sizes": [20, 400]}, trials=8, base_seed=3)
-        payload["solver"] = {"step_fraction": 0.5}
-        cfg = write_config(tmp_path, payload)
-        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_OK
-        assert min(norms[:8]) > 2.0
-        records = (tmp_path / "o" / "records.csv").read_text().splitlines()
-        converged = [row.split(",")[exps.RECORD_COLUMNS.index("converged")] for row in records[1:]]
-        assert converged == ["true"] * 16
 
     def test_dispatches_through_runners(self, tmp_path, monkeypatch):
         # cli._RUNNERS is the one dispatch table, so wrapping an entry
@@ -881,13 +854,9 @@ NAN = float("nan")
     pytest.param("experiment", with_key(experiment_payload(), "signal",
                                         {"kind": "sparse", "p": 10 ** 400, "support_size": 1}),
                  [], "signal.p", id="signal.p-10**400"),
-    # the step is a fraction of each problem's stability limit; the absolute
-    # step key is gone
+    # the step is 0.9 of each problem's own stability limit, not a setting
     pytest.param("experiment", with_key(experiment_payload(), "solver.step", 1.0), [],
                  "unknown solver keys: ['step']", id="solver-step"),
-    *(pytest.param("experiment", with_key(experiment_payload(), "solver.step_fraction", bad), [],
-                   "step_fraction", id=f"step_fraction-{bad}")
-      for bad in (0, 1, -1, 1.5, NAN, True)),
     pytest.param("certify", {"regularizer": {"kind": "l1"}, "gamma": np.eye(2).tolist(),
                              "signal": {"kind": "sparse", "p": 2, "support_size": 1}, "seed": -1},
                  [], "seed", id="certify-seed-negative"),

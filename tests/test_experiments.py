@@ -238,7 +238,7 @@ class TestNoiseStability:
         assert res.trials.array("identified").tolist() == [False] * 5
 
     def test_non_converged_trials_are_excluded(self):
-        cfg = identity_config(solve=SolveOptions(max_iter=1, step_fraction=0.05))
+        cfg = identity_config(solve=SolveOptions(max_iter=1))
         res = noise_stability_sweep(cfg)
         t = res.trials
         assert not t.array("converged").any() and not t.array("identified").any()
@@ -312,10 +312,10 @@ class TestConsistency:
         # mu follows the power rule at each n
         assert t.array("mu") == pytest.approx(t.array("n") ** -0.25)
 
-    def test_every_trial_steps_at_its_fraction_of_its_own_limit(self, monkeypatch):
-        # at n = 20 some trials' ||Gamma|| is past 2, where the step 1 that
-        # step_fraction 0.5 gives on the population Gamma = I is unstable;
-        # each trial steps at 0.5 * 2 / ||Gamma|| of its own Gamma instead
+    def test_every_trial_steps_at_its_own_limit(self, monkeypatch):
+        # at n = 20 some trials' ||Gamma|| is past 2 and at n = 400 none is,
+        # so no one step would suit every trial; each steps at
+        # 0.9 * 2 / ||Gamma|| of its own Gamma
         batches = []
 
         def recording(mu, u, gamma, reg, opts):
@@ -327,13 +327,12 @@ class TestConsistency:
             design=DesignSpec.gaussian(np.eye(10), 20),
             signal=SignalSpec("sparse", p=10, support_size=3),
             sweep_values=(20, 400), trials=10, noise_sigma=1.0,
-            solve=SolveOptions(step_fraction=0.5),
         )
         res = consistency_sweep(cfg)
         assert res.trials.array("converged").all()
         [(gammas, solved)] = batches
         norms = np.array([np.abs(np.linalg.eigvalsh(g)).max() for g in gammas])
-        assert solved.step.tolist() == (1.0 / norms).tolist()
+        assert solved.step.tolist() == (1.8 / norms).tolist()
         assert norms[:10].max() > 2.0 and norms[10:].max() < 2.0
 
     def test_fresh_design_per_trial(self):
@@ -836,9 +835,7 @@ def test_records_csv_round_trip(tmp_path):
         assert float(row["certificate_margin"]) == margin
     # a trial that did not converge has an empty identification_iter
     assert rows[0]["identification_iter"] != ""
-    blank = noise_stability_sweep(
-        identity_config(trials=1, solve=SolveOptions(max_iter=1, step_fraction=0.05))
-    )
+    blank = noise_stability_sweep(identity_config(trials=1, solve=SolveOptions(max_iter=1)))
     write_records_csv(blank.trials, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -913,12 +910,13 @@ IDENTITY_FILE = {
                    "mu_rule": {"kind": "fixed", "value": 0.05}, "trials": 2},
 }
 
-# experiment files run through cli.main: no trial converges in one short
-# step; the first point's trials converge in one step and the second's do
-# not (as in test_trials_that_stop_short_count_against_finite_fraction); a
+# experiment files run through cli.main: a one-step sweep in which no
+# trial converges; one whose first point's trials converge in one step
+# and the second's do not (as in
+# test_trials_that_stop_short_count_against_finite_fraction); a
 # consistency sweep; a sharpness sweep on an instance certified outside
 CLI_SWEEPS = {
-    "noise-short-step": dict(IDENTITY_FILE, solver={"max_iter": 1, "step_fraction": 0.05}),
+    "noise-short-step": dict(IDENTITY_FILE, solver={"max_iter": 1}),
     "noise-half-converged": dict(
         IDENTITY_FILE, solver={"max_iter": 1},
         design={"kind": "explicit",

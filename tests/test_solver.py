@@ -82,13 +82,18 @@ def test_batch_refuses_a_row_as_that_problem_alone():
     zeroed[1] = 0.0
     for gamma in (gammas, good[1].quad):
         assert _message(forward_backward_batch, zeroed, u, gamma, L1()) == refused
-    # a prox weight tau * mu that overflows
+    # a prox weight tau * mu that overflows, or that is 0, which would drop
+    # J: mu underflows it, or ||Gamma|| overflows to inf and makes tau 0
     huge = CanonicalParameters(1e308, good[2].u, 1e-3 * good[2].gamma)
-    assert "prox weight" in _message(forward_backward, huge, L1())
-    assert _message(
-        forward_backward_batch, [good[0].mu, huge.mu], np.stack([good[0].u, huge.u]),
-        np.stack([good[0].gamma, huge.gamma]), L1(),
-    ) == _message(forward_backward, huge, L1())
+    tiny = CanonicalParameters(5e-324, good[2].u, 4.0 * np.eye(4))  # tau = 0.45
+    flat = CanonicalParameters(0.1, good[2].u, np.full((4, 4), 1e308))
+    for bad, weight in ((huge, "inf"), (tiny, "0.0"), (flat, "0.0")):
+        refused = f"prox weight must be finite and > 0, got {weight}"
+        assert _message(forward_backward, bad, L1()) == refused
+        assert _message(
+            forward_backward_batch, [good[0].mu, bad.mu], np.stack([good[0].u, bad.u]),
+            np.stack([good[0].gamma, bad.gamma]), L1(),
+        ) == refused
 
 
 def energy(theta, reg, beta):
@@ -127,9 +132,10 @@ def test_objective_nonnegative_when_consistent():
 
 
 def test_identity_design_lasso():
-    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.eye(2))
-    # unit step on the identity maps straight to the closed-form solution
-    res = forward_backward(theta, L1(), SolveOptions(step_fraction=0.5))
+    # tau = 0.9 * 2 / 1.8 = 1, and a unit step on the coordinate where Gamma
+    # is 1 maps straight to the closed-form solution
+    theta = CanonicalParameters(0.1, np.array([1.0, 0.0]), np.diag([1.0, 1.8]))
+    res = forward_backward(theta, L1())
     assert res.step == 1.0
     np.testing.assert_allclose(res.beta, [0.9, 0.0], atol=1e-12)
     assert res.converged
@@ -157,22 +163,16 @@ def test_large_mu_gives_zero():
 
 
 def test_step_validation():
-    # a fraction of the stability limit outside (0, 1) is refused when built
-    for bad in (0.0, 1.0, -1.0, 1.5, 2.0, np.nan, np.inf, True, False):
-        with pytest.raises(ValueError, match="step_fraction must lie in"):
-            SolveOptions(step_fraction=bad)
-    # every problem steps at step_fraction * 2 / ||Gamma||, 1 when Gamma = 0
+    # every problem steps at 0.9 * 2 / ||Gamma||, 1 when Gamma = 0
     u = np.array([1.0, 0.0])
-    for scale, fraction, step in ((1.0, 0.5, 1.0), (4.0, 0.5, 0.25), (4.0, 0.25, 0.125),
-                                  (0.0, 0.5, 1.0), (0.0, 0.9, 1.0)):
+    for scale, step in ((1.0, 1.8), (1.8, 1.0), (3.6, 0.5), (0.0, 1.0)):
         theta = CanonicalParameters(0.1, scale * u, scale * np.eye(2))
-        res = forward_backward(theta, L1(), SolveOptions(step_fraction=fraction))
+        res = forward_backward(theta, L1())
         assert res.step == step and res.converged
     # a stack of Gammas gets one step per row, each from its own norm
-    gammas = np.stack([np.eye(2), 4.0 * np.eye(2), np.zeros((2, 2))])
-    batch = forward_backward_batch(0.1, np.ones((3, 2)), gammas, L1(),
-                                   SolveOptions(step_fraction=0.5))
-    assert batch.step.tolist() == [1.0, 0.25, 1.0]
+    gammas = np.stack([np.eye(2), 3.6 * np.eye(2), np.zeros((2, 2))])
+    batch = forward_backward_batch(0.1, np.ones((3, 2)), gammas, L1())
+    assert batch.step.tolist() == [1.8, 0.5, 1.0]
 
 
 def test_mu_zero_rejected():
@@ -573,7 +573,7 @@ def test_batch_matches_scalar_loop_with_options(reg, p):
         SolveOptions(max_iter=6),
         SolveOptions(),
         SolveOptions(max_iter=70),  # past the trace buffer's first growth
-        SolveOptions(step_fraction=0.25, max_iter=25, fp_tol=1e-6),
+        SolveOptions(max_iter=25, fp_tol=1e-6),
     ]
     for opts in cases:
         results = forward_backward_batch(mu, u, gammas, reg, opts)
